@@ -502,6 +502,14 @@ def _argv_from_params(params: Mapping) -> list[str]:
 
 def _cmd_replay(p: dict, mani: manifest.RunManifest) -> int:
     recorded = manifest.read_manifest(p["manifest"])
+    if recorded.artifact_version != manifest.ARTIFACT_VERSION:
+        print(
+            f"{PROG} replay: error: manifest has artifact_version "
+            f"{recorded.artifact_version!r}; this threadscope writes "
+            f"{manifest.ARTIFACT_VERSION}",
+            file=sys.stderr,
+        )
+        return 2
     problems = manifest.verify_inputs(recorded)
     if problems:
         for problem in problems:

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import ManifestError
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 

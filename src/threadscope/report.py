@@ -267,6 +267,12 @@ def export_topic_artifacts(
         raise FileExistsError(f"{target} already exists; pass force to overwrite")
     target.mkdir(parents=True, exist_ok=True)
 
+    # a forced re-export with a smaller k must not leave the old clouds
+    for stale in target.glob("wordcloud_topic*.tsv"):
+        index = stale.stem[len("wordcloud_topic") :]
+        if index.isdigit() and int(index) >= model.config.k:
+            stale.unlink()
+
     lists = top_words(model)
     assert model.vocab is not None
     lines = [f"vocabulary_size\t{model.vocab.size}"]

@@ -14,8 +14,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,24 +24,28 @@ from .errors import EmptyCorpusError, EmptyVocabularyError, NoAssignedDocumentsE
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
-# digamma switches from upward recurrence to the asymptotic series here
-_PSI_LARGE = 10.0
+# digamma shifts arguments below this up by exactly this much before the
+# asymptotic series; a shift of 6 misses scipy by 5.5e-12 relative near 1.4625
+_PSI_SHIFT = 10
 
 
 def digamma(x):
-    """Digamma for positive arguments, scalar or array, via upward
-    recurrence below 10 and the Bernoulli asymptotic series above."""
+    """Digamma for positive arguments, scalar or array: arguments below 10
+    are shifted up by exactly 10 through psi(x) = psi(x+10) - sum 1/(x+j),
+    j = 0..9, then the Bernoulli asymptotic series is applied."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
+    arr = np.atleast_1d(arr)
     if np.any(arr <= 0):
         raise ValueError("digamma requires positive arguments")
-    acc = np.zeros_like(arr)
-    small = arr < _PSI_LARGE
-    while np.any(small):
-        acc[small] -= 1.0 / arr[small]
-        arr[small] += 1.0
-        small = arr < _PSI_LARGE
+    small = arr < _PSI_SHIFT
+    # smallest terms first: near the root at 1.4616 the sum cancels against
+    # log(x+10), and this order keeps it within rel 1e-12 of scipy
+    shift = np.zeros_like(arr)
+    for j in range(_PSI_SHIFT - 1, -1, -1):
+        shift += 1.0 / (arr + j)
+    acc = np.where(small, -shift, 0.0)
+    arr = np.where(small, arr + _PSI_SHIFT, arr)
     inv = 1.0 / arr
     y = inv * inv
     tail = y * (
@@ -189,6 +194,8 @@ class TopicModel:
     config: LdaConfig
     vocab: Vocabulary | None = None
     epoch_perplexities: list[float] = field(default_factory=list)
+    # per epoch: training E-steps stopped by max_e_iters rather than tol
+    epoch_cap_hits: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -206,79 +213,192 @@ def _exp_elog_beta(lam: np.ndarray) -> np.ndarray:
     return np.exp(digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis])
 
 
-def _estep_doc(
-    cts: np.ndarray,
-    exp_elog_beta_doc: np.ndarray,
+def _exp_elog_theta(gamma: np.ndarray) -> np.ndarray:
+    """exp(E[log theta]) per row, from one digamma call over the rows and
+    their sums."""
+    psi = digamma(np.column_stack((gamma, gamma.sum(axis=1))))
+    return np.exp(psi[:, :-1] - psi[:, -1:])
+
+
+def _phinorm(
+    theta: np.ndarray, beta: np.ndarray, owner: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Per token: sum over topics of its owner document's exp_elog_theta
+    times its exp_elog_beta, floored away from zero; scratch holds the
+    products."""
+    # owner indices are always in range; "clip" lets take write to out
+    # without an intermediate copy
+    weighted = np.take(theta, owner, axis=0, out=scratch[: owner.size], mode="clip")
+    weighted *= beta
+    return weighted.sum(axis=1) + 1e-100
+
+
+# documents per batched E-step; bounds the per-token working arrays
+_ESTEP_CHUNK = 32
+
+
+# the E-step's record types are NamedTuples rather than dataclasses: two
+# more dataclasses, whose methods are generated when the module loads,
+# raised the peak RSS of every CLI run by about 0.6 MB
+class _Rows(NamedTuple):
+    """Sparse document rows in CSR form: row r holds term ids
+    ids[ptr[r]:ptr[r+1]] with counts cts[ptr[r]:ptr[r+1]]."""
+
+    ids: np.ndarray
+    cts: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> _Rows:
+        ptr = np.cumsum([0, *map(len, rows)])
+        n = int(ptr[-1])
+        ids = np.fromiter((term for row in rows for term, _ in row), np.int64, n)
+        cts = np.fromiter((count for row in rows for _, count in row), float, n)
+        return cls(ids=ids, cts=cts, ptr=ptr)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+
+class _EStep(NamedTuple):
+    """Per-document results of one batched E-step, each document's taken
+    at its own last iteration."""
+
+    gamma: np.ndarray  # (docs, k)
+    exp_elog_theta: np.ndarray  # (docs, k)
+    phinorm: np.ndarray  # (tokens,)
+    capped: np.ndarray  # (docs,) stopped by max_iters rather than tol
+
+
+def _estep(
+    batch: _Rows,
+    exp_elog_beta: np.ndarray,
     alpha: float,
-    k: int,
     tol: float,
     max_iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Iterate gamma for one document until the mean absolute change drops
-    below tol; returns (gamma, exp_elog_theta, cts/phinorm)."""
-    # deterministic start: prior plus an even share of the doc's mass
-    gamma = np.full(k, alpha + cts.sum() / k)
-    exp_elog_theta = np.exp(digamma(gamma) - digamma(gamma.sum()))
-    phinorm = exp_elog_theta @ exp_elog_beta_doc + 1e-100
-    for _ in range(max_iters):
+) -> _EStep:
+    """Iterate gamma for every document of a batch of non-empty rows at
+    once.  Each document stops on its own rule, mean |delta gamma| < tol or
+    max_iters, and leaves the working set with the gamma, exp_elog_theta
+    and phinorm of its own last iteration."""
+    k = exp_elog_beta.shape[0]
+    n_docs = batch.ptr.size - 1
+    lengths = batch.lengths
+    # deterministic start: prior plus an even share of each doc's mass
+    mass = np.add.reduceat(batch.cts, batch.ptr[:-1])
+    gamma = np.repeat(alpha + mass / k, k).reshape(n_docs, k)
+    theta = _exp_elog_theta(gamma)
+    beta = exp_elog_beta.T[batch.ids]  # (tokens, k)
+    # reused by every iteration, so the loop allocates nothing tokens x k
+    scratch = np.empty_like(beta)
+    cts = batch.cts
+    owner = np.repeat(np.arange(n_docs), lengths)  # each token's gamma row
+    starts = batch.ptr[:-1]
+    phinorm = _phinorm(theta, beta, owner, scratch)
+
+    out_gamma = np.empty_like(gamma)
+    out_theta = np.empty_like(theta)
+    out_phinorm = np.empty_like(phinorm)
+    capped = np.zeros(n_docs, dtype=bool)
+    live = np.arange(n_docs)  # batch rows still iterating
+    tokens = np.arange(cts.size)  # their tokens' positions in the batch
+    for it in range(1, max_iters + 1):
         last = gamma
-        gamma = alpha + exp_elog_theta * ((cts / phinorm) @ exp_elog_beta_doc.T)
-        exp_elog_theta = np.exp(digamma(gamma) - digamma(gamma.sum()))
-        phinorm = exp_elog_theta @ exp_elog_beta_doc + 1e-100
-        if np.abs(gamma - last).mean() < tol:
+        ratio = np.multiply(
+            beta, (cts / phinorm)[:, np.newaxis], out=scratch[: cts.size]
+        )
+        gamma = alpha + theta * np.add.reduceat(ratio, starts, axis=0)
+        theta = _exp_elog_theta(gamma)
+        phinorm = _phinorm(theta, beta, owner, scratch)
+        stop = np.abs(gamma - last).mean(axis=1) < tol
+        if it == max_iters:
+            capped[live[~stop]] = True
+            stop[:] = True
+        if not stop.any():
+            continue
+        out_gamma[live[stop]] = gamma[stop]
+        out_theta[live[stop]] = theta[stop]
+        stop_tokens = np.repeat(stop, lengths)
+        out_phinorm[tokens[stop_tokens]] = phinorm[stop_tokens]
+        keep, keep_tokens = ~stop, ~stop_tokens
+        live, gamma, theta, lengths = live[keep], gamma[keep], theta[keep], lengths[keep]
+        tokens = tokens[keep_tokens]
+        # compact beta into the scratch rows and reuse the old beta as
+        # scratch: both still hold at least the live tokens
+        np.compress(keep_tokens, beta, axis=0, out=scratch[: tokens.size])
+        beta, scratch = scratch[: tokens.size], beta
+        cts, phinorm = cts[keep_tokens], phinorm[keep_tokens]
+        if not live.size:
             break
-    return gamma, exp_elog_theta, cts / phinorm
+        owner = np.repeat(np.arange(live.size), lengths)
+        starts = np.cumsum(lengths) - lengths
+    return _EStep(
+        gamma=out_gamma, exp_elog_theta=out_theta, phinorm=out_phinorm, capped=capped
+    )
 
 
-def _row_arrays(row: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    if row:
-        ids = np.array([i for i, _ in row], dtype=int)
-        cts = np.array([c for _, c in row], dtype=float)
-    else:
-        ids = np.zeros(0, dtype=int)
-        cts = np.zeros(0, dtype=float)
-    return ids, cts
+def _estep_chunks(
+    rows: Iterable[Sequence[tuple[int, int]]],
+    exp_elog_beta: np.ndarray,
+    config: LdaConfig,
+):
+    """Run the E-step over the non-empty rows, in order, at most
+    _ESTEP_CHUNK at a time; yields (their positions among rows, the chunk
+    in CSR form, result).  Only one chunk is held in CSR form at a time."""
+    filled = ((position, row) for position, row in enumerate(rows) if row)
+    while chunk := list(islice(filled, _ESTEP_CHUNK)):
+        positions, chunk_rows = zip(*chunk)
+        batch = _Rows.from_rows(chunk_rows)
+        yield list(positions), batch, _estep(
+            batch,
+            exp_elog_beta,
+            config.alpha_value,
+            config.mean_change_tol,
+            config.max_e_iters,
+        )
+
+
+def _add_sstats(sstats: np.ndarray, chunk: _Rows, step: _EStep) -> None:
+    """Add a chunk's exp_elog_theta x cts/phinorm to the sufficient
+    statistics, one bincount per topic; exp_elog_beta is applied later."""
+    weights = np.repeat(step.exp_elog_theta, chunk.lengths, axis=0)
+    weights *= (chunk.cts / step.phinorm)[:, np.newaxis]
+    for topic in range(sstats.shape[0]):
+        sstats[topic] += np.bincount(
+            chunk.ids, weights=weights[:, topic], minlength=sstats.shape[1]
+        )
 
 
 def fit_lda(matrix: DocTermMatrix, config: LdaConfig) -> TopicModel:
     """Online variational Bayes with a seeded gamma-distributed lambda
     initialization and per-epoch document shuffling; records per-epoch
-    training perplexity from the variational bound."""
+    training perplexity from the variational bound and the number of
+    training E-steps stopped by max_e_iters."""
     if matrix.n_docs == 0:
         raise EmptyCorpusError("cannot fit topics on an empty corpus")
     if matrix.n_terms == 0:
         raise EmptyVocabularyError("matrix has no terms")
     k = config.k
     n_docs = matrix.n_docs
-    alpha = config.alpha_value
     eta = config.eta_value
     batch_size = min(config.batch_size, n_docs)
 
     rng = np.random.default_rng(config.seed)
     lam = rng.gamma(100.0, 1.0 / 100.0, (k, matrix.n_terms))
-    doc_arrays = [_row_arrays(row) for row in matrix.rows]
-
     model = TopicModel(lam=lam, config=config)
     t = 0
     for _ in range(config.epochs):
         order = rng.permutation(n_docs)
+        cap_hits = 0
         for start in range(0, n_docs, batch_size):
             batch = order[start : start + batch_size]
             exp_elog_beta = _exp_elog_beta(lam)
             sstats = np.zeros_like(lam)
-            for index in batch:
-                ids, cts = doc_arrays[index]
-                if ids.size == 0:
-                    continue
-                _, exp_elog_theta, ratio = _estep_doc(
-                    cts,
-                    exp_elog_beta[:, ids],
-                    alpha,
-                    k,
-                    config.mean_change_tol,
-                    config.max_e_iters,
-                )
-                sstats[:, ids] += np.outer(exp_elog_theta, ratio)
+            rows = (matrix.rows[index] for index in batch)
+            for _, chunk, step in _estep_chunks(rows, exp_elog_beta, config):
+                _add_sstats(sstats, chunk, step)
+                cap_hits += int(step.capped.sum())
             sstats *= exp_elog_beta
             lam_hat = eta + (n_docs / len(batch)) * sstats
             rho = learning_rate(config.tau0, config.kappa, t)
@@ -286,44 +406,70 @@ def fit_lda(matrix: DocTermMatrix, config: LdaConfig) -> TopicModel:
             t += 1
         model.lam = lam
         model.epoch_perplexities.append(perplexity(lam, matrix, config))
+        model.epoch_cap_hits.append(cap_hits)
     return model
 
 
-def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTopics:
-    """E-step with lambda frozen; an empty document sits at the prior's
-    fixed point, so its probability is exactly 1/k."""
+def _infer(
+    model: TopicModel, rows: Iterable[Sequence[tuple[int, int]]], n_rows: int
+) -> list[DocTopics]:
+    """E-step with lambda frozen over each of the n_rows rows; an empty
+    document sits at the prior's fixed point, so its probability is
+    exactly 1/k."""
     k = model.config.k
-    alpha = model.config.alpha_value
-    if not row:
-        return DocTopics(gamma=np.full(k, alpha), assigned=0, probability=1.0 / k)
-    ids, cts = _row_arrays(row)
+    gammas = np.full((n_rows, k), model.config.alpha_value)
+    filled = np.zeros(n_rows, dtype=bool)
     exp_elog_beta = _exp_elog_beta(model.lam)
-    gamma, _, _ = _estep_doc(
-        cts,
-        exp_elog_beta[:, ids],
-        alpha,
-        k,
-        model.config.mean_change_tol,
-        model.config.max_e_iters,
-    )
-    assigned = int(np.argmax(gamma))
-    return DocTopics(
-        gamma=gamma,
-        assigned=assigned,
-        probability=float(gamma[assigned] / gamma.sum()),
-    )
+    for positions, _, step in _estep_chunks(rows, exp_elog_beta, model.config):
+        gammas[positions] = step.gamma
+        filled[positions] = True
+    inferred = []
+    for has_terms, gamma in zip(filled, gammas):
+        if not has_terms:
+            inferred.append(DocTopics(gamma=gamma, assigned=0, probability=1.0 / k))
+            continue
+        assigned = int(np.argmax(gamma))
+        inferred.append(
+            DocTopics(
+                gamma=gamma,
+                assigned=assigned,
+                probability=float(gamma[assigned] / gamma.sum()),
+            )
+        )
+    return inferred
+
+
+def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTopics:
+    """E-step for one document with lambda frozen; an empty document sits
+    at the prior's fixed point, so its probability is exactly 1/k."""
+    return _infer(model, [row], 1)[0]
 
 
 def _dirichlet_ll(values: np.ndarray, prior: float) -> float:
-    """E[log p(x|prior)] - E[log q(x|values)] for one Dirichlet row."""
-    total = values.sum()
+    """Sum over the rows of E[log p(x|prior)] - E[log q(x|values)], one
+    Dirichlet per row."""
+    totals = values.sum(axis=1)
     score = float(
-        ((prior - values) * (digamma(values) - digamma(total))).sum()
+        ((prior - values) * (digamma(values) - digamma(totals)[:, np.newaxis])).sum()
         + _lgamma(values).sum()
-        - math.lgamma(total)
+        - _lgamma(totals).sum()
     )
-    n = values.size
-    return score + math.lgamma(n * prior) - n * math.lgamma(prior)
+    n_rows, n = values.shape
+    return score + n_rows * (math.lgamma(n * prior) - n * math.lgamma(prior))
+
+
+def _word_ll(elog_beta: np.ndarray, chunk: _Rows, gamma: np.ndarray) -> float:
+    """Sum over a chunk's tokens of count x log sum over topics of
+    exp(E[log theta] + E[log beta]), the log-sum-exp taken in place."""
+    elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1))[:, np.newaxis]
+    joint = elog_beta.T[chunk.ids]
+    joint += np.repeat(elog_theta, chunk.lengths, axis=0)
+    peak = joint.max(axis=1)
+    joint -= peak[:, np.newaxis]
+    np.exp(joint, out=joint)
+    word_ll = np.log(joint.sum(axis=1))
+    word_ll += peak
+    return float(chunk.cts @ word_ll)
 
 
 def variational_bound(
@@ -331,31 +477,13 @@ def variational_bound(
 ) -> float:
     """Evidence lower bound on the corpus under lambda, with per-document
     gammas re-inferred at the frozen lambda."""
-    alpha = config.alpha_value
-    eta = config.eta_value
+    # a topic row at a time: lgamma boxes every element as a Python float
+    score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis]
     exp_elog_beta = np.exp(elog_beta)
-    score = 0.0
-    for row in matrix.rows:
-        if not row:
-            continue
-        ids, cts = _row_arrays(row)
-        gamma, _, _ = _estep_doc(
-            cts,
-            exp_elog_beta[:, ids],
-            alpha,
-            config.k,
-            config.mean_change_tol,
-            config.max_e_iters,
-        )
-        elog_theta = digamma(gamma) - digamma(gamma.sum())
-        joint = elog_theta[:, np.newaxis] + elog_beta[:, ids]
-        peak = joint.max(axis=0)
-        word_ll = np.log(np.exp(joint - peak).sum(axis=0)) + peak
-        score += float((cts * word_ll).sum())
-        score += _dirichlet_ll(gamma, alpha)
-    for topic in range(config.k):
-        score += _dirichlet_ll(lam[topic], eta)
+    for _, chunk, step in _estep_chunks(matrix.rows, exp_elog_beta, config):
+        score += _word_ll(elog_beta, chunk, step.gamma)
+        score += _dirichlet_ll(step.gamma, config.alpha_value)
     return score
 
 
@@ -403,11 +531,11 @@ def assign_topics(
     the per-topic assignment frequencies (zero-filled over all k topics)."""
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
+    vocab = model.vocab
+    rows = (doc_to_counts(vocab, doc.cleaned_text) for doc in documents)
     assignments: list[TopicAssignment] = []
     frequencies = [0] * model.config.k
-    for doc in documents:
-        row = doc_to_counts(model.vocab, doc.cleaned_text)
-        inferred = infer_doc_topics(model, row)
+    for doc, inferred in zip(documents, _infer(model, rows, len(documents))):
         assignments.append(
             TopicAssignment(
                 post_id=doc.post_id,
@@ -548,6 +676,7 @@ def save_topic_model(model: TopicModel, path: str | Path) -> None:
         "n_docs": model.vocab.n_docs,
         "lambda": [[float(v) for v in row] for row in model.lam],
         "epoch_perplexities": [float(p) for p in model.epoch_perplexities],
+        "epoch_cap_hits": list(model.epoch_cap_hits),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True)
@@ -570,4 +699,5 @@ def load_topic_model(path: str | Path) -> TopicModel:
         vocab=vocab,
     )
     model.epoch_perplexities = [float(p) for p in payload["epoch_perplexities"]]
+    model.epoch_cap_hits = [int(n) for n in payload.get("epoch_cap_hits", [])]
     return model

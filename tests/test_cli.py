@@ -259,6 +259,17 @@ def test_topics_force_contract(clean_docs, tmp_path, capsys):
     assert manifest.seeds == {"seed": 42}
 
 
+def test_topics_force_with_smaller_k_drops_stale_wordclouds(clean_docs, tmp_path):
+    base = ["topics", "--docs", str(clean_docs), "--min-df", "1", "--epochs", "1"]
+    base += ["--corpus-id", "fix", "--out", str(tmp_path)]
+    topics_dir = tmp_path / "fix" / "topics"
+    assert run(base + ["--k", "4"]) == 0
+    assert len(list(topics_dir.glob("wordcloud_topic*.tsv"))) == 4
+    assert run(base + ["--k", "2", "--force"]) == 0
+    clouds = sorted(path.name for path in topics_dir.glob("wordcloud_topic*.tsv"))
+    assert clouds == ["wordcloud_topic0.tsv", "wordcloud_topic1.tsv"]
+
+
 def test_ner_train_rejects_bad_dropout(fixtures, tmp_path, capsys):
     code = run(
         [
@@ -357,3 +368,35 @@ def test_replay_rejects_changed_input(tmp_path, fixtures, capsys):
     code = run(["replay", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "r")])
     assert code == 2
     assert "digest changed" in capsys.readouterr().err
+
+
+def test_replay_refuses_other_artifact_version(corpus_dir, tmp_path, capsys):
+    from threadscope import nerdata
+    from pathlib import Path
+
+    keywords = Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv"
+    out = tmp_path / "out"
+    code = run(
+        [
+            "ner-build",
+            "--sentences",
+            str(corpus_dir / "sentences.txt"),
+            "--keywords",
+            str(keywords),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    path = out / "manifest.json"
+    payload = json.loads(path.read_text())
+    payload["artifact_version"] -= 1
+    path.write_text(json.dumps(payload))
+    code = run(["replay", "--manifest", str(path), "--out", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("threadscope replay: error: ")
+    assert "artifact_version" in err
+    assert not (tmp_path / "r").exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from threadscope.topics import (
     select_rsd,
     top_words,
     topic_word_distribution,
+    _estep_chunks,
 )
 
 # digamma's positive zero sits near 1.4616; relative error is meaningless
@@ -51,7 +53,11 @@ def assert_digamma_close(x):
 
 
 def test_digamma_spot_values():
-    for x in (1e-8, 1e-3, 0.1, 0.5, 1.0, 1.4616, 2.5, 9.99, 10.0, 100.0, 1e6):
+    # 1.4625166875 and 1.4625439 sit just above the absolute-tolerance
+    # window, where the cancellation against log(x) is worst; an upward
+    # recurrence one step at a time misses scipy at the first by 1.08e-12
+    for x in (1e-8, 1e-3, 0.1, 0.5, 1.0, 1.4616, 1.4625166875, 1.4625439,
+              2.5, 9.99, 10.0, 100.0, 1e6):
         assert_digamma_close(x)
 
 
@@ -220,6 +226,116 @@ def test_empty_document_probability_is_exactly_one_over_k():
         assert np.all(inferred.gamma == model.config.alpha_value)
 
 
+def naive_iterations(cts, beta_cols, alpha, k, tol, max_iters):
+    """Iterations the reference runs before it stops, and whether it was
+    stopped by max_iters: one more allowed iteration changes its gamma
+    exactly when it has not converged."""
+    for n in range(1, max_iters + 1):
+        if np.array_equal(
+            naive_estep(cts, beta_cols, alpha, k, tol, n),
+            naive_estep(cts, beta_cols, alpha, k, tol, n + 1),
+        ):
+            return n, False
+    return max_iters, True
+
+
+def exp_elog_beta_scipy(lam):
+    elog = scipy.special.digamma(lam) - scipy.special.digamma(lam.sum(axis=1))[:, None]
+    return np.exp(elog)
+
+
+def mixed_rows(n_docs=45, n_terms=30, seed=5):
+    """Rows of very different lengths with empty rows in between."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n_docs):
+        if i % 7 == 3:
+            rows.append(())
+            continue
+        size = int(rng.integers(1, n_terms))
+        ids = np.sort(rng.choice(n_terms, size=size, replace=False))
+        rows.append(tuple((int(t), int(rng.integers(1, 9))) for t in ids))
+    return rows
+
+
+@pytest.mark.parametrize("max_iters", [100, 6])
+def test_batched_estep_matches_naive_per_document(max_iters):
+    rng = np.random.default_rng(9)
+    k, v = 4, 30
+    lam = rng.gamma(2.0, 1.0, (k, v))
+    config = LdaConfig(k=k, max_e_iters=max_iters)
+    alpha, tol = config.alpha_value, config.mean_change_tol
+    rows = mixed_rows(n_terms=v)
+    beta = exp_elog_beta_scipy(lam)
+    seen, iterations, capped = [], set(), []
+    for docs, batch, step in _estep_chunks(rows, beta, config):
+        for j, doc in enumerate(docs):
+            ids = np.array([i for i, _ in rows[doc]])
+            cts = np.array([c for _, c in rows[doc]], dtype=float)
+            expected = naive_estep(cts, beta[:, ids], alpha, k, tol, max_iters)
+            theta = np.exp(
+                scipy.special.digamma(expected)
+                - scipy.special.digamma(expected.sum())
+            )
+            phinorm = theta @ beta[:, ids] + 1e-100
+            tokens = slice(batch.ptr[j], batch.ptr[j + 1])
+            assert step.gamma[j] == pytest.approx(expected, rel=1e-9)
+            assert step.exp_elog_theta[j] == pytest.approx(theta, rel=1e-9)
+            assert step.phinorm[tokens] == pytest.approx(phinorm, rel=1e-9)
+            assert np.array_equal(batch.ids[tokens], ids)
+            n, hit = naive_iterations(cts, beta[:, ids], alpha, k, tol, max_iters)
+            assert bool(step.capped[j]) == hit
+            iterations.add(n)
+            capped.append(hit)
+        seen.extend(int(d) for d in docs)
+    # every non-empty row once, in order, across more than one chunk
+    assert seen == [i for i, row in enumerate(rows) if row]
+    assert len(seen) > 32
+    assert len(iterations) > 1
+    if max_iters == 6:
+        assert any(capped) and not all(capped)
+
+
+def naive_fit(matrix, config):
+    """Per-document online VB reference for fit_lda: returns lambda and the
+    per-epoch count of E-steps stopped by max_e_iters."""
+    k, alpha, eta = config.k, config.alpha_value, config.eta_value
+    tol, max_iters = config.mean_change_tol, config.max_e_iters
+    n_docs = matrix.n_docs
+    batch_size = min(config.batch_size, n_docs)
+    rng = np.random.default_rng(config.seed)
+    lam = rng.gamma(100.0, 1.0 / 100.0, (k, matrix.n_terms))
+    cap_hits = []
+    t = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n_docs)
+        hits = 0
+        for start in range(0, n_docs, batch_size):
+            batch = order[start : start + batch_size]
+            beta = exp_elog_beta_scipy(lam)
+            sstats = np.zeros_like(lam)
+            for index in batch:
+                row = matrix.rows[index]
+                if not row:
+                    continue
+                ids = np.array([i for i, _ in row])
+                cts = np.array([c for _, c in row], dtype=float)
+                gamma = naive_estep(cts, beta[:, ids], alpha, k, tol, max_iters)
+                _, hit = naive_iterations(cts, beta[:, ids], alpha, k, tol, max_iters)
+                hits += hit
+                theta = np.exp(
+                    scipy.special.digamma(gamma) - scipy.special.digamma(gamma.sum())
+                )
+                phinorm = theta @ beta[:, ids] + 1e-100
+                sstats[:, ids] += np.outer(theta, cts / phinorm)
+            sstats *= beta
+            rho = learning_rate(config.tau0, config.kappa, t)
+            lam = (1 - rho) * lam + rho * (eta + (n_docs / len(batch)) * sstats)
+            t += 1
+        cap_hits.append(hits)
+    return lam, cap_hits
+
+
 # ---------------------------------------------------------------- fitting
 
 
@@ -236,6 +352,34 @@ def two_cluster_matrix(n_docs=40, seed=0):
             counts[int(term)] = counts.get(int(term), 0) + 1
         rows.append(tuple(sorted(counts.items())))
     return DocTermMatrix(rows=tuple(rows), n_terms=16)
+
+
+def test_fit_lda_matches_per_document_reference():
+    # minibatches of 40 cross the 32-document E-step chunk; empty rows ride along
+    rows = list(two_cluster_matrix(n_docs=70).rows)
+    for i in (5, 33, 34, 61):
+        rows.insert(i, ())
+    matrix = DocTermMatrix(rows=tuple(rows), n_terms=16)
+    config = LdaConfig(k=2, batch_size=40, epochs=2, max_e_iters=20, seed=3)
+    model = fit_lda(matrix, config)
+    lam, cap_hits = naive_fit(matrix, config)
+    assert model.lam == pytest.approx(lam, rel=1e-9)
+    assert model.epoch_cap_hits == cap_hits
+
+
+def test_fit_lda_counts_capped_esteps_per_epoch():
+    matrix = two_cluster_matrix()
+    model = fit_lda(matrix, LdaConfig(k=2, batch_size=8, epochs=3, seed=42))
+    assert model.epoch_cap_hits == naive_fit(matrix, model.config)[1]
+    # E-steps under the random initial lambda run long; once the planted
+    # clusters are found every document converges
+    assert model.epoch_cap_hits[0] > 0
+    assert model.epoch_cap_hits[-1] == 0
+    # one iteration from the flat start never meets the tolerance here
+    tight = fit_lda(
+        matrix, LdaConfig(k=2, batch_size=8, epochs=3, max_e_iters=1, seed=42)
+    )
+    assert tight.epoch_cap_hits == [matrix.n_docs] * 3
 
 
 def test_fit_lda_is_deterministic():
@@ -445,6 +589,12 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.config == model.config
     assert loaded.vocab == model.vocab
     assert loaded.epoch_perplexities == model.epoch_perplexities
+    assert loaded.epoch_cap_hits == model.epoch_cap_hits
+    # files written before the counter existed still load
+    payload = json.loads(path.read_text())
+    del payload["epoch_cap_hits"]
+    path.write_text(json.dumps(payload))
+    assert load_topic_model(path).epoch_cap_hits == []
 
 
 def test_save_requires_vocab(tmp_path):
