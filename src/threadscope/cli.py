@@ -289,6 +289,12 @@ def _cmd_ner_train(p: dict, mani: manifest.RunManifest) -> int:
     )
     train = nerdata.read_annotations(p["train"])
     model = tagger.train_tagger(train, config)
+    if model.labels == [nerdata.O_TAG]:
+        print(
+            f"{PROG} ner-train: warning: {p['train']} has no entity tags; "
+            "the model will tag every token O",
+            file=sys.stderr,
+        )
     out = Path(p["model"])
     out.parent.mkdir(parents=True, exist_ok=True)
     manifest.write_manifest(mani, _sidecar(out))

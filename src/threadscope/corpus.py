@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -95,13 +96,27 @@ def _strip_fullname(value: str) -> str:
     return value[3:] if value.startswith("t3_") else value
 
 
+# The created_utc range datetime.fromtimestamp(..., tz=timezone.utc)
+# accepts: 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z.
+MIN_UTC = -62_135_596_800
+MAX_UTC = 253_402_300_799
+
+
+def _check_utc_range(value: int) -> int:
+    if not MIN_UTC <= value <= MAX_UTC:
+        raise ValueError("created_utc is outside years 1 to 9999")
+    return value
+
+
 def _coerce_utc(value) -> int:
     if isinstance(value, bool):
         raise ValueError("created_utc must be numeric")
-    if isinstance(value, (int, float)):
-        return int(value)
     if isinstance(value, str) and value.strip():
-        return int(float(value))
+        value = float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("created_utc must be finite")
+    if isinstance(value, (int, float)):
+        return _check_utc_range(int(value))
     raise ValueError("created_utc must be numeric")
 
 
@@ -178,7 +193,7 @@ def parse_dump(
                 if not isinstance(obj, dict):
                     raise ValueError("record is not an object")
                 records.append(parser(obj))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 error = DumpParseError(line_no, str(exc))
                 if on_error == "raise":
                     raise error from exc
@@ -362,24 +377,41 @@ def write_documents(documents: Iterable[Document], path: str | Path) -> None:
             )
 
 
+def _typed(obj: dict, name: str, kind: type, what: str):
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}")
+    return value
+
+
+def _document_from_json(obj) -> Document:
+    if not isinstance(obj, dict):
+        raise ValueError("document is not an object")
+    post_id = _typed(obj, "post_id", str, "a string")
+    subreddit = _typed(obj, "subreddit", str, "a string")
+    created_utc = _check_utc_range(_typed(obj, "created_utc", int, "an integer"))
+    title = _typed(obj, "title", str, "a string")
+    bodies = _typed(obj, "comment_bodies", list, "a list of strings")
+    if not all(isinstance(body, str) for body in bodies):
+        raise ValueError("comment_bodies must be a list of strings")
+    cleaned = obj.get("cleaned_text", "")
+    if not isinstance(cleaned, str):
+        raise ValueError("cleaned_text must be a string")
+    return Document(
+        post_id, subreddit, created_utc, title, bodies, cleaned_text=cleaned
+    )
+
+
 def read_documents(path: str | Path) -> list[Document]:
+    """Read a documents file; a line that is not a document object with
+    correctly typed fields raises DumpParseError with its line number."""
     documents: list[Document] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                documents.append(
-                    Document(
-                        post_id=obj["post_id"],
-                        subreddit=obj["subreddit"],
-                        created_utc=obj["created_utc"],
-                        title=obj["title"],
-                        comment_bodies=list(obj["comment_bodies"]),
-                        cleaned_text=obj.get("cleaned_text", ""),
-                    )
-                )
-            except (ValueError, KeyError, TypeError) as exc:
+                documents.append(_document_from_json(json.loads(line)))
+            except (ValueError, KeyError) as exc:
                 raise DumpParseError(line_no, str(exc)) from exc
     return documents

@@ -7,9 +7,10 @@ Spans use half-open token index ranges [start, end).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptyResultError,
@@ -71,6 +72,8 @@ class KeywordSpec:
             for kw in keywords:
                 if kw != kw.lower():
                     raise ValueError(f"keyword {kw!r} must be lowercase")
+                if not kw.split():
+                    raise ValueError("keywords must contain a word")
 
     def all_keywords(self) -> list[str]:
         out: list[str] = []
@@ -108,19 +111,81 @@ def _word_matches(token: str, kw_word: str, mode: str) -> bool:
     return kw_word in token
 
 
-def _find_keyword(words: list[str], kw_words: list[str], mode: str, start: int = 0) -> int:
+def _find_keyword(words: list[str], kw_words: list[str], mode: str) -> int:
     """Index of the first occurrence of the keyword's word sequence in the
-    lowercased whitespace tokens, or -1."""
-    n, m = len(words), len(kw_words)
-    for i in range(start, n - m + 1):
-        if all(_word_matches(words[i + j], kw_words[j], mode) for j in range(m)):
+    lowercased whitespace tokens, or -1.  A keyword of no words matches at
+    0."""
+    if not kw_words:
+        return 0
+    first, m = kw_words[0], len(kw_words)
+    positions = range(len(words) - m + 1)
+    if mode == PREFIX_MATCH:
+        starts = (i for i in positions if words[i].startswith(first))
+    else:
+        starts = (i for i in positions if first in words[i])
+    for i in starts:
+        if all(_word_matches(words[i + j], kw_words[j], mode) for j in range(1, m)):
             return i
     return -1
 
 
 def sentence_matches(sentence: str, keyword: str, mode: str = PREFIX_MATCH) -> bool:
-    words = sentence.lower().split()
-    return _find_keyword(words, keyword.split(), mode) >= 0
+    kw_words = keyword.split()
+    lowered = sentence.lower()
+    # a matching token holds the first word, so the sentence does too
+    if kw_words and kw_words[0] not in lowered:
+        return False
+    return _find_keyword(lowered.split(), kw_words, mode) >= 0
+
+
+def _keyword_joiner(keywords: Sequence[str], mode: str) -> Callable[[str], str]:
+    """The rewrite of join_multiword_keywords for one keyword list, with
+    the keywords sorted and split once."""
+    ordered = sorted(
+        (kw for kw in keywords if " " in kw), key=lambda kw: (-len(kw.split()), kw)
+    )
+    # An entry of one word ("mask ") could only rejoin a single chunk.
+    multi = [
+        (kw_words[0], len(kw_words), kw_words)
+        for kw_words in map(str.split, ordered)
+        if len(kw_words) > 1
+    ]
+    firsts = tuple(first for first, _, _ in multi)
+    prefix = mode == PREFIX_MATCH
+
+    def join(sentence: str) -> str:
+        if not ordered:
+            return sentence
+        chunks = sentence.split()
+        lowered = [c.lower() for c in chunks]
+        n = len(chunks)
+        out: list[str] = []
+        i = 0
+        while i < n:
+            word = lowered[i]
+            joined = None
+            # in prefix mode one startswith call rules out most words
+            if not prefix or word.startswith(firsts):
+                for first, m, kw_words in multi:
+                    if (
+                        (word.startswith(first) if prefix else first in word)
+                        and i + m <= n
+                        and all(
+                            _word_matches(lowered[i + j], kw_words[j], mode)
+                            for j in range(1, m)
+                        )
+                    ):
+                        joined = "_".join(chunks[i : i + m])
+                        i += m
+                        break
+            if joined is None:
+                out.append(chunks[i])
+                i += 1
+            else:
+                out.append(joined)
+        return " ".join(out)
+
+    return join
 
 
 def join_multiword_keywords(
@@ -128,32 +193,41 @@ def join_multiword_keywords(
 ) -> str:
     """Rewrite each occurrence of a multi-word keyword by joining the
     matched whitespace tokens with underscores; longer keywords win."""
-    multi = sorted(
-        (kw for kw in keywords if " " in kw), key=lambda kw: (-len(kw.split()), kw)
+    return _keyword_joiner(keywords, mode)(sentence)
+
+
+def _first_word_index(
+    sentences: Sequence[str], first_words: set[str], mode: str
+) -> dict[str, list[int]]:
+    """Map each keyword first word to the ascending positions of the
+    sentences holding a token that matches it.  The matching tokens are
+    found among the sorted distinct types: by bisection in prefix mode,
+    by a scan in substring mode.  Each pass lowercases and splits one
+    sentence at a time: keeping every sentence's words costs more memory
+    than the second split costs time."""
+    types = sorted(
+        {word for sentence in sentences for word in sentence.lower().split()}
     )
-    if not multi:
-        return sentence
-    chunks = sentence.split()
-    lowered = [c.lower() for c in chunks]
-    out: list[str] = []
-    i = 0
-    while i < len(chunks):
-        joined = None
-        for kw in multi:
-            kw_words = kw.split()
-            m = len(kw_words)
-            if i + m <= len(chunks) and all(
-                _word_matches(lowered[i + j], kw_words[j], mode) for j in range(m)
-            ):
-                joined = "_".join(chunks[i : i + m])
-                i += m
-                break
-        if joined is None:
-            out.append(chunks[i])
-            i += 1
+    matches: dict[str, list[str]] = {}
+    for first in first_words:
+        if mode == PREFIX_MATCH:
+            j = bisect_left(types, first)
+            while j < len(types) and types[j].startswith(first):
+                matches.setdefault(types[j], []).append(first)
+                j += 1
         else:
-            out.append(joined)
-    return " ".join(out)
+            for word in types:
+                if first in word:
+                    matches.setdefault(word, []).append(first)
+    del types  # only the matching types are needed from here on
+    index: dict[str, list[int]] = {first: [] for first in first_words}
+    for pos, sentence in enumerate(sentences):
+        for word in sentence.lower().split():
+            for first in matches.get(word, ()):
+                positions = index[first]
+                if not positions or positions[-1] != pos:
+                    positions.append(pos)
+    return index
 
 
 def build_ner_dataset(
@@ -164,17 +238,26 @@ def build_ner_dataset(
 ) -> tuple[list[AnnotatedSentence], list[AnnotatedSentence]]:
     """Extract up to ``spec.cap`` sentences per keyword (keyword order, then
     corpus order), dedup, underscore-join multi-word keyword hits, tokenize
-    with all-O tags, and split train/eval by a seeded shuffle."""
+    with all-O tags, and split train/eval by a seeded shuffle.
+
+    Only the sentences the first-word index lists for a keyword are checked
+    for its full word sequence; a repeated sentence keeps its own
+    positions, so every copy counts toward ``cap``."""
     if not 0 < split_ratio < 1:
         raise ValueError("split_ratio must be in (0, 1)")
+    keywords = spec.all_keywords()
+    index = _first_word_index(
+        sentences, {kw.split()[0] for kw in keywords}, spec.match_mode
+    )
     extracted: list[str] = []
     seen: set[str] = set()
-    for keyword in spec.all_keywords():
+    for keyword in keywords:
         kw_words = keyword.split()
         hits = 0
-        for sentence in sentences:
+        for pos in index[kw_words[0]]:
             if hits >= spec.cap:
                 break
+            sentence = sentences[pos]
             if _find_keyword(sentence.lower().split(), kw_words, spec.match_mode) < 0:
                 continue
             hits += 1
@@ -184,11 +267,10 @@ def build_ner_dataset(
     if not extracted:
         raise EmptyResultError("no sentence matched any keyword")
 
-    keywords = spec.all_keywords()
+    join = _keyword_joiner(keywords, spec.match_mode)
     skeletons: list[AnnotatedSentence] = []
     for sentence in extracted:
-        rewritten = join_multiword_keywords(sentence, keywords, spec.match_mode)
-        tokens = textprep.tokenize(rewritten)
+        tokens = textprep.tokenize(join(sentence))
         skeletons.append(AnnotatedSentence(tokens=tokens, tags=[O_TAG] * len(tokens)))
 
     random.Random(seed).shuffle(skeletons)
@@ -318,14 +400,6 @@ def write_annotations(
             handle.write("\n")
 
 
-def _check_tag(tag: str, line_no: int) -> None:
-    if tag == O_TAG:
-        return
-    prefix, sep, category = tag.partition("-")
-    if not sep or prefix not in PREFIXES or not category:
-        raise FormatError(line_no, f"malformed tag {tag!r}")
-
-
 def read_annotations(path: str | Path) -> list[AnnotatedSentence]:
     """Parse an annotation file; tag columns beyond the second are ignored.
     Each sentence's tag sequence must pass strict BILOU validation."""
@@ -355,7 +429,10 @@ def read_annotations(path: str | Path) -> list[AnnotatedSentence]:
             parts = line.split("\t")
             if len(parts) < 2 or not parts[0]:
                 raise FormatError(line_no, "expected token<TAB>tag")
-            _check_tag(parts[1], line_no)
+            try:
+                parse_tag(parts[1])
+            except ValueError as exc:
+                raise FormatError(line_no, str(exc)) from exc
             tokens.append(parts[0])
             tags.append(parts[1])
     flush(line_no)

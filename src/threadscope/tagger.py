@@ -68,9 +68,15 @@ class TrainConfig:
 
 @dataclass
 class TaggerModel:
+    """Labels in decode order and the averaged weights, feature -> label
+    -> weight; that dict is the on-disk form.  Decoding reads a compiled
+    copy of it, built on first use, so change ``weights`` only before the
+    model first tags."""
+
     labels: list[str]
     templates: str = TEMPLATES_VERSION
     weights: dict[str, dict[str, float]] = field(default_factory=dict)
+    _rows: _Rows | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def word_shape(word: str) -> str:
@@ -119,33 +125,82 @@ def _allowed_labels(labels: Sequence[str], prev_tag: str, is_last: bool) -> list
     ]
 
 
-def _score(weights: dict[str, dict[str, float]], features: Sequence[str], label: str) -> float:
-    total = 0.0
-    for feature in features:
-        row = weights.get(feature)
-        if row is not None:
-            total += row.get(label, 0.0)
-    return total
+class _Rows:
+    """Weights as one list of floats per feature, aligned to ``columns``,
+    plus the allowed (label, column) pairs per (prev_tag, is_last), built
+    once each."""
+
+    def __init__(
+        self,
+        labels: Sequence[str],
+        columns: Sequence[str],
+        weights: dict[str, dict[str, float]],
+    ) -> None:
+        self.labels = labels
+        self.column: dict[str, int] = {}
+        for j, label in enumerate(columns):
+            self.column.setdefault(label, j)
+        self.zeros = [0.0] * len(columns)
+        self.rows: dict[str, list[float]] = {}
+        for feature, row in weights.items():
+            aligned = list(self.zeros)
+            for label, value in row.items():
+                j = self.column.get(label)
+                if j is not None:
+                    aligned[j] = value
+            self.rows[feature] = aligned
+        self._candidates: dict[tuple[str, bool], list[tuple[str, int]]] = {}
+
+    def candidates(self, prev_tag: str, is_last: bool) -> list[tuple[str, int]]:
+        key = (prev_tag, is_last)
+        found = self._candidates.get(key)
+        if found is None:
+            found = [
+                (label, self.column[label])
+                for label in _allowed_labels(self.labels, prev_tag, is_last)
+            ]
+            self._candidates[key] = found
+        return found
+
+
+def _compiled(model: TaggerModel) -> _Rows:
+    """The model's weights as label-aligned rows.  The columns are the
+    labels plus the I-/L- continuations of each B- label, which decoding
+    may pick even when ``labels`` omits them; a weight for any other
+    label can never be scored and is dropped."""
+    if model._rows is None:
+        columns = list(model.labels)
+        for label in model.labels:
+            if label.startswith("B-"):
+                columns += [f"I-{label[2:]}", f"L-{label[2:]}"]
+        model._rows = _Rows(model.labels, columns, model.weights)
+    return model._rows
 
 
 def _decode(
-    weights: dict[str, dict[str, float]],
-    labels: Sequence[str],
-    tokens: Sequence[str],
+    compiled: _Rows, tokens: Sequence[str]
 ) -> tuple[list[str], list[list[str]]]:
-    """Greedy constrained decode; returns tags and per-position features."""
+    """Greedy constrained decode; returns tags and per-position features.
+
+    Each candidate's score adds its weights in feature order, starting at
+    0.0, and the first candidate in label order wins a tie."""
+    rows = compiled.rows
     tags: list[str] = []
     feature_lists: list[list[str]] = []
     prev = O_TAG
     n = len(tokens)
     for i in range(n):
         features = extract_features(tokens, i, prev)
-        candidates = _allowed_labels(labels, prev, i == n - 1)
-        best = candidates[0]
-        best_score = _score(weights, features, best)
-        for label in candidates[1:]:
-            score = _score(weights, features, label)
-            if score > best_score:
+        found = [
+            row for feature in features if (row := rows.get(feature)) is not None
+        ]
+        candidates = compiled.candidates(prev, i == n - 1)
+        best, best_score = candidates[0][0], None
+        for label, j in candidates:
+            score = 0.0
+            for row in found:
+                score += row[j]
+            if best_score is None or score > best_score:
                 best, best_score = label, score
         tags.append(best)
         feature_lists.append(features)
@@ -170,7 +225,10 @@ def train_tagger(
     )
     labels = [O_TAG] + [f"{p}-{c}" for c in categories for p in ("B", "I", "L", "U")]
 
-    weights: dict[str, dict[str, float]] = {}
+    compiled = _Rows(labels, labels, {})
+    weights = compiled.rows
+    column = compiled.column
+    # sparse: only the (feature, label) pairs ever updated
     totals: dict[str, dict[str, float]] = {}
     stamps: dict[str, dict[str, int]] = {}
     rng = random.Random(config.seed)
@@ -178,14 +236,15 @@ def train_tagger(
     step = 0
 
     def apply(feature: str, label: str, delta: float) -> None:
-        row = weights.setdefault(feature, {})
+        row = weights.get(feature)
+        if row is None:
+            row = weights[feature] = list(compiled.zeros)
+        j = column[label]
         trow = totals.setdefault(feature, {})
         srow = stamps.setdefault(feature, {})
-        trow[label] = trow.get(label, 0.0) + row.get(label, 0.0) * (
-            step - srow.get(label, 0)
-        )
+        trow[label] = trow.get(label, 0.0) + row[j] * (step - srow.get(label, 0))
         srow[label] = step
-        row[label] = row.get(label, 0.0) + delta
+        row[j] += delta
 
     for iteration in range(config.iterations):
         rng.shuffle(order)
@@ -197,9 +256,7 @@ def train_tagger(
             updates: list[tuple[list[str], str, str]] = []
             for index in batch:
                 sentence = train[index]
-                predicted, feature_lists = _decode(
-                    weights, labels, sentence.tokens
-                )
+                predicted, feature_lists = _decode(compiled, sentence.tokens)
                 for features, gold, pred in zip(
                     feature_lists, sentence.tags, predicted
                 ):
@@ -215,10 +272,11 @@ def train_tagger(
 
     averaged: dict[str, dict[str, float]] = {}
     if step > 0:
-        for feature, row in weights.items():
-            for label, value in row.items():
-                total = totals[feature].get(label, 0.0) + value * (
-                    step + 1 - stamps[feature].get(label, 0)
+        for feature, trow in totals.items():
+            row = weights[feature]
+            for label, total in trow.items():
+                total += row[column[label]] * (
+                    step + 1 - stamps[feature][label]
                 )
                 mean = total / step
                 if mean != 0.0:
@@ -228,7 +286,7 @@ def train_tagger(
 
 def tag_tokens(model: TaggerModel, tokens: Sequence[str]) -> list[str]:
     """Greedy left-to-right decode; output is always strictly BILOU-valid."""
-    tags, _ = _decode(model.weights, model.labels, tokens)
+    tags, _ = _decode(_compiled(model), tokens)
     return tags
 
 

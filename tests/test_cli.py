@@ -163,6 +163,35 @@ def test_ingest_skip_bad_records(tmp_path, fixtures):
     assert run(base + ["--skip-bad-records", "--out", str(tmp_path / "lax")]) == 0
 
 
+# Dump lines whose numbers overflow an int or a date.
+OVERFLOW_LINES = {
+    "created_utc=Infinity": '{"kind": "post", "id": "bad", "subreddit": "coronavirus", "created_utc": Infinity, "title": "covid"}',
+    "created_utc=1e20": '{"kind": "post", "id": "bad", "subreddit": "coronavirus", "created_utc": 1e20, "title": "covid"}',
+    "num_comments=1e400": '{"kind": "post", "id": "bad", "subreddit": "coronavirus", "created_utc": 1583366400, "title": "covid", "num_comments": 1e400}',
+}
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["strict", "skip-bad-records"])
+@pytest.mark.parametrize("line", OVERFLOW_LINES.values(), ids=list(OVERFLOW_LINES))
+def test_ingest_overflowing_numbers_are_bad_records(tmp_path, fixtures, capsys, line, skip):
+    dump = tmp_path / "dump.jsonl"
+    good = (fixtures / "sample_dump.jsonl").read_text().splitlines()[0]
+    dump.write_text(f"{good}\n{line}\n")
+    argv = [
+        "ingest", "--dump", str(dump), "--schema", "native", "--keywords", KEYWORDS,
+        "--from", "2020-03-01", "--to", "2020-08-31", "--out", str(tmp_path / "out"),
+    ]
+    if skip:
+        assert run(argv + ["--skip-bad-records"]) == 0
+        documents = (tmp_path / "out" / "documents.jsonl").read_text().splitlines()
+        assert [json.loads(doc)["post_id"] for doc in documents] == ["p01"]
+    else:
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("threadscope ingest: error: line 2: ")
+
+
 # ---------------------------------------------------------------- stats
 
 
@@ -312,6 +341,46 @@ def test_ner_train_and_eval(fixtures, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "category\tprecision\trecall\tf1"
     assert out.splitlines()[-1].startswith("micro\t")
+
+
+def test_ner_train_warns_without_entity_tags(fixtures, tmp_path, capsys):
+    plain = tmp_path / "plain.tsv"
+    plain.write_text("wear\tO\na\tO\nmask\tO\n\nstay\tO\nhome\tO\n\n")
+    model = tmp_path / "model.json"
+    assert run(["ner-train", "--train", str(plain), "--iters", "2", "--model", str(model)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("threadscope ner-train: warning: ")
+    assert json.loads(model.read_text())["labels"] == ["O"]
+
+    tagged = tmp_path / "tagged.json"
+    code = run(
+        [
+            "ner-train", "--train", str(fixtures / "annotated_train.tsv"),
+            "--iters", "2", "--model", str(tagged),
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_report_rejects_mistyped_documents_field(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(
+        json.dumps(
+            {
+                "post_id": "p1",
+                "subreddit": "covid",
+                "created_utc": "1583366400",
+                "title": "t",
+                "comment_bodies": [],
+            }
+        )
+        + "\n"
+    )
+    assert run(["report", "--docs", str(docs), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["threadscope report: error: line 1: created_utc must be an integer"]
 
 
 # ---------------------------------------------------------------- replay

@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from threadscope.corpus import (
+    MAX_UTC,
+    MIN_UTC,
     CorpusStats,
     Document,
     FilterSpec,
@@ -191,6 +193,45 @@ def test_comment_without_parent_rejected(tmp_path):
     )
     with pytest.raises(DumpParseError):
         parse_dump(dump, schema="native")
+
+
+# Dump lines whose numbers overflow an int or a date; each is one bad record.
+OVERFLOW_LINES = {
+    "created_utc=Infinity": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": Infinity, "title": "covid"}',
+    "created_utc=1e20": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": 1e20, "title": "covid"}',
+    "num_comments=1e400": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": 1580000000, "title": "covid", "num_comments": 1e400}',
+    "created_utc=-Infinity": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": -Infinity, "title": "covid"}',
+    "created_utc=NaN": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": NaN, "title": "covid"}',
+    'created_utc="inf"': '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": "inf", "title": "covid"}',
+    "created_utc=10**30": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": 1000000000000000000000000000000, "title": "covid"}',
+}
+GOOD_LINE = '{"kind": "post", "id": "ok", "subreddit": "s", "created_utc": 1580000000, "title": "covid"}'
+
+
+@pytest.mark.parametrize("line", OVERFLOW_LINES.values(), ids=list(OVERFLOW_LINES))
+def test_parse_treats_overflowing_numbers_as_bad_records(tmp_path, line):
+    dump = tmp_path / "d.jsonl"
+    dump.write_text(f"{GOOD_LINE}\n{line}\n")
+    with pytest.raises(DumpParseError) as excinfo:
+        parse_dump(dump, schema="native")
+    assert excinfo.value.line_no == 2
+    assert [r.id for r in parse_dump(dump, schema="native", on_error="skip")] == ["ok"]
+
+
+def test_created_utc_bounds_are_the_datetime_range(tmp_path):
+    for inside in (MIN_UTC, MAX_UTC):
+        datetime.fromtimestamp(inside, tz=timezone.utc)
+    for outside in (MIN_UTC - 1, MAX_UTC + 1):
+        with pytest.raises(ValueError):
+            datetime.fromtimestamp(outside, tz=timezone.utc)
+    dump = tmp_path / "d.jsonl"
+    lines = [
+        json.dumps({"kind": "post", "id": str(v), "subreddit": "s", "created_utc": v, "title": "t"})
+        for v in (MIN_UTC, MAX_UTC, MIN_UTC - 1, MAX_UTC + 1, float(MAX_UTC) + 0.5)
+    ]
+    dump.write_text("\n".join(lines) + "\n")
+    records = parse_dump(dump, schema="native", on_error="skip")
+    assert [r.created_utc for r in records] == [MIN_UTC, MAX_UTC, MAX_UTC]
 
 
 # ---------------------------------------------------------------- filtering
@@ -410,6 +451,49 @@ def test_write_read_documents_round_trip(tmp_path):
 def test_read_documents_reports_line_number(tmp_path):
     path = tmp_path / "docs.jsonl"
     path.write_text('{"post_id": "p1"}\n')
+    with pytest.raises(DumpParseError) as excinfo:
+        read_documents(path)
+    assert excinfo.value.line_no == 1
+
+
+DOCUMENT = {
+    "post_id": "p1",
+    "subreddit": "covid",
+    "created_utc": 1583366400,
+    "title": "t",
+    "comment_bodies": ["a", "b"],
+    "cleaned_text": "a b",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("post_id", 7),
+        ("subreddit", None),
+        ("created_utc", "1583366400"),
+        ("created_utc", 1583366400.0),
+        ("created_utc", True),
+        ("created_utc", 10**20),
+        ("title", ["t"]),
+        ("comment_bodies", "a b"),
+        ("comment_bodies", ["a", 2]),
+        ("cleaned_text", 0),
+    ],
+)
+def test_read_documents_rejects_mistyped_fields(tmp_path, field, value):
+    path = tmp_path / "docs.jsonl"
+    good = json.dumps(DOCUMENT)
+    path.write_text(good + "\n" + json.dumps({**DOCUMENT, field: value}) + "\n")
+    with pytest.raises(DumpParseError) as excinfo:
+        read_documents(path)
+    assert excinfo.value.line_no == 2
+    assert field in excinfo.value.reason
+
+
+def test_read_documents_rejects_non_object_line(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text("[1, 2]\n")
     with pytest.raises(DumpParseError) as excinfo:
         read_documents(path)
     assert excinfo.value.line_no == 1

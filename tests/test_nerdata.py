@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from threadscope import textprep
 from threadscope.errors import (
     EmptyResultError,
     FormatError,
@@ -295,6 +298,169 @@ def test_build_ner_dataset_rejects_bad_ratio_and_empty_result():
         build_ner_dataset(CORPUS, spec_of(PPE=["mask"]), split_ratio=1.0)
     with pytest.raises(EmptyResultError):
         build_ner_dataset(["nothing"], spec_of(PPE=["mask"]))
+
+
+def test_keyword_spec_rejects_keyword_without_words():
+    with pytest.raises(ValueError):
+        KeywordSpec(by_category={"PPE": ("mask", " ")})
+
+
+# Reference extraction and joining as they ran before the first-word index:
+# every keyword re-lowers and re-splits every sentence, and every position
+# re-splits every multi-word keyword.
+
+
+def reference_word_matches(token, kw_word, mode):
+    return token.startswith(kw_word) if mode == "prefix" else kw_word in token
+
+
+def reference_matches(sentence, keyword, mode):
+    words, kw_words = sentence.lower().split(), keyword.split()
+    return any(
+        all(
+            reference_word_matches(words[i + j], kw_words[j], mode)
+            for j in range(len(kw_words))
+        )
+        for i in range(len(words) - len(kw_words) + 1)
+    )
+
+
+def reference_join(sentence, keywords, mode):
+    multi = sorted(
+        (kw for kw in keywords if " " in kw), key=lambda kw: (-len(kw.split()), kw)
+    )
+    if not multi:
+        return sentence
+    chunks = sentence.split()
+    lowered = [c.lower() for c in chunks]
+    out = []
+    i = 0
+    while i < len(chunks):
+        joined = None
+        for kw in multi:
+            kw_words = kw.split()
+            m = len(kw_words)
+            if i + m <= len(chunks) and all(
+                reference_word_matches(lowered[i + j], kw_words[j], mode)
+                for j in range(m)
+            ):
+                joined = "_".join(chunks[i : i + m])
+                i += m
+                break
+        if joined is None:
+            out.append(chunks[i])
+            i += 1
+        else:
+            out.append(joined)
+    return " ".join(out)
+
+
+def reference_build(sentences, spec, split_ratio, seed):
+    extracted, seen = [], set()
+    for keyword in spec.all_keywords():
+        hits = 0
+        for sentence in sentences:
+            if hits >= spec.cap:
+                break
+            if not reference_matches(sentence, keyword, spec.match_mode):
+                continue
+            hits += 1
+            if sentence not in seen:
+                seen.add(sentence)
+                extracted.append(sentence)
+    if not extracted:
+        raise EmptyResultError("no sentence matched any keyword")
+    skeletons = []
+    for sentence in extracted:
+        tokens = textprep.tokenize(
+            reference_join(sentence, spec.all_keywords(), spec.match_mode)
+        )
+        skeletons.append(AnnotatedSentence(tokens=tokens, tags=["O"] * len(tokens)))
+    random.Random(seed).shuffle(skeletons)
+    n_train = int(split_ratio * len(skeletons) + 0.5)
+    return skeletons[:n_train], skeletons[n_train:]
+
+
+# Words that share prefixes and substrings, so prefix and substring modes
+# disagree, plus case and spacing variants of the same text.
+WORDS = [
+    "mask", "Masks", "unmask", "face", "facemask", "Face", "social",
+    "distancing", "soc", "hand", "sanitizer", "test", "testing", "a", "the",
+]
+KEYWORDS = [
+    "mask", "face mask", "face", "social distancing", "soc", "ask",
+    "hand sanitizer", "test", "face mask test", "a face", "face ",
+]
+sentence_text = st.lists(st.sampled_from(WORDS), max_size=7).flatmap(
+    lambda words: st.sampled_from([" ".join(words), "  ".join(words) + " "])
+)
+
+
+@st.composite
+def corpora(draw):
+    pool = draw(st.lists(sentence_text, min_size=1, max_size=6))
+    # drawing from a small pool repeats sentences
+    return draw(st.lists(st.sampled_from(pool), max_size=14))
+
+
+@given(
+    corpora(),
+    st.dictionaries(
+        st.sampled_from(["PPE", "DIST", "TEST"]),
+        st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=4),
+        min_size=1,
+    ),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["prefix", "substring"]),
+    st.integers(min_value=0, max_value=3),
+)
+def test_build_ner_dataset_matches_reference_scan(sentences, by_category, cap, mode, seed):
+    spec = KeywordSpec(
+        by_category={c: tuple(kws) for c, kws in by_category.items()},
+        cap=cap,
+        match_mode=mode,
+    )
+    try:
+        expected = reference_build(sentences, spec, 0.65, seed)
+    except EmptyResultError:
+        with pytest.raises(EmptyResultError):
+            build_ner_dataset(sentences, spec, 0.65, seed)
+        return
+    assert build_ner_dataset(sentences, spec, 0.65, seed) == expected
+
+
+def test_build_ner_dataset_counts_repeated_sentences_toward_cap():
+    corpus = ["mask on", "mask on", "mask off", "face mask"]
+    train, evalset = build_ner_dataset(
+        corpus, KeywordSpec(by_category={"PPE": ("mask",)}, cap=2), seed=0
+    )
+    # both copies of "mask on" use up the cap; "mask off" is never reached
+    assert [s.tokens for s in train + evalset] == [["mask", "on"]]
+    # a sentence matching twice counts once
+    train, evalset = build_ner_dataset(
+        ["mask mask", "masks here"],
+        KeywordSpec(by_category={"PPE": ("mask",)}, cap=2),
+        seed=0,
+    )
+    assert len(train + evalset) == 2
+
+
+@given(sentence_text, st.sampled_from(KEYWORDS), st.sampled_from(["prefix", "substring"]))
+def test_sentence_matches_matches_reference(sentence, keyword, mode):
+    assert sentence_matches(sentence, keyword, mode) == reference_matches(
+        sentence, keyword, mode
+    )
+
+
+@given(
+    sentence_text,
+    st.lists(st.sampled_from(KEYWORDS), max_size=6),
+    st.sampled_from(["prefix", "substring"]),
+)
+def test_join_multiword_keywords_matches_reference(sentence, keywords, mode):
+    assert join_multiword_keywords(sentence, keywords, mode) == reference_join(
+        sentence, keywords, mode
+    )
 
 
 # ---------------------------------------------------------------- files

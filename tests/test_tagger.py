@@ -153,6 +153,27 @@ def test_decode_never_opens_multi_token_entity_at_last_position():
     assert tag_tokens(model, ["z"]) == ["O"]
 
 
+def test_decode_adds_weights_in_feature_order():
+    # (0.1 + 0.2) + 0.3 is 0.6000000000000001, above O's 0.6; summed in
+    # another order U-PPE would tie O and lose to it
+    model = TaggerModel(
+        labels=PPE_LABELS,
+        weights={
+            "bias": {"O": 0.6, "U-PPE": 0.1},
+            "w=mask": {"U-PPE": 0.2},
+            "shape=xxxx": {"U-PPE": 0.3},
+        },
+    )
+    assert tag_tokens(model, ["mask"]) == ["U-PPE"]
+
+
+def test_decode_continues_entities_whose_labels_are_missing():
+    # labels name only B-PPE; the I-/L- continuations still read their weights
+    weights = {"w=mask": {"B-PPE": 1.0}, "w=on": {"L-PPE": 1.0, "I-PPE": 2.0}}
+    model = TaggerModel(labels=["O", "B-PPE"], weights=weights)
+    assert tag_tokens(model, ["mask", "on", "now"]) == ["B-PPE", "I-PPE", "L-PPE"]
+
+
 @given(
     st.lists(st.sampled_from(["mask", "fever", "wear", "a", "the"]), min_size=1, max_size=8),
     st.dictionaries(
@@ -406,6 +427,151 @@ def test_dropout_changes_updates_but_stays_deterministic():
     second = train_tagger(TRAIN_SET, with_dropout)
     assert first.weights == second.weights
     assert first.weights != train_tagger(TRAIN_SET, without).weights
+
+
+# Reference decoder and trainer as they ran on dict-of-dict weights, one
+# weights lookup per feature and candidate label.  The label-aligned rows
+# must give the same tags, the same floats and the same model file.
+
+
+def reference_score(weights, features, label):
+    total = 0.0
+    for feature in features:
+        row = weights.get(feature)
+        if row is not None:
+            total += row.get(label, 0.0)
+    return total
+
+
+def reference_decode(weights, labels, tokens):
+    tags, feature_lists = [], []
+    prev = "O"
+    n = len(tokens)
+    for i in range(n):
+        features = extract_features(tokens, i, prev)
+        candidates = oracle_allowed(labels, prev, i == n - 1)
+        best = candidates[0]
+        best_score = reference_score(weights, features, best)
+        for label in candidates[1:]:
+            score = reference_score(weights, features, label)
+            if score > best_score:
+                best, best_score = label, score
+        tags.append(best)
+        feature_lists.append(features)
+        prev = best
+    return tags, feature_lists
+
+
+def reference_train(train, config):
+    categories = sorted({parse_tag(t)[1] for s in train for t in s.tags if t != "O"})
+    labels = ["O"] + [f"{p}-{c}" for c in categories for p in ("B", "I", "L", "U")]
+    weights, totals, stamps = {}, {}, {}
+    rng = random.Random(config.seed)
+    order = list(range(len(train)))
+    step = 0
+
+    def apply(feature, label, delta):
+        row = weights.setdefault(feature, {})
+        trow = totals.setdefault(feature, {})
+        srow = stamps.setdefault(feature, {})
+        trow[label] = trow.get(label, 0.0) + row.get(label, 0.0) * (
+            step - srow.get(label, 0)
+        )
+        srow[label] = step
+        row[label] = row.get(label, 0.0) + delta
+
+    for iteration in range(config.iterations):
+        rng.shuffle(order)
+        dropout = config.dropout_at(iteration)
+        cursor = 0
+        for size in oracle_batch_sizes(config, len(order)):
+            batch = order[cursor : cursor + size]
+            cursor += size
+            updates = []
+            for index in batch:
+                sentence = train[index]
+                predicted, feature_lists = reference_decode(
+                    weights, labels, sentence.tokens
+                )
+                for features, gold, pred in zip(feature_lists, sentence.tags, predicted):
+                    if gold != pred:
+                        updates.append((features, gold, pred))
+            step += 1
+            for features, gold, pred in updates:
+                for feature in features:
+                    if dropout > 0 and rng.random() < dropout:
+                        continue
+                    apply(feature, gold, +1.0)
+                    apply(feature, pred, -1.0)
+
+    averaged = {}
+    for feature, row in weights.items():
+        for label, value in row.items():
+            total = totals[feature].get(label, 0.0) + value * (
+                step + 1 - stamps[feature].get(label, 0)
+            )
+            mean = total / step
+            if mean != 0.0:
+                averaged.setdefault(feature, {})[label] = mean
+    return TaggerModel(labels=labels, weights=averaged)
+
+
+DECODE_WORDS = ["mask", "masks", "fever", "wear", "a", "the", "Social", "distancing"]
+DECODE_FEATURES = [
+    "bias", "w=mask", "w=fever", "w=the", "ptag=O", "ptag=B-PPE", "ptag=I-PPE",
+    "ptag=U-SYM", "suf1=k", "pre1=m", "shape=xxxx", "next=</s>", "prev=<s>",
+]
+# B-PPE without I-PPE/L-PPE in some label lists, plus labels no list holds
+WEIGHT_LABELS = [
+    "O", "B-PPE", "I-PPE", "L-PPE", "U-PPE", "B-SYM", "I-SYM", "L-SYM", "U-SYM",
+    "U-DIT", "B-DIT", "junk",
+]
+# few distinct values, so candidates often tie
+weight_values = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 0.1, 0.2, 0.30000000000000004])
+
+
+@given(
+    st.lists(st.sampled_from(DECODE_WORDS), min_size=1, max_size=8),
+    st.lists(st.sampled_from(WEIGHT_LABELS[1:9]), unique=True),
+    st.dictionaries(
+        st.sampled_from(DECODE_FEATURES),
+        st.dictionaries(
+            st.sampled_from(WEIGHT_LABELS),
+            weight_values | st.floats(min_value=-3, max_value=3, allow_nan=False),
+            max_size=6,
+        ),
+        max_size=8,
+    ),
+)
+def test_tag_tokens_matches_dict_reference(tokens, entity_labels, weights):
+    labels = ["O"] + entity_labels
+    model = TaggerModel(labels=labels, weights=weights)
+    expected, _ = reference_decode(weights, labels, tokens)
+    assert tag_tokens(model, tokens) == expected
+    # the compiled rows are reused on the next call
+    assert tag_tokens(model, tokens) == expected
+
+
+@pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.5, 0.1)], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("source", ["toy", "fixture"])
+def test_trained_model_file_matches_reference(tmp_path, fixtures, dropout, source):
+    from threadscope.nerdata import read_annotations
+
+    train = (
+        TRAIN_SET if source == "toy" else read_annotations(fixtures / "annotated_train.tsv")
+    )
+    config = TrainConfig(
+        iterations=4,
+        batch_min=2,
+        batch_max=8,
+        batch_growth=1.5,
+        dropout_start=dropout[0],
+        dropout_end=dropout[1],
+        seed=11,
+    )
+    save_model(train_tagger(train, config), tmp_path / "model.json")
+    save_model(reference_train(train, config), tmp_path / "reference.json")
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 # ---------------------------------------------------------------- persistence
