@@ -4,17 +4,19 @@ Subcommands: ingest, stats, preprocess, ner-build, ner-train, ner-eval,
 ner-tag, topics, topics-monthly, sentiment, report, and replay.  Exit
 codes: 0 success, 1 usage error, 2 data error.
 
-Every artifact-writing run records a manifest (subcommand, effective
-parameters, input digests, seeds) before its outputs, so a finished tree
-always carries the run record that produced it.  Output locations and
---threads are not recorded: they must not change the emitted bytes.
-`replay` re-executes a manifest into a fresh output location after
-checking that the recorded inputs are unchanged.
+Handlers compute their artifacts and return them without touching the
+disk; `run` passes them to `_write_outputs`, the one place that decides
+where artifacts go and in what order.  It removes the old manifest,
+writes the artifacts, and writes the run's manifest (subcommand,
+effective parameters, input digests, seeds) last, so a tree is finished
+exactly when it has a manifest.  A run that fails before writing leaves
+its output location as it was.  Output locations are not recorded: they
+must not change the emitted bytes.  `replay` re-executes a manifest into
+a fresh output location after checking that the recorded inputs are
+unchanged.
 
 Values merge as flags > config file > built-in defaults; the manifest
-holds the merged result.  `--threads N` is accepted where work is
-per-document; N=1 is the reference behavior and parallel runs must
-produce the same bytes, so the sequential path is always used.
+holds the merged result.
 """
 
 from __future__ import annotations
@@ -141,9 +143,14 @@ def _merge(params: tuple[Param, ...], cli: Mapping, config: Mapping) -> dict:
         if param.required and value is None:
             raise _UsageError(f"the following argument is required: --{param.flag}")
         merged[param.dest] = value
-    if merged.get("threads") is not None and merged["threads"] < 1:
-        raise _UsageError("--threads must be at least 1")
     return merged
+
+
+# An artifact is its text, or a function that writes it to the given path.
+Artifact = str | Callable[[Path], None]
+# A directory output maps names under the directory to artifacts; a file
+# output is one artifact.
+Outputs = Mapping[str, Artifact] | Artifact
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,7 @@ class Command:
     name: str
     help: str
     params: tuple[Param, ...]
-    handler: Callable[[dict, manifest.RunManifest], int]
+    handler: Callable[[dict], Outputs]
     out_flag: str = "out"
     finalize: Callable[[dict], None] | None = None
 
@@ -172,13 +179,24 @@ def _record_manifest(command: Command, merged: Mapping) -> manifest.RunManifest:
     return manifest.build_manifest(command.name, params, inputs, seeds)
 
 
-def _sidecar(path: Path) -> Path:
-    return path.with_name(path.name + ".manifest.json")
-
-
-def _write_file(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _write_outputs(out: Path, outputs: Outputs, mani: manifest.RunManifest) -> None:
+    """Write a run's artifacts, then its manifest: `manifest.json` inside a
+    directory output, `<name>.manifest.json` beside a file output.  The
+    old manifest goes first, so a write that fails leaves none."""
+    if isinstance(outputs, Mapping):
+        files = {out / name: artifact for name, artifact in outputs.items()}
+        record = out / manifest.MANIFEST_NAME
+    else:
+        files = {out: outputs}
+        record = out.with_name(out.name + ".manifest.json")
+    record.unlink(missing_ok=True)
+    for path, artifact in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(artifact):
+            artifact(path)
+        else:
+            path.write_text(artifact, encoding="utf-8")
+    manifest.write_manifest(mani, record)
 
 
 def _resolve_corpus_id(merged: dict) -> None:
@@ -189,7 +207,7 @@ def _resolve_corpus_id(merged: dict) -> None:
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_ingest(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_ingest(p: dict) -> Outputs:
     on_error = "skip" if p["skip_bad_records"] else "raise"
     records = corpus.parse_dump(p["dump"], p["schema"], on_error=on_error)
     spec = corpus.FilterSpec(
@@ -206,30 +224,21 @@ def _cmd_ingest(p: dict, mani: manifest.RunManifest) -> int:
             sentences.extend(textprep.split_sentences(textprep.strip_urls(body)))
     sentences = corpus.dedup_sentences(sentences)
     stats = corpus.corpus_stats(documents)
-
-    out = Path(p["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, out / manifest.MANIFEST_NAME)
-    corpus.write_documents(documents, out / "documents.jsonl")
-    body = "\n".join(sentences) + "\n" if sentences else ""
-    _write_file(out / "sentences.txt", body)
-    _write_file(out / "stats.tsv", corpus.stats_table(stats))
-    return 0
+    return {
+        "documents.jsonl": lambda path: corpus.write_documents(documents, path),
+        "sentences.txt": "\n".join(sentences) + "\n" if sentences else "",
+        "stats.tsv": corpus.stats_table(stats),
+    }
 
 
-def _cmd_stats(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_stats(p: dict) -> Outputs:
     documents = corpus.read_documents(p["docs"])
     table = corpus.stats_table(corpus.corpus_stats(documents))
-    if p["out"]:
-        out = Path(p["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        manifest.write_manifest(mani, out / manifest.MANIFEST_NAME)
-        _write_file(out / "stats.tsv", table)
     print(table, end="")
-    return 0
+    return {"stats.tsv": table}
 
 
-def _cmd_preprocess(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_preprocess(p: dict) -> Outputs:
     documents = corpus.read_documents(p["in"])
     config = None
     if p["stages"]:
@@ -237,33 +246,22 @@ def _cmd_preprocess(p: dict, mani: manifest.RunManifest) -> int:
     stoplist = textprep.load_stopwords(p["stoplist"]) if p["stoplist"] else None
     for doc in documents:
         textprep.preprocess_document(doc, config=config, stoplist=stoplist)
-    out = Path(p["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, _sidecar(out))
-    corpus.write_documents(documents, out)
-    return 0
+    return lambda path: corpus.write_documents(documents, path)
 
 
-def _cmd_ner_build(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_ner_build(p: dict) -> Outputs:
     text = Path(p["sentences"]).read_text(encoding="utf-8")
     sentences = [line for line in text.splitlines() if line.strip()]
     spec = nerdata.load_keyword_spec(p["keywords"], cap=p["cap"], match_mode=p["match"])
     train, eval_set = nerdata.build_ner_dataset(
         sentences, spec, split_ratio=p["split"], seed=p["seed"]
     )
-    out = Path(p["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, out / manifest.MANIFEST_NAME)
-    nerdata.write_annotations(train, out / "train.tsv")
-    nerdata.write_annotations(eval_set, out / "eval.tsv")
-    _write_file(
-        out / "train_labels.tsv", nerdata.label_counts_table(nerdata.count_labels(train))
-    )
-    _write_file(
-        out / "eval_labels.tsv",
-        nerdata.label_counts_table(nerdata.count_labels(eval_set)),
-    )
-    return 0
+    return {
+        "train.tsv": lambda path: nerdata.write_annotations(train, path),
+        "eval.tsv": lambda path: nerdata.write_annotations(eval_set, path),
+        "train_labels.tsv": nerdata.label_counts_table(nerdata.count_labels(train)),
+        "eval_labels.tsv": nerdata.label_counts_table(nerdata.count_labels(eval_set)),
+    }
 
 
 def _parse_dropout(raw: str) -> tuple[float, float]:
@@ -276,7 +274,7 @@ def _parse_dropout(raw: str) -> tuple[float, float]:
     return first, second
 
 
-def _cmd_ner_train(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_ner_train(p: dict) -> Outputs:
     dropout_start, dropout_end = _parse_dropout(p["dropout"])
     config = tagger.TrainConfig(
         iterations=p["iters"],
@@ -295,11 +293,7 @@ def _cmd_ner_train(p: dict, mani: manifest.RunManifest) -> int:
             "the model will tag every token O",
             file=sys.stderr,
         )
-    out = Path(p["model"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, _sidecar(out))
-    tagger.save_model(model, out)
-    return 0
+    return lambda path: tagger.save_model(model, path)
 
 
 def _eval_table(result: tagger.EvalReport) -> str:
@@ -314,20 +308,15 @@ def _eval_table(result: tagger.EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_ner_eval(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_ner_eval(p: dict) -> Outputs:
     model = tagger.load_model(p["model"])
     eval_set = nerdata.read_annotations(p["eval"])
     table = _eval_table(tagger.evaluate_tagger(model, eval_set))
-    if p["out"]:
-        out = Path(p["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        manifest.write_manifest(mani, out / manifest.MANIFEST_NAME)
-        _write_file(out / "eval.tsv", table)
     print(table, end="")
-    return 0
+    return {"eval.tsv": table}
 
 
-def _cmd_ner_tag(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_ner_tag(p: dict) -> Outputs:
     model = tagger.load_model(p["model"])
     documents = corpus.read_documents(p["docs"])
     lines = ["post_id\tsubreddit\tcreated_utc\tcategory\tname"]
@@ -336,14 +325,12 @@ def _cmd_ner_tag(p: dict, mani: manifest.RunManifest) -> int:
             lines.append(
                 f"{doc.post_id}\t{doc.subreddit}\t{doc.created_utc}\t{category}\t{name}"
             )
-    out = Path(p["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, _sidecar(out))
-    _write_file(out, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_topics(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_topics(p: dict) -> Outputs:
+    import shutil
+
     documents = corpus.read_documents(p["docs"])
     vocab, matrix = topics.build_vocabulary(
         [doc.cleaned_text for doc in documents], max_df=p["max_df"], min_df=p["min_df"]
@@ -359,23 +346,22 @@ def _cmd_topics(p: dict, mani: manifest.RunManifest) -> int:
         seed=p["seed"],
         top_n=p["top"],
     )
-    out = Path(p["out"])
-    target = out / p["corpus_id"] / "topics"
+    base = f"{p['corpus_id']}/topics"
+    target = Path(p["out"]) / base
     if target.exists() and not p["force"]:
         raise FileExistsError(f"{target} already exists; pass --force to overwrite")
     model = topics.fit_lda(matrix, config)
     model.vocab = vocab
     assignments, frequencies = topics.assign_topics(model, documents)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, out / manifest.MANIFEST_NAME)
-    exported = report.export_topic_artifacts(
-        model, assignments, frequencies, out, p["corpus_id"], force=True
-    )
-    topics.save_topic_model(model, exported / "model.json")
-    return 0
+    if target.exists():  # --force replaces the whole export, old k's files too
+        shutil.rmtree(target)
+    files = report.export_topic_artifacts(model, assignments, frequencies)
+    outputs: dict[str, Artifact] = {f"{base}/{name}": text for name, text in files.items()}
+    outputs[f"{base}/model.json"] = lambda path: topics.save_topic_model(model, path)
+    return outputs
 
 
-def _cmd_topics_monthly(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_topics_monthly(p: dict) -> Outputs:
     documents = corpus.read_documents(p["docs"])
     config = topics.LdaConfig(
         k=2,
@@ -391,9 +377,6 @@ def _cmd_topics_monthly(p: dict, mani: manifest.RunManifest) -> int:
         min_df=p["min_df"],
         min_docs=p["min_docs"],
     )
-    out = Path(p["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, out / manifest.MANIFEST_NAME)
     rows = ["month\ttopic\trank\tterm\tweight"]
     skipped = ["month\treason"]
     for month in results:
@@ -403,13 +386,14 @@ def _cmd_topics_monthly(p: dict, mani: manifest.RunManifest) -> int:
         for topic_id, pairs in enumerate(month.topics):
             for rank, (term, weight) in enumerate(pairs, start=1):
                 rows.append(f"{month.month}\t{topic_id}\t{rank}\t{term}\t{weight:.6f}")
-    base = out / p["corpus_id"] / "monthly"
-    _write_file(base / "side_topics.tsv", "\n".join(rows) + "\n")
-    _write_file(base / "skipped.tsv", "\n".join(skipped) + "\n")
-    return 0
+    base = f"{p['corpus_id']}/monthly"
+    return {
+        f"{base}/side_topics.tsv": "\n".join(rows) + "\n",
+        f"{base}/skipped.tsv": "\n".join(skipped) + "\n",
+    }
 
 
-def _cmd_sentiment(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_sentiment(p: dict) -> Outputs:
     documents = corpus.read_documents(p["docs"])
     lexicon = sentiment.load_lexicon(p["lexicon"])
     result = sentiment.analyze_entity_sentences(
@@ -420,12 +404,8 @@ def _cmd_sentiment(p: dict, mani: manifest.RunManifest) -> int:
         f"{result.entity}\t{result.n_pos}\t{result.n_neg}\t{result.n_neu}\t"
         f"{result.mean_compound:.6f}\n"
     )
-    out = Path(p["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, _sidecar(out))
-    _write_file(out, table)
     print(table, end="")
-    return 0
+    return table
 
 
 def _read_mentions(path: str) -> list[tuple[str, str, int, str, str]]:
@@ -462,15 +442,11 @@ def _top_entity_per_category(
     return picks
 
 
-def _cmd_report(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_report(p: dict) -> Outputs:
     documents = corpus.read_documents(p["docs"])
-    out = Path(p["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    manifest.write_manifest(mani, out / manifest.MANIFEST_NAME)
-    base = out / p["corpus_id"]
-
+    base = p["corpus_id"]
     buckets = report.weekly_post_counts(documents, p["from"], p["to"])
-    _write_file(base / "weekly" / "weekly_posts.tsv", report.weekly_table(buckets))
+    outputs = {f"{base}/weekly/weekly_posts.tsv": report.weekly_table(buckets)}
 
     if p["mentions"]:
         mention_rows = _read_mentions(p["mentions"])
@@ -478,17 +454,15 @@ def _cmd_report(p: dict, mani: manifest.RunManifest) -> int:
             [(row[1], row[3], row[4]) for row in mention_rows]
         )
         tables = report.entity_report(counts, truncate=p["truncate"])
-        _write_file(base / "entities" / "entity_counts.tsv", report.entity_table(tables))
-        _write_file(
-            base / "entities" / "entity_totals.tsv", report.entity_totals_table(tables)
-        )
+        outputs[f"{base}/entities/entity_counts.tsv"] = report.entity_table(tables)
+        outputs[f"{base}/entities/entity_totals.tsv"] = report.entity_totals_table(tables)
         entities = p["entities"] or _top_entity_per_category(counts)
         doc_mentions: dict[str, list[tuple[str, str]]] = {}
         for post_id, _, _, category, name in mention_rows:
             doc_mentions.setdefault(post_id, []).append((category, name))
         series = report.monthly_entity_trends(documents, entities, doc_mentions)
-        _write_file(base / "monthly" / "entity_trends.tsv", report.trends_table(series))
-    return 0
+        outputs[f"{base}/monthly/entity_trends.tsv"] = report.trends_table(series)
+    return outputs
 
 
 def _argv_from_params(params: Mapping) -> list[str]:
@@ -506,7 +480,9 @@ def _argv_from_params(params: Mapping) -> list[str]:
     return argv
 
 
-def _cmd_replay(p: dict, mani: manifest.RunManifest) -> int:
+def _cmd_replay(p: dict) -> int:
+    """Re-run a recorded manifest.  The re-run writes its own outputs, so
+    this returns its exit code instead of artifacts."""
     recorded = manifest.read_manifest(p["manifest"])
     if recorded.artifact_version != manifest.ARTIFACT_VERSION:
         print(
@@ -535,8 +511,6 @@ def _cmd_replay(p: dict, mani: manifest.RunManifest) -> int:
 
 
 # ------------------------------------------------------------- commands
-
-_THREADS = Param("threads", kind="int", default=1, recorded=False, help="worker count; 1 is the reference")
 
 COMMANDS: dict[str, Command] = {
     command.name: command
@@ -622,7 +596,6 @@ COMMANDS: dict[str, Command] = {
             params=(
                 Param("model", required=True, is_input=True, help="model file"),
                 Param("docs", required=True, is_input=True, help="documents file"),
-                _THREADS,
                 Param("out", required=True, recorded=False, help="output mentions file"),
             ),
             handler=_cmd_ner_tag,
@@ -644,8 +617,7 @@ COMMANDS: dict[str, Command] = {
                 Param("seed", kind="int", default=42, help="initialization/shuffle seed"),
                 Param("top", kind="int", default=15, help="keywords per topic"),
                 Param("corpus-id", help="artifact directory name; default: docs stem"),
-                Param("force", kind="flag", recorded=False, help="overwrite an existing export"),
-                _THREADS,
+                Param("force", kind="flag", recorded=False, help="replace an existing export"),
                 Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_topics,
@@ -734,10 +706,16 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config(vars(args).get("config"))
         merged = _merge(command.params, vars(args), config)
+        if command.name == "replay":
+            return command.handler(merged)
         if command.finalize is not None:
             command.finalize(merged)
+        # digest the inputs before the run, whose output may overwrite one
         mani = _record_manifest(command, merged)
-        return command.handler(merged, mani)
+        outputs = command.handler(merged)
+        if merged[command.out_flag] is not None:
+            _write_outputs(Path(merged[command.out_flag]), outputs, mani)
+        return 0
     except _UsageError as exc:
         print(f"{PROG} {command.name}: error: {exc}", file=sys.stderr)
         return 1

@@ -193,7 +193,9 @@ def parse_dump(
                 if not isinstance(obj, dict):
                     raise ValueError("record is not an object")
                 records.append(parser(obj))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            except (
+                ValueError, KeyError, TypeError, OverflowError, RecursionError
+            ) as exc:
                 error = DumpParseError(line_no, str(exc))
                 if on_error == "raise":
                     raise error from exc
@@ -203,6 +205,10 @@ def parse_dump(
 
 def _utc_date(created_utc: int) -> date:
     return datetime.fromtimestamp(created_utc, tz=timezone.utc).date()
+
+
+def _month_of(created_utc: int) -> str:
+    return datetime.fromtimestamp(created_utc, tz=timezone.utc).strftime("%Y-%m")
 
 
 def _in_spec(record: RedditRecord, spec: FilterSpec) -> bool:
@@ -311,14 +317,9 @@ def dedup_sentences(sentences: Iterable[str]) -> list[str]:
     return out
 
 
-def corpus_stats(
-    documents: Sequence[Document],
-    sentence_splitter: Callable[[str], list[str]] | None = None,
-) -> CorpusStats:
+def corpus_stats(documents: Sequence[Document]) -> CorpusStats:
     """Per-subreddit post/comment/sentence/word counts; sentences and words
     are measured over URL-stripped comment bodies."""
-    if sentence_splitter is None:
-        sentence_splitter = textprep.split_sentences
     acc: dict[str, list[int]] = {}
     for doc in documents:
         row = acc.setdefault(doc.subreddit, [0, 0, 0, 0])
@@ -326,7 +327,7 @@ def corpus_stats(
         row[1] += len(doc.comment_bodies)
         for body in doc.comment_bodies:
             stripped = textprep.strip_urls(body)
-            row[2] += len(sentence_splitter(stripped))
+            row[2] += len(textprep.split_sentences(stripped))
             row[3] += len(stripped.split())
     rows = tuple(
         SubredditStats(name, *acc[name]) for name in sorted(acc)
@@ -412,6 +413,6 @@ def read_documents(path: str | Path) -> list[Document]:
                 continue
             try:
                 documents.append(_document_from_json(json.loads(line)))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, RecursionError) as exc:
                 raise DumpParseError(line_no, str(exc)) from exc
     return documents

@@ -1,6 +1,6 @@
 """Run manifests: a JSON record of what a command ran with, written
-before any other artifact so a finished output tree is always explained
-by the manifest sitting next to it.
+after every other artifact of the run, so an output tree with a manifest
+is finished and explained by it, and one without is unfinished.
 
 A manifest pins the subcommand name, every effective parameter except
 the output location, sha256 digests of the input files, and the seeds.

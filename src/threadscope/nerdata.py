@@ -87,17 +87,11 @@ def load_keyword_spec(
 ) -> KeywordSpec:
     """Read CATEGORY<TAB>keyword lines ('#' comments allowed)."""
     by_category: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or not parts[0].strip() or not parts[1].strip():
-                raise FormatError(line_no, "expected CATEGORY<TAB>keyword")
-            by_category.setdefault(parts[0].strip(), []).append(
-                parts[1].strip().lower()
-            )
+    for line_no, line in textprep.data_lines(path):
+        parts = line.split("\t")
+        if len(parts) < 2 or not parts[0].strip() or not parts[1].strip():
+            raise FormatError(line_no, "expected CATEGORY<TAB>keyword")
+        by_category.setdefault(parts[0].strip(), []).append(parts[1].strip().lower())
     return KeywordSpec(
         by_category={c: tuple(kws) for c, kws in by_category.items()},
         cap=cap,

@@ -1,34 +1,26 @@
-"""Aggregate views as tab-separated data files: weekly post counts,
-entity count/share tables, month-to-month entity trends, and topic
-artifact exports (keywords, word-cloud data, assignments, frequencies).
+"""Aggregate views as tab-separated text: weekly post counts, entity
+count/share tables, month-to-month entity trends, and topic artifact
+exports (keywords, word-cloud data, assignments, frequencies).
 
-All writers are deterministic: given identical inputs and seeds the
-emitted bytes are identical.
+Every table is deterministic: given identical inputs and seeds the
+emitted bytes are identical.  Writing them is the CLI's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
-from pathlib import Path
+from datetime import date, timedelta
 from typing import Mapping, Sequence
 
+from .corpus import _month_of, _utc_date
 from .nerdata import DEFAULT_CATEGORIES
 from .tagger import EntityCount
 from .topics import TopicAssignment, TopicModel, top_words
 
 
-def _utc_date(created_utc: int) -> date:
-    return datetime.fromtimestamp(created_utc, tz=timezone.utc).date()
-
-
 def week_start_of(day: date) -> date:
     """The Sunday on or before the given date."""
     return day - timedelta(days=(day.weekday() + 1) % 7)
-
-
-def _month_of(created_utc: int) -> str:
-    return datetime.fromtimestamp(created_utc, tz=timezone.utc).strftime("%Y-%m")
 
 
 def _month_range(first: str, last: str) -> list[str]:
@@ -155,9 +147,9 @@ def entity_totals_table(reports: Sequence[EntityReport]) -> str:
 def counts_from_mentions(
     mentions: Sequence[tuple[str, str, str]],
 ) -> dict[str, list[EntityCount]]:
-    """Aggregate (subreddit, category, name) mention rows the same way the
-    tagger does when counting live: per subreddit, categories sorted, rows
-    by count descending then name, share within the category."""
+    """Count (subreddit, category, name) mention rows: per subreddit,
+    categories sorted, rows by count descending then name, share within the
+    category."""
     nested: dict[str, dict[str, dict[str, int]]] = {}
     for subreddit, category, name in mentions:
         per_category = nested.setdefault(subreddit, {}).setdefault(category, {})
@@ -253,50 +245,28 @@ def export_topic_artifacts(
     model: TopicModel,
     assignments: Sequence[TopicAssignment],
     frequencies: Sequence[int],
-    out_dir: str | Path,
-    corpus_id: str,
-    force: bool = False,
-) -> Path:
-    """Write keywords, per-topic word-cloud data, the extended assignment
-    table, and topic frequencies under <out_dir>/<corpus_id>/topics/.
-
-    Refuses to overwrite an existing topics directory unless force is set.
-    """
-    target = Path(out_dir) / corpus_id / "topics"
-    if target.exists() and not force:
-        raise FileExistsError(f"{target} already exists; pass force to overwrite")
-    target.mkdir(parents=True, exist_ok=True)
-
-    # a forced re-export with a smaller k must not leave the old clouds
-    for stale in target.glob("wordcloud_topic*.tsv"):
-        index = stale.stem[len("wordcloud_topic") :]
-        if index.isdigit() and int(index) >= model.config.k:
-            stale.unlink()
-
+) -> dict[str, str]:
+    """The text of a topics export by file name: keywords, per-topic
+    word-cloud data, the extended assignment table, and topic frequencies."""
     lists = top_words(model)
     assert model.vocab is not None
     lines = [f"vocabulary_size\t{model.vocab.size}"]
     for topic, pairs in enumerate(lists):
         for rank, (term, weight) in enumerate(pairs, start=1):
             lines.append(f"topic{topic}\t{rank}\t{term}\t{weight:.6f}")
-    (target / "keywords.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = {"keywords.txt": "\n".join(lines) + "\n"}
 
     for topic, pairs in enumerate(lists):
         cloud = ["term\tweight"]
         for term, weight in pairs:
             cloud.append(f"{term}\t{weight:.6f}")
-        (target / f"wordcloud_topic{topic}.tsv").write_text(
-            "\n".join(cloud) + "\n", encoding="utf-8"
-        )
+        files[f"wordcloud_topic{topic}.tsv"] = "\n".join(cloud) + "\n"
 
     table = ["post_id\ttopic\tprobability"]
     for assignment in assignments:
         table.append(
             f"{assignment.post_id}\t{assignment.topic}\t{assignment.probability:.6f}"
         )
-    (target / "assignments.tsv").write_text("\n".join(table) + "\n", encoding="utf-8")
-
-    (target / "topic_frequencies.tsv").write_text(
-        frequency_table(topic_frequency_rows(frequencies)), encoding="utf-8"
-    )
-    return target
+    files["assignments.tsv"] = "\n".join(table) + "\n"
+    files["topic_frequencies.tsv"] = frequency_table(topic_frequency_rows(frequencies))
+    return files

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,18 +30,9 @@ NEU = "neu"
 def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
     """Read token<TAB>valence lines ('#' comments allowed); valences must
     be finite and tokens are lowercased."""
-    if path is None:
-        text = (resources.files("threadscope.data") / "sentiment_lexicon.txt").read_text(
-            "utf-8"
-        )
-    else:
-        text = Path(path).read_text("utf-8")
     lexicon: dict[str, float] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for line_no, line in textprep.data_lines(path, "sentiment_lexicon.txt"):
+        parts = line.strip().split("\t")
         if len(parts) != 2:
             raise FormatError(line_no, "expected token<TAB>valence")
         try:
@@ -163,13 +153,9 @@ def theme_tally(path: str | Path) -> list[tuple[str, int]]:
     """Count sentence-id to theme assignments from an id<TAB>theme file,
     sorted by descending frequency (name tiebreak)."""
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise FormatError(line_no, "expected id<TAB>theme")
-            counts[parts[1]] = counts.get(parts[1], 0) + 1
+    for line_no, line in textprep.data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise FormatError(line_no, "expected id<TAB>theme")
+        counts[parts[1]] = counts.get(parts[1], 0) + 1
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -1,5 +1,5 @@
 """Averaged perceptron BILOU sequence tagger with greedy constrained
-decoding, span-level evaluation, and corpus-scale entity counting.
+decoding, span-level evaluation, and per-document entity detection.
 
 Training knobs mirror the usual neural recipe: iterations are epochs, the
 batch size compounds geometrically between a min and max each epoch, and
@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyTrainingSetError
 from .nerdata import AnnotatedSentence, O_TAG, Span, bilou_to_spans, parse_tag
@@ -422,37 +422,3 @@ def detect_document_entities(
                 if name:
                     mentions.append((span.category, name))
     return mentions
-
-
-def detect_and_count_entities(
-    model: TaggerModel,
-    documents: Iterable,
-    rules: textprep.LemmaRules | None = None,
-) -> dict[str, list[EntityCount]]:
-    """Tag every Document (one at a time), merge variant surface forms, and
-    count mentions per subreddit and category; share is the fraction of the
-    category total within the subreddit."""
-    counts: dict[str, dict[str, dict[str, int]]] = {}
-    for document in documents:
-        per_subreddit = counts.setdefault(document.subreddit, {})
-        for category, name in detect_document_entities(model, document, rules):
-            per_category = per_subreddit.setdefault(category, {})
-            per_category[name] = per_category.get(name, 0) + 1
-
-    out: dict[str, list[EntityCount]] = {}
-    for subreddit in sorted(counts):
-        rows: list[EntityCount] = []
-        for category in sorted(counts[subreddit]):
-            names = counts[subreddit][category]
-            total = sum(names.values())
-            for name, count in sorted(names.items(), key=lambda kv: (-kv[1], kv[0])):
-                rows.append(
-                    EntityCount(
-                        category=category,
-                        name=name,
-                        count=count,
-                        share=count / total,
-                    )
-                )
-        out[subreddit] = rows
-    return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Coarse POS tags.
 NOUN = "NOUN"
@@ -64,20 +64,19 @@ class LemmaRules:
     rules: tuple[tuple[str, str, str, int], ...]
 
 
-def _data_lines(name: str, path: str | Path | None) -> list[str]:
-    """Read non-empty, non-comment lines from a data file, shipped or user
-    supplied."""
+def data_lines(
+    path: str | Path | None, shipped: str = ""
+) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, line) for every line of a data file that is neither
+    blank nor a '#' comment; line_no counts every physical line from 1.
+    Without a path, the shipped data file named `shipped` is read."""
     if path is None:
-        text = (resources.files("threadscope.data") / name).read_text("utf-8")
+        text = (resources.files("threadscope.data") / shipped).read_text("utf-8")
     else:
         text = Path(path).read_text("utf-8")
-    lines = []
-    for raw in text.splitlines():
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        lines.append(line)
-    return lines
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield line_no, line
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +85,9 @@ def _default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    return frozenset(line.strip().lower() for line in _data_lines("stopwords.txt", path))
+    return frozenset(
+        line.strip().lower() for _, line in data_lines(path, "stopwords.txt")
+    )
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +97,7 @@ def _default_abbreviations() -> frozenset[str]:
 
 def load_abbreviations(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(
-        line.strip().lower() for line in _data_lines("abbreviations.txt", path)
+        line.strip().lower() for _, line in data_lines(path, "abbreviations.txt")
     )
 
 
@@ -107,7 +108,7 @@ def _default_closed_class() -> dict[str, str]:
 
 def load_closed_class(path: str | Path | None = None) -> dict[str, str]:
     table: dict[str, str] = {}
-    for line in _data_lines("pos_closed_class.txt", path):
+    for _, line in data_lines(path, "pos_closed_class.txt"):
         word, tag = line.split("\t")
         table[word.strip().lower()] = tag.strip()
     return table
@@ -119,7 +120,9 @@ def _default_verb_stems() -> frozenset[str]:
 
 
 def load_verb_stems(path: str | Path | None = None) -> frozenset[str]:
-    return frozenset(line.strip().lower() for line in _data_lines("verb_stems.txt", path))
+    return frozenset(
+        line.strip().lower() for _, line in data_lines(path, "verb_stems.txt")
+    )
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +135,7 @@ def load_lemma_rules(
     exceptions_path: str | Path | None = None,
 ) -> LemmaRules:
     rules: list[tuple[str, str, str, int]] = []
-    for line in _data_lines("lemma_rules.txt", rules_path):
+    for _, line in data_lines(rules_path, "lemma_rules.txt"):
         parts = line.split("\t")
         # replacement may be the empty string
         pos, suffix = parts[0], parts[1]
@@ -140,7 +143,7 @@ def load_lemma_rules(
         min_stem = int(parts[3]) if len(parts) > 3 else 0
         rules.append((pos, suffix, replacement, min_stem))
     exceptions: dict[str, dict[str, str]] = {"": {}}
-    for line in _data_lines("lemma_exceptions.txt", exceptions_path):
+    for _, line in data_lines(exceptions_path, "lemma_exceptions.txt"):
         parts = line.split("\t")
         form, lemma = parts[0].lower(), parts[1]
         pos = parts[2] if len(parts) > 2 else ""
@@ -155,7 +158,8 @@ def _default_url_patterns() -> tuple[re.Pattern[str], ...]:
 
 def load_url_patterns(path: str | Path | None = None) -> tuple[re.Pattern[str], ...]:
     return tuple(
-        re.compile(line, re.IGNORECASE) for line in _data_lines("url_patterns.txt", path)
+        re.compile(line, re.IGNORECASE)
+        for _, line in data_lines(path, "url_patterns.txt")
     )
 
 

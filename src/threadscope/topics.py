@@ -13,13 +13,13 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import _month_of
 from .errors import EmptyCorpusError, EmptyVocabularyError, NoAssignedDocumentsError
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -578,10 +578,6 @@ def select_rsd(
     )
     chosen = qualifying + rest[: n - len(qualifying)]
     return RsdSample(post_ids=tuple(a.post_id for a in chosen), fallback=True)
-
-
-def _month_of(created_utc: int) -> str:
-    return datetime.fromtimestamp(created_utc, tz=timezone.utc).strftime("%Y-%m")
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,10 @@ def test_ingest_skip_bad_records(tmp_path, fixtures):
     assert run(base + ["--skip-bad-records", "--out", str(tmp_path / "lax")]) == 0
 
 
-# Dump lines whose numbers overflow an int or a date.
+# Dump lines whose numbers overflow an int or a date, or whose nesting
+# overflows the JSON decoder's recursion limit.
 OVERFLOW_LINES = {
+    "nesting=100000": "[" * 100_000,
     "created_utc=Infinity": '{"kind": "post", "id": "bad", "subreddit": "coronavirus", "created_utc": Infinity, "title": "covid"}',
     "created_utc=1e20": '{"kind": "post", "id": "bad", "subreddit": "coronavirus", "created_utc": 1e20, "title": "covid"}',
     "num_comments=1e400": '{"kind": "post", "id": "bad", "subreddit": "coronavirus", "created_utc": 1583366400, "title": "covid", "num_comments": 1e400}',
@@ -381,6 +383,60 @@ def test_report_rejects_mistyped_documents_field(tmp_path, capsys):
     assert run(["report", "--docs", str(docs), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["threadscope report: error: line 1: created_utc must be an integer"]
+
+
+def test_report_rejects_deeply_nested_documents_line(corpus_dir, tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    good = (corpus_dir / "documents.jsonl").read_text().splitlines()[0]
+    docs.write_text(good + "\n" + "[" * 100_000 + "\n")
+    assert run(["report", "--docs", str(docs), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("threadscope report: error: line 2: ")
+
+
+# ---------------------------------------------------------------- writer
+
+
+def test_report_with_malformed_mentions_writes_nothing(corpus_dir, tmp_path, capsys):
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text(
+        "post_id\tsubreddit\tcreated_utc\tcategory\tname\n"
+        "p01\tcoronavirus\tyesterday\tPPE\tmask\n"
+    )
+    out = tmp_path / "r"
+    argv = ["report", "--docs", str(corpus_dir / "documents.jsonl")]
+    assert run(argv + ["--mentions", str(mentions), "--out", str(out)]) == 2
+    assert "line 2: bad created_utc" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_failed_rewrite_leaves_no_stale_manifest(corpus_dir, tmp_path, capsys):
+    docs = str(corpus_dir / "documents.jsonl")
+    out = tmp_path / "stats"
+    assert run(["stats", "--docs", docs, "--out", str(out)]) == 0
+    (out / "stats.tsv").unlink()
+    (out / "stats.tsv").mkdir()  # the rewrite of stats.tsv fails
+    assert run(["stats", "--docs", docs, "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
+
+    report = tmp_path / "mask.tsv"
+    sidecar = tmp_path / "mask.tsv.manifest.json"
+    argv = ["sentiment", "--docs", docs, "--entity", "mask", "--out", str(report)]
+    assert run(argv) == 0
+    assert sidecar.exists()
+    report.unlink()
+    report.mkdir()
+    assert run(argv) == 2
+    assert not sidecar.exists()
+
+
+def test_stats_without_out_writes_nothing(corpus_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["stats", "--docs", str(corpus_dir / "documents.jsonl")]) == 0
+    assert capsys.readouterr().out == GOLDEN_STATS
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- replay

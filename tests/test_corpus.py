@@ -195,8 +195,10 @@ def test_comment_without_parent_rejected(tmp_path):
         parse_dump(dump, schema="native")
 
 
-# Dump lines whose numbers overflow an int or a date; each is one bad record.
+# Dump lines whose numbers overflow an int or a date, or whose nesting
+# overflows the JSON decoder's recursion limit; each is one bad record.
 OVERFLOW_LINES = {
+    "nesting=100000": "[" * 100_000,
     "created_utc=Infinity": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": Infinity, "title": "covid"}',
     "created_utc=1e20": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": 1e20, "title": "covid"}',
     "num_comments=1e400": '{"kind": "post", "id": "bad", "subreddit": "s", "created_utc": 1580000000, "title": "covid", "num_comments": 1e400}',

@@ -7,7 +7,6 @@ from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -260,41 +259,28 @@ def export_fixture_model():
     return TopicModel(lam=lam, config=LdaConfig(k=2, top_n=2), vocab=vocab)
 
 
-def test_export_topic_artifacts(tmp_path):
+def test_export_topic_artifacts():
     model = export_fixture_model()
     assignments = [
         TopicAssignment(post_id="p1", topic=0, probability=0.875),
         TopicAssignment(post_id="p2", topic=1, probability=0.6),
     ]
-    target = export_topic_artifacts(
-        model, assignments, [1, 1], tmp_path, "corpus"
-    )
-    assert target == tmp_path / "corpus" / "topics"
-    names = sorted(p.name for p in target.iterdir())
-    assert names == [
+    files = export_topic_artifacts(model, assignments, [1, 1])
+    assert sorted(files) == [
         "assignments.tsv",
         "keywords.txt",
         "topic_frequencies.tsv",
         "wordcloud_topic0.tsv",
         "wordcloud_topic1.tsv",
     ]
-    keywords = (target / "keywords.txt").read_text().splitlines()
+    keywords = files["keywords.txt"].splitlines()
     assert keywords[0] == "vocabulary_size\t3"
     assert keywords[1] == f"topic0\t1\tmask\t{4/7:.6f}"
     assert len(keywords) == 1 + 2 * 2
-    cloud = (target / "wordcloud_topic1.tsv").read_text().splitlines()
+    cloud = files["wordcloud_topic1.tsv"].splitlines()
     assert cloud[0] == "term\tweight"
     assert cloud[1] == f"fever\t{5/7:.6f}"
-    assignments_lines = (target / "assignments.tsv").read_text().splitlines()
+    assignments_lines = files["assignments.tsv"].splitlines()
     assert assignments_lines[1] == "p1\t0\t0.875000"
-    freq = (target / "topic_frequencies.tsv").read_text().splitlines()
+    freq = files["topic_frequencies.tsv"].splitlines()
     assert freq[1] == "0\t1\t50"
-
-
-def test_export_refuses_overwrite_without_force(tmp_path):
-    model = export_fixture_model()
-    export_topic_artifacts(model, [], [0, 0], tmp_path, "corpus")
-    with pytest.raises(FileExistsError):
-        export_topic_artifacts(model, [], [0, 0], tmp_path, "corpus")
-    # force rewrites in place
-    export_topic_artifacts(model, [], [0, 0], tmp_path, "corpus", force=True)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from threadscope.errors import EmptyTrainingSetError
 from threadscope.nerdata import AnnotatedSentence, Span, parse_tag, validate_bilou
+from threadscope.report import counts_from_mentions
 from threadscope.tagger import (
     EntityCount,
     Scores,
     TaggerModel,
     TrainConfig,
     compare_spans,
-    detect_and_count_entities,
     detect_document_entities,
     evaluate_tagger,
     extract_features,
@@ -621,13 +621,19 @@ def test_detect_document_entities_reading_order():
     assert mentions == [("PPE", "mask"), ("PPE", "mask"), ("PPE", "glove")]
 
 
-def test_detect_and_count_entities_orders_and_shares():
+def test_counts_from_detected_mentions_orders_and_shares():
     docs = [
         FakeDoc("covid", "mask mask", []),
         FakeDoc("covid", "gloves", ["mask"]),
         FakeDoc("askreddit", "mask", []),
     ]
-    counts = detect_and_count_entities(MASK_MODEL, docs)
+    counts = counts_from_mentions(
+        [
+            (doc.subreddit, category, name)
+            for doc in docs
+            for category, name in detect_document_entities(MASK_MODEL, doc)
+        ]
+    )
     assert list(counts) == ["askreddit", "covid"]
     assert counts["covid"] == [
         EntityCount(category="PPE", name="mask", count=3, share=0.75),

@@ -78,6 +78,12 @@ def test_tokenize_idempotent_under_rejoin(text):
     assert tokenize(" ".join(tokens)) == tokens
 
 
+def test_data_lines_counts_physical_lines(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_bytes(b"# header\n\n  # indented comment\r\nfirst\t1\r\n   \nlast")
+    assert list(textprep.data_lines(path)) == [(4, "first\t1"), (6, "last")]
+
+
 def test_remove_stopwords_default_list():
     assert remove_stopwords(["the", "mask", "is", "a", "barrier"]) == [
         "mask",
