@@ -710,11 +710,13 @@ def run(argv: Sequence[str] | None = None) -> int:
             return command.handler(merged)
         if command.finalize is not None:
             command.finalize(merged)
-        # digest the inputs before the run, whose output may overwrite one
-        mani = _record_manifest(command, merged)
+        out = merged[command.out_flag]
+        # digest the inputs before the run, whose output may overwrite one;
+        # a run that writes nothing needs no manifest
+        mani = _record_manifest(command, merged) if out is not None else None
         outputs = command.handler(merged)
-        if merged[command.out_flag] is not None:
-            _write_outputs(Path(merged[command.out_flag]), outputs, mani)
+        if mani is not None:
+            _write_outputs(Path(out), outputs, mani)
         return 0
     except _UsageError as exc:
         print(f"{PROG} {command.name}: error: {exc}", file=sys.stderr)

@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DumpParseError, UnknownSchemaError
 from . import textprep
@@ -29,8 +31,7 @@ PLACEHOLDER_BODIES = frozenset({"[removed]", "[deleted]"})
 SCHEMAS = ("native", "pushshift")
 
 
-@dataclass(frozen=True)
-class RedditRecord:
+class RedditRecord(NamedTuple):
     """One dump line: a post or a comment."""
 
     kind: str
@@ -60,10 +61,19 @@ class Document:
             self.raw_text = "\n".join([self.title, *self.comment_bodies])
 
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_DAY_S = 86_400
+
+
+def _day_start_utc(day: date) -> int:
+    return (day.toordinal() - _EPOCH_ORDINAL) * _DAY_S
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """Keyword, date-range, and subreddit constraints; dates are inclusive
-    UTC calendar dates; an empty subreddit list means no restriction."""
+    UTC calendar dates; an empty subreddit list means no restriction.
+    Keywords and subreddits match case-insensitively."""
 
     keywords: tuple[str, ...]
     date_from: date
@@ -75,6 +85,26 @@ class FilterSpec:
             raise ValueError("keywords must be nonempty")
         if self.date_from > self.date_to:
             raise ValueError("date_from must not exceed date_to")
+
+    @cached_property
+    def lowered_keywords(self) -> tuple[str, ...]:
+        return tuple(keyword.lower() for keyword in self.keywords)
+
+    @cached_property
+    def _window(self) -> tuple[int, int, frozenset[str]]:
+        """The first and last UTC second of the range and the lowercased
+        subreddit set, worked out once per spec."""
+        first = _day_start_utc(self.date_from)
+        last = _day_start_utc(self.date_to) + _DAY_S - 1
+        return first, last, frozenset(name.lower() for name in self.subreddits)
+
+    def admits(self, record: RedditRecord) -> bool:
+        """Whether the record's created_utc lies from date_from 00:00:00
+        to date_to 23:59:59 UTC and its subreddit is in the set."""
+        first, last, wanted = self._window
+        return first <= record.created_utc <= last and (
+            not wanted or record.subreddit.lower() in wanted
+        )
 
 
 @dataclass(frozen=True)
@@ -109,6 +139,8 @@ def _check_utc_range(value: int) -> int:
 
 
 def _coerce_utc(value) -> int:
+    if type(value) is int and MIN_UTC <= value <= MAX_UTC:
+        return value
     if isinstance(value, bool):
         raise ValueError("created_utc must be numeric")
     if isinstance(value, str) and value.strip():
@@ -120,19 +152,23 @@ def _coerce_utc(value) -> int:
     raise ValueError("created_utc must be numeric")
 
 
+# Records are built positionally, fields read in declaration order, so
+# the first bad field names the error.  Kinds are the module constants,
+# and subreddit names, few per dump, are interned.
 def _record_from_native(obj: dict) -> RedditRecord:
     kind = obj["kind"]
     if kind not in (POST, COMMENT):
         raise ValueError(f"unknown kind {kind!r}")
+    kind = POST if kind == POST else COMMENT
     record = RedditRecord(
-        kind=kind,
-        id=str(obj["id"]),
-        subreddit=str(obj["subreddit"]),
-        created_utc=_coerce_utc(obj["created_utc"]),
-        title=str(obj.get("title", "")),
-        body=str(obj.get("body", "")),
-        parent_post_id=_strip_fullname(str(obj.get("parent_post_id", ""))),
-        num_comments=int(obj.get("num_comments", 0)),
+        kind,
+        str(obj["id"]),
+        sys.intern(str(obj["subreddit"])),
+        _coerce_utc(obj["created_utc"]),
+        str(obj.get("title", "")),
+        str(obj.get("body", "")),
+        _strip_fullname(str(obj.get("parent_post_id", ""))),
+        int(obj.get("num_comments", 0)),
     )
     if kind == COMMENT and not record.parent_post_id:
         raise ValueError("comment without parent_post_id")
@@ -142,27 +178,47 @@ def _record_from_native(obj: dict) -> RedditRecord:
 def _record_from_pushshift(obj: dict) -> RedditRecord:
     if "title" in obj:
         return RedditRecord(
-            kind=POST,
-            id=str(obj["id"]),
-            subreddit=str(obj["subreddit"]),
-            created_utc=_coerce_utc(obj["created_utc"]),
-            title=str(obj["title"]),
-            body=str(obj.get("selftext", "")),
-            num_comments=int(obj.get("num_comments", 0)),
+            POST,
+            str(obj["id"]),
+            sys.intern(str(obj["subreddit"])),
+            _coerce_utc(obj["created_utc"]),
+            str(obj["title"]),
+            str(obj.get("selftext", "")),
+            "",
+            int(obj.get("num_comments", 0)),
         )
     if "link_id" in obj:
         parent = _strip_fullname(str(obj["link_id"]))
         if not parent:
             raise ValueError("comment without link_id")
         return RedditRecord(
-            kind=COMMENT,
-            id=str(obj["id"]),
-            subreddit=str(obj["subreddit"]),
-            created_utc=_coerce_utc(obj["created_utc"]),
-            body=str(obj.get("body", "")),
-            parent_post_id=parent,
+            COMMENT,
+            str(obj["id"]),
+            sys.intern(str(obj["subreddit"])),
+            _coerce_utc(obj["created_utc"]),
+            "",
+            str(obj.get("body", "")),
+            parent,
         )
     raise ValueError("record is neither a post (title) nor a comment (link_id)")
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str):
+    """Decode one dump line as ``json.loads`` does.  The usual line, one
+    JSON value and then its newline, goes straight to ``raw_decode``,
+    skipping json.loads' type, BOM and whitespace checks; every other
+    line, bad ones included, goes through ``json.loads``, so the value or
+    the error is the one it gives."""
+    try:
+        value, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        return json.loads(line)
+    if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+        return value
+    return json.loads(line)
 
 
 _PARSERS: dict[str, Callable[[dict], RedditRecord]] = {
@@ -184,15 +240,17 @@ def parse_dump(
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     parser = _PARSERS[schema]
     records: list[RedditRecord] = []
+    append = records.append
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
+            # a blank line: one read from a file is never empty
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_line(line)
                 if not isinstance(obj, dict):
                     raise ValueError("record is not an object")
-                records.append(parser(obj))
+                append(parser(obj))
             except (
                 ValueError, KeyError, TypeError, OverflowError, RecursionError
             ) as exc:
@@ -211,65 +269,52 @@ def _month_of(created_utc: int) -> str:
     return datetime.fromtimestamp(created_utc, tz=timezone.utc).strftime("%Y-%m")
 
 
-def _in_spec(record: RedditRecord, spec: FilterSpec) -> bool:
-    if spec.subreddits:
-        wanted = {s.lower() for s in spec.subreddits}
-        if record.subreddit.lower() not in wanted:
-            return False
-    return spec.date_from <= _utc_date(record.created_utc) <= spec.date_to
-
-
-def _matches_keywords(record: RedditRecord, keywords: Sequence[str]) -> bool:
-    title = record.title.lower()
-    body = record.body.lower()
-    return any(kw.lower() in title or kw.lower() in body for kw in keywords)
-
-
 def filter_records(
     records: Iterable[RedditRecord], spec: FilterSpec
 ) -> list[RedditRecord]:
-    """Keep keyword-matching records inside the date range and subreddit
-    set, dropping duplicate ids (first occurrence wins)."""
+    """Keep the records inside the date range and subreddit set whose
+    title or body contains a keyword.  Only kept ids are remembered: a
+    record whose id an earlier kept record has is dropped, but a record
+    whose id only appeared on records that were not kept can be kept."""
+    admits = spec.admits
+    keywords = spec.lowered_keywords
     seen: set[str] = set()
     kept: list[RedditRecord] = []
     for record in records:
-        if record.id in seen:
+        if record.id in seen or not admits(record):
             continue
-        if not _in_spec(record, spec):
-            continue
-        if not _matches_keywords(record, spec.keywords):
-            continue
-        seen.add(record.id)
-        kept.append(record)
+        title = record.title.lower()
+        body = record.body.lower()
+        for keyword in keywords:
+            if keyword in title or keyword in body:
+                seen.add(record.id)
+                kept.append(record)
+                break
     return kept
 
 
 def assemble_documents(
-    all_records: Iterable[RedditRecord],
-    matched_records: Iterable[RedditRecord],
+    all_records: Sequence[RedditRecord],
+    matched_records: Sequence[RedditRecord],
     spec: FilterSpec | None = None,
 ) -> list[Document]:
     """Build one Document per post that matched or has a matching comment,
     pulling in the post's full comment thread from ``all_records``.
 
-    Orphan comment matches (parent post missing from the dump) are logged
-    and dropped. When ``spec`` is given, parent posts outside its date or
-    subreddit constraints are likewise skipped, so every returned Document
+    For a repeated post or comment id the first record in ``all_records``
+    wins, also when a later one sits in another thread.  Orphan comment
+    matches (parent post missing from the dump) are logged and dropped.
+    When ``spec`` is given, parent posts outside its date or subreddit
+    constraints are likewise skipped, so every returned Document
     satisfies the filter.
     """
     posts: dict[str, RedditRecord] = {}
-    comments: dict[str, RedditRecord] = {}
-    comments_by_parent: dict[str, list[RedditRecord]] = {}
     for record in all_records:
-        if record.kind == POST:
-            posts.setdefault(record.id, record)
-        else:
-            if record.id in comments:
-                continue
-            comments[record.id] = record
-            comments_by_parent.setdefault(record.parent_post_id, []).append(record)
+        if record.kind == POST and record.id not in posts:
+            posts[record.id] = record
 
-    included: set[str] = set()
+    admits = spec.admits if spec is not None else None
+    threads: dict[str, list[RedditRecord]] = {}
     for record in matched_records:
         parent = record.id if record.kind == POST else record.parent_post_id
         if parent not in posts:
@@ -277,20 +322,28 @@ def assemble_documents(
                 "orphan comment %s: parent post %s not in dump", record.id, parent
             )
             continue
-        if spec is not None and not _in_spec(posts[parent], spec):
+        if admits is not None and not admits(posts[parent]):
             logger.warning(
                 "skipping post %s: outside the filter's date/subreddit range", parent
             )
             continue
-        included.add(parent)
+        threads.setdefault(parent, [])
+
+    # Only included threads keep comments, but every comment id counts
+    # toward the first-occurrence rule.
+    seen_comments: set[str] = set()
+    for record in all_records:
+        if record.kind == POST or record.id in seen_comments:
+            continue
+        seen_comments.add(record.id)
+        thread = threads.get(record.parent_post_id)
+        if thread is not None:
+            thread.append(record)
 
     documents: list[Document] = []
-    for post_id in included:
+    for post_id, thread in threads.items():
         post = posts[post_id]
-        thread = sorted(
-            comments_by_parent.get(post_id, ()),
-            key=lambda c: (c.created_utc, c.id),
-        )
+        thread.sort(key=lambda c: (c.created_utc, c.id))
         bodies = [c.body for c in thread if c.body not in PLACEHOLDER_BODIES]
         documents.append(
             Document(

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import shutil
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from threadscope import manifest
 from threadscope.cli import run
 from threadscope.manifest import read_manifest, sha256_file
 
@@ -192,6 +200,124 @@ def test_ingest_overflowing_numbers_are_bad_records(tmp_path, fixtures, capsys, 
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("threadscope ingest: error: line 2: ")
+
+
+# sha256 of the corpus files `ingest` writes, recorded before records
+# became tuples and the filter was compiled once per spec.  The pushshift
+# fixture has a repeated post id, a repeated comment id first seen in a
+# thread that is not kept, an orphan, a matching comment under a post
+# outside the window, malformed lines, and posts on both window edges.
+GOLDEN_INGEST = {
+    "native": (
+        ["--dump", "sample_dump.jsonl", "--schema", "native", "--keywords", KEYWORDS,
+         "--from", "2020-03-01", "--to", "2020-08-31"],
+        {
+            "documents.jsonl": "770c9e06f5851a39f1543cf84d1d5041182776db5df419202d25fc7da2c4578c",
+            "sentences.txt": "2ccbb9deaa370b38f10504d7e89f08683a8a515fd58abf93d290c66c2be0e5cb",
+            "stats.tsv": "5c2f591d296bd15484d8cc98654007f56a9e9eeeee5417a3bc3ee62829e02eb9",
+        },
+    ),
+    "pushshift": (
+        ["--dump", "pushshift_dump.jsonl", "--schema", "pushshift",
+         "--keywords", "Covid,MASK,quarantine", "--subreddits", "coronavirus,NYC",
+         "--from", "2020-03-01", "--to", "2020-03-31", "--skip-bad-records"],
+        {
+            "documents.jsonl": "f6dc15ba5f2de21b37011f34a053a4a76a4d2de70f99390cdb2c345436df337b",
+            "sentences.txt": "748b17f53c79b6a4821b5a5d29aa542be4feee59cee2c8ed1d5c7d92bd02d68e",
+            "stats.tsv": "5edaaa8994c8a2f20886aa98a2f1835eac34b8edcbb4882bcb09bb55c6eb9828",
+        },
+    ),
+}
+
+
+def _golden_ingest(schema: str, fixtures, out) -> dict[str, str]:
+    """Run a golden ingest into ``out``; return its pinned digests."""
+    argv, digests = GOLDEN_INGEST[schema]
+    argv = [str(fixtures / arg) if arg.endswith(".jsonl") else arg for arg in argv]
+    assert run(["ingest", *argv, "--out", str(out)]) == 0
+    return digests
+
+
+@pytest.mark.parametrize("schema", list(GOLDEN_INGEST))
+def test_ingest_golden_bytes(tmp_path, fixtures, schema):
+    for name, digest in _golden_ingest(schema, fixtures, tmp_path).items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_ingest_pushshift_fixture_keeps_the_first_records(tmp_path, fixtures):
+    _golden_ingest("pushshift", fixtures, tmp_path)
+    docs = [json.loads(line) for line in (tmp_path / "documents.jsonl").read_text().splitlines()]
+    assert [(d["post_id"], d["title"]) for d in docs] == [
+        ("a1", "Covid testing lines downtown"),
+        ("b1", "Subway ridership falls"),
+        ("c1", "Last day of March: QUARANTINE diary"),
+    ]
+    # dup1's first record sits under z9, a thread that is not kept
+    assert all("dup1" not in body for d in docs for body in d["comment_bodies"])
+    assert docs[1]["comment_bodies"] == ["Everyone wears a mask on the L train now. Stay safe."]
+
+
+# Arbitrary JSON-ish dump lines: random values, record objects with
+# mistyped fields, and truncated copies of good lines.
+DUMP_FIELDS = (
+    "kind", "id", "subreddit", "created_utc", "title", "body", "selftext",
+    "parent_post_id", "link_id", "num_comments",
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(st.characters(codec="utf-8"), max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(st.characters(codec="utf-8"), max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+plausible_values = st.one_of(
+    json_values,
+    st.sampled_from(["post", "comment", "p01", "t3_p01", "", "covid mask", "1584230400"]),
+    st.integers(1583366400, 1598918399),
+)
+record_objects = st.dictionaries(st.sampled_from(DUMP_FIELDS), plausible_values, max_size=10)
+
+
+@st.composite
+def fuzz_lines(draw, good_lines: list[str]) -> str:
+    kind = draw(st.sampled_from(["value", "record", "truncated", "text"]))
+    if kind == "value":
+        return json.dumps(draw(json_values))
+    if kind == "record":
+        return json.dumps(draw(record_objects))
+    if kind == "truncated":
+        line = draw(st.sampled_from(good_lines))
+        return line[: draw(st.integers(0, len(line) - 1))]
+    return draw(st.text(st.characters(codec="utf-8"), max_size=20))
+
+
+SAMPLE_LINES = (Path(__file__).parent / "fixtures" / "sample_dump.jsonl").read_text().splitlines()
+
+
+@settings(max_examples=100)
+@given(
+    lines=st.lists(fuzz_lines(SAMPLE_LINES), max_size=6),
+    schema=st.sampled_from(["native", "pushshift"]),
+    skip=st.booleans(),
+)
+def test_ingest_fuzzed_dump_exits_0_or_2_with_one_error_line(lines, schema, skip):
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "dump.jsonl"
+        dump.write_text("\n".join(SAMPLE_LINES[:2] + lines) + "\n", encoding="utf-8")
+        argv = [
+            "ingest", "--dump", str(dump), "--schema", schema, "--keywords", KEYWORDS,
+            "--from", "2020-03-01", "--to", "2020-08-31", "--out", str(Path(tmp) / "out"),
+        ]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run(argv + (["--skip-bad-records"] if skip else []))
+    assert code in (0, 2)
+    if code == 2:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("threadscope ingest: error: ")
 
 
 # ---------------------------------------------------------------- stats
@@ -437,6 +563,54 @@ def test_stats_without_out_writes_nothing(corpus_dir, tmp_path, monkeypatch, cap
     assert run(["stats", "--docs", str(corpus_dir / "documents.jsonl")]) == 0
     assert capsys.readouterr().out == GOLDEN_STATS
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Record each input digest, and each documents or model read, in order."""
+    calls: list[str] = []
+    real_digest = manifest.sha256_file
+
+    def digest(path):
+        calls.append("digest")
+        return real_digest(path)
+
+    monkeypatch.setattr(manifest, "sha256_file", digest)
+    return calls
+
+
+def test_runs_without_out_digest_nothing(corpus_dir, fixtures, tmp_path, digest_calls, capsys):
+    model = tmp_path / "model.json"
+    train = ["ner-train", "--train", str(fixtures / "annotated_train.tsv"), "--iters", "1"]
+    assert run(train + ["--model", str(model)]) == 0
+    digest_calls.clear()
+
+    assert run(["stats", "--docs", str(corpus_dir / "documents.jsonl")]) == 0
+    assert run(["ner-eval", "--model", str(model), "--eval", str(fixtures / "annotated_eval.tsv")]) == 0
+    assert digest_calls == []
+
+    # a missing input is still a data error
+    assert run(["stats", "--docs", str(tmp_path / "nope.jsonl")]) == 2
+    assert run(["ner-eval", "--model", str(tmp_path / "nope.json"), "--eval", str(fixtures / "annotated_eval.tsv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("No such file" in line for line in err)
+    assert digest_calls == []
+
+
+def test_runs_with_out_digest_inputs_before_reading_them(corpus_dir, tmp_path, digest_calls, monkeypatch):
+    from threadscope import corpus
+
+    real_read = corpus.read_documents
+
+    def read(path):
+        digest_calls.append("read")
+        return real_read(path)
+
+    monkeypatch.setattr(corpus, "read_documents", read)
+    out = tmp_path / "stats"
+    assert run(["stats", "--docs", str(corpus_dir / "documents.jsonl"), "--out", str(out)]) == 0
+    assert digest_calls == ["digest", "read"]
+    assert (out / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------- replay

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
+import math
+import tempfile
+from contextlib import contextmanager
 from datetime import date, datetime, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threadscope.corpus import (
@@ -236,6 +242,32 @@ def test_created_utc_bounds_are_the_datetime_range(tmp_path):
     assert [r.created_utc for r in records] == [MIN_UTC, MAX_UTC, MAX_UTC]
 
 
+def test_parse_blank_and_padded_lines(tmp_path):
+    dump = tmp_path / "d.jsonl"
+    lines = ["", "   ", "\t", "\u3000", f"  {GOOD_LINE}", f"{GOOD_LINE}\t ", GOOD_LINE]
+    dump.write_text("\n".join(lines), encoding="utf-8")
+    assert [r.id for r in parse_dump(dump, schema="native")] == ["ok", "ok", "ok"]
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (f"{GOOD_LINE} x", "Extra data"),
+        ("\ufeff" + GOOD_LINE, "Unexpected UTF-8 BOM"),
+        (GOOD_LINE[:-1], "Expecting ',' delimiter"),
+    ],
+)
+def test_parse_reports_json_errors_as_json_loads_does(tmp_path, line, reason):
+    dump = tmp_path / "d.jsonl"
+    dump.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(DumpParseError) as excinfo:
+        parse_dump(dump, schema="native")
+    with pytest.raises(ValueError) as expected:
+        json.loads(line + "\n")
+    assert excinfo.value.reason == str(expected.value)
+    assert excinfo.value.reason.startswith(reason)
+
+
 # ---------------------------------------------------------------- filtering
 
 
@@ -289,6 +321,62 @@ def test_filter_drops_duplicate_ids():
     assert kept[0].title == "covid thread"
 
 
+# The integer bounds of SPEC: 2020-03-01 00:00:00 to 2020-08-31 23:59:59 UTC.
+FIRST_SECOND = utc("2020-03-01", hour=0)
+LAST_SECOND = utc("2020-08-31", hour=23) + 59 * 60 + 59
+
+
+def test_filter_bounds_are_whole_utc_days():
+    records = [
+        post("before", created=FIRST_SECOND - 1),
+        post("first", created=FIRST_SECOND),
+        post("last", created=LAST_SECOND),
+        post("after", created=LAST_SECOND + 1),
+    ]
+    assert utc("2020-09-01", hour=0) == LAST_SECOND + 1
+    assert [r.id for r in filter_records(records, SPEC)] == ["first", "last"]
+    assert [SPEC.admits(r) for r in records] == [False, True, True, False]
+
+
+def test_assemble_applies_the_same_bounds_to_parent_posts():
+    records = [
+        post("before", created=FIRST_SECOND - 1, title="old"),
+        post("first", created=FIRST_SECOND, title="old"),
+        post("last", created=LAST_SECOND, title="old"),
+        post("after", created=LAST_SECOND + 1, title="old"),
+        *(comment(f"c-{p}", p, body="covid") for p in ("before", "first", "last", "after")),
+    ]
+    matched = filter_records(records, SPEC)
+    assert len(matched) == 4
+    docs = assemble_documents(records, matched, spec=SPEC)
+    assert [d.post_id for d in docs] == ["first", "last"]
+
+
+def test_widest_spec_keeps_the_whole_datetime_range():
+    spec = FilterSpec(
+        keywords=("covid",), date_from=date(1, 1, 1), date_to=date(9999, 12, 31)
+    )
+    records = [post("min", created=MIN_UTC), post("max", created=MAX_UTC)]
+    assert [r.id for r in filter_records(records, spec)] == ["min", "max"]
+    assert len(assemble_documents(records, records, spec=spec)) == 2
+
+
+def test_filter_case_folds_keywords_and_subreddits():
+    spec = FilterSpec(
+        keywords=("CoViD",),
+        date_from=date(2020, 3, 1),
+        date_to=date(2020, 8, 31),
+        subreddits=("NyC", "coronavirus"),
+    )
+    records = [
+        post("p1", sub="NYC", title="covid"),
+        post("p2", sub="Coronavirus", title="COVID"),
+        post("p3", sub="nyc2", title="covid"),
+        post("p4", sub="nyc", title="cov id"),
+    ]
+    assert [r.id for r in filter_records(records, spec)] == ["p1", "p2"]
+
+
 # ---------------------------------------------------------------- assembly
 
 
@@ -337,6 +425,31 @@ def test_assemble_spec_rejects_out_of_range_parent():
     assert len(assemble_documents(records, matched)) == 1
     # with the spec every document must satisfy the date constraint
     assert assemble_documents(records, matched, spec=SPEC) == []
+
+
+def test_assemble_first_comment_with_an_id_wins_across_threads():
+    records = [
+        post("p1", title="weather"),
+        post("p2", created=utc("2020-01-15"), title="old thread"),
+        comment("c1", "p2", body="first c1, no keyword"),
+        comment("c1", "p1", body="covid under another thread"),
+        comment("c2", "p1", body="stay safe"),
+    ]
+    matched = filter_records(records, SPEC)
+    # the first c1 was not kept, so the later one is
+    assert [r.body for r in matched] == ["covid under another thread"]
+    (doc,) = assemble_documents(records, matched, spec=SPEC)
+    # p1 is included for that comment, but c1's first record is in p2
+    assert doc.post_id == "p1"
+    assert doc.comment_bodies == ["stay safe"]
+
+
+def test_assemble_first_post_with_an_id_wins():
+    records = [post("p1", title="weather"), post("p1", title="covid news")]
+    matched = filter_records(records, SPEC)
+    assert [r.title for r in matched] == ["covid news"]
+    (doc,) = assemble_documents(records, matched, spec=SPEC)
+    assert doc.title == "weather"
 
 
 def test_assemble_sorts_documents_and_dedups_comment_lines():
@@ -527,3 +640,358 @@ def test_assemble_output_is_sorted(records):
     docs = assemble_documents(records, matched, spec=SPEC)
     keys = [(d.created_utc, d.post_id) for d in docs]
     assert keys == sorted(keys)
+
+
+# ------------------------------------------------- reference ingest path
+# parse_dump, filter_records and assemble_documents as they were when a
+# record was a frozen dataclass and the filter was re-derived per record,
+# with their helpers, kept verbatim apart from names and the logger.  The
+# current functions must give the same records, documents and warnings.
+
+reference_logger = logging.getLogger("tests.reference_ingest")
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceRecord:
+    kind: str
+    id: str
+    subreddit: str
+    created_utc: int
+    title: str = ""
+    body: str = ""
+    parent_post_id: str = ""
+    num_comments: int = 0
+
+
+def _ref_strip_fullname(value: str) -> str:
+    return value[3:] if value.startswith("t3_") else value
+
+
+def _ref_check_utc_range(value: int) -> int:
+    if not MIN_UTC <= value <= MAX_UTC:
+        raise ValueError("created_utc is outside years 1 to 9999")
+    return value
+
+
+def _ref_coerce_utc(value) -> int:
+    if isinstance(value, bool):
+        raise ValueError("created_utc must be numeric")
+    if isinstance(value, str) and value.strip():
+        value = float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("created_utc must be finite")
+    if isinstance(value, (int, float)):
+        return _ref_check_utc_range(int(value))
+    raise ValueError("created_utc must be numeric")
+
+
+def _ref_record_from_native(obj: dict) -> ReferenceRecord:
+    kind = obj["kind"]
+    if kind not in ("post", "comment"):
+        raise ValueError(f"unknown kind {kind!r}")
+    record = ReferenceRecord(
+        kind=kind,
+        id=str(obj["id"]),
+        subreddit=str(obj["subreddit"]),
+        created_utc=_ref_coerce_utc(obj["created_utc"]),
+        title=str(obj.get("title", "")),
+        body=str(obj.get("body", "")),
+        parent_post_id=_ref_strip_fullname(str(obj.get("parent_post_id", ""))),
+        num_comments=int(obj.get("num_comments", 0)),
+    )
+    if kind == "comment" and not record.parent_post_id:
+        raise ValueError("comment without parent_post_id")
+    return record
+
+
+def _ref_record_from_pushshift(obj: dict) -> ReferenceRecord:
+    if "title" in obj:
+        return ReferenceRecord(
+            kind="post",
+            id=str(obj["id"]),
+            subreddit=str(obj["subreddit"]),
+            created_utc=_ref_coerce_utc(obj["created_utc"]),
+            title=str(obj["title"]),
+            body=str(obj.get("selftext", "")),
+            num_comments=int(obj.get("num_comments", 0)),
+        )
+    if "link_id" in obj:
+        parent = _ref_strip_fullname(str(obj["link_id"]))
+        if not parent:
+            raise ValueError("comment without link_id")
+        return ReferenceRecord(
+            kind="comment",
+            id=str(obj["id"]),
+            subreddit=str(obj["subreddit"]),
+            created_utc=_ref_coerce_utc(obj["created_utc"]),
+            body=str(obj.get("body", "")),
+            parent_post_id=parent,
+        )
+    raise ValueError("record is neither a post (title) nor a comment (link_id)")
+
+
+_REF_PARSERS = {"native": _ref_record_from_native, "pushshift": _ref_record_from_pushshift}
+
+
+def ref_parse_dump(path, schema, on_error="raise"):
+    parser = _REF_PARSERS[schema]
+    records = []
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("record is not an object")
+                records.append(parser(obj))
+            except (
+                ValueError, KeyError, TypeError, OverflowError, RecursionError
+            ) as exc:
+                error = DumpParseError(line_no, str(exc))
+                if on_error == "raise":
+                    raise error from exc
+                reference_logger.warning("skipping line %d: %s", line_no, exc)
+    return records
+
+
+def _ref_utc_date(created_utc: int) -> date:
+    return datetime.fromtimestamp(created_utc, tz=timezone.utc).date()
+
+
+def _ref_in_spec(record, spec: FilterSpec) -> bool:
+    if spec.subreddits:
+        wanted = {s.lower() for s in spec.subreddits}
+        if record.subreddit.lower() not in wanted:
+            return False
+    return spec.date_from <= _ref_utc_date(record.created_utc) <= spec.date_to
+
+
+def _ref_matches_keywords(record, keywords) -> bool:
+    title = record.title.lower()
+    body = record.body.lower()
+    return any(kw.lower() in title or kw.lower() in body for kw in keywords)
+
+
+def ref_filter_records(records, spec):
+    seen = set()
+    kept = []
+    for record in records:
+        if record.id in seen:
+            continue
+        if not _ref_in_spec(record, spec):
+            continue
+        if not _ref_matches_keywords(record, spec.keywords):
+            continue
+        seen.add(record.id)
+        kept.append(record)
+    return kept
+
+
+def ref_assemble_documents(all_records, matched_records, spec=None):
+    posts = {}
+    comments = {}
+    comments_by_parent = {}
+    for record in all_records:
+        if record.kind == "post":
+            posts.setdefault(record.id, record)
+        else:
+            if record.id in comments:
+                continue
+            comments[record.id] = record
+            comments_by_parent.setdefault(record.parent_post_id, []).append(record)
+
+    included = set()
+    for record in matched_records:
+        parent = record.id if record.kind == "post" else record.parent_post_id
+        if parent not in posts:
+            reference_logger.warning(
+                "orphan comment %s: parent post %s not in dump", record.id, parent
+            )
+            continue
+        if spec is not None and not _ref_in_spec(posts[parent], spec):
+            reference_logger.warning(
+                "skipping post %s: outside the filter's date/subreddit range", parent
+            )
+            continue
+        included.add(parent)
+
+    documents = []
+    for post_id in included:
+        post = posts[post_id]
+        thread = sorted(
+            comments_by_parent.get(post_id, ()),
+            key=lambda c: (c.created_utc, c.id),
+        )
+        bodies = [c.body for c in thread if c.body not in ("[removed]", "[deleted]")]
+        documents.append(
+            Document(
+                post_id=post.id,
+                subreddit=post.subreddit,
+                created_utc=post.created_utc,
+                title=post.title,
+                comment_bodies=bodies,
+            )
+        )
+    documents.sort(key=lambda d: (d.created_utc, d.post_id))
+    return documents
+
+
+@contextmanager
+def warnings_of(logger_name: str):
+    """Collect the formatted warnings one logger emits."""
+    lines: list[str] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            lines.append(record.getMessage())
+
+    handler = Collect(logging.WARNING)
+    log = logging.getLogger(logger_name)
+    log.addHandler(handler)
+    try:
+        yield lines
+    finally:
+        log.removeHandler(handler)
+
+
+def _ingest(parse, filter_, assemble, logger_name, path, schema, spec, on_error):
+    """Run one ingest path; return what it produced and what it logged."""
+    with warnings_of(logger_name) as warnings:
+        try:
+            records = parse(path, schema, on_error=on_error)
+        except DumpParseError as exc:
+            return {"error": str(exc)}, warnings
+        matched = filter_(records, spec)
+        outcome = {
+            "records": [tuple(getattr(r, f) for f in RedditRecord._fields) for r in records],
+            "matched": [(r.kind, r.id, r.body, r.title) for r in matched],
+            "documents": assemble(records, matched, spec=spec),
+            "documents_without_spec": assemble(records, matched),
+        }
+    return outcome, warnings
+
+
+# The window of every generated spec: 2020-03-01 to 2020-03-31, whole UTC days.
+WINDOW_FIRST = utc("2020-03-01", hour=0)
+WINDOW_LAST = utc("2020-03-31", hour=23) + 59 * 60 + 59
+EQUIVALENCE_SPECS = [
+    FilterSpec(("Covid", "MASK"), date(2020, 3, 1), date(2020, 3, 31)),
+    FilterSpec(("covid",), date(2020, 3, 1), date(2020, 3, 31), subreddits=("COVID", "nyc")),
+    FilterSpec(("mAsK",), date(2020, 3, 1), date(2020, 3, 31), subreddits=("Other",)),
+]
+POST_IDS = ("p1", "p2", "p3")
+COMMENT_IDS = ("c1", "c2", "c3")
+BAD_LINES = (
+    "{oops",
+    "[]",
+    '"text"',
+    "",
+    "  \t",
+    '{"id": "x"}',
+    '{"kind": "banana", "id": "x", "subreddit": "s", "created_utc": 1}',
+    '{"id": "x", "subreddit": "covid", "created_utc": "soon", "title": "covid"}',
+    "\ufeff{}",
+)
+
+created_values = st.sampled_from(
+    [WINDOW_FIRST - 1, WINDOW_FIRST, WINDOW_FIRST + 7200, WINDOW_LAST - 60, WINDOW_LAST, WINDOW_LAST + 1]
+).flatmap(lambda ts: st.sampled_from([ts, str(ts), float(ts)]))
+subreddit_names = st.sampled_from(["covid", "Covid", "NYC", "other"])
+texts = st.sampled_from(
+    ["weather", "Covid update", "wear a MASK", "CoViD and masks", "", "[removed]", "[deleted]"]
+)
+
+
+@st.composite
+def post_lines(draw, schema: str) -> str:
+    fields = {
+        "id": draw(st.sampled_from(POST_IDS)),
+        "subreddit": draw(subreddit_names),
+        "created_utc": draw(created_values),
+        "title": draw(texts),
+        "num_comments": draw(st.integers(0, 3)),
+    }
+    if schema == "native":
+        fields.update(kind="post", body=draw(texts))
+    else:
+        fields.update(selftext=draw(texts))
+    return json.dumps(fields)
+
+
+@st.composite
+def comment_lines(draw, schema: str) -> str:
+    parent = draw(st.sampled_from(POST_IDS + ("gone",)))
+    parent = draw(st.sampled_from([parent, f"t3_{parent}"]))
+    fields = {
+        "id": draw(st.sampled_from(COMMENT_IDS)),
+        "subreddit": draw(subreddit_names),
+        "created_utc": draw(created_values),
+        "body": draw(texts),
+    }
+    if schema == "native":
+        fields.update(kind="comment", parent_post_id=parent)
+    else:
+        fields.update(link_id=parent)
+    return json.dumps(fields)
+
+
+def dump_lines(schema: str):
+    line = st.one_of(post_lines(schema), comment_lines(schema), st.sampled_from(BAD_LINES))
+    padded = line.flatmap(lambda text: st.sampled_from([text, f" {text}", f"{text} "]))
+    return st.lists(st.one_of(line, padded), max_size=25)
+
+
+def _native(kind, rid, sub, created, text, parent=""):
+    fields = {"kind": kind, "id": rid, "subreddit": sub, "created_utc": created}
+    if kind == "post":
+        fields["title"] = text
+    else:
+        fields.update(body=text, parent_post_id=parent)
+    return json.dumps(fields)
+
+
+@settings(max_examples=300)
+@given(
+    schema_and_lines=st.sampled_from(["native", "pushshift"]).flatmap(
+        lambda schema: st.tuples(st.just(schema), dump_lines(schema))
+    ),
+    spec=st.sampled_from(EQUIVALENCE_SPECS),
+    on_error=st.sampled_from(["raise", "skip"]),
+)
+@example(
+    # p1: the first record wins over a later, matching one with another title
+    # p2: outside the subreddit set, with a matching comment
+    # c1: first seen in p3, which is not included; its later copy matches in p1
+    # c2: an orphan comment that matches
+    schema_and_lines=(
+        "native",
+        [
+            _native("post", "p1", "covid", WINDOW_FIRST, "weather"),
+            _native("post", "p1", "covid", WINDOW_FIRST, "Covid news"),
+            _native("post", "p2", "other", WINDOW_LAST, "weather"),
+            _native("comment", "c3", "Covid", WINDOW_LAST, "covid below p2", "p2"),
+            _native("post", "p3", "covid", WINDOW_LAST + 1, "weather"),
+            _native("comment", "c1", "covid", WINDOW_LAST, "no keyword", "p3"),
+            _native("comment", "c1", "covid", WINDOW_LAST, "COVID in p1", "t3_p1"),
+            _native("comment", "c2", "NYC", WINDOW_LAST, "covid", "gone"),
+            "{oops",
+        ],
+    ),
+    spec=EQUIVALENCE_SPECS[1],
+    on_error="skip",
+)
+def test_ingest_matches_the_reference_path(schema_and_lines, spec, on_error):
+    schema, lines = schema_and_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _ingest(
+            parse_dump, filter_records, assemble_documents,
+            "threadscope.corpus", path, schema, spec, on_error,
+        )
+        want = _ingest(
+            ref_parse_dump, ref_filter_records, ref_assemble_documents,
+            "tests.reference_ingest", path, schema, spec, on_error,
+        )
+    assert got == want
