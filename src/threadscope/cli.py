@@ -218,12 +218,14 @@ def _cmd_ingest(p: dict) -> Outputs:
     )
     matched = corpus.filter_records(records, spec)
     documents = corpus.assemble_documents(records, matched, spec=spec)
-    sentences: list[str] = []
-    for doc in documents:
-        for body in doc.comment_bodies:
-            sentences.extend(textprep.split_sentences(textprep.strip_urls(body)))
-    sentences = corpus.dedup_sentences(sentences)
-    stats = corpus.corpus_stats(documents)
+    body_sentences = [
+        [textprep.url_free_sentences(body) for body in doc.comment_bodies]
+        for doc in documents
+    ]
+    sentences = corpus.dedup_sentences(
+        sentence for bodies in body_sentences for body in bodies for sentence in body
+    )
+    stats = corpus.corpus_stats(documents, body_sentences)
     return {
         "documents.jsonl": lambda path: corpus.write_documents(documents, path),
         "sentences.txt": "\n".join(sentences) + "\n" if sentences else "",
@@ -244,8 +246,10 @@ def _cmd_preprocess(p: dict) -> Outputs:
     if p["stages"]:
         config = textprep.PipelineConfig(stages=tuple(p["stages"]))
     stoplist = textprep.load_stopwords(p["stoplist"]) if p["stoplist"] else None
+    # one memo of token surfaces for this run, freed when the handler returns
+    pipeline = textprep.CompiledPipeline(config, stoplist)
     for doc in documents:
-        textprep.preprocess_document(doc, config=config, stoplist=stoplist)
+        textprep.preprocess_document(doc, pipeline)
     return lambda path: corpus.write_documents(documents, path)
 
 

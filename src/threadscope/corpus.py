@@ -370,18 +370,28 @@ def dedup_sentences(sentences: Iterable[str]) -> list[str]:
     return out
 
 
-def corpus_stats(documents: Sequence[Document]) -> CorpusStats:
+def corpus_stats(
+    documents: Sequence[Document],
+    body_sentences: Iterable[Sequence[Sequence[str]]] | None = None,
+) -> CorpusStats:
     """Per-subreddit post/comment/sentence/word counts; sentences and words
-    are measured over URL-stripped comment bodies."""
+    are measured over URL-stripped comment bodies.  ``body_sentences``
+    holds each document's ``textprep.url_free_sentences`` per comment body,
+    for a caller that has split them already."""
+    if body_sentences is None:
+        body_sentences = (
+            [textprep.url_free_sentences(body) for body in doc.comment_bodies]
+            for doc in documents
+        )
     acc: dict[str, list[int]] = {}
-    for doc in documents:
+    for doc, bodies in zip(documents, body_sentences, strict=True):
         row = acc.setdefault(doc.subreddit, [0, 0, 0, 0])
         row[0] += 1
         row[1] += len(doc.comment_bodies)
-        for body in doc.comment_bodies:
-            stripped = textprep.strip_urls(body)
-            row[2] += len(textprep.split_sentences(stripped))
-            row[3] += len(stripped.split())
+        for sentences in bodies:
+            row[2] += len(sentences)
+            # no word spans a sentence boundary, which is always whitespace
+            row[3] += sum(len(sentence.split()) for sentence in sentences)
     rows = tuple(
         SubredditStats(name, *acc[name]) for name in sorted(acc)
     )

@@ -56,6 +56,10 @@ class FormatError(ThreadscopeError):
         self.reason = reason
 
 
+class ModelFormatError(ThreadscopeError):
+    """A saved tagger model file is missing fields or has mistyped ones."""
+
+
 class ManifestError(ThreadscopeError):
     """A run manifest file is missing fields or unreadable."""
 

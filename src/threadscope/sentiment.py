@@ -120,8 +120,7 @@ def analyze_entity_sentences(
     seen: set[str] = set()
     for doc in documents:
         for part in (doc.title, *doc.comment_bodies):
-            stripped = textprep.strip_urls(part)
-            for sentence in textprep.split_sentences(stripped):
+            for sentence in textprep.url_free_sentences(part):
                 if sentence in seen:
                     continue
                 seen.add(sentence)

@@ -10,12 +10,13 @@ across epochs.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyTrainingSetError
+from .errors import EmptyTrainingSetError, ModelFormatError
 from .nerdata import AnnotatedSentence, O_TAG, Span, bilou_to_spans, parse_tag
 from . import textprep
 
@@ -370,17 +371,52 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
         handle.write("\n")
 
 
-def load_model(path: str | Path) -> TaggerModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+def _finite_weight(value) -> float:
+    # a bool is an int; math.isfinite of a huge int raises OverflowError
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"weight {value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"weight {value!r} is not finite")
+    return float(value)
+
+
+def _model_from_json(payload) -> TaggerModel:
+    if not isinstance(payload, dict):
+        raise ValueError("model is not an object")
+    version = payload.get("version")
+    if isinstance(version, bool) or version != MODEL_VERSION:
+        raise ValueError(f"version must be {MODEL_VERSION}")
+    if payload.get("templates") != TEMPLATES_VERSION:
+        raise ValueError(f"templates must be {TEMPLATES_VERSION!r}")
+    labels = payload.get("labels")
+    if not isinstance(labels, list) or O_TAG not in labels:
+        raise ValueError(f"labels must be a list of tags holding {O_TAG!r}")
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValueError("labels must be a list of tags")
+        parse_tag(label)
+    weights = payload.get("weights")
+    if not isinstance(weights, dict) or not all(
+        isinstance(row, dict) for row in weights.values()
+    ):
+        raise ValueError("weights must map each feature to an object")
     return TaggerModel(
-        labels=list(payload["labels"]),
-        templates=payload["templates"],
+        labels=labels,
         weights={
-            feature: {label: float(v) for label, v in row.items()}
-            for feature, row in payload["weights"].items()
+            feature: {label: _finite_weight(v) for label, v in row.items()}
+            for feature, row in weights.items()
         },
     )
+
+
+def load_model(path: str | Path) -> TaggerModel:
+    """Read a model written by ``save_model``; a file that is not one
+    raises ModelFormatError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return _model_from_json(json.load(handle))
+        except (ValueError, OverflowError, RecursionError) as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -411,8 +447,7 @@ def detect_document_entities(
     mentions: list[tuple[str, str]] = []
     parts = [document.title, *document.comment_bodies]
     for part in parts:
-        stripped = textprep.strip_urls(part)
-        for sentence in textprep.split_sentences(stripped):
+        for sentence in textprep.url_free_sentences(part):
             tokens = textprep.tokenize(sentence)
             if not tokens:
                 continue

@@ -11,7 +11,7 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -39,29 +39,21 @@ _NUM_EXTRA = frozenset(".,-%/")
 
 @dataclass
 class Token:
-    """A single token: surface form, coarse POS tag, and lemma."""
+    """A single token: surface form and coarse POS tag."""
 
     surface: str
     pos: str = OTHER
-    lemma: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.lemma and self.surface:
-            self.lemma = self.surface.lower()
-
-    @property
-    def lower(self) -> str:
-        return self.surface.lower()
 
 
 @dataclass(frozen=True)
 class LemmaRules:
-    """Exception table plus ordered (pos, suffix, replacement, min_stem)
-    suffix rules; the first matching rule wins."""
+    """Exception table plus suffix rules grouped by POS: each POS maps to
+    its (suffix, replacement, min_stem) rules in file order, and the first
+    matching rule wins."""
 
     # exceptions[pos][form] with "" as the any-POS key
     exceptions: dict[str, dict[str, str]]
-    rules: tuple[tuple[str, str, str, int], ...]
+    rules: dict[str, tuple[tuple[str, str, int], ...]]
 
 
 def data_lines(
@@ -134,21 +126,22 @@ def load_lemma_rules(
     rules_path: str | Path | None = None,
     exceptions_path: str | Path | None = None,
 ) -> LemmaRules:
-    rules: list[tuple[str, str, str, int]] = []
+    by_pos: dict[str, list[tuple[str, str, int]]] = {}
     for _, line in data_lines(rules_path, "lemma_rules.txt"):
         parts = line.split("\t")
         # replacement may be the empty string
         pos, suffix = parts[0], parts[1]
         replacement = parts[2] if len(parts) > 2 else ""
         min_stem = int(parts[3]) if len(parts) > 3 else 0
-        rules.append((pos, suffix, replacement, min_stem))
+        by_pos.setdefault(pos, []).append((suffix, replacement, min_stem))
     exceptions: dict[str, dict[str, str]] = {"": {}}
     for _, line in data_lines(exceptions_path, "lemma_exceptions.txt"):
         parts = line.split("\t")
         form, lemma = parts[0].lower(), parts[1]
         pos = parts[2] if len(parts) > 2 else ""
         exceptions.setdefault(pos, {})[form] = lemma
-    return LemmaRules(exceptions=exceptions, rules=tuple(rules))
+    rules = {pos: tuple(group) for pos, group in by_pos.items()}
+    return LemmaRules(exceptions=exceptions, rules=rules)
 
 
 @lru_cache(maxsize=None)
@@ -201,6 +194,13 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     if tail:
         sentences.append(tail)
     return sentences
+
+
+def url_free_sentences(text: str) -> list[str]:
+    """The sentences of ``text`` once URLs are stripped, with the shipped
+    patterns and abbreviations: the one sentence stream that ingest, stats,
+    ner-tag and sentiment read."""
+    return split_sentences(strip_urls(text))
 
 
 def _is_word_char(ch: str) -> bool:
@@ -288,14 +288,9 @@ def lemmatize(token: Token, rules: LemmaRules | None = None) -> str:
         hit = rules.exceptions.get(key, {}).get(lower)
         if hit is not None:
             return hit
-    for pos, suffix, replacement, min_stem in rules.rules:
-        if pos != token.pos:
-            continue
-        if not lower.endswith(suffix):
-            continue
-        if len(lower) - len(suffix) < min_stem:
-            continue
-        return lower[: len(lower) - len(suffix)] + replacement
+    for suffix, replacement, min_stem in rules.rules.get(token.pos, ()):
+        if lower.endswith(suffix) and len(lower) - len(suffix) >= min_stem:
+            return lower[: len(lower) - len(suffix)] + replacement
     return lower
 
 
@@ -348,49 +343,34 @@ DEFAULT_STAGES: tuple[str, ...] = (
 @dataclass(frozen=True)
 class PipelineConfig:
     """Ordered cleaning stages; text-level stages must precede tokenize and
+    may not follow split_sentences, tokenize appears at most once, and
     pos_tag must precede lemmatize."""
 
     stages: tuple[str, ...] = DEFAULT_STAGES
 
     def __post_init__(self) -> None:
         seen_tokenize = False
+        seen_split = False
         seen_pos = False
         for stage in self.stages:
             if stage not in ALL_STAGES:
                 raise ValueError(f"unknown stage: {stage!r}")
             if stage == TOKENIZE:
+                if seen_tokenize:
+                    raise ValueError("tokenize may appear only once")
                 seen_tokenize = True
             elif stage in _TEXT_ONLY and seen_tokenize:
                 raise ValueError(f"stage {stage!r} must precede tokenize")
+            elif stage in _TEXT_ONLY and seen_split:
+                raise ValueError(f"stage {stage!r} must precede split_sentences")
             elif stage in _TOKEN_ONLY and not seen_tokenize:
                 raise ValueError(f"stage {stage!r} requires tokenize first")
-            if stage == POS_TAG:
+            if stage == SPLIT_SENTENCES:
+                seen_split = True
+            elif stage == POS_TAG:
                 seen_pos = True
             elif stage == LEMMATIZE and not seen_pos:
                 raise ValueError("lemmatize requires pos_tag first")
-
-
-@dataclass
-class _Resources:
-    stoplist: frozenset[str]
-    rules: LemmaRules
-    abbreviations: frozenset[str]
-    closed_class: dict[str, str]
-    verb_stems: frozenset[str]
-    url_patterns: tuple[re.Pattern[str], ...]
-
-
-def _default_resources(
-    stoplist: frozenset[str] | None, rules: LemmaRules | None
-) -> _Resources:
-    return _Resources(
-        stoplist=_default_stopwords() if stoplist is None else stoplist,
-        rules=_default_lemma_rules() if rules is None else rules,
-        abbreviations=_default_abbreviations(),
-        closed_class=_default_closed_class(),
-        verb_stems=_default_verb_stems(),
-        url_patterns=_default_url_patterns(),
-    )
 
 
 def _strip_non_ascii(s: str) -> str:
@@ -405,103 +385,108 @@ def _strip_punct(s: str) -> str:
     return "".join(ch for ch in s if _is_word_char(ch))
 
 
-def _map_tokens(sentences: list[list[Token]], fn) -> list[list[Token]]:
-    out: list[list[Token]] = []
-    for sent in sentences:
-        mapped = []
-        for tok in sent:
-            surface = fn(tok.surface)
-            if surface:
-                mapped.append(Token(surface=surface, pos=tok.pos))
-        out.append(mapped)
-    return out
+# Stages that rewrite a string; a token they empty is dropped.
+_STRIPPERS = {
+    LOWERCASE: str.lower,
+    REMOVE_NON_ASCII: _strip_non_ascii,
+    REMOVE_DIGITS: _strip_digits,
+    REMOVE_PUNCT: _strip_punct,
+}
+
+
+class CompiledPipeline:
+    """A PipelineConfig compiled once against its word lists.
+
+    The stages before tokenize run once per document, on the text or, after
+    split_sentences, on each sentence.  Every stage after tokenize depends
+    only on the token's surface (POS included), so they fold into one
+    function of the surface, run once per distinct surface and remembered
+    for the life of this object."""
+
+    def __init__(
+        self,
+        config: PipelineConfig | None = None,
+        stoplist: frozenset[str] | None = None,
+        rules: LemmaRules | None = None,
+    ) -> None:
+        stages = (config or PipelineConfig()).stages
+        cut = stages.index(TOKENIZE) if TOKENIZE in stages else len(stages)
+        self._text_stages = stages[:cut]
+        self._tokenizes = cut < len(stages)
+        self._surface_stages = stages[cut + 1 :]
+        self._stoplist = _default_stopwords() if stoplist is None else stoplist
+        self._rules = _default_lemma_rules() if rules is None else rules
+        self._closed_class = _default_closed_class()
+        self._verb_stems = _default_verb_stems()
+        self._memo: dict[str, str | None] = {}
+
+    def _pieces(self, text: str) -> list[str]:
+        """The text stages: one piece, or one per sentence once split."""
+        pieces = [text]
+        for stage in self._text_stages:
+            if stage == STRIP_URLS:
+                pieces = [strip_urls(pieces[0])]
+            elif stage == SPLIT_SENTENCES:
+                pieces = split_sentences(pieces[0])
+            else:
+                pieces = [_STRIPPERS[stage](piece) for piece in pieces]
+        return pieces
+
+    def _surface(self, surface: str) -> str | None:
+        """A token's final form, or None once a stage drops it.  A lemma
+        may be empty and is kept, as an empty token."""
+        pos = OTHER
+        for stage in self._surface_stages:
+            if stage == REMOVE_STOPWORDS:
+                if surface.lower() in self._stoplist:
+                    return None
+            elif stage == POS_TAG:
+                pos = _pos_for(surface.lower(), self._closed_class, self._verb_stems)
+            elif stage == LEMMATIZE:
+                surface = lemmatize(Token(surface, pos), self._rules)
+            else:
+                surface = _STRIPPERS[stage](surface)
+                if not surface:
+                    return None
+        return surface
+
+    def clean(self, text: str) -> str:
+        """The cleaned text, tokens joined by single spaces."""
+        pieces = self._pieces(text)
+        if not self._tokenizes:
+            return " ".join(" ".join(piece.split()) for piece in pieces)
+        memo = self._memo
+        out: list[str] = []
+        for piece in pieces:
+            for token in tokenize(piece):
+                try:
+                    cleaned = memo[token]
+                except KeyError:
+                    cleaned = memo[token] = self._surface(token)
+                if cleaned is not None:
+                    out.append(cleaned)
+        return " ".join(out)
 
 
 def preprocess_text(
     text: str,
-    config: PipelineConfig | None = None,
+    config: PipelineConfig | CompiledPipeline | None = None,
     stoplist: frozenset[str] | None = None,
     rules: LemmaRules | None = None,
 ) -> str:
     """Run the configured stages over raw text and return the cleaned,
-    single-spaced string."""
-    if config is None:
-        config = PipelineConfig()
-    res = _default_resources(stoplist, rules)
-
-    state_text: str | None = text
-    state_sentences: list[str] | None = None
-    state_tokens: list[list[Token]] | None = None
-
-    for stage in config.stages:
-        if stage == STRIP_URLS:
-            assert state_text is not None
-            state_text = strip_urls(state_text, res.url_patterns)
-        elif stage == SPLIT_SENTENCES:
-            assert state_text is not None
-            state_sentences = split_sentences(state_text, res.abbreviations)
-            state_text = None
-        elif stage == TOKENIZE:
-            if state_sentences is None:
-                assert state_text is not None
-                state_sentences = [state_text] if state_text.strip() else []
-            state_tokens = [
-                [Token(surface=t) for t in tokenize(sent)]
-                for sent in state_sentences
-            ]
-            state_sentences = None
-        elif stage == LOWERCASE:
-            if state_tokens is not None:
-                state_tokens = _map_tokens(state_tokens, str.lower)
-            elif state_sentences is not None:
-                state_sentences = [s.lower() for s in state_sentences]
-            else:
-                assert state_text is not None
-                state_text = state_text.lower()
-        elif stage == REMOVE_NON_ASCII:
-            if state_tokens is not None:
-                state_tokens = _map_tokens(state_tokens, _strip_non_ascii)
-            elif state_sentences is not None:
-                state_sentences = [_strip_non_ascii(s) for s in state_sentences]
-            else:
-                assert state_text is not None
-                state_text = _strip_non_ascii(state_text)
-        elif stage == REMOVE_STOPWORDS:
-            assert state_tokens is not None
-            state_tokens = [
-                [t for t in sent if t.lower not in res.stoplist]
-                for sent in state_tokens
-            ]
-        elif stage == REMOVE_DIGITS:
-            assert state_tokens is not None
-            state_tokens = _map_tokens(state_tokens, _strip_digits)
-        elif stage == REMOVE_PUNCT:
-            assert state_tokens is not None
-            state_tokens = _map_tokens(state_tokens, _strip_punct)
-        elif stage == POS_TAG:
-            assert state_tokens is not None
-            state_tokens = [
-                pos_tag([t.surface for t in sent], res.closed_class, res.verb_stems)
-                for sent in state_tokens
-            ]
-        elif stage == LEMMATIZE:
-            assert state_tokens is not None
-            state_tokens = [
-                [Token(surface=lemmatize(t, res.rules), pos=t.pos) for t in sent]
-                for sent in state_tokens
-            ]
-
-    if state_tokens is not None:
-        return " ".join(t.surface for sent in state_tokens for t in sent)
-    if state_sentences is not None:
-        return " ".join(" ".join(s.split()) for s in state_sentences)
-    assert state_text is not None
-    return " ".join(state_text.split())
+    single-spaced string.  Pass a CompiledPipeline as ``config`` to clean
+    many texts with one memo of token surfaces."""
+    if not isinstance(config, CompiledPipeline):
+        config = CompiledPipeline(config, stoplist, rules)
+    elif stoplist is not None or rules is not None:
+        raise ValueError("a compiled pipeline already holds its stoplist and rules")
+    return config.clean(text)
 
 
 def preprocess_document(
     document,
-    config: PipelineConfig | None = None,
+    config: PipelineConfig | CompiledPipeline | None = None,
     stoplist: frozenset[str] | None = None,
     rules: LemmaRules | None = None,
 ) -> str:

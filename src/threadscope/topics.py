@@ -370,11 +370,14 @@ def _add_sstats(sstats: np.ndarray, chunk: _Rows, step: _EStep) -> None:
         )
 
 
-def fit_lda(matrix: DocTermMatrix, config: LdaConfig) -> TopicModel:
+def fit_lda(
+    matrix: DocTermMatrix, config: LdaConfig, *, record_perplexity: bool = True
+) -> TopicModel:
     """Online variational Bayes with a seeded gamma-distributed lambda
-    initialization and per-epoch document shuffling; records per-epoch
-    training perplexity from the variational bound and the number of
-    training E-steps stopped by max_e_iters."""
+    initialization and per-epoch document shuffling; records the number of
+    training E-steps stopped by max_e_iters per epoch and, unless
+    ``record_perplexity`` is off, per-epoch training perplexity from the
+    variational bound (a full E-step pass over the corpus each)."""
     if matrix.n_docs == 0:
         raise EmptyCorpusError("cannot fit topics on an empty corpus")
     if matrix.n_terms == 0:
@@ -405,7 +408,8 @@ def fit_lda(matrix: DocTermMatrix, config: LdaConfig) -> TopicModel:
             lam = (1 - rho) * lam + rho * lam_hat
             t += 1
         model.lam = lam
-        model.epoch_perplexities.append(perplexity(lam, matrix, config))
+        if record_perplexity:
+            model.epoch_perplexities.append(perplexity(lam, matrix, config))
         model.epoch_cap_hits.append(cap_hits)
     return model
 
@@ -634,7 +638,8 @@ def monthly_side_topics(
             seed=config.seed,
             top_n=config.top_n,
         )
-        model = fit_lda(matrix, month_config)
+        # no side model's perplexity is written anywhere
+        model = fit_lda(matrix, month_config, record_perplexity=False)
         model.vocab = vocab
         lists = top_words(model)
         results.append(

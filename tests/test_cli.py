@@ -244,6 +244,41 @@ def test_ingest_golden_bytes(tmp_path, fixtures, schema):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the documents file `preprocess` writes from each golden ingest,
+# recorded before the stages were compiled into per-document text stages
+# and one memoized per-surface function.  "custom" reorders the stages
+# (lowercase and non-ASCII stripping on text and on sentences, punctuation
+# before POS, stopwords last) and brings its own stoplist.
+CUSTOM_STAGES = (
+    "lowercase,strip_urls,split_sentences,remove_non_ascii,tokenize,"
+    "remove_punct,pos_tag,remove_digits,lemmatize,remove_stopwords"
+)
+GOLDEN_PREPROCESS = {
+    ("native", "default"):
+        "f2cad7c642938b7cb932232db23b4091019bedbb802b1dfd614ea8e828fc0919",
+    ("native", "custom"):
+        "21b61332d871f0376cd75f27ee724cae1a4d1be4b912112acf390bd89489a81f",
+    ("pushshift", "default"):
+        "70542b0fb3d4216966e68925126d42e325efd8661a7f13f6bea01323d99bd594",
+    ("pushshift", "custom"):
+        "9e63487164173887c55259a297bb41e3a0e45c0bee61f1eeb1f008e2cf0dac00",
+}
+
+
+@pytest.mark.parametrize("schema,stages", list(GOLDEN_PREPROCESS))
+def test_preprocess_golden_bytes(tmp_path, fixtures, schema, stages):
+    _golden_ingest(schema, fixtures, tmp_path)
+    argv = ["preprocess", "--in", str(tmp_path / "documents.jsonl")]
+    if stages == "custom":
+        stoplist = tmp_path / "stoplist.txt"
+        stoplist.write_text("# custom\ncovid\nmask\nthe\n", encoding="utf-8")
+        argv += ["--stages", CUSTOM_STAGES, "--stoplist", str(stoplist)]
+    out = tmp_path / "clean.jsonl"
+    assert run([*argv, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_PREPROCESS[schema, stages]
+
+
 def test_ingest_pushshift_fixture_keeps_the_first_records(tmp_path, fixtures):
     _golden_ingest("pushshift", fixtures, tmp_path)
     docs = [json.loads(line) for line in (tmp_path / "documents.jsonl").read_text().splitlines()]
@@ -469,6 +504,22 @@ def test_ner_train_and_eval(fixtures, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "category\tprecision\trecall\tf1"
     assert out.splitlines()[-1].startswith("micro\t")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{}", '{"labels": ["O"], "templates": 5, "weights": {}}',
+     '{"version": 1, "labels": ["O"], "templates": 5, "weights": {}}'],
+    ids=["empty", "mistyped", "mistyped-with-version"],
+)
+def test_ner_eval_rejects_malformed_model(fixtures, tmp_path, capsys, text):
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    argv = ["ner-eval", "--model", str(model), "--eval", str(fixtures / "annotated_eval.tsv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("threadscope ner-eval: error: ")
 
 
 def test_ner_train_warns_without_entity_tags(fixtures, tmp_path, capsys):

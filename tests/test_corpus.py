@@ -31,6 +31,7 @@ from threadscope.corpus import (
     stats_table,
     write_documents,
 )
+from threadscope import textprep
 from threadscope.errors import DumpParseError, UnknownSchemaError
 
 
@@ -528,6 +529,53 @@ def test_corpus_stats_fixture_golden(fixtures):
     assert stats.total.comments == 20
     assert stats.total.sentences == 44
     assert stats.total.wordcount == 367
+
+
+def reference_corpus_stats(documents) -> dict[str, list[int]]:
+    """The counts as corpus_stats computed them before it read sentence
+    lists: words over each whole URL-stripped body."""
+    acc: dict[str, list[int]] = {}
+    for doc in documents:
+        row = acc.setdefault(doc.subreddit, [0, 0, 0, 0])
+        row[0] += 1
+        row[1] += len(doc.comment_bodies)
+        for body in doc.comment_bodies:
+            stripped = textprep.strip_urls(body)
+            row[2] += len(textprep.split_sentences(stripped))
+            row[3] += len(stripped.split())
+    return acc
+
+
+BODY_PARTS = ["Stay home.", "Dr. Who", "U.S.", "e.g. this", "wow!!", "why?", "...",
+              "https://x.io/a.b", "www.example.org.", "a.b", "\u2003", "\x0b", "\n", " "]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.lists(
+                st.lists(st.one_of(st.sampled_from(BODY_PARTS), st.text(max_size=5)), max_size=8)
+                .map(" ".join),
+                max_size=4,
+            ),
+        ),
+        max_size=5,
+    )
+)
+def test_corpus_stats_from_sentence_lists_match_the_reference(threads):
+    docs = [
+        Document(post_id=f"p{i}", subreddit=sub, created_utc=0, title="t", comment_bodies=bodies)
+        for i, (sub, bodies) in enumerate(threads)
+    ]
+    body_sentences = [
+        [textprep.url_free_sentences(body) for body in doc.comment_bodies] for doc in docs
+    ]
+    expected = reference_corpus_stats(docs)
+    for stats in (corpus_stats(docs), corpus_stats(docs, body_sentences)):
+        assert {row.subreddit: [row.posts, row.comments, row.sentences, row.wordcount]
+                for row in stats.rows} == expected
 
 
 def test_stats_table_layout():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadscope.errors import EmptyTrainingSetError
+from threadscope.errors import EmptyTrainingSetError, ModelFormatError
 from threadscope.nerdata import AnnotatedSentence, Span, parse_tag, validate_bilou
 from threadscope.report import counts_from_mentions
 from threadscope.tagger import (
@@ -586,6 +586,45 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.labels == model.labels
     assert loaded.templates == model.templates
     assert loaded.weights == model.weights
+
+
+GOOD_MODEL = '{"version": 1, "labels": ["O", "U-PPE"], "templates": "v1", "weights": {"bias": {"O": 1.5, "U-PPE": -2}}}'
+BAD_MODELS = {
+    "not-json": "{",
+    "not-an-object": "[]",
+    "empty": "{}",
+    "no-version": '{"labels": ["O"], "templates": 5, "weights": {}}',
+    "version=2": GOOD_MODEL.replace('"version": 1', '"version": 2'),
+    "version=true": GOOD_MODEL.replace('"version": 1', '"version": true'),
+    "templates=5": GOOD_MODEL.replace('"v1"', "5"),
+    "labels-not-a-list": GOOD_MODEL.replace('["O", "U-PPE"]', '"O"'),
+    "label-not-a-string": GOOD_MODEL.replace('["O", "U-PPE"]', '["O", 7]'),
+    "malformed-label": GOOD_MODEL.replace('["O", "U-PPE"]', '["O", "X-PPE"]'),
+    "labels-without-O": GOOD_MODEL.replace('["O", "U-PPE"]', '["U-PPE"]'),
+    "weights-not-an-object": GOOD_MODEL.replace('{"bias": {"O": 1.5, "U-PPE": -2}}', "[]"),
+    "row-not-an-object": GOOD_MODEL.replace('{"O": 1.5, "U-PPE": -2}', "1.5"),
+    "weight-string": GOOD_MODEL.replace("1.5", '"1.5"'),
+    "weight-bool": GOOD_MODEL.replace("1.5", "true"),
+    "weight-nan": GOOD_MODEL.replace("1.5", "NaN"),
+    "weight-huge-int": GOOD_MODEL.replace("1.5", "9" * 400),
+}
+
+
+def test_load_model_reads_a_valid_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(GOOD_MODEL)
+    model = load_model(path)
+    assert model.labels == ["O", "U-PPE"]
+    assert model.weights == {"bias": {"O": 1.5, "U-PPE": -2.0}}
+    assert tag_tokens(model, ["mask"]) == ["O"]
+
+
+@pytest.mark.parametrize("text", BAD_MODELS.values(), ids=list(BAD_MODELS))
+def test_load_model_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match="model.json: "):
+        load_model(path)
 
 
 # ---------------------------------------------------------------- counting

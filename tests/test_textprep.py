@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadscope import textprep
@@ -154,6 +157,19 @@ def test_pipeline_rejects_text_stage_after_tokenize():
         PipelineConfig(stages=("tokenize", "split_sentences"))
 
 
+@pytest.mark.parametrize(
+    "stages",
+    [
+        ("split_sentences", "strip_urls", "tokenize"),
+        ("split_sentences", "split_sentences"),
+        ("tokenize", "lowercase", "tokenize"),
+    ],
+)
+def test_pipeline_rejects_orders_the_stages_cannot_run(stages):
+    with pytest.raises(ValueError):
+        PipelineConfig(stages=stages)
+
+
 def test_pipeline_lemmatize_requires_pos_tag():
     with pytest.raises(ValueError):
         PipelineConfig(stages=("tokenize", "lemmatize"))
@@ -192,3 +208,286 @@ def test_preprocess_document_sets_cleaned_text():
     doc = Doc()
     textprep.preprocess_document(doc)
     assert doc.cleaned_text == "mask require see"
+
+
+# ---------------------------------------------------------------- reference
+# A verbatim copy of the per-stage pipeline that the compiled one replaced:
+# every stage rebuilds a Token per token, pos_tag runs per sentence and
+# lemmatize scans every suffix rule.  The compiled path must give the same
+# string for every valid stage order, stoplist and rule set.
+
+
+@dataclass
+class RefToken:
+    surface: str
+    pos: str = textprep.OTHER
+    lemma: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.lemma and self.surface:
+            self.lemma = self.surface.lower()
+
+    @property
+    def lower(self) -> str:
+        return self.surface.lower()
+
+
+@dataclass(frozen=True)
+class RefLemmaRules:
+    exceptions: dict[str, dict[str, str]]
+    rules: tuple[tuple[str, str, str, int], ...]
+
+
+def ref_load_lemma_rules(rules_path=None, exceptions_path=None) -> RefLemmaRules:
+    rules: list[tuple[str, str, str, int]] = []
+    for _, line in textprep.data_lines(rules_path, "lemma_rules.txt"):
+        parts = line.split("\t")
+        pos, suffix = parts[0], parts[1]
+        replacement = parts[2] if len(parts) > 2 else ""
+        min_stem = int(parts[3]) if len(parts) > 3 else 0
+        rules.append((pos, suffix, replacement, min_stem))
+    exceptions: dict[str, dict[str, str]] = {"": {}}
+    for _, line in textprep.data_lines(exceptions_path, "lemma_exceptions.txt"):
+        parts = line.split("\t")
+        form, lemma = parts[0].lower(), parts[1]
+        pos = parts[2] if len(parts) > 2 else ""
+        exceptions.setdefault(pos, {})[form] = lemma
+    return RefLemmaRules(exceptions=exceptions, rules=tuple(rules))
+
+
+def ref_pos_tag(tokens, closed_class, verb_stems) -> list[RefToken]:
+    return [
+        RefToken(surface=t, pos=textprep._pos_for(t.lower(), closed_class, verb_stems))
+        for t in tokens
+    ]
+
+
+def ref_lemmatize(token: RefToken, rules: RefLemmaRules) -> str:
+    lower = token.surface.lower()
+    for key in (token.pos, ""):
+        hit = rules.exceptions.get(key, {}).get(lower)
+        if hit is not None:
+            return hit
+    for pos, suffix, replacement, min_stem in rules.rules:
+        if pos != token.pos:
+            continue
+        if not lower.endswith(suffix):
+            continue
+        if len(lower) - len(suffix) < min_stem:
+            continue
+        return lower[: len(lower) - len(suffix)] + replacement
+    return lower
+
+
+def ref_map_tokens(sentences, fn):
+    out = []
+    for sent in sentences:
+        mapped = []
+        for tok in sent:
+            surface = fn(tok.surface)
+            if surface:
+                mapped.append(RefToken(surface=surface, pos=tok.pos))
+        out.append(mapped)
+    return out
+
+
+def ref_preprocess_text(text, stages, stoplist, rules: RefLemmaRules) -> str:
+    res = SimpleNamespace(
+        stoplist=textprep.load_stopwords() if stoplist is None else stoplist,
+        url_patterns=textprep.load_url_patterns(),
+        abbreviations=textprep.load_abbreviations(),
+        closed_class=textprep.load_closed_class(),
+        verb_stems=textprep.load_verb_stems(),
+    )
+    state_text = text
+    state_sentences = None
+    state_tokens = None
+    for stage in stages:
+        if stage == textprep.STRIP_URLS:
+            assert state_text is not None
+            state_text = strip_urls(state_text, res.url_patterns)
+        elif stage == textprep.SPLIT_SENTENCES:
+            assert state_text is not None
+            state_sentences = split_sentences(state_text, res.abbreviations)
+            state_text = None
+        elif stage == textprep.TOKENIZE:
+            if state_sentences is None:
+                assert state_text is not None
+                state_sentences = [state_text] if state_text.strip() else []
+            state_tokens = [
+                [RefToken(surface=t) for t in tokenize(sent)]
+                for sent in state_sentences
+            ]
+            state_sentences = None
+        elif stage == textprep.LOWERCASE:
+            if state_tokens is not None:
+                state_tokens = ref_map_tokens(state_tokens, str.lower)
+            elif state_sentences is not None:
+                state_sentences = [s.lower() for s in state_sentences]
+            else:
+                assert state_text is not None
+                state_text = state_text.lower()
+        elif stage == textprep.REMOVE_NON_ASCII:
+            if state_tokens is not None:
+                state_tokens = ref_map_tokens(state_tokens, textprep._strip_non_ascii)
+            elif state_sentences is not None:
+                state_sentences = [textprep._strip_non_ascii(s) for s in state_sentences]
+            else:
+                assert state_text is not None
+                state_text = textprep._strip_non_ascii(state_text)
+        elif stage == textprep.REMOVE_STOPWORDS:
+            assert state_tokens is not None
+            state_tokens = [
+                [t for t in sent if t.lower not in res.stoplist]
+                for sent in state_tokens
+            ]
+        elif stage == textprep.REMOVE_DIGITS:
+            assert state_tokens is not None
+            state_tokens = ref_map_tokens(state_tokens, textprep._strip_digits)
+        elif stage == textprep.REMOVE_PUNCT:
+            assert state_tokens is not None
+            state_tokens = ref_map_tokens(state_tokens, textprep._strip_punct)
+        elif stage == textprep.POS_TAG:
+            assert state_tokens is not None
+            state_tokens = [
+                ref_pos_tag([t.surface for t in sent], res.closed_class, res.verb_stems)
+                for sent in state_tokens
+            ]
+        elif stage == textprep.LEMMATIZE:
+            assert state_tokens is not None
+            state_tokens = [
+                [RefToken(surface=ref_lemmatize(t, rules), pos=t.pos) for t in sent]
+                for sent in state_tokens
+            ]
+
+    if state_tokens is not None:
+        return " ".join(t.surface for sent in state_tokens for t in sent)
+    if state_sentences is not None:
+        return " ".join(" ".join(s.split()) for s in state_sentences)
+    assert state_text is not None
+    return " ".join(state_text.split())
+
+
+# ---------------------------------------------------------------- equivalence
+
+# Extra rules that empty a lemma, which the pipeline keeps as an empty token.
+EMPTYING_RULES = "NOUN\tmask\t\t0\nVERB\ting\t\t0\n"
+EMPTYING_EXCEPTIONS = "gone\t\nthe\t\tDET\n"
+
+WORDS = [
+    "Testing", "opened", "studies", "goes", "is", "children", "viruses", "the",
+    "The", "MASK", "masks", "mask", "sanitizers", "quickly", "dangerous",
+    "COVID-19", "covid19", "N95", "123", "4.5%", "1/2", "-7", "2020-03-01",
+    "https://x.io/a?b=1", "www.example.org.", "http://t.co", "Dr.", "U.S.",
+    "e.g.", "Café", "naïve", "Δelta", "日本", "ﬁne", "İstanbul", "ß",
+    "!", "?", "...", "(mask)", "'quoted'", '"hi"', "—", "--", "under_score",
+    "_", "ing", "s", "es", "ies", "gone", "Went", "opens", "x", "",
+]
+SEPARATORS = [" ", "  ", "\n", ". ", "! ", "? ", ".", " \t "]
+
+TEXT_STAGES = [textprep.STRIP_URLS, textprep.LOWERCASE, textprep.REMOVE_NON_ASCII]
+SENTENCE_STAGES = [textprep.LOWERCASE, textprep.REMOVE_NON_ASCII]
+TOKEN_STAGES = [
+    textprep.REMOVE_STOPWORDS,
+    textprep.REMOVE_DIGITS,
+    textprep.POS_TAG,
+    textprep.LEMMATIZE,
+    textprep.REMOVE_NON_ASCII,
+    textprep.LOWERCASE,
+    textprep.REMOVE_PUNCT,
+]
+
+
+@st.composite
+def stage_orders(draw) -> tuple[str, ...]:
+    """Any order PipelineConfig accepts: text stages, an optional split,
+    sentence stages, an optional tokenize, then token stages with every
+    lemmatize after some pos_tag."""
+    stages = draw(st.lists(st.sampled_from(TEXT_STAGES), max_size=3))
+    if draw(st.booleans()):
+        stages.append(textprep.SPLIT_SENTENCES)
+        stages += draw(st.lists(st.sampled_from(SENTENCE_STAGES), max_size=2))
+    if draw(st.booleans()):
+        stages.append(textprep.TOKENIZE)
+        tagged = False
+        for stage in draw(st.lists(st.sampled_from(TOKEN_STAGES), max_size=9)):
+            if stage == textprep.LEMMATIZE and not tagged:
+                continue
+            tagged = tagged or stage == textprep.POS_TAG
+            stages.append(stage)
+    return tuple(stages)
+
+
+texts = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(WORDS), st.text(max_size=6)),
+        st.sampled_from(SEPARATORS),
+    ),
+    max_size=24,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+stoplists = st.one_of(
+    st.none(),
+    st.frozensets(st.sampled_from([w.lower() for w in WORDS]), max_size=8),
+)
+
+
+@pytest.fixture(scope="module")
+def rule_sets(tmp_path_factory):
+    """(new, reference) rule pairs: the shipped rules, and the shipped
+    rules plus some that empty a lemma."""
+    folder = tmp_path_factory.mktemp("rules")
+    shipped = textprep.data_lines(None, "lemma_rules.txt")
+    rules = folder / "rules.txt"
+    rules.write_text(
+        EMPTYING_RULES + "".join(line + "\n" for _, line in shipped), encoding="utf-8"
+    )
+    exceptions = folder / "exceptions.txt"
+    exceptions.write_text(EMPTYING_EXCEPTIONS, encoding="utf-8")
+    return [
+        (None, ref_load_lemma_rules()),
+        (
+            textprep.load_lemma_rules(rules, exceptions),
+            ref_load_lemma_rules(rules, exceptions),
+        ),
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=texts,
+    stages=stage_orders(),
+    stoplist=stoplists,
+    which_rules=st.sampled_from([0, 1]),
+)
+def test_compiled_pipeline_matches_reference(rule_sets, text, stages, stoplist, which_rules):
+    rules, ref_rules = rule_sets[which_rules]
+    config = PipelineConfig(stages=stages)
+    expected = ref_preprocess_text(text, stages, stoplist, ref_rules)
+    assert preprocess_text(text, config, stoplist, rules) == expected
+    # one memo over many texts gives each text's own result
+    pipeline = textprep.CompiledPipeline(config, stoplist, rules)
+    assert pipeline.clean(text) == expected
+    assert pipeline.clean(text + " " + text) == ref_preprocess_text(
+        text + " " + text, stages, stoplist, ref_rules
+    )
+    assert pipeline.clean(text) == expected
+
+
+def test_an_empty_lemma_stays_an_empty_token(rule_sets):
+    rules, ref_rules = rule_sets[1]
+    stages = (textprep.TOKENIZE, textprep.POS_TAG, textprep.LEMMATIZE)
+    text = "the mask is gone now"
+    expected = ref_preprocess_text(text, stages, frozenset(), ref_rules)
+    assert expected == "  is  now"
+    assert preprocess_text(text, PipelineConfig(stages), frozenset(), rules) == expected
+
+
+@given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80))
+def test_lemma_rules_indexed_by_pos_match_the_linear_scan(text):
+    rules, ref_rules = textprep.load_lemma_rules(), ref_load_lemma_rules()
+    for word in text.split() + WORDS:
+        for pos in sorted(textprep.POS_TAGS):
+            assert lemmatize(Token(word, pos), rules) == ref_lemmatize(
+                RefToken(word, pos), ref_rules
+            )

@@ -16,6 +16,7 @@ from threadscope.errors import (
     EmptyVocabularyError,
     NoAssignedDocumentsError,
 )
+from threadscope import topics
 from threadscope.topics import (
     DocTermMatrix,
     LdaConfig,
@@ -400,6 +401,19 @@ def test_fit_lda_records_per_epoch_perplexity():
     assert model.epoch_perplexities[-1] < model.epoch_perplexities[0]
 
 
+def test_fit_lda_without_perplexity_fits_the_same_model(monkeypatch):
+    matrix = two_cluster_matrix()
+    config = LdaConfig(k=2, batch_size=8, epochs=3, seed=42)
+    recorded = fit_lda(matrix, config)
+    calls = []
+    monkeypatch.setattr(topics, "perplexity", lambda *args: calls.append(args))
+    skipped = fit_lda(matrix, config, record_perplexity=False)
+    assert calls == []
+    assert skipped.epoch_perplexities == []
+    assert skipped.lam.tobytes() == recorded.lam.tobytes()
+    assert skipped.epoch_cap_hits == recorded.epoch_cap_hits
+
+
 def test_fit_lda_separates_planted_clusters():
     matrix = two_cluster_matrix()
     model = fit_lda(matrix, LdaConfig(k=2, batch_size=8, epochs=6, seed=42))
@@ -568,6 +582,17 @@ def test_monthly_side_topics_fits_and_skips():
     assert all(len(topic) == 3 for topic in fitted.topics)
     assert thin.skipped and "min_docs" in thin.reason
     assert sparse.skipped and "min_df" in sparse.reason
+
+
+def test_monthly_side_topics_computes_no_perplexity(monkeypatch):
+    march = month_docs(0, ["mask test", "mask test fever", "mask fever zoom",
+                           "mask test zoom", "mask fever", "test zoom"])
+    config = LdaConfig(k=2, batch_size=8, epochs=2, seed=42, top_n=3)
+    calls = []
+    monkeypatch.setattr(topics, "perplexity", lambda *args: calls.append(args))
+    (fitted,) = monthly_side_topics(march, config, min_df=2)
+    assert not fitted.skipped
+    assert calls == []
 
 
 # ---------------------------------------------------------------- persistence
