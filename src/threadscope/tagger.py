@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyTrainingSetError, ModelFormatError
 from .nerdata import AnnotatedSentence, O_TAG, Span, bilou_to_spans, parse_tag
@@ -126,10 +126,55 @@ def _allowed_labels(labels: Sequence[str], prev_tag: str, is_last: bool) -> list
     ]
 
 
+class _Word:
+    """The feature strings of one distinct word: its own ``w=`` and
+    ``shape=`` features and affixes, and the ``prev=``/``next=`` features
+    it gives the positions beside it.  ``extract_features`` at a position
+    is ``features(word before, word after, previous tag)``.  Shapes and
+    affixes recur across words; given ``shared``, a word takes the copy
+    of each that ``shared`` already holds."""
+
+    __slots__ = ("own", "prev", "next", "affixes")
+
+    def __init__(self, word: str, shared: dict[str, str] | None = None) -> None:
+        lower = word.lower()
+        shape = f"shape={word_shape(word)}"
+        self.prev = f"prev={lower}"
+        self.next = f"next={lower}"
+        affixes: list[str] = []
+        for k in (1, 2, 3):
+            if len(lower) >= k:
+                affixes += (f"pre{k}={lower[:k]}", f"suf{k}={lower[-k:]}")
+        if shared is not None:
+            shape = shared.setdefault(shape, shape)
+            affixes = [shared.setdefault(affix, affix) for affix in affixes]
+        self.own = ("bias", f"w={lower}", shape)
+        self.affixes = tuple(affixes)
+
+    def features(self, before: _Word, after: _Word, prev_tag: str) -> list[str]:
+        return [*self.own, before.prev, after.next, f"ptag={prev_tag}", *self.affixes]
+
+
+def _word_rows(rows: dict[str, list[float]], word: _Word) -> tuple:
+    """A word's weight rows: (its ``bias``, ``w=`` and ``shape=`` rows,
+    its ``prev=`` row, its ``next=`` row, its affix rows), in feature
+    order.  A missing own or affix row is left out; a missing ``prev=`` or
+    ``next=`` row is None.  Tuples, as the memo keeps one per word."""
+    get = rows.get
+    return (
+        tuple([row for feature in word.own if (row := get(feature)) is not None]),
+        get(word.prev),
+        get(word.next),
+        tuple([row for feature in word.affixes if (row := get(feature)) is not None]),
+    )
+
+
 class _Rows:
     """Weights as one list of floats per feature, aligned to ``columns``,
     plus the allowed (label, column) pairs per (prev_tag, is_last), built
-    once each."""
+    once each.  ``fixed_rows`` memoizes each word's rows, so it serves
+    only weights that no longer change; training looks rows up afresh for
+    every decode."""
 
     def __init__(
         self,
@@ -141,6 +186,7 @@ class _Rows:
         self.column: dict[str, int] = {}
         for j, label in enumerate(columns):
             self.column.setdefault(label, j)
+        self.ptag = {label: f"ptag={label}" for label in (O_TAG, *columns)}
         self.zeros = [0.0] * len(columns)
         self.rows: dict[str, list[float]] = {}
         for feature, row in weights.items():
@@ -151,6 +197,8 @@ class _Rows:
                     aligned[j] = value
             self.rows[feature] = aligned
         self._candidates: dict[tuple[str, bool], list[tuple[str, int]]] = {}
+        # word -> its _word_rows
+        self._memo: dict[str, tuple] = {}
 
     def candidates(self, prev_tag: str, is_last: bool) -> list[tuple[str, int]]:
         key = (prev_tag, is_last)
@@ -161,6 +209,18 @@ class _Rows:
                 for label in _allowed_labels(self.labels, prev_tag, is_last)
             ]
             self._candidates[key] = found
+        return found
+
+    def fixed_rows(self, tokens: Sequence[str]) -> list[tuple]:
+        """``_word_rows`` of the sentence edges and each token, looked up
+        once per distinct word; only for weights that no longer change."""
+        memo = self._memo
+        found = []
+        for word in (START_WORD, *tokens, END_WORD):
+            looked = memo.get(word)
+            if looked is None:
+                looked = memo[word] = _word_rows(self.rows, _Word(word))
+            found.append(looked)
         return found
 
 
@@ -178,24 +238,25 @@ def _compiled(model: TaggerModel) -> _Rows:
     return model._rows
 
 
-def _decode(
-    compiled: _Rows, tokens: Sequence[str]
-) -> tuple[list[str], list[list[str]]]:
-    """Greedy constrained decode; returns tags and per-position features.
+def _decode(compiled: _Rows, sentence_rows: Sequence[tuple]) -> list[str]:
+    """Greedy constrained decode of a sentence given as ``_word_rows`` of
+    its start edge, each word and its end edge.
 
     Each candidate's score adds its weights in feature order, starting at
     0.0, and the first candidate in label order wins a tie."""
-    rows = compiled.rows
+    get = compiled.rows.get
+    ptag = compiled.ptag
     tags: list[str] = []
-    feature_lists: list[list[str]] = []
     prev = O_TAG
-    n = len(tokens)
-    for i in range(n):
-        features = extract_features(tokens, i, prev)
-        found = [
-            row for feature in features if (row := rows.get(feature)) is not None
-        ]
-        candidates = compiled.candidates(prev, i == n - 1)
+    last = len(sentence_rows) - 2
+    for i in range(1, last + 1):
+        own, _, _, affixes = sentence_rows[i]
+        found = list(own)
+        for row in (sentence_rows[i - 1][1], sentence_rows[i + 1][2], get(ptag[prev])):
+            if row is not None:
+                found.append(row)
+        found += affixes
+        candidates = compiled.candidates(prev, i == last)
         best, best_score = candidates[0][0], None
         for label, j in candidates:
             score = 0.0
@@ -204,16 +265,36 @@ def _decode(
             if best_score is None or score > best_score:
                 best, best_score = label, score
         tags.append(best)
-        feature_lists.append(features)
         prev = best
-    return tags, feature_lists
+    return tags
+
+
+def _sentence_words(sentences: Iterable[Sequence[str]]) -> list[list[_Word]]:
+    """Each sentence as the entries of its start edge, tokens and end
+    edge, one entry per distinct word."""
+    entries: dict[str, _Word] = {}
+    shared: dict[str, str] = {}
+    found = []
+    for tokens in sentences:
+        words = []
+        for word in (START_WORD, *tokens, END_WORD):
+            entry = entries.get(word)
+            if entry is None:
+                entry = entries[word] = _Word(word, shared)
+            words.append(entry)
+        found.append(words)
+    return found
 
 
 def train_tagger(
     train: Sequence[AnnotatedSentence], config: TrainConfig
 ) -> TaggerModel:
     """Averaged perceptron training over seeded shuffles and compounding
-    batches; updates are collected per batch and applied at batch end."""
+    batches; updates are collected per batch and applied at batch end.
+
+    Each sentence is kept as its words' feature entries, one per distinct
+    word, and a decode is reused while no weight has changed since it ran:
+    a decode reads nothing but the words and the weight rows."""
     if not train:
         raise EmptyTrainingSetError("no training sentences")
     categories = sorted(
@@ -229,6 +310,10 @@ def train_tagger(
     compiled = _Rows(labels, labels, {})
     weights = compiled.rows
     column = compiled.column
+    sentences = _sentence_words(sentence.tokens for sentence in train)
+    # the tags of each sentence's last decode, and the weights version it read
+    decoded: list[tuple[int, list[str]] | None] = [None] * len(train)
+    version = 0
     # sparse: only the (feature, label) pairs ever updated
     totals: dict[str, dict[str, float]] = {}
     stamps: dict[str, dict[str, int]] = {}
@@ -237,6 +322,8 @@ def train_tagger(
     step = 0
 
     def apply(feature: str, label: str, delta: float) -> None:
+        nonlocal version
+        version += 1
         row = weights.get(feature)
         if row is None:
             row = weights[feature] = list(compiled.zeros)
@@ -256,13 +343,21 @@ def train_tagger(
             cursor += size
             updates: list[tuple[list[str], str, str]] = []
             for index in batch:
-                sentence = train[index]
-                predicted, feature_lists = _decode(compiled, sentence.tokens)
-                for features, gold, pred in zip(
-                    feature_lists, sentence.tags, predicted
-                ):
+                words = sentences[index]
+                last = decoded[index]
+                if last is not None and last[0] == version:
+                    predicted = last[1]
+                else:
+                    predicted = _decode(
+                        compiled, [_word_rows(weights, word) for word in words]
+                    )
+                    decoded[index] = (version, predicted)
+                prev = O_TAG
+                for i, (gold, pred) in enumerate(zip(train[index].tags, predicted), 1):
                     if gold != pred:
+                        features = words[i].features(words[i - 1], words[i + 1], prev)
                         updates.append((features, gold, pred))
+                    prev = pred
             step += 1
             for features, gold, pred in updates:
                 for feature in features:
@@ -287,8 +382,8 @@ def train_tagger(
 
 def tag_tokens(model: TaggerModel, tokens: Sequence[str]) -> list[str]:
     """Greedy left-to-right decode; output is always strictly BILOU-valid."""
-    tags, _ = _decode(_compiled(model), tokens)
-    return tags
+    compiled = _compiled(model)
+    return _decode(compiled, compiled.fixed_rows(tokens))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 # Coarse POS tags.
 NOUN = "NOUN"
@@ -223,12 +223,6 @@ def tokenize(sentence: str) -> list[str]:
             tokens.append(chunk[left:right])
         tokens.extend(chunk[right:])
     return tokens
-
-
-def remove_stopwords(tokens: Iterable[str], stoplist: frozenset[str] | None = None) -> list[str]:
-    if stoplist is None:
-        stoplist = _default_stopwords()
-    return [t for t in tokens if t.lower() not in stoplist]
 
 
 def _pos_for(

@@ -7,7 +7,7 @@ import io
 import json
 import shutil
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -504,6 +504,116 @@ def test_ner_train_and_eval(fixtures, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "category\tprecision\trecall\tf1"
     assert out.splitlines()[-1].startswith("micro\t")
+
+
+# sha256 of the files `ner-train`, `ner-eval` and `ner-tag` write from the
+# annotation fixtures and the native golden ingest, recorded before the
+# tagger built its features once per distinct word and reused decodes.
+GOLDEN_NER = {
+    "no-dropout": {
+        "model.json": "6e6d8cafa499d1a5910412d3b967eb2e9224ee3eeaafb80ae9927a856a036eac",
+        "eval.tsv": "2cab1f872f2bf3ac4977710678781ed42e9d4f50d59dd802d19b105083916c0b",
+        "mentions.tsv": "b4b76e336b34b83faac900fb8ad1a1d606bed0e8bb0f0c97f06ede9a30b52967",
+    },
+    "dropout": {
+        "model.json": "15703d0abda4f925ec218e8a054eefc1b0aabe0155cfd9491415ffcef83e10c8",
+        "eval.tsv": "59b64c5a3e2c36ef5551cee8555a482a8d8fa55db01e9f7f61d4be89ff098723",
+        "mentions.tsv": "aff1db12d1fe632c2c1affd2b520e85402245964bff0ffe495a3e732c54ed847",
+    },
+}
+
+
+@pytest.mark.parametrize("dropout", list(GOLDEN_NER))
+def test_ner_golden_bytes(tmp_path, fixtures, dropout):
+    _golden_ingest("native", fixtures, tmp_path / "corpus")
+    model = tmp_path / "model.json"
+    assert run(
+        ["ner-train", "--train", str(fixtures / "annotated_train.tsv"), "--iters", "6",
+         "--batch-min", "2", "--batch-max", "8", "--batch-growth", "1.5", "--seed", "3",
+         "--dropout", "0.5:0.1" if dropout == "dropout" else "0", "--model", str(model)]
+    ) == 0
+    assert run(
+        ["ner-eval", "--model", str(model), "--eval", str(fixtures / "annotated_eval.tsv"),
+         "--out", str(tmp_path / "eval")]
+    ) == 0
+    mentions = tmp_path / "mentions.tsv"
+    assert run(
+        ["ner-tag", "--model", str(model), "--docs", str(tmp_path / "corpus" / "documents.jsonl"),
+         "--out", str(mentions)]
+    ) == 0
+    written = {"model.json": model, "eval.tsv": tmp_path / "eval" / "eval.tsv", "mentions.tsv": mentions}
+    for name, digest in GOLDEN_NER[dropout].items():
+        assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest, name
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory, fixtures):
+    model = tmp_path_factory.mktemp("model") / "model.json"
+    assert run(
+        ["ner-train", "--train", str(fixtures / "annotated_train.tsv"), "--iters", "3",
+         "--model", str(model)]
+    ) == 0
+    return json.loads(model.read_text())
+
+
+MODEL_FIELDS = ("version", "labels", "templates", "weights")
+odd_labels = st.sampled_from(["U-NEW", "B-NEW", "I-PPE", "L-SYM", "O", "B-", "X-PPE", "junk", ""])
+huge_numbers = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 10**300, -(10**300), 10**400])
+
+
+@st.composite
+def mutated_models(draw, payload: dict) -> str:
+    """A valid model payload with one to three mutations, as JSON text."""
+    payload = json.loads(json.dumps(payload))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "label", "unknown", "huge", "empty"]))
+        weights = payload.get("weights")
+        rows = sorted(weights) if isinstance(weights, dict) else []
+        if kind == "drop":
+            payload.pop(draw(st.sampled_from(MODEL_FIELDS)), None)
+        elif kind == "retype":
+            payload[draw(st.sampled_from(MODEL_FIELDS))] = draw(json_values)
+        elif kind == "label" and isinstance(payload.get("labels"), list):
+            payload["labels"].insert(draw(st.integers(0, len(payload["labels"]))), draw(odd_labels))
+        elif rows and all(isinstance(row, dict) for row in weights.values()):
+            feature = draw(st.sampled_from(rows) | st.sampled_from(["bias", "w=mask", "new"]))
+            row = weights.setdefault(feature, {})
+            if kind == "unknown":
+                row[draw(odd_labels)] = draw(st.floats(-5, 5))
+            elif kind == "huge":
+                for label in draw(st.lists(odd_labels | st.sampled_from(sorted(row) or ["O"]), min_size=1, max_size=3)):
+                    row[label] = draw(huge_numbers)
+            else:
+                weights[feature] = {}
+    return json.dumps(payload)
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run(argv)
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fuzzed_model_file_exits_0_or_2_with_one_error_line(trained_model, corpus_dir, fixtures, data):
+    text = data.draw(mutated_models(trained_model))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(text, encoding="utf-8")
+        runs = {
+            "ner-eval": ["--eval", str(fixtures / "annotated_eval.tsv"), "--out", str(Path(tmp) / "eval")],
+            "ner-tag": ["--docs", str(corpus_dir / "documents.jsonl"), "--out", str(Path(tmp) / "m.tsv")],
+        }
+        for command, argv in runs.items():
+            code, err = _run_quietly([command, "--model", str(model), *argv])
+            assert code in (0, 2)
+            if code == 2:
+                (line,) = err
+                assert line.startswith(f"threadscope {command}: error: ")
+            else:
+                assert err == []
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threadscope import tagger
 from threadscope.errors import EmptyTrainingSetError, ModelFormatError
 from threadscope.nerdata import AnnotatedSentence, Span, parse_tag, validate_bilou
 from threadscope.report import counts_from_mentions
@@ -572,6 +575,108 @@ def test_trained_model_file_matches_reference(tmp_path, fixtures, dropout, sourc
     save_model(train_tagger(train, config), tmp_path / "model.json")
     save_model(reference_train(train, config), tmp_path / "reference.json")
     assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+# Words for the per-word feature entries: 1- and 2-character words, digits,
+# non-ASCII, mixed case, case variants of one word, and the edge markers.
+ENTRY_WORDS = [
+    "a", "I", "7", "é", "ab", "Ab", "n9", "42", "mask", "Mask", "MASK", "masks",
+    "Covid-19", "N95", "naïve", "Ärzte", "東京", "ß", "<s>", "</s>", "-", "x.y",
+]
+entry_words = st.sampled_from(ENTRY_WORDS) | st.text(
+    st.characters(codec="utf-8", exclude_categories=("Cs",)), min_size=1, max_size=4
+)
+CATEGORIES = ["PPE", "SYM", "TEST"]
+
+
+@st.composite
+def bilou_sentences(draw):
+    """A sentence of entry words with valid BILOU tags."""
+    tokens, tags = [], []
+    while not tokens or (len(tokens) < 8 and draw(st.booleans())):
+        kind = draw(st.sampled_from(["O", "O", "U", "span"]))
+        category = draw(st.sampled_from(CATEGORIES))
+        if kind == "O":
+            tags.append("O")
+        elif kind == "U":
+            tags.append(f"U-{category}")
+        else:
+            inside = draw(st.integers(0, 2))
+            tags += [f"B-{category}", *[f"I-{category}"] * inside, f"L-{category}"]
+        tokens += [draw(entry_words) for _ in range(len(tags) - len(tokens))]
+    return sent(tokens, tags)
+
+
+def saved_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        return path.read_bytes()
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(bilou_sentences(), min_size=1, max_size=10),
+    st.integers(1, 12),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([1.001, 1.5, 2.0, 3.0]),
+    st.sampled_from([(0.0, 0.0), (0.5, 0.5), (0.6, 0.1), (0.3, 0.0)]),
+    st.integers(0, 3),
+)
+def test_train_tagger_matches_reference_trainer(
+    train, iterations, batch_min, batch_span, batch_growth, dropout, seed
+):
+    config = TrainConfig(
+        iterations=iterations,
+        batch_min=batch_min,
+        batch_max=batch_min + batch_span,
+        batch_growth=batch_growth,
+        dropout_start=dropout[0],
+        dropout_end=dropout[1],
+        seed=seed,
+    )
+    model = train_tagger(train, config)
+    reference = reference_train(train, config)
+    assert saved_bytes(model) == saved_bytes(reference)
+    # fixed-weight tagging, its per-word memo filled across sentences
+    for sentence in train:
+        expected, _ = reference_decode(reference.weights, reference.labels, sentence.tokens)
+        assert tag_tokens(model, sentence.tokens) == expected
+
+
+def test_training_reuses_decodes_once_the_weights_stand_still(monkeypatch):
+    calls = []
+    real_decode = tagger._decode
+
+    def counting_decode(compiled, sentence_rows):
+        calls.append(len(sentence_rows))
+        return real_decode(compiled, sentence_rows)
+
+    monkeypatch.setattr(tagger, "_decode", counting_decode)
+    config = TrainConfig(
+        iterations=10, batch_min=2, batch_max=8, batch_growth=1.5,
+        dropout_start=0.0, dropout_end=0.0, seed=1,
+    )
+    model = train_tagger(TRAIN_SET, config)
+    assert len(calls) < config.iterations * len(TRAIN_SET)
+    assert saved_bytes(model) == saved_bytes(reference_train(TRAIN_SET, config))
+
+
+@given(
+    st.lists(entry_words, min_size=1, max_size=6),
+    st.sampled_from(["O", "B-PPE", "I-SYM", "L-TEST", "U-PPE"]),
+)
+def test_word_entries_agree_with_the_feature_template(tokens, prev_tag):
+    (words,) = tagger._sentence_words([tokens])
+    assert len(words) == len(tokens) + 2
+    for i in range(len(tokens)):
+        expected = extract_features(tokens, i, prev_tag)
+        assert words[i + 1].features(words[i], words[i + 2], prev_tag) == expected
+        # the unshared entries that fixed-weight tagging builds
+        before = tagger._Word(tokens[i - 1] if i else tagger.START_WORD)
+        after = tagger._Word(tokens[i + 1] if i + 1 < len(tokens) else tagger.END_WORD)
+        assert tagger._Word(tokens[i]).features(before, after, prev_tag) == expected
 
 
 # ---------------------------------------------------------------- persistence

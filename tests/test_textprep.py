@@ -23,7 +23,6 @@ from threadscope.textprep import (
     split_sentences,
     strip_urls,
     tokenize,
-    remove_stopwords,
 )
 
 
@@ -85,17 +84,6 @@ def test_data_lines_counts_physical_lines(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_bytes(b"# header\n\n  # indented comment\r\nfirst\t1\r\n   \nlast")
     assert list(textprep.data_lines(path)) == [(4, "first\t1"), (6, "last")]
-
-
-def test_remove_stopwords_default_list():
-    assert remove_stopwords(["the", "mask", "is", "a", "barrier"]) == [
-        "mask",
-        "barrier",
-    ]
-
-
-def test_remove_stopwords_custom_list():
-    assert remove_stopwords(["keep", "drop"], frozenset({"drop"})) == ["keep"]
 
 
 def test_pos_tag_heuristics():
