@@ -209,15 +209,18 @@ def _resolve_corpus_id(merged: dict) -> None:
 
 def _cmd_ingest(p: dict) -> Outputs:
     on_error = "skip" if p["skip_bad_records"] else "raise"
-    records = corpus.parse_dump(p["dump"], p["schema"], on_error=on_error)
+    scan = corpus.DumpScan(p["dump"], p["schema"], on_error=on_error)
     spec = corpus.FilterSpec(
         keywords=tuple(p["keywords"]),
         date_from=p["from"],
         date_to=p["to"],
         subreddits=tuple(p["subreddits"] or ()),
     )
-    matched = corpus.filter_records(records, spec)
-    documents = corpus.assemble_documents(records, matched, spec=spec)
+    # Two passes: the scan feeds every record to the filter and keeps only
+    # a line index, then the threads the matches name are read again.
+    matched = corpus.filter_records(scan, spec)
+    threads = {r.id if r.kind == corpus.POST else r.parent_post_id for r in matched}
+    documents = corpus.assemble_documents(scan.reread(threads), matched, spec=spec)
     body_sentences = [
         [textprep.url_free_sentences(body) for body in doc.comment_bodies]
         for doc in documents

@@ -14,8 +14,9 @@ import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DumpParseError, UnknownSchemaError
 from . import textprep
@@ -122,10 +123,6 @@ class CorpusStats:
     total: SubredditStats
 
 
-def _strip_fullname(value: str) -> str:
-    return value[3:] if value.startswith("t3_") else value
-
-
 # The created_utc range datetime.fromtimestamp(..., tz=timezone.utc)
 # accepts: 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z.
 MIN_UTC = -62_135_596_800
@@ -154,22 +151,27 @@ def _coerce_utc(value) -> int:
 
 # Records are built positionally, fields read in declaration order, so
 # the first bad field names the error.  Kinds are the module constants,
-# and subreddit names, few per dump, are interned.
+# and subreddit names, few per dump, are interned.  ``tuple.__new__``
+# skips the named tuple's Python-level ``__new__``, so every field is
+# passed.
+_new_record = tuple.__new__
+
+
 def _record_from_native(obj: dict) -> RedditRecord:
     kind = obj["kind"]
     if kind not in (POST, COMMENT):
         raise ValueError(f"unknown kind {kind!r}")
     kind = POST if kind == POST else COMMENT
-    record = RedditRecord(
+    record = _new_record(RedditRecord, (
         kind,
         str(obj["id"]),
         sys.intern(str(obj["subreddit"])),
         _coerce_utc(obj["created_utc"]),
         str(obj.get("title", "")),
         str(obj.get("body", "")),
-        _strip_fullname(str(obj.get("parent_post_id", ""))),
+        str(obj.get("parent_post_id", "")).removeprefix("t3_"),
         int(obj.get("num_comments", 0)),
-    )
+    ))
     if kind == COMMENT and not record.parent_post_id:
         raise ValueError("comment without parent_post_id")
     return record
@@ -177,7 +179,7 @@ def _record_from_native(obj: dict) -> RedditRecord:
 
 def _record_from_pushshift(obj: dict) -> RedditRecord:
     if "title" in obj:
-        return RedditRecord(
+        return _new_record(RedditRecord, (
             POST,
             str(obj["id"]),
             sys.intern(str(obj["subreddit"])),
@@ -186,12 +188,12 @@ def _record_from_pushshift(obj: dict) -> RedditRecord:
             str(obj.get("selftext", "")),
             "",
             int(obj.get("num_comments", 0)),
-        )
+        ))
     if "link_id" in obj:
-        parent = _strip_fullname(str(obj["link_id"]))
+        parent = str(obj["link_id"]).removeprefix("t3_")
         if not parent:
             raise ValueError("comment without link_id")
-        return RedditRecord(
+        return _new_record(RedditRecord, (
             COMMENT,
             str(obj["id"]),
             sys.intern(str(obj["subreddit"])),
@@ -199,7 +201,8 @@ def _record_from_pushshift(obj: dict) -> RedditRecord:
             "",
             str(obj.get("body", "")),
             parent,
-        )
+            0,
+        ))
     raise ValueError("record is neither a post (title) nor a comment (link_id)")
 
 
@@ -227,38 +230,130 @@ _PARSERS: dict[str, Callable[[dict], RedditRecord]] = {
 }
 
 
+# What a dump line can raise when it is not a record of its schema.
+_RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
+
+
+def _thread_of(record: RedditRecord) -> str:
+    return record.id if record.kind == POST else record.parent_post_id
+
+
+class DumpScan:
+    """One pass over a newline-delimited dump: iterating yields its
+    records in file order and keeps none of them, only a line index.
+
+    ``on_error`` is "raise" (fail fast) or "skip" (log and continue).
+    The index holds the line of each post id's first occurrence and,
+    per thread, the line and id of each comment whose id occurs there
+    first.  ``reread`` uses it to decode one thread subset again, so
+    memory grows with the index and that subset, not with the dump.
+    ``len`` is the number of records the last pass read.
+    """
+
+    def __init__(self, path: str | Path, schema: str, on_error: str = "raise") -> None:
+        if schema not in _PARSERS:
+            raise UnknownSchemaError(f"unknown dump schema {schema!r}")
+        if on_error not in ("raise", "skip"):
+            raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+        self.path = path
+        self._parser = _PARSERS[schema]
+        self._skip = on_error == "skip"
+        self._records = 0
+        self._post_lines: dict[str, int] = {}
+        # thread id -> [line, comment id, line, comment id, ...]
+        self._comment_lines: dict[str, list] = {}
+
+    def __len__(self) -> int:
+        return self._records
+
+    def __iter__(self) -> Iterator[RedditRecord]:
+        parser = self._parser
+        decode = _decode_line
+        post_lines: dict[str, int] = {}
+        comment_lines: dict[str, list] = {}
+        comment_ids: set[str] = set()
+        self._post_lines, self._comment_lines = post_lines, comment_lines
+        records = 0
+        with open(self.path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                # a blank line: one read from a file is never empty
+                if line.isspace():
+                    continue
+                try:
+                    obj = decode(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("record is not an object")
+                    record = parser(obj)
+                except _RECORD_ERRORS as exc:
+                    if not self._skip:
+                        raise DumpParseError(line_no, str(exc)) from exc
+                    logger.warning("skipping line %d: %s", line_no, exc)
+                    continue
+                records += 1
+                rid = record.id
+                if record.kind == POST:
+                    if rid not in post_lines:
+                        post_lines[rid] = line_no
+                elif rid not in comment_ids:
+                    comment_ids.add(rid)
+                    lines = comment_lines.get(record.parent_post_id)
+                    if lines is None:
+                        comment_lines[record.parent_post_id] = [line_no, rid]
+                    else:
+                        lines += (line_no, rid)
+                yield record
+        self._records = records
+
+    def reread(self, thread_ids: Iterable[str]) -> list[RedditRecord]:
+        """Decode again, in file order, the first-occurrence post line and
+        comment lines of each named thread, reading the file no further
+        than the last of them.  A line that no longer holds the record
+        the scan saw there raises DumpParseError: the dump changed."""
+        expected: dict[int, tuple[str, str, str]] = {}
+        for thread in thread_ids:
+            line_no = self._post_lines.get(thread)
+            if line_no is not None:
+                expected[line_no] = (POST, thread, thread)
+            lines = self._comment_lines.get(thread, ())
+            for i in range(0, len(lines), 2):
+                expected[lines[i]] = (COMMENT, lines[i + 1], thread)
+        parser = self._parser
+        decode = _decode_line
+        subset: list[RedditRecord] = []
+        read = 0
+        with open(self.path, encoding="utf-8") as handle:
+            for line_no in sorted(expected):
+                line = next(islice(handle, line_no - read - 1, None), None)
+                read = line_no
+                kind, rid, thread = expected[line_no]
+                changed = f"the dump changed while it was read: no {kind} {rid} here"
+                if line is None:
+                    raise DumpParseError(line_no, changed)
+                try:
+                    obj = decode(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("record is not an object")
+                    record = parser(obj)
+                except _RECORD_ERRORS as exc:
+                    raise DumpParseError(line_no, f"{changed}: {exc}") from exc
+                if (record.kind, record.id, _thread_of(record)) != expected[line_no]:
+                    raise DumpParseError(line_no, changed)
+                subset.append(record)
+        return subset
+
+
 def parse_dump(
     path: str | Path, schema: str, on_error: str = "raise"
 ) -> list[RedditRecord]:
     """Parse a newline-delimited dump file into records, in file order.
 
     ``on_error`` is "raise" (fail fast) or "skip" (log and continue).
+    ``ingest`` no longer holds every record and reads the dump through
+    ``DumpScan``; this list form stays for callers that want all of
+    them, such as the unit tests, and because perfbench's tracer counts
+    records by wrapping it by name.
     """
-    if schema not in _PARSERS:
-        raise UnknownSchemaError(f"unknown dump schema {schema!r}")
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    parser = _PARSERS[schema]
-    records: list[RedditRecord] = []
-    append = records.append
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            # a blank line: one read from a file is never empty
-            if line.isspace():
-                continue
-            try:
-                obj = _decode_line(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record is not an object")
-                append(parser(obj))
-            except (
-                ValueError, KeyError, TypeError, OverflowError, RecursionError
-            ) as exc:
-                error = DumpParseError(line_no, str(exc))
-                if on_error == "raise":
-                    raise error from exc
-                logger.warning("skipping line %d: %s", line_no, exc)
-    return records
+    return list(DumpScan(path, schema, on_error))
 
 
 def _utc_date(created_utc: int) -> date:
@@ -301,9 +396,13 @@ def assemble_documents(
     """Build one Document per post that matched or has a matching comment,
     pulling in the post's full comment thread from ``all_records``.
 
-    For a repeated post or comment id the first record in ``all_records``
-    wins, also when a later one sits in another thread.  Orphan comment
-    matches (parent post missing from the dump) are logged and dropped.
+    ``all_records`` is the whole dump in file order, or any file-ordered
+    subset of it that holds the first occurrence of every post and
+    comment of the threads ``matched_records`` name, as
+    ``DumpScan.reread`` returns.  For a repeated post or comment id the
+    first record in ``all_records`` wins, also when a later one sits in
+    another thread.  Orphan comment matches (parent post missing from
+    the dump) are logged and dropped.
     When ``spec`` is given, parent posts outside its date or subreddit
     constraints are likewise skipped, so every returned Document
     satisfies the filter.

@@ -332,23 +332,29 @@ def spans_to_bilou(tokens: Sequence[str], spans: Iterable[Span]) -> list[str]:
     return tags
 
 
+def _valid_bilou_spans(tags: Sequence[str]) -> list[Span]:
+    """The spans of tags already known to be valid BILOU, unchecked: each
+    tag is ``O`` or a one-letter prefix, a dash and its category."""
+    spans: list[Span] = []
+    start = -1
+    for i, tag in enumerate(tags):
+        prefix = tag[0]
+        if prefix == "U":
+            spans.append(Span(i, i + 1, tag[2:]))
+        elif prefix == "B":
+            start = i
+        elif prefix == "L":
+            spans.append(Span(start, i + 1, tag[2:]))
+    return spans
+
+
 def bilou_to_spans(tags: Sequence[str], repair: bool = False) -> list[Span]:
     """Decode BILOU tags to spans; strict mode raises on invalid sequences,
     repair mode closes dangling entities at their last tagged position and
     turns orphan I/L tags into single-token spans."""
     if not repair:
         validate_bilou(tags)
-        spans: list[Span] = []
-        start = -1
-        for i, tag in enumerate(tags):
-            prefix, category = parse_tag(tag)
-            if prefix == "U":
-                spans.append(Span(i, i + 1, category))
-            elif prefix == "B":
-                start = i
-            elif prefix == "L":
-                spans.append(Span(start, i + 1, category))
-        return spans
+        return _valid_bilou_spans(tags)
 
     spans = []
     open_start = -1

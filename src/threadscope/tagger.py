@@ -17,7 +17,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyTrainingSetError, ModelFormatError
-from .nerdata import AnnotatedSentence, O_TAG, Span, bilou_to_spans, parse_tag
+from .nerdata import (
+    AnnotatedSentence, O_TAG, Span, _valid_bilou_spans, bilou_to_spans, parse_tag,
+)
 from . import textprep
 
 TEMPLATES_VERSION = "v1"
@@ -447,8 +449,9 @@ def evaluate_tagger(
     model: TaggerModel, eval_set: Sequence[AnnotatedSentence]
 ) -> EvalReport:
     gold = [bilou_to_spans(sentence.tags) for sentence in eval_set]
+    # the decoder only emits valid BILOU, so its spans are read unchecked
     predicted = [
-        bilou_to_spans(tag_tokens(model, sentence.tokens))
+        _valid_bilou_spans(tag_tokens(model, sentence.tokens))
         for sentence in eval_set
     ]
     return compare_spans(gold, predicted)
@@ -547,7 +550,7 @@ def detect_document_entities(
             if not tokens:
                 continue
             tags = tag_tokens(model, tokens)
-            for span in bilou_to_spans(tags):
+            for span in _valid_bilou_spans(tags):
                 name = normalize_entity(tokens[span.start : span.end], rules)
                 if name:
                     mentions.append((span.category, name))

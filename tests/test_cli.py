@@ -202,6 +202,33 @@ def test_ingest_overflowing_numbers_are_bad_records(tmp_path, fixtures, capsys, 
         assert err[0].startswith("threadscope ingest: error: line 2: ")
 
 
+def test_ingest_dump_changed_between_passes_exits_2_with_one_error_line(
+    tmp_path, fixtures, capsys, monkeypatch
+):
+    from threadscope import corpus
+
+    dump = tmp_path / "dump.jsonl"
+    lines = (fixtures / "sample_dump.jsonl").read_text().splitlines()
+    dump.write_text("\n".join(lines) + "\n")
+    real_filter = corpus.filter_records
+
+    def filter_then_rewrite(records, spec):
+        matched = real_filter(records, spec)
+        # the first line, a kept post, now holds another id
+        dump.write_text("\n".join([lines[0].replace('"p01"', '"p99"'), *lines[1:]]) + "\n")
+        return matched
+
+    monkeypatch.setattr(corpus, "filter_records", filter_then_rewrite)
+    argv = [
+        "ingest", "--dump", str(dump), "--schema", "native", "--keywords", KEYWORDS,
+        "--from", "2020-03-01", "--to", "2020-08-31", "--out", str(tmp_path / "out"),
+    ]
+    assert run(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("threadscope ingest: error: line 1: the dump changed while it was read")
+    assert not (tmp_path / "out").exists()
+
+
 # sha256 of the corpus files `ingest` writes, recorded before records
 # became tuples and the filter was compiled once per spec.  The pushshift
 # fixture has a repeated post id, a repeated comment id first seen in a

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from threadscope import corpus
 from threadscope.corpus import (
     MAX_UTC,
     MIN_UTC,
     CorpusStats,
     Document,
+    DumpScan,
     FilterSpec,
     RedditRecord,
     assemble_documents,
@@ -1043,3 +1045,191 @@ def test_ingest_matches_the_reference_path(schema_and_lines, spec, on_error):
             "tests.reference_ingest", path, schema, spec, on_error,
         )
     assert got == want
+
+
+# ------------------------------------------------------- two-pass ingest
+
+
+def _threads_named(matched) -> set[str]:
+    return {r.id if r.kind == "post" else r.parent_post_id for r in matched}
+
+
+def _two_pass_ingest(path, schema, spec, on_error):
+    """Scan the dump into the filter, re-read the named threads and
+    assemble; return what it produced and what it logged."""
+    with warnings_of("threadscope.corpus") as warnings:
+        scan = DumpScan(path, schema, on_error=on_error)
+        try:
+            matched = filter_records(scan, spec)
+        except DumpParseError as exc:
+            return {"error": str(exc)}, warnings
+        subset = scan.reread(_threads_named(matched))
+        outcome = {
+            "records": len(scan),
+            "matched": [(r.kind, r.id, r.body, r.title) for r in matched],
+            "documents": assemble_documents(subset, matched, spec=spec),
+            "documents_without_spec": assemble_documents(subset, matched),
+        }
+    return outcome, warnings
+
+
+@settings(max_examples=300)
+@given(
+    schema_and_lines=st.sampled_from(["native", "pushshift"]).flatmap(
+        lambda schema: st.tuples(st.just(schema), dump_lines(schema))
+    ),
+    spec=st.sampled_from(EQUIVALENCE_SPECS),
+    on_error=st.sampled_from(["raise", "skip"]),
+)
+@example(
+    # p1: its first line does not match, a later copy does, and a comment
+    #     of p1 comes before the post
+    # c1: first seen in p3, which no match names; its later copy in p1
+    #     must stay out of p1's thread
+    # p2: named by a matching comment but outside the subreddit set
+    schema_and_lines=(
+        "native",
+        [
+            _native("comment", "c2", "covid", WINDOW_FIRST, "weather", "p1"),
+            _native("post", "p1", "covid", WINDOW_FIRST, "weather"),
+            "",
+            _native("comment", "c1", "covid", WINDOW_LAST, "no keyword", "p3"),
+            _native("post", "p1", "covid", WINDOW_FIRST, "Covid news"),
+            "{oops",
+            _native("post", "p2", "other", WINDOW_LAST, "weather"),
+            _native("comment", "c3", "NYC", WINDOW_LAST, "covid below p2", "t3_p2"),
+            _native("comment", "c1", "covid", WINDOW_LAST, "COVID in p1", "p1"),
+            _native("post", "p3", "covid", WINDOW_LAST, "weather"),
+        ],
+    ),
+    spec=EQUIVALENCE_SPECS[1],
+    on_error="skip",
+)
+def test_two_pass_ingest_matches_the_reference_path(schema_and_lines, spec, on_error):
+    schema, lines = schema_and_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _two_pass_ingest(path, schema, spec, on_error)
+        want, want_warnings = _ingest(
+            ref_parse_dump, ref_filter_records, ref_assemble_documents,
+            "tests.reference_ingest", path, schema, spec, on_error,
+        )
+    if "records" in want:
+        want["records"] = len(want["records"])
+    assert got == (want, want_warnings)
+
+
+# Three threads, of which only p2's comment c4 matches: p1 and p3 are
+# never decoded again.  Line numbers count from 1; line 4 is blank and
+# line 8 is malformed.
+PARTLY_MATCHING_DUMP = [
+    _native("post", "p1", "covid", WINDOW_FIRST, "weather"),
+    _native("comment", "c1", "covid", WINDOW_FIRST, "sunny", "p1"),
+    _native("post", "p2", "covid", WINDOW_FIRST, "news"),
+    "",
+    _native("comment", "c2", "covid", WINDOW_FIRST, "rain", "p2"),
+    _native("comment", "c3", "covid", WINDOW_FIRST, "fog", "t3_p1"),
+    _native("post", "p3", "covid", WINDOW_FIRST, "sports"),
+    "{oops",
+    _native("comment", "c4", "covid", WINDOW_FIRST, "covid again", "p2"),
+    _native("comment", "c2", "covid", WINDOW_FIRST, "repeat", "p2"),
+    _native("comment", "c5", "covid", WINDOW_FIRST, "snow", "p3"),
+]
+P2_LINES = [3, 5, 9]  # p2's post and its first-occurrence comments
+
+
+def test_ingest_decodes_every_line_once_and_only_named_threads_again(
+    tmp_path, monkeypatch
+):
+    from threadscope.cli import run
+
+    path = tmp_path / "dump.jsonl"
+    path.write_text("\n".join(PARTLY_MATCHING_DUMP) + "\n", encoding="utf-8")
+    decoded = []
+    real_decode = corpus._decode_line
+
+    def counting_decode(line):
+        decoded.append(line)
+        return real_decode(line)
+
+    monkeypatch.setattr(corpus, "_decode_line", counting_decode)
+    code = run([
+        "ingest", "--dump", str(path), "--schema", "native", "--keywords", "covid",
+        "--from", "2020-03-01", "--to", "2020-03-31", "--skip-bad-records",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    non_blank = [line + "\n" for line in PARTLY_MATCHING_DUMP if line.strip()]
+    named = [PARTLY_MATCHING_DUMP[n - 1] + "\n" for n in P2_LINES]
+    assert decoded == non_blank + named
+    (doc,) = read_documents(tmp_path / "out" / "documents.jsonl")
+    assert (doc.post_id, doc.comment_bodies) == ("p2", ["rain", "covid again"])
+
+
+def _scan_then_rewrite(path, lines, rewrite):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scan = DumpScan(path, "native", on_error="skip")
+    matched = filter_records(scan, SPEC_MARCH)
+    assert len(scan) == 9
+    rewrite(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return scan, _threads_named(matched)
+
+
+SPEC_MARCH = FilterSpec(("covid",), date(2020, 3, 1), date(2020, 3, 31))
+
+
+def _replace(line_no, text):
+    def rewrite(lines):
+        lines[line_no - 1] = text
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "rewrite, line_no",
+    [
+        # another comment id where c2 was
+        (_replace(5, _native("comment", "c9", "covid", WINDOW_FIRST, "rain", "p2")), 5),
+        # c4 moved to another thread
+        (_replace(9, _native("comment", "c4", "covid", WINDOW_FIRST, "covid", "p1")), 9),
+        # p2's post turned into a comment
+        (_replace(3, _native("comment", "p2", "covid", WINDOW_FIRST, "news", "p1")), 3),
+        # a line made malformed, and one made blank
+        (_replace(5, "{oops"), 5),
+        (_replace(9, ""), 9),
+        # a line inserted before p2 shifts it down
+        (lambda lines: lines.insert(0, _native("post", "p0", "covid", WINDOW_FIRST, "x")), 3),
+        # the file cut short before c4
+        (lambda lines: lines.__delitem__(slice(6, None)), 9),
+    ],
+    ids=["other-id", "other-thread", "other-kind", "malformed", "blank", "inserted", "truncated"],
+)
+def test_reread_raises_when_the_dump_changed_between_passes(tmp_path, rewrite, line_no):
+    scan, threads = _scan_then_rewrite(
+        tmp_path / "dump.jsonl", list(PARTLY_MATCHING_DUMP), rewrite
+    )
+    assert threads == {"p2"}
+    with pytest.raises(DumpParseError, match="the dump changed while it was read") as info:
+        scan.reread(threads)
+    assert info.value.line_no == line_no
+
+
+def test_reread_returns_the_first_occurrences_of_the_named_threads(tmp_path):
+    scan, threads = _scan_then_rewrite(
+        tmp_path / "dump.jsonl", list(PARTLY_MATCHING_DUMP), lambda lines: None
+    )
+    subset = scan.reread(threads | {"p3", "gone"})
+    assert [(r.kind, r.id) for r in subset] == [
+        ("post", "p2"), ("comment", "c2"), ("post", "p3"), ("comment", "c4"), ("comment", "c5"),
+    ]
+
+
+def test_scan_length_counts_the_records_of_the_last_pass(tmp_path):
+    path = tmp_path / "dump.jsonl"
+    path.write_text("\n".join(PARTLY_MATCHING_DUMP) + "\n", encoding="utf-8")
+    scan = DumpScan(path, "native", on_error="skip")
+    assert len(scan) == 0
+    assert len(list(scan)) == len(scan) == 9
+    assert len(list(scan)) == len(scan) == 9
+    assert parse_dump(path, "native", on_error="skip") == list(scan)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tempfile
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from threadscope import tagger
 from threadscope.errors import EmptyTrainingSetError, ModelFormatError
+from threadscope import nerdata
 from threadscope.nerdata import AnnotatedSentence, Span, parse_tag, validate_bilou
 from threadscope.report import counts_from_mentions
 from threadscope.tagger import (
@@ -786,3 +788,72 @@ def test_counts_from_detected_mentions_orders_and_shares():
     assert counts["askreddit"] == [
         EntityCount(category="PPE", name="mask", count=1, share=1.0)
     ]
+
+
+# ------------------------------------------------------------ decoded spans
+# Decoder output is read into spans without validating it again, so the
+# decoder must only ever emit valid BILOU, whatever the model.
+
+# Entity labels a model file may list: B- labels whose I-/L- labels are
+# missing, a category holding a dash, and unit-only categories.
+FILE_LABELS = [
+    "B-PPE", "I-PPE", "L-PPE", "U-PPE", "B-SYM", "U-SYM", "B-COVID-19", "U-COVID-19", "U-DIT",
+]
+# Weight labels: every file label's continuations, plus labels the
+# tagger can never pick.
+FILE_WEIGHT_LABELS = FILE_LABELS + [
+    "O", "I-SYM", "L-SYM", "I-COVID-19", "L-COVID-19", "B-DIT", "L-DIT", "I-NONE", "junk",
+]
+
+
+@st.composite
+def loaded_models(draw):
+    """A model read back by ``load_model`` from a file with any of those
+    labels and weights."""
+    words = draw(st.lists(entry_words, max_size=6))
+    features = DECODE_FEATURES + [f"w={w.lower()}" for w in words] + [
+        f"ptag={label}" for label in FILE_LABELS + ["I-SYM", "I-COVID-19"]
+    ]
+    payload = {
+        "version": 1,
+        "templates": "v1",
+        "labels": ["O"] + draw(st.lists(st.sampled_from(FILE_LABELS), unique=True)),
+        "weights": draw(st.dictionaries(
+            st.sampled_from(features),
+            st.dictionaries(st.sampled_from(FILE_WEIGHT_LABELS), weight_values, max_size=8),
+            max_size=12,
+        )),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return load_model(path)
+
+
+@st.composite
+def trained_models(draw):
+    config = TrainConfig(
+        iterations=draw(st.integers(1, 4)), batch_min=1, batch_max=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 3)),
+    )
+    return train_tagger(draw(st.lists(bilou_sentences(), min_size=1, max_size=6)), config)
+
+
+@settings(max_examples=150)
+@given(
+    model=loaded_models() | trained_models(),
+    sentences=st.lists(st.lists(entry_words | st.sampled_from(DECODE_WORDS), min_size=1, max_size=8),
+                       min_size=1, max_size=4),
+)
+def test_decoder_output_is_valid_bilou_for_trained_and_loaded_models(model, sentences):
+    for tokens in sentences:
+        tags = tag_tokens(model, tokens)
+        assert len(tags) == len(tokens)
+        validate_bilou(tags)
+        assert nerdata._valid_bilou_spans(tags) == nerdata.bilou_to_spans(tags)
+
+
+@given(bilou_sentences())
+def test_unchecked_spans_round_trip_valid_tags(sentence):
+    spans = nerdata._valid_bilou_spans(sentence.tags)
+    assert nerdata.spans_to_bilou(sentence.tokens, spans) == sentence.tags
