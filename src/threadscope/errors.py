@@ -74,7 +74,3 @@ class EmptyVocabularyError(ThreadscopeError):
 
 class EmptyCorpusError(ThreadscopeError):
     """Topic model training was asked to run on zero documents."""
-
-
-class NoAssignedDocumentsError(ThreadscopeError):
-    """No document was assigned the requested topic."""

@@ -133,8 +133,9 @@ def sentence_matches(sentence: str, keyword: str, mode: str = PREFIX_MATCH) -> b
 
 
 def _keyword_joiner(keywords: Sequence[str], mode: str) -> Callable[[str], str]:
-    """The rewrite of join_multiword_keywords for one keyword list, with
-    the keywords sorted and split once."""
+    """A rewrite that joins the whitespace tokens of each occurrence of a
+    multi-word keyword with underscores, longer keywords first; the
+    keywords are sorted and split once."""
     ordered = sorted(
         (kw for kw in keywords if " " in kw), key=lambda kw: (-len(kw.split()), kw)
     )
@@ -180,14 +181,6 @@ def _keyword_joiner(keywords: Sequence[str], mode: str) -> Callable[[str], str]:
         return " ".join(out)
 
     return join
-
-
-def join_multiword_keywords(
-    sentence: str, keywords: Sequence[str], mode: str = PREFIX_MATCH
-) -> str:
-    """Rewrite each occurrence of a multi-word keyword by joining the
-    matched whitespace tokens with underscores; longer keywords win."""
-    return _keyword_joiner(keywords, mode)(sentence)
 
 
 def _first_word_index(
@@ -348,45 +341,10 @@ def _valid_bilou_spans(tags: Sequence[str]) -> list[Span]:
     return spans
 
 
-def bilou_to_spans(tags: Sequence[str], repair: bool = False) -> list[Span]:
-    """Decode BILOU tags to spans; strict mode raises on invalid sequences,
-    repair mode closes dangling entities at their last tagged position and
-    turns orphan I/L tags into single-token spans."""
-    if not repair:
-        validate_bilou(tags)
-        return _valid_bilou_spans(tags)
-
-    spans = []
-    open_start = -1
-    open_cat: str | None = None
-    for i, tag in enumerate(tags):
-        try:
-            prefix, category = parse_tag(tag)
-        except ValueError:
-            prefix, category = O_TAG, ""
-        if open_cat is not None and (
-            prefix == O_TAG
-            or prefix in ("B", "U")
-            or category != open_cat
-        ):
-            # dangling run: close at the last same-category position
-            spans.append(Span(open_start, i, open_cat))
-            open_cat = None
-        if prefix == O_TAG:
-            continue
-        if prefix == "U":
-            spans.append(Span(i, i + 1, category))
-        elif prefix == "B":
-            open_start, open_cat = i, category
-        elif open_cat is not None and prefix == "L":
-            spans.append(Span(open_start, i + 1, open_cat))
-            open_cat = None
-        elif open_cat is None:
-            # orphan I/L becomes a unit span
-            spans.append(Span(i, i + 1, category))
-    if open_cat is not None:
-        spans.append(Span(open_start, len(tags), open_cat))
-    return spans
+def bilou_to_spans(tags: Sequence[str]) -> list[Span]:
+    """Decode BILOU tags to spans, raising on an invalid sequence."""
+    validate_bilou(tags)
+    return _valid_bilou_spans(tags)
 
 
 def write_annotations(

@@ -55,8 +55,16 @@ def weekly_post_counts(
     date_to: date | None = None,
 ) -> list[WeekBucket]:
     """Bucket posts by the Sunday on or before their UTC date, zero-filled
-    across the (possibly derived) report range."""
-    days = [_utc_date(doc.created_utc) for doc in documents]
+    across the report range.  Posts dated outside a given bound are not
+    counted; a missing bound is the first or last counted post's date."""
+    if date_from is not None and date_to is not None and date_from > date_to:
+        raise ValueError("date_from must not exceed date_to")
+    days = [
+        day
+        for day in (_utc_date(doc.created_utc) for doc in documents)
+        if (date_from is None or date_from <= day)
+        and (date_to is None or day <= date_to)
+    ]
     if date_from is None:
         if not days:
             return []
@@ -89,8 +97,8 @@ TRUNCATE_OTHER = 8
 
 @dataclass(frozen=True)
 class EntityReport:
-    """Per-subreddit category totals plus ranked (category, name, count,
-    share) rows, optionally truncated."""
+    """Per-subreddit category totals plus ranked (category, name, count)
+    rows, optionally truncated."""
 
     subreddit: str
     totals: dict[str, int]
@@ -98,14 +106,12 @@ class EntityReport:
 
 
 def entity_report(
-    counts: Mapping[str, Sequence[EntityCount]],
-    truncate: bool = False,
-    categories: Sequence[str] = DEFAULT_CATEGORIES,
+    counts: Mapping[str, Sequence[EntityCount]], truncate: bool = False
 ) -> list[EntityReport]:
     reports: list[EntityReport] = []
     for subreddit in sorted(counts):
         rows = list(counts[subreddit])
-        totals = {category: 0 for category in categories}
+        totals = {category: 0 for category in DEFAULT_CATEGORIES}
         for row in rows:
             totals[row.category] = totals.get(row.category, 0) + row.count
         if truncate:
@@ -148,8 +154,7 @@ def counts_from_mentions(
     mentions: Sequence[tuple[str, str, str]],
 ) -> dict[str, list[EntityCount]]:
     """Count (subreddit, category, name) mention rows: per subreddit,
-    categories sorted, rows by count descending then name, share within the
-    category."""
+    categories sorted, rows by count descending then name."""
     nested: dict[str, dict[str, dict[str, int]]] = {}
     for subreddit, category, name in mentions:
         per_category = nested.setdefault(subreddit, {}).setdefault(category, {})
@@ -159,13 +164,8 @@ def counts_from_mentions(
         rows: list[EntityCount] = []
         for category in sorted(nested[subreddit]):
             names = nested[subreddit][category]
-            total = sum(names.values())
             for name, count in sorted(names.items(), key=lambda kv: (-kv[1], kv[0])):
-                rows.append(
-                    EntityCount(
-                        category=category, name=name, count=count, share=count / total
-                    )
-                )
+                rows.append(EntityCount(category=category, name=name, count=count))
         out[subreddit] = rows
     return out
 

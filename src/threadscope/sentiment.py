@@ -63,15 +63,11 @@ def compound_of(s: float) -> float:
     return s / math.sqrt(s * s + NORMALIZATION_C)
 
 
-def _is_negator(token: str, negators: frozenset[str]) -> bool:
-    return token in negators or token.endswith("n't")
+def _is_negator(token: str) -> bool:
+    return token in DEFAULT_NEGATORS or token.endswith("n't")
 
 
-def sum_valence(
-    tokens: Sequence[str],
-    lexicon: dict[str, float],
-    negators: frozenset[str] = DEFAULT_NEGATORS,
-) -> float:
+def sum_valence(tokens: Sequence[str], lexicon: dict[str, float]) -> float:
     """Sum token valences, sign-flipping any hit with a negator in the
     three preceding tokens."""
     total = 0.0
@@ -80,19 +76,15 @@ def sum_valence(
         if valence is None:
             continue
         window = tokens[max(0, i - NEGATION_WINDOW) : i]
-        if any(_is_negator(w, negators) for w in window):
+        if any(_is_negator(w) for w in window):
             valence = -valence
         total += valence
     return total
 
 
-def score_sentence(
-    tokens: Sequence[str],
-    lexicon: dict[str, float],
-    negators: frozenset[str] = DEFAULT_NEGATORS,
-) -> SentimentScore:
+def score_sentence(tokens: Sequence[str], lexicon: dict[str, float]) -> SentimentScore:
     """Tokens must already be lowercase."""
-    s = sum_valence(tokens, lexicon, negators)
+    s = sum_valence(tokens, lexicon)
     compound = compound_of(s)
     return SentimentScore(compound=compound, label=label_for(compound))
 
@@ -110,7 +102,6 @@ def analyze_entity_sentences(
     documents: Iterable,
     entity: str,
     lexicon: dict[str, float],
-    negators: frozenset[str] = DEFAULT_NEGATORS,
     min_tokens: int = 3,
 ) -> EntitySentimentReport:
     """Score every deduplicated sentence mentioning the entity (token-prefix
@@ -134,7 +125,7 @@ def analyze_entity_sentences(
         tokens = [t.lower() for t in textprep.tokenize(sentence)]
         if len(tokens) < min_tokens:
             continue
-        score = score_sentence(tokens, lexicon, negators)
+        score = score_sentence(tokens, lexicon)
         counts[score.label] += 1
         total_compound += score.compound
         retained += 1
@@ -146,15 +137,3 @@ def analyze_entity_sentences(
         n_neu=counts[NEU],
         mean_compound=mean,
     )
-
-
-def theme_tally(path: str | Path) -> list[tuple[str, int]]:
-    """Count sentence-id to theme assignments from an id<TAB>theme file,
-    sorted by descending frequency (name tiebreak)."""
-    counts: dict[str, int] = {}
-    for line_no, line in textprep.data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise FormatError(line_no, "expected id<TAB>theme")
-        counts[parts[1]] = counts.get(parts[1], 0) + 1
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -89,31 +89,6 @@ def word_shape(word: str) -> str:
     )
 
 
-def extract_features(
-    tokens: Sequence[str], position: int, prev_tag: str
-) -> list[str]:
-    """Deterministic feature ids for one position given the previous tag."""
-    word = tokens[position]
-    lower = word.lower()
-    prev_word = tokens[position - 1].lower() if position > 0 else START_WORD
-    next_word = (
-        tokens[position + 1].lower() if position + 1 < len(tokens) else END_WORD
-    )
-    features = [
-        "bias",
-        f"w={lower}",
-        f"shape={word_shape(word)}",
-        f"prev={prev_word}",
-        f"next={next_word}",
-        f"ptag={prev_tag}",
-    ]
-    for k in (1, 2, 3):
-        if len(lower) >= k:
-            features.append(f"pre{k}={lower[:k]}")
-            features.append(f"suf{k}={lower[-k:]}")
-    return features
-
-
 def _allowed_labels(labels: Sequence[str], prev_tag: str, is_last: bool) -> list[str]:
     prev_prefix, prev_cat = parse_tag(prev_tag)
     if prev_prefix in ("B", "I"):
@@ -131,8 +106,8 @@ def _allowed_labels(labels: Sequence[str], prev_tag: str, is_last: bool) -> list
 class _Word:
     """The feature strings of one distinct word: its own ``w=`` and
     ``shape=`` features and affixes, and the ``prev=``/``next=`` features
-    it gives the positions beside it.  ``extract_features`` at a position
-    is ``features(word before, word after, previous tag)``.  Shapes and
+    it gives the positions beside it.  The features of a position are
+    ``features(word before, word after, previous tag)``.  Shapes and
     affixes recur across words; given ``shared``, a word takes the copy
     of each that ``shared`` already holds."""
 
@@ -522,24 +497,17 @@ class EntityCount:
     category: str
     name: str
     count: int
-    share: float
 
 
-def normalize_entity(
-    tokens: Sequence[str], rules: textprep.LemmaRules | None = None
-) -> str:
+def normalize_entity(tokens: Sequence[str]) -> str:
     """Merge surface variants: underscores to spaces, lowercase, per-token
     lemmatization, single-space join."""
     words = " ".join(tokens).replace("_", " ").split()
     tagged = textprep.pos_tag(words)
-    return " ".join(textprep.lemmatize(token, rules) for token in tagged)
+    return " ".join(textprep.lemmatize(token) for token in tagged)
 
 
-def detect_document_entities(
-    model: TaggerModel,
-    document,
-    rules: textprep.LemmaRules | None = None,
-) -> list[tuple[str, str]]:
+def detect_document_entities(model: TaggerModel, document) -> list[tuple[str, str]]:
     """Normalized (category, name) mentions from one Document's title and
     comment bodies, in reading order."""
     mentions: list[tuple[str, str]] = []
@@ -551,7 +519,7 @@ def detect_document_entities(
                 continue
             tags = tag_tokens(model, tokens)
             for span in _valid_bilou_spans(tags):
-                name = normalize_entity(tokens[span.start : span.end], rules)
+                name = normalize_entity(tokens[span.start : span.end])
                 if name:
                     mentions.append((span.category, name))
     return mentions

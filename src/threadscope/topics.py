@@ -1,6 +1,6 @@
 """Vocabulary building with document-frequency thresholds and online
 variational Bayes LDA, plus per-document topic assignment, top-word export,
-high-probability document sampling, and per-month k=2 side topics.
+and per-month k=2 side topics.
 
 The E-step/M-step split follows the standard online VB recipe: per
 minibatch t the topic-word parameters blend as
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import _month_of
-from .errors import EmptyCorpusError, EmptyVocabularyError, NoAssignedDocumentsError
+from .errors import EmptyCorpusError, EmptyVocabularyError
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
@@ -168,14 +167,18 @@ class LdaConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
+        for name in ("alpha", "eta"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau0 must be finite and positive")
         if not 0.5 < self.kappa <= 1:
             raise ValueError("kappa must lie in (0.5, 1]")
         if self.batch_size < 1 or self.epochs < 1 or self.max_e_iters < 1:
             raise ValueError("batch_size, epochs, and max_e_iters must be positive")
-        if self.mean_change_tol <= 0:
-            raise ValueError("mean_change_tol must be positive")
+        if not 0 < self.mean_change_tol < math.inf:
+            raise ValueError("mean_change_tol must be finite and positive")
         if self.top_n < 1:
             raise ValueError("top_n must be positive")
 
@@ -552,39 +555,6 @@ def assign_topics(
 
 
 @dataclass(frozen=True)
-class RsdSample:
-    """Documents sampled for reading: qualifying ones uniformly at random,
-    topped up from the highest-probability rest when too few qualify."""
-
-    post_ids: tuple[str, ...]
-    fallback: bool
-
-
-def select_rsd(
-    assignments: Sequence[TopicAssignment],
-    topic: int,
-    threshold: float = 0.9,
-    n: int = 5,
-    seed: int = 0,
-) -> RsdSample:
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must lie in (0, 1]")
-    assigned = [a for a in assignments if a.topic == topic]
-    if not assigned:
-        raise NoAssignedDocumentsError(f"no documents assigned to topic {topic}")
-    qualifying = [a for a in assigned if a.probability >= threshold]
-    if len(qualifying) >= n:
-        sample = random.Random(seed).sample(qualifying, n)
-        return RsdSample(post_ids=tuple(a.post_id for a in sample), fallback=False)
-    rest = sorted(
-        (a for a in assigned if a.probability < threshold),
-        key=lambda a: (-a.probability, a.post_id),
-    )
-    chosen = qualifying + rest[: n - len(qualifying)]
-    return RsdSample(post_ids=tuple(a.post_id for a in chosen), fallback=True)
-
-
-@dataclass(frozen=True)
 class MonthlyTopics:
     month: str
     skipped: bool
@@ -682,23 +652,3 @@ def save_topic_model(model: TopicModel, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.write("\n")
-
-
-def load_topic_model(path: str | Path) -> TopicModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    config = LdaConfig(**payload["config"])
-    terms = {term: i for i, term in enumerate(payload["vocab"])}
-    vocab = Vocabulary(
-        terms=terms,
-        df=dict(zip(payload["vocab"], payload["df"])),
-        n_docs=payload["n_docs"],
-    )
-    model = TopicModel(
-        lam=np.array(payload["lambda"], dtype=float),
-        config=config,
-        vocab=vocab,
-    )
-    model.epoch_perplexities = [float(p) for p in payload["epoch_perplexities"]]
-    model.epoch_cap_hits = [int(n) for n in payload.get("epoch_cap_hits", [])]
-    return model

@@ -8,6 +8,7 @@ import json
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -707,6 +708,59 @@ def test_report_rejects_deeply_nested_documents_line(corpus_dir, tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("threadscope report: error: line 2: ")
+
+
+def test_report_window_counts_only_the_posts_inside_it(corpus_dir, tmp_path):
+    docs = corpus_dir / "documents.jsonl"
+    days = [
+        datetime.fromtimestamp(json.loads(line)["created_utc"], timezone.utc).date()
+        for line in docs.read_text().splitlines()
+    ]
+    first, last = date(2020, 4, 1), date(2020, 5, 31)
+    inside = sum(first <= day <= last for day in days)
+    assert 0 < inside < len(days)
+    argv = ["report", "--docs", str(docs), "--from", first.isoformat()]
+    argv += ["--to", last.isoformat(), "--corpus-id", "w", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    rows = (tmp_path / "w" / "weekly" / "weekly_posts.tsv").read_text().splitlines()
+    weeks = [row.split("\t") for row in rows[1:]]
+    assert weeks[0][0] == "2020-03-29"  # the Sunday on or before --from
+    assert weeks[-1][0] == "2020-05-31"
+    assert sum(int(count) for _, count in weeks) == inside
+
+
+def test_report_from_after_to_exits_2_with_one_error_line(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = ["report", "--docs", str(corpus_dir / "documents.jsonl")]
+    argv += ["--from", "2020-06-01", "--to", "2020-05-31", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["threadscope report: error: date_from must not exceed date_to"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,field",
+    [
+        ("--alpha=nan", "alpha"),
+        ("--alpha=inf", "alpha"),
+        ("--alpha=-0.5", "alpha"),
+        ("--eta=nan", "eta"),
+        ("--eta=-inf", "eta"),
+        ("--offset=nan", "tau0"),
+        ("--offset=inf", "tau0"),
+    ],
+)
+def test_topics_rejects_non_finite_priors_with_one_error_line(
+    clean_docs, tmp_path, capsys, flag, field
+):
+    out = tmp_path / "t"
+    argv = ["topics", "--docs", str(clean_docs), "--k", "2", "--min-df", "1"]
+    argv += ["--epochs", "1", flag, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"threadscope topics: error: {field} must be finite and positive"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- writer

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from threadscope import textprep
+from threadscope import nerdata, textprep
 from threadscope.errors import (
     EmptyResultError,
     FormatError,
@@ -23,7 +23,6 @@ from threadscope.nerdata import (
     bilou_to_spans,
     build_ner_dataset,
     count_labels,
-    join_multiword_keywords,
     label_counts_table,
     load_keyword_spec,
     parse_tag,
@@ -33,6 +32,10 @@ from threadscope.nerdata import (
     validate_bilou,
     write_annotations,
 )
+
+
+def join_multiword_keywords(sentence, keywords, mode="prefix"):
+    return nerdata._keyword_joiner(keywords, mode)(sentence)
 
 
 # ---------------------------------------------------------------- basics
@@ -124,33 +127,6 @@ def test_strict_decode_raises_on_invalid():
         bilou_to_spans(["I-PPE"])
 
 
-def test_repair_decode_table():
-    # orphan I becomes a unit span
-    assert bilou_to_spans(["I-PPE"], repair=True) == [Span(0, 1, "PPE")]
-    # dangling B-I closes at the last in-entity position
-    assert bilou_to_spans(["B-PPE", "I-PPE", "O"], repair=True) == [Span(0, 2, "PPE")]
-    # category switch closes the open entity; the rest decode as orphans
-    assert bilou_to_spans(["B-PPE", "I-DIT", "L-DIT"], repair=True) == [
-        Span(0, 1, "PPE"),
-        Span(1, 2, "DIT"),
-        Span(2, 3, "DIT"),
-    ]
-    # entity open at sentence end
-    assert bilou_to_spans(["O", "B-SYM", "I-SYM"], repair=True) == [Span(1, 3, "SYM")]
-    # U closes a dangling run and stands alone
-    assert bilou_to_spans(["B-PPE", "U-PPE"], repair=True) == [
-        Span(0, 1, "PPE"),
-        Span(1, 2, "PPE"),
-    ]
-    # malformed tags are treated as O
-    assert bilou_to_spans(["B-PPE", "garbage"], repair=True) == [Span(0, 1, "PPE")]
-
-
-def test_repair_decode_matches_strict_on_valid_tags():
-    tags = ["B-PPE", "I-PPE", "L-PPE", "O", "U-SYM"]
-    assert bilou_to_spans(tags, repair=True) == bilou_to_spans(tags)
-
-
 @st.composite
 def sentence_with_spans(draw):
     n = draw(st.integers(min_value=1, max_value=14))
@@ -174,7 +150,6 @@ def test_codec_round_trip(case):
     tags = spans_to_bilou(tokens, spans)
     validate_bilou(tags)
     assert bilou_to_spans(tags) == sorted(spans, key=lambda s: s.start)
-    assert bilou_to_spans(tags, repair=True) == sorted(spans, key=lambda s: s.start)
 
 
 # ---------------------------------------------------------------- keywords

@@ -142,8 +142,8 @@ def test_percent_matches_exact_half_up_oracle(count, total):
 # ---------------------------------------------------------------- entities
 
 
-def ec(category, name, count, share=0.0):
-    return EntityCount(category=category, name=name, count=count, share=share)
+def ec(category, name, count):
+    return EntityCount(category=category, name=name, count=count)
 
 
 def test_entity_report_totals_and_truncation():
@@ -177,8 +177,11 @@ def test_entity_table_share_uses_category_total():
 
 def test_entity_totals_table():
     counts = {"covid": [ec("PPE", "mask", 5)]}
-    table = entity_totals_table(entity_report(counts, categories=("PPE", "SYM")))
-    assert table == "subreddit\tcategory\ttotal\ncovid\tPPE\t5\ncovid\tSYM\t0\n"
+    table = entity_totals_table(entity_report(counts))
+    assert table == (
+        "subreddit\tcategory\ttotal\n"
+        "covid\tDIST\t0\ncovid\tDIT\t0\ncovid\tPPE\t5\ncovid\tSYM\t0\ncovid\tTEST\t0\n"
+    )
 
 
 def test_counts_from_mentions_ordering_and_share():
@@ -192,9 +195,9 @@ def test_counts_from_mentions_ordering_and_share():
     counts = counts_from_mentions(mentions)
     assert list(counts) == ["askreddit", "covid"]
     assert counts["covid"] == [
-        EntityCount(category="DIST", name="lockdown", count=1, share=1.0),
-        EntityCount(category="PPE", name="mask", count=2, share=2 / 3),
-        EntityCount(category="PPE", name="glove", count=1, share=1 / 3),
+        EntityCount(category="DIST", name="lockdown", count=1),
+        EntityCount(category="PPE", name="mask", count=2),
+        EntityCount(category="PPE", name="glove", count=1),
     ]
 
 

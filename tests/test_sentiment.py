@@ -18,7 +18,6 @@ from threadscope.sentiment import (
     load_lexicon,
     score_sentence,
     sum_valence,
-    theme_tally,
 )
 
 LEXICON = {"good": 1.9, "bad": -1.9, "great": 3.0}
@@ -179,27 +178,3 @@ def test_analyze_entity_prefix_matching():
 def test_analyze_no_matches_is_all_zero():
     report = analyze_entity_sentences([FakeDoc("Nothing here.", [])], "mask", LEXICON)
     assert report == EntitySentimentReport("mask", 0, 0, 0, 0.0)
-
-
-# ---------------------------------------------------------------- themes
-
-
-def test_theme_tally(tmp_path):
-    path = tmp_path / "themes.tsv"
-    path.write_text(
-        "# id\ttheme\ns1\tavailability\ns2\tefficacy\ns3\tavailability\n"
-        "s4\tprice\ns5\tefficacy\n"
-    )
-    assert theme_tally(path) == [
-        ("availability", 2),
-        ("efficacy", 2),
-        ("price", 1),
-    ]
-
-
-def test_theme_tally_bad_line(tmp_path):
-    path = tmp_path / "themes.tsv"
-    path.write_text("s1\tavailability\nbroken line\n")
-    with pytest.raises(FormatError) as excinfo:
-        theme_tally(path)
-    assert excinfo.value.line_no == 2

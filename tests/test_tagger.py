@@ -25,7 +25,6 @@ from threadscope.tagger import (
     compare_spans,
     detect_document_entities,
     evaluate_tagger,
-    extract_features,
     load_model,
     normalize_entity,
     save_model,
@@ -108,8 +107,38 @@ def test_word_shape():
     assert word_shape("n95") == "xdd"
 
 
+def extract_features(tokens, position, prev_tag):
+    """Reference feature template of one position, given the previous tag;
+    the oracle trainer and decoders below build features with it."""
+    word = tokens[position]
+    lower = word.lower()
+    prev_word = tokens[position - 1].lower() if position > 0 else tagger.START_WORD
+    next_word = (
+        tokens[position + 1].lower() if position + 1 < len(tokens) else tagger.END_WORD
+    )
+    features = [
+        "bias",
+        f"w={lower}",
+        f"shape={word_shape(word)}",
+        f"prev={prev_word}",
+        f"next={next_word}",
+        f"ptag={prev_tag}",
+    ]
+    for k in (1, 2, 3):
+        if len(lower) >= k:
+            features.append(f"pre{k}={lower[:k]}")
+            features.append(f"suf{k}={lower[-k:]}")
+    return features
+
+
+def tagger_features(tokens, position, prev_tag):
+    """The features the tagger itself builds for one position."""
+    (words,) = tagger._sentence_words([tokens])
+    return words[position + 1].features(words[position], words[position + 2], prev_tag)
+
+
 def test_extract_features_example():
-    assert extract_features(["Wear", "masks"], 1, "O") == [
+    assert tagger_features(["Wear", "masks"], 1, "O") == [
         "bias",
         "w=masks",
         "shape=xxxxx",
@@ -126,7 +155,7 @@ def test_extract_features_example():
 
 
 def test_extract_features_sentence_edges():
-    features = extract_features(["mask"], 0, "O")
+    features = tagger_features(["mask"], 0, "O")
     assert "prev=<s>" in features
     assert "next=</s>" in features
 
@@ -782,11 +811,11 @@ def test_counts_from_detected_mentions_orders_and_shares():
     )
     assert list(counts) == ["askreddit", "covid"]
     assert counts["covid"] == [
-        EntityCount(category="PPE", name="mask", count=3, share=0.75),
-        EntityCount(category="PPE", name="glove", count=1, share=0.25),
+        EntityCount(category="PPE", name="mask", count=3),
+        EntityCount(category="PPE", name="glove", count=1),
     ]
     assert counts["askreddit"] == [
-        EntityCount(category="PPE", name="mask", count=1, share=1.0)
+        EntityCount(category="PPE", name="mask", count=1)
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -11,11 +12,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadscope.errors import (
-    EmptyCorpusError,
-    EmptyVocabularyError,
-    NoAssignedDocumentsError,
-)
+from threadscope.errors import EmptyCorpusError, EmptyVocabularyError
 from threadscope import topics
 from threadscope.topics import (
     DocTermMatrix,
@@ -29,11 +26,9 @@ from threadscope.topics import (
     fit_lda,
     infer_doc_topics,
     learning_rate,
-    load_topic_model,
     monthly_side_topics,
     perplexity,
     save_topic_model,
-    select_rsd,
     top_words,
     topic_word_distribution,
     _estep_chunks,
@@ -160,6 +155,10 @@ def test_lda_config_validation():
         LdaConfig(k=2, epochs=0)
     with pytest.raises(ValueError):
         LdaConfig(k=2, top_n=0)
+    for field in ("alpha", "eta", "tau0", "mean_change_tol"):
+        for value in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and positive$"):
+                LdaConfig(k=2, **{field: value})
 
 
 def test_lda_config_symmetric_defaults():
@@ -502,47 +501,6 @@ def test_assign_topics_frequencies_cover_all_topics():
     assert assignments[2].probability == 0.5
 
 
-# ---------------------------------------------------------------- sampling
-
-
-def assignment(post_id, topic, probability):
-    from threadscope.topics import TopicAssignment
-
-    return TopicAssignment(post_id=post_id, topic=topic, probability=probability)
-
-
-def test_select_rsd_samples_qualifying_documents():
-    assignments = [assignment(f"p{i}", 0, 0.95) for i in range(10)]
-    sample = select_rsd(assignments, topic=0, threshold=0.9, n=5, seed=0)
-    assert not sample.fallback
-    assert len(sample.post_ids) == 5
-    assert len(set(sample.post_ids)) == 5
-    again = select_rsd(assignments, topic=0, threshold=0.9, n=5, seed=0)
-    assert sample == again
-
-
-def test_select_rsd_fallback_tops_up_by_probability():
-    assignments = [
-        assignment("hi", 0, 0.95),
-        assignment("m1", 0, 0.80),
-        assignment("m2", 0, 0.85),
-        assignment("m3", 0, 0.85),
-        assignment("other", 1, 0.99),
-    ]
-    sample = select_rsd(assignments, topic=0, threshold=0.9, n=3, seed=0)
-    assert sample.fallback
-    # qualifying first, then the rest by descending probability with
-    # post_id tiebreak
-    assert sample.post_ids == ("hi", "m2", "m3")
-
-
-def test_select_rsd_errors():
-    with pytest.raises(ValueError):
-        select_rsd([assignment("a", 0, 0.5)], topic=0, threshold=0.0)
-    with pytest.raises(NoAssignedDocumentsError):
-        select_rsd([assignment("a", 0, 0.5)], topic=1)
-
-
 # ---------------------------------------------------------------- monthly
 
 
@@ -609,17 +567,15 @@ def test_save_load_round_trip(tmp_path):
     )
     path = tmp_path / "model.json"
     save_topic_model(model, path)
-    loaded = load_topic_model(path)
-    assert np.array_equal(loaded.lam, model.lam)
-    assert loaded.config == model.config
-    assert loaded.vocab == model.vocab
-    assert loaded.epoch_perplexities == model.epoch_perplexities
-    assert loaded.epoch_cap_hits == model.epoch_cap_hits
-    # files written before the counter existed still load
     payload = json.loads(path.read_text())
-    del payload["epoch_cap_hits"]
-    path.write_text(json.dumps(payload))
-    assert load_topic_model(path).epoch_cap_hits == []
+    assert np.array_equal(np.array(payload["lambda"]), model.lam)
+    assert payload["config"] == dataclasses.asdict(model.config)
+    assert payload["vocab"] == terms
+    assert payload["df"] == [5] * 16
+    assert payload["n_docs"] == 40
+    assert payload["epoch_perplexities"] == model.epoch_perplexities
+    assert len(payload["epoch_perplexities"]) == 2
+    assert payload["epoch_cap_hits"] == model.epoch_cap_hits
 
 
 def test_save_requires_vocab(tmp_path):
