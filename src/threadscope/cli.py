@@ -29,7 +29,7 @@ from datetime import date
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from . import corpus, manifest, nerdata, report, sentiment, tagger, textprep, topics
+from . import corpus, manifest, nerdata, report, sentiment, tagger, textprep
 from .errors import FormatError, ThreadscopeError
 
 PROG = "threadscope"
@@ -338,6 +338,8 @@ def _cmd_ner_tag(p: dict) -> Outputs:
 def _cmd_topics(p: dict) -> Outputs:
     import shutil
 
+    from . import topics  # numpy loads only for the two topic commands
+
     documents = corpus.read_documents(p["docs"])
     vocab, matrix = topics.build_vocabulary(
         [doc.cleaned_text for doc in documents], max_df=p["max_df"], min_df=p["min_df"]
@@ -369,6 +371,8 @@ def _cmd_topics(p: dict) -> Outputs:
 
 
 def _cmd_topics_monthly(p: dict) -> Outputs:
+    from . import topics
+
     documents = corpus.read_documents(p["docs"])
     config = topics.LdaConfig(
         k=2,

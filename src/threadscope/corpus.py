@@ -234,6 +234,14 @@ _PARSERS: dict[str, Callable[[dict], RedditRecord]] = {
 _RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
+def _reason(exc: Exception) -> str:
+    """Why a line is not a record; a KeyError's own text is only the
+    quoted name of the field that is missing."""
+    if isinstance(exc, KeyError):
+        return f"missing field {exc.args[0]!r}"
+    return str(exc)
+
+
 def _thread_of(record: RedditRecord) -> str:
     return record.id if record.kind == POST else record.parent_post_id
 
@@ -286,8 +294,8 @@ class DumpScan:
                     record = parser(obj)
                 except _RECORD_ERRORS as exc:
                     if not self._skip:
-                        raise DumpParseError(line_no, str(exc)) from exc
-                    logger.warning("skipping line %d: %s", line_no, exc)
+                        raise DumpParseError(line_no, _reason(exc)) from exc
+                    logger.warning("skipping line %d: %s", line_no, _reason(exc))
                     continue
                 records += 1
                 rid = record.id
@@ -335,7 +343,7 @@ class DumpScan:
                         raise ValueError("record is not an object")
                     record = parser(obj)
                 except _RECORD_ERRORS as exc:
-                    raise DumpParseError(line_no, f"{changed}: {exc}") from exc
+                    raise DumpParseError(line_no, f"{changed}: {_reason(exc)}") from exc
                 if (record.kind, record.id, _thread_of(record)) != expected[line_no]:
                     raise DumpParseError(line_no, changed)
                 subset.append(record)
@@ -576,5 +584,5 @@ def read_documents(path: str | Path) -> list[Document]:
             try:
                 documents.append(_document_from_json(json.loads(line)))
             except (ValueError, KeyError, RecursionError) as exc:
-                raise DumpParseError(line_no, str(exc)) from exc
+                raise DumpParseError(line_no, _reason(exc)) from exc
     return documents

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import _month_of, _utc_date
 from .nerdata import DEFAULT_CATEGORIES
 from .tagger import EntityCount
-from .topics import TopicAssignment, TopicModel, top_words
+
+if TYPE_CHECKING:  # topics imports numpy, which only the topic commands need
+    from .topics import TopicAssignment, TopicModel
 
 
 def week_start_of(day: date) -> date:
@@ -248,6 +250,8 @@ def export_topic_artifacts(
 ) -> dict[str, str]:
     """The text of a topics export by file name: keywords, per-topic
     word-cloud data, the extended assignment table, and topic frequencies."""
+    from .topics import top_words
+
     lists = top_words(model)
     assert model.vocab is not None
     lines = [f"vocabulary_size\t{model.vocab.size}"]

@@ -26,6 +26,7 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 # digamma shifts arguments below this up by exactly this much before the
 # asymptotic series; a shift of 6 misses scipy by 5.5e-12 relative near 1.4625
 _PSI_SHIFT = 10
+_PSI_STEPS = np.arange(_PSI_SHIFT - 1, -1, -1, dtype=float)  # j = 9..0
 
 
 def digamma(x):
@@ -35,36 +36,34 @@ def digamma(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr <= 0):
+    if (arr <= 0).any():
         raise ValueError("digamma requires positive arguments")
     small = arr < _PSI_SHIFT
-    # smallest terms first: near the root at 1.4616 the sum cancels against
-    # log(x+10), and this order keeps it within rel 1e-12 of scipy
-    shift = np.zeros_like(arr)
-    for j in range(_PSI_SHIFT - 1, -1, -1):
-        shift += 1.0 / (arr + j)
+    # every 1/(x+j) in one array, then summed one row at a time, smallest
+    # terms first: near the root at 1.4616 the sum cancels against
+    # log(x+10), and this order keeps it within rel 1e-12 of scipy.  A
+    # reduce over the rows may pair the terms differently.
+    terms = np.add.outer(_PSI_STEPS, arr)
+    np.divide(1.0, terms, out=terms)
+    shift = terms[0]
+    for row in terms[1:]:
+        shift += row
     acc = np.where(small, -shift, 0.0)
     arr = np.where(small, arr + _PSI_SHIFT, arr)
     inv = 1.0 / arr
     y = inv * inv
-    tail = y * (
-        1.0 / 12.0
-        - y
-        * (
-            1.0 / 120.0
-            - y
-            * (
-                1.0 / 252.0
-                - y
-                * (
-                    1.0 / 240.0
-                    - y * (1.0 / 132.0 - y * (691.0 / 32760.0 - y / 12.0))
-                )
-            )
-        )
-    )
-    result = acc + np.log(arr) - 0.5 * inv - tail
-    return float(result[0]) if scalar else result
+    # the Bernoulli series by Horner's rule, in place, innermost term first
+    tail = y / 12.0
+    for coefficient in (691.0 / 32760.0, 1.0 / 132.0, 1.0 / 240.0, 1.0 / 252.0,
+                        1.0 / 120.0, 1.0 / 12.0):
+        np.subtract(coefficient, tail, out=tail)
+        tail *= y
+    # acc + log(x) - 0.5/x - tail, evaluated left to right
+    acc += np.log(arr)
+    inv *= 0.5
+    acc -= inv
+    acc -= tail
+    return float(acc[0]) if scalar else acc
 
 
 @dataclass(frozen=True)
@@ -113,13 +112,11 @@ def build_vocabulary(
         for term in set(tokens):
             df[term] = df.get(term, 0) + 1
 
-    def retained(term: str) -> bool:
-        return df[term] >= min_df and df[term] / n_docs <= max_df
-
+    retained = {term for term, n in df.items() if n >= min_df and n / n_docs <= max_df}
     terms: dict[str, int] = {}
     for tokens in doc_tokens:
         for term in tokens:
-            if term not in terms and retained(term):
+            if term in retained and term not in terms:
                 terms[term] = len(terms)
     if not terms:
         raise EmptyVocabularyError(
@@ -219,7 +216,7 @@ def _exp_elog_beta(lam: np.ndarray) -> np.ndarray:
 def _exp_elog_theta(gamma: np.ndarray) -> np.ndarray:
     """exp(E[log theta]) per row, from one digamma call over the rows and
     their sums."""
-    psi = digamma(np.column_stack((gamma, gamma.sum(axis=1))))
+    psi = digamma(np.concatenate((gamma, gamma.sum(axis=1, keepdims=True)), axis=1))
     return np.exp(psi[:, :-1] - psi[:, -1:])
 
 
@@ -314,7 +311,8 @@ def _estep(
         gamma = alpha + theta * np.add.reduceat(ratio, starts, axis=0)
         theta = _exp_elog_theta(gamma)
         phinorm = _phinorm(theta, beta, owner, scratch)
-        stop = np.abs(gamma - last).mean(axis=1) < tol
+        # the mean, as ndarray.mean computes it, without its Python wrapper
+        stop = np.abs(gamma - last).sum(axis=1) / k < tol
         if it == max_iters:
             capped[live[~stop]] = True
             stop[:] = True
@@ -645,10 +643,9 @@ def save_topic_model(model: TopicModel, path: str | Path) -> None:
         "vocab": model.vocab.ordered_terms(),
         "df": [model.vocab.df[t] for t in model.vocab.ordered_terms()],
         "n_docs": model.vocab.n_docs,
-        "lambda": [[float(v) for v in row] for row in model.lam],
+        "lambda": model.lam.tolist(),
         "epoch_perplexities": [float(p) for p in model.epoch_perplexities],
         "epoch_cap_hits": list(model.epoch_cap_hits),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
+    # json.dumps, unlike json.dump, runs the C encoder; the bytes are the same
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")

@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date, datetime, timezone
@@ -305,6 +308,56 @@ def test_preprocess_golden_bytes(tmp_path, fixtures, schema, stages):
     assert run([*argv, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_PREPROCESS[schema, stages]
+
+
+# sha256 of the files `topics` (k=3, minibatches of 4) and `topics-monthly`
+# write from each golden ingest after default preprocessing, recorded
+# before the topic model was imported only by the two topic commands and
+# digamma built its shift terms in one array.  model.json holds lambda in
+# full precision, so these pin the fit bit for bit.
+GOLDEN_TOPICS = {
+    "native": {
+        "model.json": "8392be18f49c697584d91b6d23edbf9ddb04552e6aea720ccaa6acc15f2c879f",
+        "keywords.txt": "47720d11e96edf5d1fdd1f999caf78958d0f6b979373bbf946625234f0b95c41",
+        "assignments.tsv": "eb8e57a35d6ddb66a093ee013d5b3afb6b3b84b64272ef25eba83cdf3a4a44dc",
+        "topic_frequencies.tsv": "1f009e952a30d106ee464189b97a8a38e3c0e05f38ff08df7774c396ec81feb2",
+        "wordcloud_topic0.tsv": "838bc884bf4a54e053eb13cd338c684cb0be106be5ab4b0750aae0ddd16f84a2",
+        "wordcloud_topic1.tsv": "ede7919fd6694df81201e66bc147bea7248aeef2ce8a82c892a00241e75f41b6",
+        "wordcloud_topic2.tsv": "74192ae2dd06c4249ae3724d3fe2b4b15851d8cbda60e0eb136844e2b7914d89",
+        "side_topics.tsv": "b9b4a2c3451eb3f72e6c824a63c03de64576c90eb1598fa95487a13aae39371a",
+        "skipped.tsv": "d947a90abc6d1eb6b97268917a3921a3d2ad876ede3f52ba58ac1802dff2cc62",
+    },
+    "pushshift": {
+        "model.json": "eb0fa8533db8321c9682f68010a1d61a3bc6b2643c2d0f369038ca3a73c9fbb3",
+        "keywords.txt": "cf6a4ac66838e9f0a8adfe4e2fca8340064e5537fe12dbf6edf3b0a2640238b3",
+        "assignments.tsv": "1562ff1268e93a4c4bc3b34685a23c0beeb87ce6b38740575b32d9e9d2dec520",
+        "topic_frequencies.tsv": "61e10726fd793d7c478890cb1abebb3da9a5d4dc3bc9c13b50b8cb1f0a3fa711",
+        "wordcloud_topic0.tsv": "6ef46c4e1ef516b080ee08dca57baade99d638523d2a6ed27144a796a3149835",
+        "wordcloud_topic1.tsv": "b7924de4f022d4e6403ea83026ae7b6a83d88f3bca41be1d95526a9da6ff9d37",
+        "wordcloud_topic2.tsv": "fd3af673fa9f7dae1652d9b00dd47dea45f95a31463a26b097b87091966c2382",
+        "side_topics.tsv": "802c4cadf193c8d137d377ed295d50925ec5c128d56853df5f4a6f3b7dfc453d",
+        "skipped.tsv": "451e9d0d3d236c33a0afb520af745afa996e437d34c4fefe35a74166cd4475e8",
+    },
+}
+
+
+@pytest.mark.parametrize("schema", list(GOLDEN_TOPICS))
+def test_topics_golden_bytes(tmp_path, fixtures, schema):
+    _golden_ingest(schema, fixtures, tmp_path)
+    clean = tmp_path / "clean.jsonl"
+    assert run(["preprocess", "--in", str(tmp_path / "documents.jsonl"), "--out", str(clean)]) == 0
+    common = ["--docs", str(clean), "--min-df", "1", "--epochs", "3", "--top", "5",
+              "--corpus-id", "fix", "--out", str(tmp_path / "out")]
+    assert run(["topics", *common, "--k", "3", "--batch-size", "4"]) == 0
+    assert run(["topics-monthly", *common, "--min-docs", "2"]) == 0
+    written = {
+        path.name: path
+        for sub in ("topics", "monthly")
+        for path in (tmp_path / "out" / "fix" / sub).iterdir()
+    }
+    assert set(written) == set(GOLDEN_TOPICS[schema])
+    for name, digest in GOLDEN_TOPICS[schema].items():
+        assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest, name
 
 
 def test_ingest_pushshift_fixture_keeps_the_first_records(tmp_path, fixtures):
@@ -941,3 +994,57 @@ def test_replay_refuses_other_artifact_version(corpus_dir, tmp_path, capsys):
     assert err.startswith("threadscope replay: error: ")
     assert "artifact_version" in err
     assert not (tmp_path / "r").exists()
+
+
+# ---------------------------------------------------------------- start-up
+
+# Run in a fresh interpreter: argv[1] is the fixtures directory, argv[2] an
+# empty directory.  Every command but the two topic ones runs without
+# numpy; the topic model brings it in.
+NUMPY_FREE_CHAIN = r"""
+import sys
+from pathlib import Path
+
+from threadscope import nerdata
+from threadscope.cli import run
+
+assert "numpy" not in sys.modules, "import threadscope.cli loaded numpy"
+fixtures, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+keywords = Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv"
+docs, clean = tmp / "corpus" / "documents.jsonl", tmp / "clean.jsonl"
+model, mentions = tmp / "model.json", tmp / "mentions.tsv"
+commands = [
+    ["ingest", "--dump", fixtures / "sample_dump.jsonl", "--schema", "native",
+     "--keywords", "covid,mask,quarantine", "--from", "2020-03-01", "--to", "2020-08-31",
+     "--out", tmp / "corpus"],
+    ["stats", "--docs", docs],
+    ["preprocess", "--in", docs, "--out", clean],
+    ["ner-build", "--sentences", tmp / "corpus" / "sentences.txt", "--keywords", keywords,
+     "--out", tmp / "nerdata"],
+    ["ner-train", "--train", fixtures / "annotated_train.tsv", "--iters", "2", "--model", model],
+    ["ner-eval", "--model", model, "--eval", fixtures / "annotated_eval.tsv"],
+    ["ner-tag", "--model", model, "--docs", docs, "--out", mentions],
+    ["sentiment", "--docs", docs, "--entity", "mask", "--out", tmp / "sentiment.tsv"],
+    ["report", "--docs", docs, "--mentions", mentions, "--out", tmp / "report"],
+]
+for argv in commands:
+    assert run([str(arg) for arg in argv]) == 0, argv[0]
+    assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+topics = ["topics", "--docs", clean, "--k", "2", "--min-df", "1", "--epochs", "1",
+          "--out", tmp / "topics"]
+assert run([str(arg) for arg in topics]) == 0, "topics"
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_topic_commands_load_numpy(fixtures, tmp_path):
+    import threadscope
+
+    src = str(Path(threadscope.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_CHAIN, str(fixtures), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

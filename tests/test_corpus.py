@@ -157,6 +157,15 @@ def test_parse_missing_field_raises(tmp_path):
     with pytest.raises(DumpParseError) as excinfo:
         parse_dump(dump, schema="native")
     assert excinfo.value.line_no == 1
+    assert excinfo.value.reason == "missing field 'subreddit'"
+
+
+def test_parse_skip_mode_names_the_missing_field(tmp_path, caplog):
+    dump = tmp_path / "d.jsonl"
+    dump.write_text(json.dumps({"kind": "post", "id": "p1", "subreddit": "s"}) + "\n")
+    with caplog.at_level("WARNING"):
+        assert parse_dump(dump, schema="native", on_error="skip") == []
+    assert caplog.messages == ["skipping line 1: missing field 'created_utc'"]
 
 
 def test_parse_skip_mode_keeps_going(tmp_path):
@@ -619,6 +628,7 @@ def test_read_documents_reports_line_number(tmp_path):
     with pytest.raises(DumpParseError) as excinfo:
         read_documents(path)
     assert excinfo.value.line_no == 1
+    assert excinfo.value.reason == "missing field 'subreddit'"
 
 
 DOCUMENT = {
@@ -695,8 +705,10 @@ def test_assemble_output_is_sorted(records):
 # ------------------------------------------------- reference ingest path
 # parse_dump, filter_records and assemble_documents as they were when a
 # record was a frozen dataclass and the filter was re-derived per record,
-# with their helpers, kept verbatim apart from names and the logger.  The
-# current functions must give the same records, documents and warnings.
+# with their helpers, kept verbatim apart from names, the logger and the
+# wording of a missing field ("missing field 'x'", once the bare KeyError
+# text "'x'").  The current functions must give the same records,
+# documents and warnings.
 
 reference_logger = logging.getLogger("tests.reference_ingest")
 
@@ -798,10 +810,11 @@ def ref_parse_dump(path, schema, on_error="raise"):
             except (
                 ValueError, KeyError, TypeError, OverflowError, RecursionError
             ) as exc:
-                error = DumpParseError(line_no, str(exc))
+                reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+                error = DumpParseError(line_no, reason)
                 if on_error == "raise":
                     raise error from exc
-                reference_logger.warning("skipping line %d: %s", line_no, exc)
+                reference_logger.warning("skipping line %d: %s", line_no, reason)
     return records
 
 
@@ -1213,6 +1226,19 @@ def test_reread_raises_when_the_dump_changed_between_passes(tmp_path, rewrite, l
     with pytest.raises(DumpParseError, match="the dump changed while it was read") as info:
         scan.reread(threads)
     assert info.value.line_no == line_no
+
+
+def test_reread_names_a_field_the_changed_dump_lacks(tmp_path):
+    line = json.loads(PARTLY_MATCHING_DUMP[4])
+    del line["subreddit"]
+    scan, threads = _scan_then_rewrite(
+        tmp_path / "dump.jsonl", list(PARTLY_MATCHING_DUMP), _replace(5, json.dumps(line))
+    )
+    with pytest.raises(DumpParseError) as info:
+        scan.reread(threads)
+    assert info.value.reason == (
+        "the dump changed while it was read: no comment c2 here: missing field 'subreddit'"
+    )
 
 
 def test_reread_returns_the_first_occurrences_of_the_named_threads(tmp_path):

@@ -68,6 +68,60 @@ def test_digamma_vectorized():
     assert isinstance(digamma(2.0), float)
 
 
+def _reference_digamma(x):
+    """digamma as it was written before its shift terms were built in one
+    array: the same arithmetic, one array operation per shift step."""
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    small = arr < 10
+    shift = np.zeros_like(arr)
+    for j in range(9, -1, -1):
+        shift += 1.0 / (arr + j)
+    acc = np.where(small, -shift, 0.0)
+    arr = np.where(small, arr + 10, arr)
+    inv = 1.0 / arr
+    y = inv * inv
+    tail = y * (
+        1.0 / 12.0
+        - y
+        * (
+            1.0 / 120.0
+            - y
+            * (
+                1.0 / 252.0
+                - y
+                * (
+                    1.0 / 240.0
+                    - y * (1.0 / 132.0 - y * (691.0 / 32760.0 - y / 12.0))
+                )
+            )
+        )
+    )
+    result = acc + np.log(arr) - 0.5 * inv - tail
+    return float(result[0]) if scalar else result
+
+
+_DIGAMMA_SHAPES = st.sampled_from([(), (1,), (1, 1)]) | st.tuples(
+    st.integers(1, 40), st.integers(1, 12)
+)
+
+
+@given(st.data())
+def test_digamma_is_bit_identical_to_the_reference(data):
+    shape = data.draw(_DIGAMMA_SHAPES)
+    size = math.prod(shape)
+    values = data.draw(
+        st.lists(st.floats(min_value=1e-300, max_value=1e6), min_size=size, max_size=size)
+    )
+    x = np.array(values).reshape(shape)
+    ours, ref = digamma(x), _reference_digamma(x)
+    assert type(ours) is type(ref)
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.shape == ref.shape == shape
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
 def test_digamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         digamma(0.0)
