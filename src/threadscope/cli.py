@@ -460,7 +460,10 @@ def _cmd_report(p: dict) -> Outputs:
     outputs = {f"{base}/weekly/weekly_posts.tsv": report.weekly_table(buckets)}
 
     if p["mentions"]:
-        mention_rows = _read_mentions(p["mentions"])
+        # every entity table counts the posts the weekly table counts
+        documents = report.in_window(documents, p["from"], p["to"])
+        kept = {doc.post_id for doc in documents}
+        mention_rows = [row for row in _read_mentions(p["mentions"]) if row[0] in kept]
         counts = report.counts_from_mentions(
             [(row[1], row[3], row[4]) for row in mention_rows]
         )

@@ -51,6 +51,15 @@ class WeekBucket:
     count: int
 
 
+def in_window(documents: Sequence, date_from: date | None, date_to: date | None) -> list:
+    """The documents whose UTC date lies within the inclusive bounds; a
+    missing bound leaves that side open."""
+    if date_from is not None and date_to is not None and date_from > date_to:
+        raise ValueError("date_from must not exceed date_to")
+    low, high = date_from or date.min, date_to or date.max
+    return [doc for doc in documents if low <= _utc_date(doc.created_utc) <= high]
+
+
 def weekly_post_counts(
     documents: Sequence,
     date_from: date | None = None,
@@ -59,13 +68,8 @@ def weekly_post_counts(
     """Bucket posts by the Sunday on or before their UTC date, zero-filled
     across the report range.  Posts dated outside a given bound are not
     counted; a missing bound is the first or last counted post's date."""
-    if date_from is not None and date_to is not None and date_from > date_to:
-        raise ValueError("date_from must not exceed date_to")
     days = [
-        day
-        for day in (_utc_date(doc.created_utc) for doc in documents)
-        if (date_from is None or date_from <= day)
-        and (date_to is None or day <= date_to)
+        _utc_date(doc.created_utc) for doc in in_window(documents, date_from, date_to)
     ]
     if date_from is None:
         if not days:

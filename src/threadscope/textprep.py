@@ -76,58 +76,39 @@ def _default_stopwords() -> frozenset[str]:
     return load_stopwords(None)
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
+def load_stopwords(path: str | Path | None) -> frozenset[str]:
     return frozenset(
         line.strip().lower() for _, line in data_lines(path, "stopwords.txt")
     )
 
 
 @lru_cache(maxsize=None)
-def _default_abbreviations() -> frozenset[str]:
-    return load_abbreviations(None)
-
-
-def load_abbreviations(path: str | Path | None = None) -> frozenset[str]:
+def load_abbreviations() -> frozenset[str]:
     return frozenset(
-        line.strip().lower() for _, line in data_lines(path, "abbreviations.txt")
+        line.strip().lower() for _, line in data_lines(None, "abbreviations.txt")
     )
 
 
 @lru_cache(maxsize=None)
-def _default_closed_class() -> dict[str, str]:
-    return load_closed_class(None)
-
-
-def load_closed_class(path: str | Path | None = None) -> dict[str, str]:
+def load_closed_class() -> dict[str, str]:
     table: dict[str, str] = {}
-    for _, line in data_lines(path, "pos_closed_class.txt"):
+    for _, line in data_lines(None, "pos_closed_class.txt"):
         word, tag = line.split("\t")
         table[word.strip().lower()] = tag.strip()
     return table
 
 
 @lru_cache(maxsize=None)
-def _default_verb_stems() -> frozenset[str]:
-    return load_verb_stems(None)
-
-
-def load_verb_stems(path: str | Path | None = None) -> frozenset[str]:
+def load_verb_stems() -> frozenset[str]:
     return frozenset(
-        line.strip().lower() for _, line in data_lines(path, "verb_stems.txt")
+        line.strip().lower() for _, line in data_lines(None, "verb_stems.txt")
     )
 
 
 @lru_cache(maxsize=None)
-def _default_lemma_rules() -> LemmaRules:
-    return load_lemma_rules(None, None)
-
-
-def load_lemma_rules(
-    rules_path: str | Path | None = None,
-    exceptions_path: str | Path | None = None,
-) -> LemmaRules:
+def load_lemma_rules() -> LemmaRules:
     by_pos: dict[str, list[tuple[str, str, int]]] = {}
-    for _, line in data_lines(rules_path, "lemma_rules.txt"):
+    for _, line in data_lines(None, "lemma_rules.txt"):
         parts = line.split("\t")
         # replacement may be the empty string
         pos, suffix = parts[0], parts[1]
@@ -135,7 +116,7 @@ def load_lemma_rules(
         min_stem = int(parts[3]) if len(parts) > 3 else 0
         by_pos.setdefault(pos, []).append((suffix, replacement, min_stem))
     exceptions: dict[str, dict[str, str]] = {"": {}}
-    for _, line in data_lines(exceptions_path, "lemma_exceptions.txt"):
+    for _, line in data_lines(None, "lemma_exceptions.txt"):
         parts = line.split("\t")
         form, lemma = parts[0].lower(), parts[1]
         pos = parts[2] if len(parts) > 2 else ""
@@ -145,33 +126,24 @@ def load_lemma_rules(
 
 
 @lru_cache(maxsize=None)
-def _default_url_patterns() -> tuple[re.Pattern[str], ...]:
-    return load_url_patterns(None)
-
-
-def load_url_patterns(path: str | Path | None = None) -> tuple[re.Pattern[str], ...]:
+def load_url_patterns() -> tuple[re.Pattern[str], ...]:
     return tuple(
         re.compile(line, re.IGNORECASE)
-        for _, line in data_lines(path, "url_patterns.txt")
+        for _, line in data_lines(None, "url_patterns.txt")
     )
 
 
-def strip_urls(
-    text: str, patterns: Sequence[re.Pattern[str]] | None = None
-) -> str:
+def strip_urls(text: str) -> str:
     """Remove URL-shaped substrings and collapse runs of whitespace."""
-    if patterns is None:
-        patterns = _default_url_patterns()
-    for pattern in patterns:
+    for pattern in load_url_patterns():
         text = pattern.sub("", text)
     return " ".join(text.split())
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split on '.', '!' or '?' followed by whitespace, except after a known
     abbreviation; a trailing fragment without a terminator is a sentence."""
-    if abbreviations is None:
-        abbreviations = _default_abbreviations()
+    abbreviations = load_abbreviations()
     sentences: list[str] = []
     start = 0
     for i, ch in enumerate(text):
@@ -197,9 +169,8 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
 
 
 def url_free_sentences(text: str) -> list[str]:
-    """The sentences of ``text`` once URLs are stripped, with the shipped
-    patterns and abbreviations: the one sentence stream that ingest, stats,
-    ner-tag and sentiment read."""
+    """The sentences of ``text`` once URLs are stripped: the one sentence
+    stream that ingest, stats, ner-tag and sentiment read."""
     return split_sentences(strip_urls(text))
 
 
@@ -256,27 +227,19 @@ def _pos_for(
     return NOUN
 
 
-def pos_tag(
-    tokens: Sequence[str],
-    closed_class: dict[str, str] | None = None,
-    verb_stems: frozenset[str] | None = None,
-) -> list[Token]:
+def pos_tag(tokens: Sequence[str]) -> list[Token]:
     """Assign coarse POS tags by lexicon lookup plus suffix heuristics."""
-    if closed_class is None:
-        closed_class = _default_closed_class()
-    if verb_stems is None:
-        verb_stems = _default_verb_stems()
+    closed_class, verb_stems = load_closed_class(), load_verb_stems()
     return [
         Token(surface=t, pos=_pos_for(t.lower(), closed_class, verb_stems))
         for t in tokens
     ]
 
 
-def lemmatize(token: Token, rules: LemmaRules | None = None) -> str:
+def lemmatize(token: Token) -> str:
     """Map a POS-tagged token to its lemma: exceptions first, then the first
     matching suffix rule, else the lowercase surface unchanged."""
-    if rules is None:
-        rules = _default_lemma_rules()
+    rules = load_lemma_rules()
     lower = token.surface.lower()
     for key in (token.pos, ""):
         hit = rules.exceptions.get(key, {}).get(lower)
@@ -398,10 +361,7 @@ class CompiledPipeline:
     for the life of this object."""
 
     def __init__(
-        self,
-        config: PipelineConfig | None = None,
-        stoplist: frozenset[str] | None = None,
-        rules: LemmaRules | None = None,
+        self, config: PipelineConfig | None = None, stoplist: frozenset[str] | None = None
     ) -> None:
         stages = (config or PipelineConfig()).stages
         cut = stages.index(TOKENIZE) if TOKENIZE in stages else len(stages)
@@ -409,9 +369,8 @@ class CompiledPipeline:
         self._tokenizes = cut < len(stages)
         self._surface_stages = stages[cut + 1 :]
         self._stoplist = _default_stopwords() if stoplist is None else stoplist
-        self._rules = _default_lemma_rules() if rules is None else rules
-        self._closed_class = _default_closed_class()
-        self._verb_stems = _default_verb_stems()
+        self._closed_class = load_closed_class()
+        self._verb_stems = load_verb_stems()
         self._memo: dict[str, str | None] = {}
 
     def _pieces(self, text: str) -> list[str]:
@@ -437,7 +396,7 @@ class CompiledPipeline:
             elif stage == POS_TAG:
                 pos = _pos_for(surface.lower(), self._closed_class, self._verb_stems)
             elif stage == LEMMATIZE:
-                surface = lemmatize(Token(surface, pos), self._rules)
+                surface = lemmatize(Token(surface, pos))
             else:
                 surface = _STRIPPERS[stage](surface)
                 if not surface:
@@ -463,29 +422,21 @@ class CompiledPipeline:
 
 
 def preprocess_text(
-    text: str,
-    config: PipelineConfig | CompiledPipeline | None = None,
-    stoplist: frozenset[str] | None = None,
-    rules: LemmaRules | None = None,
+    text: str, config: PipelineConfig | CompiledPipeline | None = None
 ) -> str:
     """Run the configured stages over raw text and return the cleaned,
     single-spaced string.  Pass a CompiledPipeline as ``config`` to clean
     many texts with one memo of token surfaces."""
     if not isinstance(config, CompiledPipeline):
-        config = CompiledPipeline(config, stoplist, rules)
-    elif stoplist is not None or rules is not None:
-        raise ValueError("a compiled pipeline already holds its stoplist and rules")
+        config = CompiledPipeline(config)
     return config.clean(text)
 
 
 def preprocess_document(
-    document,
-    config: PipelineConfig | CompiledPipeline | None = None,
-    stoplist: frozenset[str] | None = None,
-    rules: LemmaRules | None = None,
+    document, config: PipelineConfig | CompiledPipeline | None = None
 ) -> str:
     """Clean ``document.raw_text``, store the result on
     ``document.cleaned_text``, and return it."""
-    cleaned = preprocess_text(document.raw_text, config, stoplist, rules)
+    cleaned = preprocess_text(document.raw_text, config)
     document.cleaned_text = cleaned
     return cleaned

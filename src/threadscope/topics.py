@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -85,19 +86,48 @@ class Vocabulary:
         return out
 
 
-@dataclass(frozen=True)
-class DocTermMatrix:
-    """Per-document sparse (term index, count) rows over a V-term space."""
+# the corpus and E-step record types are NamedTuples rather than
+# dataclasses: two more dataclasses, whose methods are generated when the
+# module loads, raised the peak RSS of every CLI run by about 0.6 MB
+class DocTermMatrix(NamedTuple):
+    """Document-term counts over an n_terms space in CSR form: document d
+    holds term ids ids[ptr[d]:ptr[d+1]], ascending, with counts
+    cts[ptr[d]:ptr[d+1]]."""
 
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    ids: np.ndarray  # int64
+    cts: np.ndarray  # float64
+    ptr: np.ndarray  # int64, n_docs + 1 offsets
     n_terms: int
 
     @property
     def n_docs(self) -> int:
-        return len(self.rows)
+        return self.ptr.size - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.ptr)
 
     def total_count(self) -> int:
-        return sum(count for row in self.rows for _, count in row)
+        return int(self.cts.sum())
+
+
+def _count_matrix(
+    terms: dict[str, int], token_lists: Iterable[Sequence[str]]
+) -> DocTermMatrix:
+    """Count each document's tokens that ``terms`` indexes into one CSR
+    matrix, term ids ascending; other tokens are skipped."""
+    # typed arrays hold 8 bytes an entry, where a list holds an int object
+    ids, cts, ptr = array("q"), array("d"), array("q", [0])
+    for tokens in token_lists:
+        counts = Counter(map(terms.get, tokens))
+        counts.pop(None, None)
+        known = sorted(counts)
+        ids.extend(known)
+        cts.extend(map(counts.__getitem__, known))
+        ptr.append(len(ids))
+    return DocTermMatrix(
+        ids=np.array(ids), cts=np.array(cts), ptr=np.array(ptr), n_terms=len(terms)
+    )
 
 
 def build_vocabulary(
@@ -123,26 +153,8 @@ def build_vocabulary(
             f"no term satisfies min_df={min_df}, max_df={max_df} "
             f"over {n_docs} documents"
         )
-
-    rows: list[tuple[tuple[int, int], ...]] = []
-    for tokens in doc_tokens:
-        counts: dict[int, int] = {}
-        for term in tokens:
-            index = terms.get(term)
-            if index is not None:
-                counts[index] = counts.get(index, 0) + 1
-        rows.append(tuple(sorted(counts.items())))
     vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
-    return vocab, DocTermMatrix(rows=tuple(rows), n_terms=len(terms))
-
-
-def doc_to_counts(vocab: Vocabulary, cleaned_text: str) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for term in cleaned_text.split():
-        index = vocab.terms.get(term)
-        if index is not None:
-            counts[index] = counts.get(index, 0) + 1
-    return tuple(sorted(counts.items()))
+    return vocab, _count_matrix(terms, doc_tokens)
 
 
 @dataclass(frozen=True)
@@ -237,30 +249,6 @@ def _phinorm(
 _ESTEP_CHUNK = 32
 
 
-# the E-step's record types are NamedTuples rather than dataclasses: two
-# more dataclasses, whose methods are generated when the module loads,
-# raised the peak RSS of every CLI run by about 0.6 MB
-class _Rows(NamedTuple):
-    """Sparse document rows in CSR form: row r holds term ids
-    ids[ptr[r]:ptr[r+1]] with counts cts[ptr[r]:ptr[r+1]]."""
-
-    ids: np.ndarray
-    cts: np.ndarray
-    ptr: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> _Rows:
-        ptr = np.cumsum([0, *map(len, rows)])
-        n = int(ptr[-1])
-        ids = np.fromiter((term for row in rows for term, _ in row), np.int64, n)
-        cts = np.fromiter((count for row in rows for _, count in row), float, n)
-        return cls(ids=ids, cts=cts, ptr=ptr)
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.ptr)
-
-
 class _EStep(NamedTuple):
     """Per-document results of one batched E-step, each document's taken
     at its own last iteration."""
@@ -272,7 +260,7 @@ class _EStep(NamedTuple):
 
 
 def _estep(
-    batch: _Rows,
+    batch: DocTermMatrix,
     exp_elog_beta: np.ndarray,
     alpha: float,
     tol: float,
@@ -283,7 +271,7 @@ def _estep(
     max_iters, and leaves the working set with the gamma, exp_elog_theta
     and phinorm of its own last iteration."""
     k = exp_elog_beta.shape[0]
-    n_docs = batch.ptr.size - 1
+    n_docs = batch.n_docs
     lengths = batch.lengths
     # deterministic start: prior plus an even share of each doc's mass
     mass = np.add.reduceat(batch.cts, batch.ptr[:-1])
@@ -340,19 +328,30 @@ def _estep(
 
 
 def _estep_chunks(
-    rows: Iterable[Sequence[tuple[int, int]]],
+    matrix: DocTermMatrix,
+    positions: np.ndarray,
     exp_elog_beta: np.ndarray,
     config: LdaConfig,
 ):
-    """Run the E-step over the non-empty rows, in order, at most
-    _ESTEP_CHUNK at a time; yields (their positions among rows, the chunk
-    in CSR form, result).  Only one chunk is held in CSR form at a time."""
-    filled = ((position, row) for position, row in enumerate(rows) if row)
-    while chunk := list(islice(filled, _ESTEP_CHUNK)):
-        positions, chunk_rows = zip(*chunk)
-        batch = _Rows.from_rows(chunk_rows)
-        yield list(positions), batch, _estep(
-            batch,
+    """Run the E-step over the non-empty documents at ``positions``, in
+    order, at most _ESTEP_CHUNK at a time; yields (their positions, the
+    chunk gathered from the matrix, result)."""
+    ptr = matrix.ptr
+    positions = positions[ptr[positions + 1] > ptr[positions]]
+    for first in range(0, positions.size, _ESTEP_CHUNK):
+        chunk_positions = positions[first : first + _ESTEP_CHUNK]
+        starts = ptr[chunk_positions]
+        lengths = ptr[chunk_positions + 1] - starts
+        chunk_ptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.repeat(starts - chunk_ptr[:-1], lengths) + np.arange(chunk_ptr[-1])
+        chunk = DocTermMatrix(
+            ids=matrix.ids[take],
+            cts=matrix.cts[take],
+            ptr=chunk_ptr,
+            n_terms=matrix.n_terms,
+        )
+        yield chunk_positions, chunk, _estep(
+            chunk,
             exp_elog_beta,
             config.alpha_value,
             config.mean_change_tol,
@@ -360,7 +359,7 @@ def _estep_chunks(
         )
 
 
-def _add_sstats(sstats: np.ndarray, chunk: _Rows, step: _EStep) -> None:
+def _add_sstats(sstats: np.ndarray, chunk: DocTermMatrix, step: _EStep) -> None:
     """Add a chunk's exp_elog_theta x cts/phinorm to the sufficient
     statistics, one bincount per topic; exp_elog_beta is applied later."""
     weights = np.repeat(step.exp_elog_theta, chunk.lengths, axis=0)
@@ -399,8 +398,7 @@ def fit_lda(
             batch = order[start : start + batch_size]
             exp_elog_beta = _exp_elog_beta(lam)
             sstats = np.zeros_like(lam)
-            rows = (matrix.rows[index] for index in batch)
-            for _, chunk, step in _estep_chunks(rows, exp_elog_beta, config):
+            for _, chunk, step in _estep_chunks(matrix, batch, exp_elog_beta, config):
                 _add_sstats(sstats, chunk, step)
                 cap_hits += int(step.capped.sum())
             sstats *= exp_elog_beta
@@ -415,17 +413,16 @@ def fit_lda(
     return model
 
 
-def _infer(
-    model: TopicModel, rows: Iterable[Sequence[tuple[int, int]]], n_rows: int
-) -> list[DocTopics]:
-    """E-step with lambda frozen over each of the n_rows rows; an empty
+def _infer(model: TopicModel, matrix: DocTermMatrix) -> list[DocTopics]:
+    """E-step with lambda frozen over each document of the matrix; an empty
     document sits at the prior's fixed point, so its probability is
     exactly 1/k."""
     k = model.config.k
-    gammas = np.full((n_rows, k), model.config.alpha_value)
-    filled = np.zeros(n_rows, dtype=bool)
+    gammas = np.full((matrix.n_docs, k), model.config.alpha_value)
+    filled = np.zeros(matrix.n_docs, dtype=bool)
     exp_elog_beta = _exp_elog_beta(model.lam)
-    for positions, _, step in _estep_chunks(rows, exp_elog_beta, model.config):
+    every = np.arange(matrix.n_docs)
+    for positions, _, step in _estep_chunks(matrix, every, exp_elog_beta, model.config):
         gammas[positions] = step.gamma
         filled[positions] = True
     inferred = []
@@ -445,9 +442,17 @@ def _infer(
 
 
 def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTopics:
-    """E-step for one document with lambda frozen; an empty document sits
-    at the prior's fixed point, so its probability is exactly 1/k."""
-    return _infer(model, [row], 1)[0]
+    """E-step for one document, given as (term id, count) pairs, with
+    lambda frozen; an empty document sits at the prior's fixed point, so
+    its probability is exactly 1/k."""
+    pairs = np.array(row, dtype=np.int64).reshape(-1, 2)
+    matrix = DocTermMatrix(
+        ids=pairs[:, 0],
+        cts=pairs[:, 1].astype(float),
+        ptr=np.array([0, len(pairs)]),
+        n_terms=model.lam.shape[1],
+    )
+    return _infer(model, matrix)[0]
 
 
 def _dirichlet_ll(values: np.ndarray, prior: float) -> float:
@@ -463,7 +468,7 @@ def _dirichlet_ll(values: np.ndarray, prior: float) -> float:
     return score + n_rows * (math.lgamma(n * prior) - n * math.lgamma(prior))
 
 
-def _word_ll(elog_beta: np.ndarray, chunk: _Rows, gamma: np.ndarray) -> float:
+def _word_ll(elog_beta: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray) -> float:
     """Sum over a chunk's tokens of count x log sum over topics of
     exp(E[log theta] + E[log beta]), the log-sum-exp taken in place."""
     elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1))[:, np.newaxis]
@@ -486,7 +491,8 @@ def variational_bound(
     score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis]
     exp_elog_beta = np.exp(elog_beta)
-    for _, chunk, step in _estep_chunks(matrix.rows, exp_elog_beta, config):
+    every = np.arange(matrix.n_docs)
+    for _, chunk, step in _estep_chunks(matrix, every, exp_elog_beta, config):
         score += _word_ll(elog_beta, chunk, step.gamma)
         score += _dirichlet_ll(step.gamma, config.alpha_value)
     return score
@@ -504,14 +510,12 @@ def topic_word_distribution(lam: np.ndarray) -> np.ndarray:
     return lam / lam.sum(axis=1, keepdims=True)
 
 
-def top_words(
-    model: TopicModel, top_n: int | None = None
-) -> list[list[tuple[str, float]]]:
-    """Per topic: the top_n heaviest terms, descending weight with
+def top_words(model: TopicModel) -> list[list[tuple[str, float]]]:
+    """Per topic: the config's top_n heaviest terms, descending weight with
     lower-index tiebreak."""
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
-    n = model.config.top_n if top_n is None else top_n
+    n = model.config.top_n
     terms = model.vocab.ordered_terms()
     dist = topic_word_distribution(model.lam)
     out: list[list[tuple[str, float]]] = []
@@ -536,11 +540,12 @@ def assign_topics(
     the per-topic assignment frequencies (zero-filled over all k topics)."""
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
-    vocab = model.vocab
-    rows = (doc_to_counts(vocab, doc.cleaned_text) for doc in documents)
+    matrix = _count_matrix(
+        model.vocab.terms, (doc.cleaned_text.split() for doc in documents)
+    )
     assignments: list[TopicAssignment] = []
     frequencies = [0] * model.config.k
-    for doc, inferred in zip(documents, _infer(model, rows, len(documents))):
+    for doc, inferred in zip(documents, _infer(model, matrix)):
         assignments.append(
             TopicAssignment(
                 post_id=doc.post_id,

@@ -792,6 +792,34 @@ def test_report_from_after_to_exits_2_with_one_error_line(corpus_dir, tmp_path, 
     assert not out.exists()
 
 
+def test_report_window_bounds_every_table(fixtures, tmp_path):
+    corpus = tmp_path / "corpus"
+    assert run(["ingest", "--dump", str(fixtures / "sample_dump.jsonl"), "--schema",
+                "native", "--keywords", "covid,mask", "--from", "2020-01-01",
+                "--to", "2020-12-31", "--out", str(corpus)]) == 0
+    docs = [json.loads(line) for line in (corpus / "documents.jsonl").read_text().splitlines()]
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text("post_id\tsubreddit\tcreated_utc\tcategory\tname\n" + "".join(
+        f"{doc['post_id']}\t{doc['subreddit']}\t{doc['created_utc']}\tPPE\tmask\n"
+        for doc in docs
+    ))
+    out = tmp_path / "r"
+    argv = ["report", "--docs", str(corpus / "documents.jsonl"), "--mentions", str(mentions)]
+    argv += ["--from", "2020-04-01", "--to", "2020-05-31", "--corpus-id", "w"]
+    assert run(argv + ["--out", str(out)]) == 0
+
+    def rows(name):
+        return [line.split("\t") for line in (out / "w" / name).read_text().splitlines()[1:]]
+
+    assert len(docs) == 10
+    assert sum(int(row[1]) for row in rows("weekly/weekly_posts.tsv")) == 2
+    assert sum(int(row[3]) for row in rows("entities/entity_counts.tsv")) == 2
+    assert sum(int(row[2]) for row in rows("entities/entity_totals.tsv")) == 2
+    trends = rows("monthly/entity_trends.tsv")
+    assert [row[1] for row in trends] == ["2020-04", "2020-05"]
+    assert sum(int(row[2]) for row in trends) == 2
+
+
 @pytest.mark.parametrize(
     "flag,field",
     [

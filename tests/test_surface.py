@@ -60,3 +60,80 @@ def test_every_public_name_is_referenced_in_the_package():
 def test_allowlisted_names_still_exist():
     defined = {_definition_name(stmt) for _, stmt in _statements()}
     assert set(ALLOWED) <= defined
+
+
+# Defaulted parameters kept although no call in the package passes them.
+ALLOWED_PARAMETERS = {
+    "corpus.parse_dump(on_error)": "tests and the benchmark tracer parse in both modes",
+}
+
+
+def _defaulted_parameters() -> list[tuple[str, str, int | None, str]]:
+    """(module.label, called name, position or None if keyword-only,
+    parameter) for every defaulted parameter of a top-level function or
+    of a top-level class's __init__."""
+    found = []
+    for module, stmt in _statements():
+        if isinstance(stmt, ast.FunctionDef):
+            functions = [(stmt.name, stmt, 0)]
+        elif isinstance(stmt, ast.ClassDef):
+            functions = [
+                (f"{stmt.name}.__init__", item, 1)  # self is never passed
+                for item in stmt.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            ]
+        else:
+            continue
+        for label, function, skip in functions:
+            args = function.args
+            positional = (args.posonlyargs + args.args)[skip:]
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], start=first):
+                found.append((f"{module}.{label}", stmt.name, index, arg.arg))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((f"{module}.{label}", stmt.name, None, arg.arg))
+    return found
+
+
+def _calls() -> dict[str, tuple[int, set[str], bool]]:
+    """Per called name: the most positional arguments any call passes, the
+    keywords passed, and whether some call unpacks *args or **kwargs."""
+    calls: dict[str, tuple[int, set[str], bool]] = {}
+    for _, stmt in _statements():
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            most, keywords, unpacks = calls.get(name, (0, set(), False))
+            plain = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+            unpacks = unpacks or len(plain) < len(node.args) or any(
+                keyword.arg is None for keyword in node.keywords
+            )
+            keywords |= {keyword.arg for keyword in node.keywords if keyword.arg}
+            calls[name] = (max(most, len(plain)), keywords, unpacks)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    calls = _calls()
+    unpassed = []
+    for label, name, position, parameter in _defaulted_parameters():
+        most, keywords, unpacks = calls.get(name, (0, set(), False))
+        passed = unpacks or parameter in keywords
+        passed = passed or (position is not None and most > position)
+        key = f"{label}({parameter})"
+        if not passed and key not in ALLOWED_PARAMETERS:
+            unpassed.append(key)
+    assert unpassed == []
+
+
+def test_allowlisted_parameters_still_exist():
+    defined = {f"{label}({parameter})" for label, _, _, parameter in _defaulted_parameters()}
+    assert set(ALLOWED_PARAMETERS) <= defined

@@ -202,7 +202,7 @@ def test_preprocess_document_sets_cleaned_text():
 # A verbatim copy of the per-stage pipeline that the compiled one replaced:
 # every stage rebuilds a Token per token, pos_tag runs per sentence and
 # lemmatize scans every suffix rule.  The compiled path must give the same
-# string for every valid stage order, stoplist and rule set.
+# string for every valid stage order and stoplist.
 
 
 @dataclass
@@ -226,16 +226,16 @@ class RefLemmaRules:
     rules: tuple[tuple[str, str, str, int], ...]
 
 
-def ref_load_lemma_rules(rules_path=None, exceptions_path=None) -> RefLemmaRules:
+def ref_load_lemma_rules() -> RefLemmaRules:
     rules: list[tuple[str, str, str, int]] = []
-    for _, line in textprep.data_lines(rules_path, "lemma_rules.txt"):
+    for _, line in textprep.data_lines(None, "lemma_rules.txt"):
         parts = line.split("\t")
         pos, suffix = parts[0], parts[1]
         replacement = parts[2] if len(parts) > 2 else ""
         min_stem = int(parts[3]) if len(parts) > 3 else 0
         rules.append((pos, suffix, replacement, min_stem))
     exceptions: dict[str, dict[str, str]] = {"": {}}
-    for _, line in textprep.data_lines(exceptions_path, "lemma_exceptions.txt"):
+    for _, line in textprep.data_lines(None, "lemma_exceptions.txt"):
         parts = line.split("\t")
         form, lemma = parts[0].lower(), parts[1]
         pos = parts[2] if len(parts) > 2 else ""
@@ -281,9 +281,7 @@ def ref_map_tokens(sentences, fn):
 
 def ref_preprocess_text(text, stages, stoplist, rules: RefLemmaRules) -> str:
     res = SimpleNamespace(
-        stoplist=textprep.load_stopwords() if stoplist is None else stoplist,
-        url_patterns=textprep.load_url_patterns(),
-        abbreviations=textprep.load_abbreviations(),
+        stoplist=textprep.load_stopwords(None) if stoplist is None else stoplist,
         closed_class=textprep.load_closed_class(),
         verb_stems=textprep.load_verb_stems(),
     )
@@ -293,10 +291,10 @@ def ref_preprocess_text(text, stages, stoplist, rules: RefLemmaRules) -> str:
     for stage in stages:
         if stage == textprep.STRIP_URLS:
             assert state_text is not None
-            state_text = strip_urls(state_text, res.url_patterns)
+            state_text = strip_urls(state_text)
         elif stage == textprep.SPLIT_SENTENCES:
             assert state_text is not None
-            state_sentences = split_sentences(state_text, res.abbreviations)
+            state_sentences = split_sentences(state_text)
             state_text = None
         elif stage == textprep.TOKENIZE:
             if state_sentences is None:
@@ -358,10 +356,6 @@ def ref_preprocess_text(text, stages, stoplist, rules: RefLemmaRules) -> str:
 
 # ---------------------------------------------------------------- equivalence
 
-# Extra rules that empty a lemma, which the pipeline keeps as an empty token.
-EMPTYING_RULES = "NOUN\tmask\t\t0\nVERB\ting\t\t0\n"
-EMPTYING_EXCEPTIONS = "gone\t\nthe\t\tDET\n"
-
 WORDS = [
     "Testing", "opened", "studies", "goes", "is", "children", "viruses", "the",
     "The", "MASK", "masks", "mask", "sanitizers", "quickly", "dangerous",
@@ -420,41 +414,16 @@ stoplists = st.one_of(
 )
 
 
-@pytest.fixture(scope="module")
-def rule_sets(tmp_path_factory):
-    """(new, reference) rule pairs: the shipped rules, and the shipped
-    rules plus some that empty a lemma."""
-    folder = tmp_path_factory.mktemp("rules")
-    shipped = textprep.data_lines(None, "lemma_rules.txt")
-    rules = folder / "rules.txt"
-    rules.write_text(
-        EMPTYING_RULES + "".join(line + "\n" for _, line in shipped), encoding="utf-8"
-    )
-    exceptions = folder / "exceptions.txt"
-    exceptions.write_text(EMPTYING_EXCEPTIONS, encoding="utf-8")
-    return [
-        (None, ref_load_lemma_rules()),
-        (
-            textprep.load_lemma_rules(rules, exceptions),
-            ref_load_lemma_rules(rules, exceptions),
-        ),
-    ]
-
-
 @settings(max_examples=400, deadline=None)
-@given(
-    text=texts,
-    stages=stage_orders(),
-    stoplist=stoplists,
-    which_rules=st.sampled_from([0, 1]),
-)
-def test_compiled_pipeline_matches_reference(rule_sets, text, stages, stoplist, which_rules):
-    rules, ref_rules = rule_sets[which_rules]
+@given(text=texts, stages=stage_orders(), stoplist=stoplists)
+def test_compiled_pipeline_matches_reference(text, stages, stoplist):
+    ref_rules = ref_load_lemma_rules()
     config = PipelineConfig(stages=stages)
     expected = ref_preprocess_text(text, stages, stoplist, ref_rules)
-    assert preprocess_text(text, config, stoplist, rules) == expected
+    if stoplist is None:
+        assert preprocess_text(text, config) == expected
     # one memo over many texts gives each text's own result
-    pipeline = textprep.CompiledPipeline(config, stoplist, rules)
+    pipeline = textprep.CompiledPipeline(config, stoplist)
     assert pipeline.clean(text) == expected
     assert pipeline.clean(text + " " + text) == ref_preprocess_text(
         text + " " + text, stages, stoplist, ref_rules
@@ -462,20 +431,11 @@ def test_compiled_pipeline_matches_reference(rule_sets, text, stages, stoplist, 
     assert pipeline.clean(text) == expected
 
 
-def test_an_empty_lemma_stays_an_empty_token(rule_sets):
-    rules, ref_rules = rule_sets[1]
-    stages = (textprep.TOKENIZE, textprep.POS_TAG, textprep.LEMMATIZE)
-    text = "the mask is gone now"
-    expected = ref_preprocess_text(text, stages, frozenset(), ref_rules)
-    assert expected == "  is  now"
-    assert preprocess_text(text, PipelineConfig(stages), frozenset(), rules) == expected
-
-
 @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80))
 def test_lemma_rules_indexed_by_pos_match_the_linear_scan(text):
-    rules, ref_rules = textprep.load_lemma_rules(), ref_load_lemma_rules()
+    ref_rules = ref_load_lemma_rules()
     for word in text.split() + WORDS:
         for pos in sorted(textprep.POS_TAGS):
-            assert lemmatize(Token(word, pos), rules) == ref_lemmatize(
+            assert lemmatize(Token(word, pos)) == ref_lemmatize(
                 RefToken(word, pos), ref_rules
             )

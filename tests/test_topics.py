@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from threadscope.topics import (
     assign_topics,
     build_vocabulary,
     digamma,
-    doc_to_counts,
     fit_lda,
     infer_doc_topics,
     learning_rate,
@@ -32,6 +32,7 @@ from threadscope.topics import (
     top_words,
     topic_word_distribution,
     _estep_chunks,
+    _infer,
 )
 
 # digamma's positive zero sits near 1.4616; relative error is meaningless
@@ -140,6 +141,23 @@ def test_learning_rate_pinned():
 # ---------------------------------------------------------------- vocabulary
 
 
+def csr(rows, n_terms):
+    """A DocTermMatrix holding the given (term id, count) rows."""
+    return DocTermMatrix(
+        ids=np.array([term for row in rows for term, _ in row], dtype=np.int64),
+        cts=np.array([count for row in rows for _, count in row], dtype=float),
+        ptr=np.cumsum([0, *map(len, rows)]),
+        n_terms=n_terms,
+    )
+
+
+def rows_of(matrix):
+    """The matrix's documents as tuples of (term id, count) pairs."""
+    bounds = zip(matrix.ptr[:-1].tolist(), matrix.ptr[1:].tolist())
+    ids, cts = matrix.ids.tolist(), matrix.cts.astype(int).tolist()
+    return tuple(tuple(zip(ids[a:b], cts[a:b])) for a, b in bounds)
+
+
 def docs_with_df(df_map: dict[str, int], n_docs: int) -> list[str]:
     """Build n_docs cleaned docs where each term appears in exactly df docs."""
     docs = [[] for _ in range(n_docs)]
@@ -175,19 +193,15 @@ def test_vocabulary_empty_raises():
 def test_doc_term_matrix_rows():
     docs = ["a a b", "b", ""]
     vocab, matrix = build_vocabulary(docs, max_df=1.0, min_df=1)
-    assert matrix.rows == (
+    assert rows_of(matrix) == (
         ((0, 2), (1, 1)),
         ((1, 1),),
         (),
     )
+    assert matrix.ids.dtype == np.int64 and matrix.cts.dtype == np.float64
     assert matrix.n_docs == 3
+    assert matrix.lengths.tolist() == [2, 1, 0]
     assert matrix.total_count() == 4
-
-
-def test_doc_to_counts_skips_unknown_terms():
-    vocab = Vocabulary(terms={"mask": 0, "test": 1}, df={"mask": 2, "test": 2}, n_docs=2)
-    assert doc_to_counts(vocab, "mask unknown test mask") == ((0, 2), (1, 1))
-    assert doc_to_counts(vocab, "") == ()
 
 
 # ---------------------------------------------------------------- config
@@ -322,7 +336,8 @@ def test_batched_estep_matches_naive_per_document(max_iters):
     rows = mixed_rows(n_terms=v)
     beta = exp_elog_beta_scipy(lam)
     seen, iterations, capped = [], set(), []
-    for docs, batch, step in _estep_chunks(rows, beta, config):
+    matrix = csr(rows, v)
+    for docs, batch, step in _estep_chunks(matrix, np.arange(len(rows)), beta, config):
         for j, doc in enumerate(docs):
             ids = np.array([i for i, _ in rows[doc]])
             cts = np.array([c for _, c in rows[doc]], dtype=float)
@@ -356,6 +371,7 @@ def naive_fit(matrix, config):
     k, alpha, eta = config.k, config.alpha_value, config.eta_value
     tol, max_iters = config.mean_change_tol, config.max_e_iters
     n_docs = matrix.n_docs
+    rows = rows_of(matrix)
     batch_size = min(config.batch_size, n_docs)
     rng = np.random.default_rng(config.seed)
     lam = rng.gamma(100.0, 1.0 / 100.0, (k, matrix.n_terms))
@@ -369,7 +385,7 @@ def naive_fit(matrix, config):
             beta = exp_elog_beta_scipy(lam)
             sstats = np.zeros_like(lam)
             for index in batch:
-                row = matrix.rows[index]
+                row = rows[index]
                 if not row:
                     continue
                 ids = np.array([i for i, _ in row])
@@ -390,6 +406,149 @@ def naive_fit(matrix, config):
     return lam, cap_hits
 
 
+# ---------------------------------------------------------------- row path
+# A copy of the path the corpus took before it was held as one CSR matrix:
+# documents as tuples of (term id, count) pairs, put into CSR form one
+# E-step chunk at a time.  Gathering the chunks from the matrix by index
+# must give the same bits.
+
+
+def reference_from_rows(rows, n_terms):
+    ptr = np.cumsum([0, *map(len, rows)])
+    n = int(ptr[-1])
+    ids = np.fromiter((term for row in rows for term, _ in row), np.int64, n)
+    cts = np.fromiter((count for row in rows for _, count in row), float, n)
+    return DocTermMatrix(ids=ids, cts=cts, ptr=ptr, n_terms=n_terms)
+
+
+def reference_chunks(rows, exp_elog_beta, config):
+    filled = ((position, row) for position, row in enumerate(rows) if row)
+    while chunk := list(islice(filled, topics._ESTEP_CHUNK)):
+        positions, chunk_rows = zip(*chunk)
+        batch = reference_from_rows(chunk_rows, exp_elog_beta.shape[1])
+        yield list(positions), batch, topics._estep(
+            batch,
+            exp_elog_beta,
+            config.alpha_value,
+            config.mean_change_tol,
+            config.max_e_iters,
+        )
+
+
+def reference_counts(terms, text):
+    counts: dict[int, int] = {}
+    for term in text.split():
+        index = terms.get(term)
+        if index is not None:
+            counts[index] = counts.get(index, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def reference_perplexity(lam, rows, config):
+    total = sum(count for row in rows for _, count in row)
+    if total == 0:
+        return float("nan")
+    score = sum(topics._dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
+    elog_beta = digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis]
+    for _, chunk, step in reference_chunks(rows, np.exp(elog_beta), config):
+        score += topics._word_ll(elog_beta, chunk, step.gamma)
+        score += topics._dirichlet_ll(step.gamma, config.alpha_value)
+    return math.exp(-score / total)
+
+
+def reference_fit(rows, n_terms, config):
+    """fit_lda over rows: lambda, per-epoch perplexities and cap hits."""
+    n_docs = len(rows)
+    batch_size = min(config.batch_size, n_docs)
+    rng = np.random.default_rng(config.seed)
+    lam = rng.gamma(100.0, 1.0 / 100.0, (config.k, n_terms))
+    perplexities, cap_hits = [], []
+    t = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n_docs)
+        hits = 0
+        for start in range(0, n_docs, batch_size):
+            batch = order[start : start + batch_size]
+            exp_elog_beta = topics._exp_elog_beta(lam)
+            sstats = np.zeros_like(lam)
+            batch_rows = [rows[index] for index in batch]
+            for _, chunk, step in reference_chunks(batch_rows, exp_elog_beta, config):
+                topics._add_sstats(sstats, chunk, step)
+                hits += int(step.capped.sum())
+            sstats *= exp_elog_beta
+            lam_hat = config.eta_value + (n_docs / len(batch)) * sstats
+            rho = learning_rate(config.tau0, config.kappa, t)
+            lam = (1 - rho) * lam + rho * lam_hat
+            t += 1
+        perplexities.append(reference_perplexity(lam, rows, config))
+        cap_hits.append(hits)
+    return lam, perplexities, cap_hits
+
+
+def reference_gammas(model, rows):
+    gammas = np.full((len(rows), model.config.k), model.config.alpha_value)
+    exp_elog_beta = topics._exp_elog_beta(model.lam)
+    for positions, _, step in reference_chunks(rows, exp_elog_beta, model.config):
+        gammas[positions] = step.gamma
+    return gammas
+
+
+@st.composite
+def corpora(draw):
+    """(rows, n_terms): up to 90 documents, empty ones interleaved."""
+    n_terms = draw(st.integers(1, 12))
+    row = st.dictionaries(
+        st.integers(0, n_terms - 1), st.integers(1, 9), max_size=n_terms
+    ).map(lambda counts: tuple(sorted(counts.items())))
+    return draw(st.lists(st.one_of(st.just(()), row), min_size=1, max_size=90)), n_terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpus=corpora(),
+    k=st.integers(2, 4),
+    batch_size=st.integers(1, 90),
+    epochs=st.integers(1, 2),
+    max_e_iters=st.sampled_from([3, 100]),
+    seed=st.integers(0, 2**16),
+)
+def test_csr_chunks_are_bit_identical_to_the_row_path(
+    corpus, k, batch_size, epochs, max_e_iters, seed
+):
+    rows, n_terms = corpus
+    config = LdaConfig(
+        k=k, batch_size=batch_size, epochs=epochs, max_e_iters=max_e_iters, seed=seed
+    )
+    model = fit_lda(csr(rows, n_terms), config)
+    lam, perplexities, cap_hits = reference_fit(rows, n_terms, config)
+    assert np.array_equal(model.lam, lam)
+    assert model.epoch_cap_hits == cap_hits
+    assert np.array_equal(model.epoch_perplexities, perplexities, equal_nan=True)
+    gammas = np.array([doc.gamma for doc in _infer(model, csr(rows, n_terms))])
+    assert np.array_equal(gammas, reference_gammas(model, rows))
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from("abcdefgh"), max_size=12).map(" ".join),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(1, 3),
+)
+def test_build_vocabulary_counts_match_the_row_path(docs, min_df):
+    try:
+        vocab, matrix = build_vocabulary(docs, max_df=1.0, min_df=min_df)
+    except EmptyVocabularyError:
+        return
+    expected = reference_from_rows(
+        [reference_counts(vocab.terms, doc) for doc in docs], vocab.size
+    )
+    for ours, ref in zip(matrix, expected):
+        assert np.array_equal(ours, ref)
+        assert np.asarray(ours).dtype == np.asarray(ref).dtype
+
+
 # ---------------------------------------------------------------- fitting
 
 
@@ -405,15 +564,15 @@ def two_cluster_matrix(n_docs=40, seed=0):
         for term in chosen:
             counts[int(term)] = counts.get(int(term), 0) + 1
         rows.append(tuple(sorted(counts.items())))
-    return DocTermMatrix(rows=tuple(rows), n_terms=16)
+    return csr(rows, 16)
 
 
 def test_fit_lda_matches_per_document_reference():
     # minibatches of 40 cross the 32-document E-step chunk; empty rows ride along
-    rows = list(two_cluster_matrix(n_docs=70).rows)
+    rows = list(rows_of(two_cluster_matrix(n_docs=70)))
     for i in (5, 33, 34, 61):
         rows.insert(i, ())
-    matrix = DocTermMatrix(rows=tuple(rows), n_terms=16)
+    matrix = csr(rows, 16)
     config = LdaConfig(k=2, batch_size=40, epochs=2, max_e_iters=20, seed=3)
     model = fit_lda(matrix, config)
     lam, cap_hits = naive_fit(matrix, config)
@@ -481,13 +640,13 @@ def test_fit_lda_separates_planted_clusters():
 
 def test_fit_lda_rejects_degenerate_input():
     with pytest.raises(EmptyCorpusError):
-        fit_lda(DocTermMatrix(rows=(), n_terms=4), LdaConfig(k=2))
+        fit_lda(csr((), 4), LdaConfig(k=2))
     with pytest.raises(EmptyVocabularyError):
-        fit_lda(DocTermMatrix(rows=((),), n_terms=0), LdaConfig(k=2))
+        fit_lda(csr(((),), 0), LdaConfig(k=2))
 
 
 def test_perplexity_nan_on_empty_matrix():
-    matrix = DocTermMatrix(rows=((), ()), n_terms=3)
+    matrix = csr(((), ()), 3)
     assert math.isnan(perplexity(np.ones((2, 3)), matrix, LdaConfig(k=2)))
 
 
@@ -516,7 +675,8 @@ def test_top_words_order_and_ties():
     assert lists[0] == [("mask", 0.4), ("test", 0.3)]
     # tie between fever and zoom resolves to the lower index
     assert lists[1] == [("fever", 0.4), ("zoom", 0.4)]
-    assert [len(l) for l in top_words(model, top_n=4)] == [4, 4]
+    model.config = dataclasses.replace(model.config, top_n=4)
+    assert [len(l) for l in top_words(model)] == [4, 4]
 
 
 def test_top_words_requires_vocab():
@@ -553,6 +713,26 @@ def test_assign_topics_frequencies_cover_all_topics():
     assert sum(frequencies) == 3
     assert assignments[0].topic != assignments[1].topic
     assert assignments[2].probability == 0.5
+
+
+def test_assign_topics_skips_unknown_terms():
+    model = fit_lda(two_cluster_matrix(), LdaConfig(k=2, batch_size=8, epochs=2, seed=42))
+    terms = [f"t{i}" for i in range(16)]
+    model.vocab = Vocabulary(
+        terms={t: i for i, t in enumerate(terms)}, df={t: 5 for t in terms}, n_docs=40
+    )
+    docs = [
+        FakeDoc("a", "t9 unknown t0 t9 mask"),
+        FakeDoc("b", "t9 t0 t9"),
+        FakeDoc("c", "unknown words only"),
+        FakeDoc("d", ""),
+    ]
+    a, b, c, d = assign_topics(model, docs)[0]
+    expected = infer_doc_topics(model, ((0, 1), (9, 2)))
+    assert (a.topic, a.probability) == (b.topic, b.probability)
+    assert (a.topic, a.probability) == (expected.assigned, expected.probability)
+    # a document with no known term sits at the prior, as an empty one does
+    assert (c.topic, c.probability) == (d.topic, d.probability) == (0, 0.5)
 
 
 # ---------------------------------------------------------------- monthly
