@@ -6,11 +6,12 @@ codes: 0 success, 1 usage error, 2 data error.
 
 Handlers compute their artifacts and return them without touching the
 disk; `run` passes them to `_write_outputs`, the one place that decides
-where artifacts go and in what order.  It removes the old manifest,
-writes the artifacts, and writes the run's manifest (subcommand,
-effective parameters, input digests, seeds) last, so a tree is finished
-exactly when it has a manifest.  A run that fails before writing leaves
-its output location as it was.  Output locations are not recorded: they
+where artifacts go and in what order.  It writes the artifacts, then the
+run's manifest (subcommand, effective parameters, input digests, seeds),
+under a temporary sibling name and renames them into place, so one
+output location holds one run and a tree is finished exactly when it
+has a manifest.  A run that fails before writing leaves its output
+location as it was.  Output locations are not recorded: they
 must not change the emitted bytes.  `replay` re-executes a manifest into
 a fresh output location after checking that the recorded inputs are
 unchanged.
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from dataclasses import dataclass
 from datetime import date
@@ -30,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import corpus, manifest, nerdata, report, sentiment, tagger, textprep
-from .errors import FormatError, ThreadscopeError
+from .errors import FormatError, OutputLocationError, ThreadscopeError
 
 PROG = "threadscope"
 
@@ -179,24 +182,71 @@ def _record_manifest(command: Command, merged: Mapping) -> manifest.RunManifest:
     return manifest.build_manifest(command.name, params, inputs, seeds)
 
 
-def _write_outputs(out: Path, outputs: Outputs, mani: manifest.RunManifest) -> None:
-    """Write a run's artifacts, then its manifest: `manifest.json` inside a
-    directory output, `<name>.manifest.json` beside a file output.  The
-    old manifest goes first, so a write that fails leaves none."""
-    if isinstance(outputs, Mapping):
-        files = {out / name: artifact for name, artifact in outputs.items()}
-        record = out / manifest.MANIFEST_NAME
+def _check_out(out: Path, inputs: Sequence[str]) -> None:
+    """Refuse an output location whose replacement could lose files that
+    no earlier run wrote: one that is or holds an input file or the
+    working directory, or a non-empty directory without a manifest."""
+    where = out.resolve()
+    held = {Path(path).resolve(): f"input {path}" for path in inputs}
+    held[Path.cwd()] = "the working directory"
+    for path, what in held.items():
+        if path == where or where in path.parents:
+            raise OutputLocationError(f"--out {out} holds {what}")
+    if out.is_dir() and any(out.iterdir()) and not (out / manifest.MANIFEST_NAME).exists():
+        raise OutputLocationError(
+            f"--out {out} is a non-empty directory without {manifest.MANIFEST_NAME}"
+        )
+
+
+def _write_artifact(path: Path, artifact: Artifact) -> None:
+    if callable(artifact):
+        artifact(path)
     else:
-        files = {out: outputs}
+        path.write_text(artifact, encoding="utf-8")
+
+
+def _write_outputs(out: Path, outputs: Outputs, mani: manifest.RunManifest) -> None:
+    """Replace ``out`` whole with a run's artifacts and its manifest:
+    `manifest.json` inside a directory output, `<name>.manifest.json`
+    beside a file output.  Each is written under a temporary sibling name
+    first, the manifest last, and then renamed into place, so nothing of
+    an earlier run survives beside it and a write that fails leaves no
+    manifest that does not describe what is there."""
+    out = out.resolve()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    if not isinstance(outputs, Mapping):
         record = out.with_name(out.name + ".manifest.json")
-    record.unlink(missing_ok=True)
-    for path, artifact in files.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if callable(artifact):
-            artifact(path)
+        record.unlink(missing_ok=True)
+        try:
+            _write_artifact(staging, outputs)
+            os.replace(staging, out)
+        finally:
+            staging.unlink(missing_ok=True)
+        manifest.write_manifest(mani, record)
+        return
+    if out.exists() and not out.is_dir():
+        raise OutputLocationError(f"--out {out} is not a directory")
+    staging.mkdir()
+    try:
+        for name, artifact in outputs.items():
+            path = staging / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_artifact(path, artifact)
+        manifest.write_manifest(mani, staging / manifest.MANIFEST_NAME)
+        if out.exists():
+            old = staging.with_name(staging.name + ".old")
+            os.rename(out, old)
+            try:
+                os.rename(staging, out)
+            except OSError:
+                os.rename(old, out)
+                raise
+            shutil.rmtree(old)
         else:
-            path.write_text(artifact, encoding="utf-8")
-    manifest.write_manifest(mani, record)
+            os.rename(staging, out)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _resolve_corpus_id(merged: dict) -> None:
@@ -336,8 +386,6 @@ def _cmd_ner_tag(p: dict) -> Outputs:
 
 
 def _cmd_topics(p: dict) -> Outputs:
-    import shutil
-
     from . import topics  # numpy loads only for the two topic commands
 
     documents = corpus.read_documents(p["docs"])
@@ -361,9 +409,14 @@ def _cmd_topics(p: dict) -> Outputs:
         raise FileExistsError(f"{target} already exists; pass --force to overwrite")
     model = topics.fit_lda(matrix, config)
     model.vocab = vocab
+    if any(model.epoch_cap_hits):
+        print(
+            f"{PROG} topics: note: E-steps stopped at max_e_iters="
+            f"{config.max_e_iters} in epochs: "
+            + ", ".join(str(hits) for hits in model.epoch_cap_hits),
+            file=sys.stderr,
+        )
     assignments, frequencies = topics.assign_topics(model, documents)
-    if target.exists():  # --force replaces the whole export, old k's files too
-        shutil.rmtree(target)
     files = report.export_topic_artifacts(model, assignments, frequencies)
     outputs: dict[str, Artifact] = {f"{base}/{name}": text for name, text in files.items()}
     outputs[f"{base}/model.json"] = lambda path: topics.save_topic_model(model, path)
@@ -725,9 +778,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         if command.finalize is not None:
             command.finalize(merged)
         out = merged[command.out_flag]
-        # digest the inputs before the run, whose output may overwrite one;
         # a run that writes nothing needs no manifest
-        mani = _record_manifest(command, merged) if out is not None else None
+        mani = None
+        if out is not None:
+            inputs = [merged[p.dest] for p in command.params if p.is_input]
+            _check_out(Path(out), [path for path in inputs if path is not None])
+            mani = _record_manifest(command, merged)
         outputs = command.handler(merged)
         if mani is not None:
             _write_outputs(Path(out), outputs, mani)

@@ -64,6 +64,10 @@ class ManifestError(ThreadscopeError):
     """A run manifest file is missing fields or unreadable."""
 
 
+class OutputLocationError(ThreadscopeError):
+    """An output location that a run must not replace."""
+
+
 class EmptyTrainingSetError(ThreadscopeError):
     """Tagger training was asked to run on zero sentences."""
 

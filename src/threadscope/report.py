@@ -9,7 +9,7 @@ emitted bytes are identical.  Writing them is the CLI's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import _month_of, _utc_date
@@ -21,8 +21,12 @@ if TYPE_CHECKING:  # topics imports numpy, which only the topic commands need
 
 
 def week_start_of(day: date) -> date:
-    """The Sunday on or before the given date."""
-    return day - timedelta(days=(day.weekday() + 1) % 7)
+    """The Sunday on or before the given date.  The first days of year 1
+    have none that ``date`` can hold: ValueError."""
+    ordinal = day.toordinal() - (day.weekday() + 1) % 7
+    if ordinal < 1:
+        raise ValueError(f"{day} has no Sunday on or before it in year 1 or later")
+    return date.fromordinal(ordinal)
 
 
 def _month_range(first: str, last: str) -> list[str]:
@@ -77,13 +81,13 @@ def weekly_post_counts(
         date_from = min(days)
     if date_to is None:
         date_to = max(days) if days else date_from
-    counts: dict[date, int] = {}
-    start = week_start_of(date_from)
-    last = week_start_of(date_to)
-    week = start
-    while week <= last:
-        counts[week] = 0
-        week += timedelta(days=7)
+    # stepped by ordinal, as the week after year 9999's last Sunday is no date
+    counts = {
+        date.fromordinal(ordinal): 0
+        for ordinal in range(
+            week_start_of(date_from).toordinal(), week_start_of(date_to).toordinal() + 1, 7
+        )
+    }
     for day in days:
         counts[week_start_of(day)] += 1
     return [WeekBucket(week_start=w, count=c) for w, c in sorted(counts.items())]

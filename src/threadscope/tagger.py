@@ -149,7 +149,7 @@ def _word_rows(rows: dict[str, list[float]], word: _Word) -> tuple:
 class _Rows:
     """Weights as one list of floats per feature, aligned to ``columns``,
     plus the allowed (label, column) pairs per (prev_tag, is_last), built
-    once each.  ``fixed_rows`` memoizes each word's rows, so it serves
+    once each.  ``fixed_rows`` and ``fixed_tags`` memoize, so they serve
     only weights that no longer change; training looks rows up afresh for
     every decode."""
 
@@ -174,8 +174,17 @@ class _Rows:
                     aligned[j] = value
             self.rows[feature] = aligned
         self._candidates: dict[tuple[str, bool], list[tuple[str, int]]] = {}
-        # word -> its _word_rows
+        # word -> its _word_rows, its index and its prev=/next= rows' indices
         self._memo: dict[str, tuple] = {}
+        # id of a prev=/next= row (or of None) -> its small index
+        self._row_index: dict[int, int] = {}
+        # position key -> the tag chosen there
+        self._tags: dict[int, str] = {}
+        # where a key's word, left row and right row indices start: below
+        # them, the previous tag's column and is_last
+        column_bits = len(columns).bit_length() + 1
+        row_bits = (len(self.rows) + 1).bit_length()
+        self._shifts = (column_bits + 2 * row_bits, column_bits + row_bits, column_bits)
 
     def candidates(self, prev_tag: str, is_last: bool) -> list[tuple[str, int]]:
         key = (prev_tag, is_last)
@@ -190,15 +199,53 @@ class _Rows:
 
     def fixed_rows(self, tokens: Sequence[str]) -> list[tuple]:
         """``_word_rows`` of the sentence edges and each token, looked up
-        once per distinct word; only for weights that no longer change."""
+        once per distinct word and followed by the word's index and the
+        indices of its ``prev=`` and ``next=`` rows (None has one too)."""
         memo = self._memo
+        index = self._row_index
         found = []
         for word in (START_WORD, *tokens, END_WORD):
             looked = memo.get(word)
             if looked is None:
-                looked = memo[word] = _word_rows(self.rows, _Word(word))
+                rows = _word_rows(self.rows, _Word(word))
+                looked = memo[word] = (
+                    *rows,
+                    len(memo),
+                    index.setdefault(id(rows[1]), len(index)),
+                    index.setdefault(id(rows[2]), len(index)),
+                )
             found.append(looked)
         return found
+
+    def fixed_tags(self, tokens: Sequence[str]) -> list[str]:
+        """``_decode`` of ``fixed_rows(tokens)``, scoring each distinct
+        position once.  A position's tag depends only on its word, the
+        left word's ``prev=`` row, the right word's ``next=`` row, the
+        previous tag and whether it is last.  The key packs their indices
+        into one int.  Each field below the word's is as wide as the most
+        rows or columns the weights hold, and the word's index, which
+        grows, is on top, so two positions share a key only when they
+        share all five."""
+        sentence_rows = self.fixed_rows(tokens)
+        memo = self._tags
+        column = self.column
+        word_shift, left_shift, right_shift = self._shifts
+        tags: list[str] = []
+        prev = O_TAG
+        last = len(sentence_rows) - 2
+        for i in range(1, last + 1):
+            before, here, after = sentence_rows[i - 1 : i + 2]
+            is_last = i == last
+            key = (
+                here[4] << word_shift | before[5] << left_shift
+                | after[6] << right_shift | column[prev] << 1 | is_last
+            )
+            tag = memo.get(key)
+            if tag is None:
+                tag = memo[key] = _choose(self, here, before[1], after[2], prev, is_last)
+            tags.append(tag)
+            prev = tag
+        return tags
 
 
 def _compiled(model: TaggerModel) -> _Rows:
@@ -215,34 +262,43 @@ def _compiled(model: TaggerModel) -> _Rows:
     return model._rows
 
 
-def _decode(compiled: _Rows, sentence_rows: Sequence[tuple]) -> list[str]:
-    """Greedy constrained decode of a sentence given as ``_word_rows`` of
-    its start edge, each word and its end edge.
+def _choose(
+    compiled: _Rows, rows: tuple, left: list | None, right: list | None,
+    prev: str, is_last: bool,
+) -> str:
+    """The tag of one position given its word's ``_word_rows``, the left
+    word's ``prev=`` row and the right word's ``next=`` row.
 
     Each candidate's score adds its weights in feature order, starting at
     0.0, and the first candidate in label order wins a tie."""
-    get = compiled.rows.get
-    ptag = compiled.ptag
+    found = list(rows[0])
+    for row in (left, right, compiled.rows.get(compiled.ptag[prev])):
+        if row is not None:
+            found.append(row)
+    found += rows[3]
+    candidates = compiled.candidates(prev, is_last)
+    best, best_score = candidates[0][0], None
+    for label, j in candidates:
+        score = 0.0
+        for row in found:
+            score += row[j]
+        if best_score is None or score > best_score:
+            best, best_score = label, score
+    return best
+
+
+def _decode(compiled: _Rows, sentence_rows: Sequence[tuple]) -> list[str]:
+    """Greedy constrained decode of a sentence given as ``_word_rows`` of
+    its start edge, each word and its end edge."""
     tags: list[str] = []
     prev = O_TAG
     last = len(sentence_rows) - 2
     for i in range(1, last + 1):
-        own, _, _, affixes = sentence_rows[i]
-        found = list(own)
-        for row in (sentence_rows[i - 1][1], sentence_rows[i + 1][2], get(ptag[prev])):
-            if row is not None:
-                found.append(row)
-        found += affixes
-        candidates = compiled.candidates(prev, i == last)
-        best, best_score = candidates[0][0], None
-        for label, j in candidates:
-            score = 0.0
-            for row in found:
-                score += row[j]
-            if best_score is None or score > best_score:
-                best, best_score = label, score
-        tags.append(best)
-        prev = best
+        prev = _choose(
+            compiled, sentence_rows[i], sentence_rows[i - 1][1],
+            sentence_rows[i + 1][2], prev, i == last,
+        )
+        tags.append(prev)
     return tags
 
 
@@ -359,8 +415,7 @@ def train_tagger(
 
 def tag_tokens(model: TaggerModel, tokens: Sequence[str]) -> list[str]:
     """Greedy left-to-right decode; output is always strictly BILOU-valid."""
-    compiled = _compiled(model)
-    return _decode(compiled, compiled.fixed_rows(tokens))
+    return _compiled(model).fixed_tags(tokens)
 
 
 @dataclass(frozen=True)

@@ -140,18 +140,19 @@ def strip_urls(text: str) -> str:
     return " ".join(text.split())
 
 
+# A terminator that ends a sentence: one followed by whitespace or the end.
+_TERMINATOR = re.compile(r"[.!?](?=\s|\Z)")
+
+
 def split_sentences(text: str) -> list[str]:
     """Split on '.', '!' or '?' followed by whitespace, except after a known
     abbreviation; a trailing fragment without a terminator is a sentence."""
     abbreviations = load_abbreviations()
     sentences: list[str] = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch not in ".!?":
-            continue
-        if i + 1 < len(text) and not text[i + 1].isspace():
-            continue
-        if ch == ".":
+    for match in _TERMINATOR.finditer(text):
+        i = match.start()
+        if text[i] == ".":
             # word ending at this period, e.g. "dr." or "u.s."
             j = i
             while j > start and not text[j - 1].isspace():
@@ -178,22 +179,17 @@ def _is_word_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
+# A token is a whitespace-free run that starts and ends with a word
+# character, or one character that is neither.  For str patterns \w is
+# str.isalnum() plus "_" and \s is str.isspace(), the tests of the
+# character loop this replaced.
+_TOKEN = re.compile(r"\w(?:\S*\w)?|[^\s\w]")
+
+
 def tokenize(sentence: str) -> list[str]:
     """Split on whitespace, then detach leading/trailing punctuation as
     their own tokens; internal apostrophes, hyphens, and underscores stay."""
-    tokens: list[str] = []
-    for chunk in sentence.split():
-        left = 0
-        right = len(chunk)
-        while left < right and not _is_word_char(chunk[left]):
-            left += 1
-        while right > left and not _is_word_char(chunk[right - 1]):
-            right -= 1
-        tokens.extend(chunk[:left])
-        if left < right:
-            tokens.append(chunk[left:right])
-        tokens.extend(chunk[right:])
-    return tokens
+    return _TOKEN.findall(sentence)
 
 
 def _pos_for(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from threadscope import manifest
 from threadscope.cli import run
+from threadscope.corpus import MAX_UTC, MIN_UTC
 from threadscope.manifest import read_manifest, sha256_file
 
 KEYWORDS = "covid,corona,virus,pandemic,lockdown,mask,quarantine,testing"
@@ -347,13 +348,14 @@ def test_topics_golden_bytes(tmp_path, fixtures, schema):
     clean = tmp_path / "clean.jsonl"
     assert run(["preprocess", "--in", str(tmp_path / "documents.jsonl"), "--out", str(clean)]) == 0
     common = ["--docs", str(clean), "--min-df", "1", "--epochs", "3", "--top", "5",
-              "--corpus-id", "fix", "--out", str(tmp_path / "out")]
-    assert run(["topics", *common, "--k", "3", "--batch-size", "4"]) == 0
-    assert run(["topics-monthly", *common, "--min-docs", "2"]) == 0
+              "--corpus-id", "fix"]
+    # one --out holds one run, so each command writes its own
+    topics, monthly = tmp_path / "topics", tmp_path / "monthly"
+    assert run(["topics", *common, "--k", "3", "--batch-size", "4", "--out", str(topics)]) == 0
+    assert run(["topics-monthly", *common, "--min-docs", "2", "--out", str(monthly)]) == 0
     written = {
         path.name: path
-        for sub in ("topics", "monthly")
-        for path in (tmp_path / "out" / "fix" / sub).iterdir()
+        for path in [*(topics / "fix" / "topics").iterdir(), *(monthly / "fix" / "monthly").iterdir()]
     }
     assert set(written) == set(GOLDEN_TOPICS[schema])
     for name, digest in GOLDEN_TOPICS[schema].items():
@@ -543,6 +545,30 @@ def test_topics_force_with_smaller_k_drops_stale_wordclouds(clean_docs, tmp_path
     assert clouds == ["wordcloud_topic0.tsv", "wordcloud_topic1.tsv"]
 
 
+def test_topics_notes_e_steps_stopped_at_the_cap(clean_docs, tmp_path, capsys):
+    argv = ["topics", "--docs", str(clean_docs), "--min-df", "1", "--k", "3"]
+    argv += ["--batch-size", "4", "--epochs", "3", "--out", str(tmp_path / "t")]
+    assert run(argv) == 0
+    model = json.loads((tmp_path / "t" / "clean" / "topics" / "model.json").read_text())
+    assert model["epoch_cap_hits"] == [5, 0, 1]
+    assert capsys.readouterr().err.splitlines() == [
+        "threadscope topics: note: E-steps stopped at max_e_iters=100 in epochs: 5, 0, 1"
+    ]
+
+    # a fit whose E-steps all converge prints nothing
+    docs = tmp_path / "converging.jsonl"
+    docs.write_text("".join(
+        json.dumps({"post_id": f"p{i}", "subreddit": "s", "created_utc": 1583366400,
+                    "title": "t", "comment_bodies": [], "cleaned_text": text}) + "\n"
+        for i, text in enumerate(["mask glove", "fever cough"] * 3)
+    ))
+    argv = ["topics", "--docs", str(docs), "--min-df", "1", "--max-df", "1.0", "--k", "2"]
+    assert run(argv + ["--epochs", "2", "--out", str(tmp_path / "c")]) == 0
+    model = json.loads((tmp_path / "c" / "converging" / "topics" / "model.json").read_text())
+    assert model["epoch_cap_hits"] == [0, 0]
+    assert capsys.readouterr().err == ""
+
+
 def test_ner_train_rejects_bad_dropout(fixtures, tmp_path, capsys):
     code = run(
         [
@@ -695,6 +721,70 @@ def test_fuzzed_model_file_exits_0_or_2_with_one_error_line(trained_model, corpu
                 assert line.startswith(f"threadscope {command}: error: ")
             else:
                 assert err == []
+
+
+DOC_FIELDS = ("post_id", "subreddit", "created_utc", "title", "comment_bodies", "cleaned_text")
+odd_text = st.lists(
+    st.sampled_from(list("aZ9é_- .!?\t\n\x1c\x85\xa0²Ⅻ'\"") + ["Dr.", "mask", "masks"]), max_size=12
+).map("".join)
+odd_values = {
+    "created_utc": st.sampled_from(
+        [MIN_UTC, MAX_UTC, MIN_UTC - 1, MAX_UTC + 1, 0, -1, 2**63, 1583366400]
+    ),
+    "comment_bodies": st.lists(odd_text, max_size=3),
+}
+
+
+@st.composite
+def mutated_documents(draw, good_lines: list[str]) -> str:
+    """A documents-file line: a good one with one to three fields
+    dropped, retyped or given odd values, or not a document at all."""
+    kind = draw(st.sampled_from(["document", "document", "value", "truncated", "text"]))
+    if kind == "value":
+        return json.dumps(draw(json_values))
+    if kind == "truncated":
+        line = draw(st.sampled_from(good_lines))
+        return line[: draw(st.integers(0, len(line) - 1))]
+    if kind == "text":
+        return draw(st.text(st.characters(codec="utf-8"), max_size=20))
+    doc = json.loads(draw(st.sampled_from(good_lines)))
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(DOC_FIELDS))
+        action = draw(st.sampled_from(["drop", "retype", "odd", "odd"]))
+        if action == "drop":
+            doc.pop(field, None)
+        elif action == "retype":
+            doc[field] = draw(json_values)
+        else:
+            doc[field] = draw(odd_values.get(field, odd_text))
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fuzzed_documents_file_exits_0_or_2_with_one_error_line(trained_model, corpus_dir, data):
+    good = (corpus_dir / "documents.jsonl").read_text(encoding="utf-8").splitlines()
+    lines = data.draw(st.lists(st.sampled_from(good) | mutated_documents(good), min_size=1, max_size=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        docs, model = Path(tmp) / "documents.jsonl", Path(tmp) / "model.json"
+        docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model.write_text(json.dumps(trained_model), encoding="utf-8")
+        runs = {
+            "stats": ["--docs", str(docs)],
+            "preprocess": ["--in", str(docs)],
+            "ner-tag": ["--model", str(model), "--docs", str(docs)],
+            "sentiment": ["--docs", str(docs), "--entity", "mask"],
+            "topics": ["--docs", str(docs), "--k", "2", "--min-df", "1", "--epochs", "1"],
+            "report": ["--docs", str(docs)],
+        }
+        for command, argv in runs.items():
+            code, err = _run_quietly([command, *argv, "--out", str(Path(tmp) / command)])
+            assert code in (0, 2), command
+            if code == 2:
+                (line,) = err
+                assert line.startswith(f"threadscope {command}: error: ")
+            else:
+                assert all(line.startswith(f"threadscope {command}: note: ") for line in err)
 
 
 @pytest.mark.parametrize(
@@ -861,14 +951,21 @@ def test_report_with_malformed_mentions_writes_nothing(corpus_dir, tmp_path, cap
     assert not out.exists()
 
 
-def test_failed_rewrite_leaves_no_stale_manifest(corpus_dir, tmp_path, capsys):
+def test_failed_rewrite_leaves_no_stale_manifest(corpus_dir, tmp_path, capsys, monkeypatch):
     docs = str(corpus_dir / "documents.jsonl")
     out = tmp_path / "stats"
     assert run(["stats", "--docs", docs, "--out", str(out)]) == 0
-    (out / "stats.tsv").unlink()
-    (out / "stats.tsv").mkdir()  # the rewrite of stats.tsv fails
-    assert run(["stats", "--docs", docs, "--out", str(out)]) == 2
-    assert not (out / "manifest.json").exists()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def fail(mani, path):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(manifest, "write_manifest", fail)  # the rewrite fails
+        assert run(["stats", "--docs", docs, "--out", str(out)]) == 2
+    # the old tree stands whole beside its own manifest; nothing half-written is left
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert [path.name for path in tmp_path.iterdir()] == ["stats"]
 
     report = tmp_path / "mask.tsv"
     sidecar = tmp_path / "mask.tsv.manifest.json"
@@ -879,6 +976,78 @@ def test_failed_rewrite_leaves_no_stale_manifest(corpus_dir, tmp_path, capsys):
     report.mkdir()
     assert run(argv) == 2
     assert not sidecar.exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["mask.tsv", "stats"]
+
+
+def test_report_without_mentions_replaces_the_tree_with_mentions(corpus_dir, tmp_path):
+    docs = corpus_dir / "documents.jsonl"
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text(
+        "post_id\tsubreddit\tcreated_utc\tcategory\tname\n"
+        + "".join(
+            f"{doc['post_id']}\t{doc['subreddit']}\t{doc['created_utc']}\tPPE\tmask\n"
+            for doc in map(json.loads, docs.read_text().splitlines())
+        )
+    )
+    out = tmp_path / "r"
+    argv = ["report", "--docs", str(docs), "--corpus-id", "c", "--out", str(out)]
+    assert run(argv + ["--mentions", str(mentions)]) == 0
+    assert (out / "c" / "entities" / "entity_counts.tsv").exists()
+    assert run(argv) == 0
+    assert sorted(str(path.relative_to(out)) for path in out.rglob("*")) == [
+        "c", "c/weekly", "c/weekly/weekly_posts.tsv", "manifest.json",
+    ]
+    assert read_manifest(out / "manifest.json").params["mentions"] is None
+
+
+def test_topics_and_topics_monthly_into_one_out_replace_each_other(clean_docs, tmp_path):
+    common = ["--docs", str(clean_docs), "--min-df", "1", "--epochs", "1", "--corpus-id", "c"]
+    out = tmp_path / "out"
+    assert run(["topics", *common, "--k", "2", "--out", str(out)]) == 0
+    assert run(["topics-monthly", *common, "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["c", "manifest.json"]
+    assert [path.name for path in (out / "c").iterdir()] == ["monthly"]
+
+
+def _one_error_line(capsys, command):
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"threadscope {command}: error: --out ")
+    return line
+
+
+def test_out_that_is_not_a_previous_run_is_refused(corpus_dir, tmp_path, capsys, monkeypatch):
+    docs = str(corpus_dir / "documents.jsonl")
+    stats = ["stats", "--docs", docs, "--out"]
+    mine = tmp_path / "mine"
+    mine.mkdir()
+    (mine / "notes.txt").write_text("keep me")
+    assert run([*stats, str(mine)]) == 2
+    assert "non-empty directory without manifest.json" in _one_error_line(capsys, "stats")
+    assert [path.name for path in mine.iterdir()] == ["notes.txt"]
+    assert run([*stats, str(mine / "notes.txt")]) == 2
+    assert "is not a directory" in _one_error_line(capsys, "stats")
+    assert (mine / "notes.txt").read_text() == "keep me"
+
+    # the working directory, and any directory above it, is never replaced,
+    # even when it holds an earlier run
+    assert run([*stats, str(tmp_path / "run")]) == 0
+    monkeypatch.chdir(tmp_path / "run")
+    for out in (".", "..", str(tmp_path)):
+        assert run([*stats, out]) == 2
+        assert "holds the working directory" in _one_error_line(capsys, "stats")
+    assert (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_out_that_holds_an_input_is_refused(corpus_dir, tmp_path, capsys):
+    docs = tmp_path / "in" / "documents.jsonl"
+    docs.parent.mkdir()
+    shutil.copy(corpus_dir / "documents.jsonl", docs)
+    assert run(["report", "--docs", str(docs), "--out", str(docs.parent)]) == 2
+    assert "holds input" in _one_error_line(capsys, "report")
+    assert run(["preprocess", "--in", str(docs), "--out", str(docs)]) == 2
+    assert "holds input" in _one_error_line(capsys, "preprocess")
+    assert docs.read_bytes() == (corpus_dir / "documents.jsonl").read_bytes()
+    assert [path.name for path in docs.parent.iterdir()] == ["documents.jsonl"]
 
 
 def test_stats_without_out_writes_nothing(corpus_dir, tmp_path, monkeypatch, capsys):

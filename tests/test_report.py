@@ -7,6 +7,7 @@ from datetime import date, datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from threadscope.report import (
     EntityReport,
     MonthlySeries,
     TopicFrequencyRow,
+    WeekBucket,
     counts_from_mentions,
     entity_report,
     entity_table,
@@ -110,6 +112,17 @@ def test_weekly_counts_contiguous_and_complete(days):
     for prev, cur in zip(starts, starts[1:]):
         assert (cur - prev).days == 7
     assert sum(b.count for b in buckets) == len(days)
+
+
+def test_weekly_counts_at_the_ends_of_the_calendar():
+    # year 9999 ends on a Friday: its last week starts on the 26th
+    last = [FakeDoc("p1", 253_402_300_799)]
+    assert weekly_post_counts(last) == [WeekBucket(date(9999, 12, 26), 1)]
+    # 0001-01-01 is a Monday, and the Sunday before it is no date
+    first = [FakeDoc("p1", -62_135_596_800)]
+    with pytest.raises(ValueError, match="0001-01-01 has no Sunday"):
+        weekly_post_counts(first)
+    assert weekly_post_counts(first, date_from=date(1, 1, 7)) == [WeekBucket(date(1, 1, 7), 0)]
 
 
 def test_weekly_table():

@@ -586,6 +586,81 @@ def test_tag_tokens_matches_dict_reference(tokens, entity_labels, weights):
     assert tag_tokens(model, tokens) == expected
 
 
+# Case variants share their prev=/next= rows but not their own, and rows
+# for the neighbour features are often missing.
+MEMO_WORDS = ["mask", "Mask", "MASK", "masks", "fever", "a", "the", "on"]
+MEMO_FEATURES = DECODE_FEATURES + [
+    "prev=mask", "next=mask", "prev=a", "next=a", "next=fever", "prev=the",
+    "w=a", "w=on", "shape=Xxxx", "shape=XXXX", "ptag=L-PPE", "ptag=U-PPE", "ptag=B-SYM",
+]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.lists(st.sampled_from(MEMO_WORDS), min_size=1, max_size=8), min_size=1, max_size=6),
+    st.lists(st.sampled_from(WEIGHT_LABELS[1:9]), unique=True),
+    st.dictionaries(
+        st.sampled_from(MEMO_FEATURES),
+        st.dictionaries(st.sampled_from(WEIGHT_LABELS), weight_values, max_size=6),
+        max_size=12,
+    ),
+)
+def test_position_memo_matches_a_memo_free_decode(sentences, entity_labels, weights):
+    model = TaggerModel(labels=["O"] + entity_labels, weights=weights)
+    compiled = tagger._compiled(model)
+    # every sentence twice, so the memo fills and is then read
+    for tokens in sentences + sentences:
+        assert tag_tokens(model, tokens) == tagger._decode(compiled, compiled.fixed_rows(tokens))
+    assert len(compiled._tags) <= sum(len(tokens) for tokens in sentences)
+
+
+def test_position_memo_scores_each_distinct_position_once(monkeypatch):
+    scored = []
+    real_choose = tagger._choose
+
+    def counting_choose(compiled, rows, left, right, prev, is_last):
+        scored.append(prev)
+        return real_choose(compiled, rows, left, right, prev, is_last)
+
+    monkeypatch.setattr(tagger, "_choose", counting_choose)
+    model = TaggerModel(labels=PPE_LABELS, weights={"w=mask": {"U-PPE": 1.0}})
+    tokens = ["mask", "a", "a", "a", "mask"]
+    # the model has no prev=/next= rows, so the last two "a" positions share
+    # a key: the same word, missing neighbour rows and previous tag O
+    assert tag_tokens(model, tokens) == ["U-PPE", "O", "O", "O", "U-PPE"]
+    assert len(scored) == 4
+    assert tag_tokens(model, tokens) == ["U-PPE", "O", "O", "O", "U-PPE"]
+    assert len(scored) == 4
+
+
+def test_position_keys_keep_their_fields_apart():
+    # U-PPE is column 4 of 7; after it, "a" with no right row must not share
+    # a key with "a" after O whose right word's next= row has index 1
+    weights = {"w=mask": {"U-PPE": 5.0}, "ptag=U-PPE": {"U-PPE": 2.0}, "next=x": {"O": 1.0}}
+    model = TaggerModel(labels=PPE_LABELS, weights=weights)
+    compiled = tagger._compiled(model)
+    for tokens in (["mask", "a", "c"], ["b", "a", "x"]):
+        expected = tagger._decode(compiled, compiled.fixed_rows(tokens))
+        assert tag_tokens(model, tokens) == expected
+    assert tag_tokens(model, ["b", "a", "x"])[1] == "O"
+
+
+def test_training_leaves_the_fixed_weight_memos_empty(monkeypatch):
+    built = []
+    real_init = tagger._Rows.__init__
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(tagger._Rows, "__init__", recording_init)
+    model = train_tagger(TRAIN_SET, TrainConfig(iterations=3, batch_min=2, batch_max=4, seed=1))
+    # training's weights change, so it must never read a memo
+    assert len(built) == 1
+    assert built[0]._memo == {} and built[0]._row_index == {} and built[0]._tags == {}
+    assert model._rows is None
+
+
 @pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.5, 0.1)], ids=["no-dropout", "dropout"])
 @pytest.mark.parametrize("source", ["toy", "fixture"])
 def test_trained_model_file_matches_reference(tmp_path, fixtures, dropout, source):

@@ -80,6 +80,74 @@ def test_tokenize_idempotent_under_rejoin(text):
     assert tokenize(" ".join(tokens)) == tokens
 
 
+# ---------------------------------------------------------------- regex
+# The per-character loops that the two regexes replaced, kept verbatim as
+# references: the regexes must split every string the same way.
+
+
+def ref_split_sentences(text: str) -> list[str]:
+    abbreviations = textprep.load_abbreviations()
+    sentences: list[str] = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch not in ".!?":
+            continue
+        if i + 1 < len(text) and not text[i + 1].isspace():
+            continue
+        if ch == ".":
+            j = i
+            while j > start and not text[j - 1].isspace():
+                j -= 1
+            if text[j : i + 1].lower() in abbreviations:
+                continue
+        piece = text[start : i + 1].strip()
+        if piece:
+            sentences.append(piece)
+        start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def ref_tokenize(sentence: str) -> list[str]:
+    tokens: list[str] = []
+    for chunk in sentence.split():
+        left = 0
+        right = len(chunk)
+        while left < right and not (chunk[left].isalnum() or chunk[left] == "_"):
+            left += 1
+        while right > left and not (chunk[right - 1].isalnum() or chunk[right - 1] == "_"):
+            right -= 1
+        tokens.extend(chunk[:left])
+        if left < right:
+            tokens.append(chunk[left:right])
+        tokens.extend(chunk[right:])
+    return tokens
+
+
+# terminators, whitespace that str.split() and \s agree on (\x1c, \x85,
+# \xa0), a digit and a numeral that are alnum but not ASCII, and the
+# shipped abbreviations in both cases
+REGEX_PIECES = list(".!?.. \t\n\x1c\x85\xa0²Ⅻé_-'\"(),a1") + sorted(
+    {form for abbreviation in textprep.load_abbreviations()
+     for form in (abbreviation, abbreviation.upper(), abbreviation.title())}
+)
+regex_texts = st.lists(st.sampled_from(REGEX_PIECES), max_size=30).map("".join)
+
+
+@settings(max_examples=500)
+@given(regex_texts | st.text(max_size=30))
+def test_split_sentences_matches_the_character_loop(text):
+    assert split_sentences(text) == ref_split_sentences(text)
+
+
+@settings(max_examples=500)
+@given(regex_texts | st.text(max_size=30))
+def test_tokenize_matches_the_character_loop(text):
+    assert tokenize(text) == ref_tokenize(text)
+
+
 def test_data_lines_counts_physical_lines(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_bytes(b"# header\n\n  # indented comment\r\nfirst\t1\r\n   \nlast")
