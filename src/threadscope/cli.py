@@ -12,12 +12,13 @@ under a temporary sibling name and renames them into place, so one
 output location holds one run and a tree is finished exactly when it
 has a manifest.  A run that fails before writing leaves its output
 location as it was.  Output locations are not recorded: they
-must not change the emitted bytes.  `replay` re-executes a manifest into
-a fresh output location after checking that the recorded inputs are
-unchanged.
+must not change the emitted bytes.
 
 Values merge as flags > config file > built-in defaults; the manifest
-holds the merged result.
+holds the merged result.  `replay` checks that a manifest's recorded
+inputs are unchanged, then merges its recorded params as the config
+file, with the new output location as the only flag, and runs the
+recorded command on them as any other run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import corpus, manifest, nerdata, report, sentiment, tagger, textprep
-from .errors import FormatError, OutputLocationError, ThreadscopeError
+from .errors import FormatError, ManifestError, OutputLocationError, ThreadscopeError
 
 PROG = "threadscope"
 
@@ -49,6 +50,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> object:
+        # argparse before Python 3.12 drops the value of `--entity=--` and
+        # hands the command an empty list; parse it as the text it is
+        if arg_strings == ["--"] and action.option_strings and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 @dataclass(frozen=True)
@@ -74,46 +84,56 @@ def _csv(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
+# How each Param kind parses its flag's text; config and manifest values
+# go through the same parser.  A `flag` takes no text.
+_PARSE: dict[str, Callable[[str], object]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "date": date.fromisoformat,
+    "csv": _csv,
+    "choice": str,
+}
+
+
 def _add_to_parser(parser: argparse.ArgumentParser, param: Param) -> None:
     name = f"--{param.flag}"
     if param.kind == "flag":
-        parser.add_argument(name, action="store_true", default=False, help=param.help)
-    elif param.kind == "choice":
-        parser.add_argument(name, choices=param.choices, default=None, help=param.help)
-    elif param.kind == "csv":
-        parser.add_argument(name, type=_csv, default=None, help=param.help)
+        parser.add_argument(name, action="store_true", default=None, help=param.help)
     else:
-        types: dict[str, Callable] = {
-            "str": str,
-            "int": int,
-            "float": float,
-            "date": date.fromisoformat,
-        }
-        parser.add_argument(name, type=types[param.kind], default=None, help=param.help)
+        parser.add_argument(
+            name,
+            type=_PARSE[param.kind],
+            choices=param.choices or None,
+            default=None,
+            help=param.help,
+        )
 
 
 def _coerce(param: Param, value: object) -> object:
-    """Bring a config-file value to the same type a flag would produce."""
+    """Bring a config or manifest value to what a flag would give: a
+    `flag` takes a JSON boolean, a `csv` also a list of strings kept item
+    by item, `null` is unset, any other list or object is refused, and
+    any other value is parsed as its text by the flag's parser."""
+    if value is None:
+        return None
+    if param.kind == "flag":
+        if isinstance(value, bool):
+            return value
+        raise _UsageError(f"config value for {param.flag!r}: expected true or false")
+    if param.kind == "csv" and isinstance(value, list):
+        if all(isinstance(item, str) for item in value):
+            return value
+        raise _UsageError(f"config value for {param.flag!r}: expected a list of strings")
+    if isinstance(value, (list, dict)):
+        raise _UsageError(f"config value for {param.flag!r}: expected a single value")
     try:
-        if param.kind == "int":
-            return int(value)  # type: ignore[arg-type]
-        if param.kind == "float":
-            return float(value)  # type: ignore[arg-type]
-        if param.kind == "date":
-            return date.fromisoformat(str(value))
-        if param.kind == "csv":
-            if isinstance(value, list):
-                return [str(item) for item in value]
-            return _csv(str(value))
-        if param.kind == "flag":
-            return bool(value)
-        if param.kind == "choice":
-            if str(value) not in param.choices:
-                raise ValueError(f"must be one of {', '.join(param.choices)}")
-            return str(value)
-        return str(value)
-    except (TypeError, ValueError) as exc:
+        parsed = _PARSE[param.kind](str(value))
+        if param.choices and parsed not in param.choices:
+            raise ValueError(f"must be one of {', '.join(param.choices)}")
+    except ValueError as exc:
         raise _UsageError(f"config value for {param.flag!r}: {exc}") from exc
+    return parsed
 
 
 def _load_config(path: str | None) -> dict:
@@ -136,13 +156,10 @@ def _merge(params: tuple[Param, ...], cli: Mapping, config: Mapping) -> dict:
     merged: dict = {}
     for param in params:
         value = cli.get(param.dest)
-        if param.kind == "flag":
-            value = bool(value) or bool(config.get(param.flag, False))
-        elif value is None:
-            if param.flag in config:
-                value = _coerce(param, config[param.flag])
-            else:
-                value = param.default
+        if value is None:
+            value = _coerce(param, config.get(param.flag))
+        if value is None:
+            value = param.default
         if param.required and value is None:
             raise _UsageError(f"the following argument is required: --{param.flag}")
         merged[param.dest] = value
@@ -171,7 +188,7 @@ def _record_manifest(command: Command, merged: Mapping) -> manifest.RunManifest:
     inputs: dict = {}
     seeds: dict = {}
     for param in command.params:
-        if not param.recorded or param.flag == command.out_flag:
+        if not param.recorded:
             continue
         value = merged[param.dest]
         params[param.flag] = value.isoformat() if isinstance(value, date) else value
@@ -388,6 +405,10 @@ def _cmd_ner_tag(p: dict) -> Outputs:
 def _cmd_topics(p: dict) -> Outputs:
     from . import topics  # numpy loads only for the two topic commands
 
+    if not p["force"] and (Path(p["out"]) / manifest.MANIFEST_NAME).exists():
+        raise OutputLocationError(
+            f"--out {p['out']} holds an earlier run; pass --force to replace it"
+        )
     documents = corpus.read_documents(p["docs"])
     vocab, matrix = topics.build_vocabulary(
         [doc.cleaned_text for doc in documents], max_df=p["max_df"], min_df=p["min_df"]
@@ -403,10 +424,6 @@ def _cmd_topics(p: dict) -> Outputs:
         seed=p["seed"],
         top_n=p["top"],
     )
-    base = f"{p['corpus_id']}/topics"
-    target = Path(p["out"]) / base
-    if target.exists() and not p["force"]:
-        raise FileExistsError(f"{target} already exists; pass --force to overwrite")
     model = topics.fit_lda(matrix, config)
     model.vocab = vocab
     if any(model.epoch_cap_hits):
@@ -418,6 +435,7 @@ def _cmd_topics(p: dict) -> Outputs:
         )
     assignments, frequencies = topics.assign_topics(model, documents)
     files = report.export_topic_artifacts(model, assignments, frequencies)
+    base = f"{p['corpus_id']}/topics"
     outputs: dict[str, Artifact] = {f"{base}/{name}": text for name, text in files.items()}
     outputs[f"{base}/model.json"] = lambda path: topics.save_topic_model(model, path)
     return outputs
@@ -532,49 +550,23 @@ def _cmd_report(p: dict) -> Outputs:
     return outputs
 
 
-def _argv_from_params(params: Mapping) -> list[str]:
-    argv: list[str] = []
-    for flag in sorted(params):
-        value = params[flag]
-        if value is None or value is False:
-            continue
-        if value is True:
-            argv.append(f"--{flag}")
-        elif isinstance(value, list):
-            argv.extend([f"--{flag}", ",".join(str(item) for item in value)])
-        else:
-            argv.extend([f"--{flag}", str(value)])
-    return argv
-
-
-def _cmd_replay(p: dict) -> int:
-    """Re-run a recorded manifest.  The re-run writes its own outputs, so
-    this returns its exit code instead of artifacts."""
+def _cmd_replay(p: dict) -> tuple[Command, dict]:
+    """Check a recorded manifest and return its command with the values
+    to run it on: the recorded params merged as a config file, with the
+    new output location as the only flag."""
     recorded = manifest.read_manifest(p["manifest"])
     if recorded.artifact_version != manifest.ARTIFACT_VERSION:
-        print(
-            f"{PROG} replay: error: manifest has artifact_version "
-            f"{recorded.artifact_version!r}; this threadscope writes "
-            f"{manifest.ARTIFACT_VERSION}",
-            file=sys.stderr,
+        raise ManifestError(
+            f"manifest has artifact_version {recorded.artifact_version!r}; "
+            f"this threadscope writes {manifest.ARTIFACT_VERSION}"
         )
-        return 2
     problems = manifest.verify_inputs(recorded)
     if problems:
-        for problem in problems:
-            print(f"{PROG} replay: error: {problem}", file=sys.stderr)
-        return 2
+        raise ManifestError("; ".join(problems))
     if recorded.command not in COMMANDS or recorded.command == "replay":
-        print(
-            f"{PROG} replay: error: manifest names unknown command "
-            f"{recorded.command!r}",
-            file=sys.stderr,
-        )
-        return 2
-    out_flag = COMMANDS[recorded.command].out_flag
-    argv = [recorded.command, *_argv_from_params(recorded.params)]
-    argv.extend([f"--{out_flag}", p["out"]])
-    return run(argv)
+        raise ManifestError(f"manifest names unknown command {recorded.command!r}")
+    command = COMMANDS[recorded.command]
+    return command, _merge(command.params, {command.out_flag: p["out"]}, recorded.params)
 
 
 # ------------------------------------------------------------- commands
@@ -592,7 +584,7 @@ COMMANDS: dict[str, Command] = {
                 Param("from", kind="date", required=True, help="start date, YYYY-MM-DD"),
                 Param("to", kind="date", required=True, help="end date, YYYY-MM-DD"),
                 Param("subreddits", kind="csv", help="restrict to these subreddits"),
-                Param("skip-bad-records", kind="flag", help="log and skip malformed dump lines"),
+                Param("skip-bad-records", kind="flag", default=False, help="log and skip malformed dump lines"),
                 Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_ingest,
@@ -684,7 +676,7 @@ COMMANDS: dict[str, Command] = {
                 Param("seed", kind="int", default=42, help="initialization/shuffle seed"),
                 Param("top", kind="int", default=15, help="keywords per topic"),
                 Param("corpus-id", help="artifact directory name; default: docs stem"),
-                Param("force", kind="flag", recorded=False, help="replace an existing export"),
+                Param("force", kind="flag", default=False, recorded=False, help="replace an existing export"),
                 Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_topics,
@@ -727,7 +719,7 @@ COMMANDS: dict[str, Command] = {
                 Param("docs", required=True, is_input=True, help="documents file"),
                 Param("mentions", is_input=True, help="mentions file from ner-tag"),
                 Param("entities", kind="csv", help="entities to trend; default: top per category"),
-                Param("truncate", kind="flag", help="keep top 3 DIST / top 8 other rows"),
+                Param("truncate", kind="flag", default=False, help="keep top 3 DIST / top 8 other rows"),
                 Param("from", kind="date", help="report range start"),
                 Param("to", kind="date", help="report range end"),
                 Param("corpus-id", help="artifact directory name; default: docs stem"),
@@ -760,6 +752,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _execute(command: Command, merged: dict) -> None:
+    """Run a command on its merged values and write what it returns."""
+    if command.finalize is not None:
+        command.finalize(merged)
+    out = merged[command.out_flag]
+    # a run that writes nothing needs no manifest
+    mani = None
+    if out is not None:
+        inputs = [merged[p.dest] for p in command.params if p.is_input]
+        _check_out(Path(out), [path for path in inputs if path is not None])
+        mani = _record_manifest(command, merged)
+    outputs = command.handler(merged)
+    if mani is not None:
+        _write_outputs(Path(out), outputs, mani)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -774,19 +782,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         config = _load_config(vars(args).get("config"))
         merged = _merge(command.params, vars(args), config)
         if command.name == "replay":
-            return command.handler(merged)
-        if command.finalize is not None:
-            command.finalize(merged)
-        out = merged[command.out_flag]
-        # a run that writes nothing needs no manifest
-        mani = None
-        if out is not None:
-            inputs = [merged[p.dest] for p in command.params if p.is_input]
-            _check_out(Path(out), [path for path in inputs if path is not None])
-            mani = _record_manifest(command, merged)
-        outputs = command.handler(merged)
-        if mani is not None:
-            _write_outputs(Path(out), outputs, mani)
+            # errors of the replayed run carry its own command's name
+            command, merged = command.handler(merged)
+        _execute(command, merged)
         return 0
     except _UsageError as exc:
         print(f"{PROG} {command.name}: error: {exc}", file=sys.stderr)

@@ -560,6 +560,10 @@ def _document_from_json(obj) -> Document:
         raise ValueError("document is not an object")
     post_id = _typed(obj, "post_id", str, "a string")
     subreddit = _typed(obj, "subreddit", str, "a string")
+    # both are columns of the TSV files written from documents
+    for name, value in (("post_id", post_id), ("subreddit", subreddit)):
+        if any(char in value for char in "\t\n\r"):
+            raise ValueError(f"{name} must not hold a tab or line break")
     created_utc = _check_utc_range(_typed(obj, "created_utc", int, "an integer"))
     title = _typed(obj, "title", str, "a string")
     bodies = _typed(obj, "comment_bodies", list, "a list of strings")

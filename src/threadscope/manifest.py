@@ -85,22 +85,41 @@ def write_manifest(manifest: RunManifest, path: str | Path) -> None:
     target.write_text(manifest.to_json(), encoding="utf-8")
 
 
+_FIELDS = (
+    ("artifact_version", int, "an integer"),
+    ("command", str, "a string"),
+    ("params", dict, "an object"),
+    ("inputs", list, "a list"),
+    ("seeds", dict, "an object"),
+)
+
+
 def read_manifest(path: str | Path) -> RunManifest:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
-    for key in ("artifact_version", "command", "params", "inputs", "seeds"):
+    if not isinstance(payload, dict):
+        raise ManifestError(f"{path}: not a manifest object")
+    for key, kind, what in _FIELDS:
         if key not in payload:
             raise ManifestError(f"{path}: missing manifest field {key!r}")
-    inputs = tuple(
-        ManifestInput(param=i["param"], path=i["path"], sha256=i["sha256"])
-        for i in payload["inputs"]
-    )
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ManifestError(f"{path}: manifest field {key!r} must be {what}")
+    inputs = []
+    for entry in payload["inputs"]:
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), str) for key in ("param", "path", "sha256")
+        ):
+            raise ManifestError(
+                f"{path}: each manifest input must hold string param, path and sha256"
+            )
+        inputs.append(ManifestInput(entry["param"], entry["path"], entry["sha256"]))
     return RunManifest(
         command=payload["command"],
         params=payload["params"],
-        inputs=inputs,
+        inputs=tuple(inputs),
         seeds=payload["seeds"],
         artifact_version=payload["artifact_version"],
     )

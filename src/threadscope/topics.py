@@ -13,7 +13,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -600,17 +600,7 @@ def monthly_side_topics(
                 MonthlyTopics(month=month, skipped=True, reason=str(exc), topics=())
             )
             continue
-        month_config = LdaConfig(
-            k=2,
-            tau0=config.tau0,
-            kappa=config.kappa,
-            batch_size=config.batch_size,
-            epochs=config.epochs,
-            mean_change_tol=config.mean_change_tol,
-            max_e_iters=config.max_e_iters,
-            seed=config.seed,
-            top_n=config.top_n,
-        )
+        month_config = replace(config, k=2, alpha=None, eta=None)
         # no side model's perplexity is written anywhere
         model = fit_lda(matrix, month_config, record_perplexity=False)
         model.vocab = vocab

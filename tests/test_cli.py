@@ -15,10 +15,10 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threadscope import manifest
+from threadscope import cli, manifest
 from threadscope.cli import run
 from threadscope.corpus import MAX_UTC, MIN_UTC
 from threadscope.manifest import read_manifest, sha256_file
@@ -497,6 +497,93 @@ def test_flag_beats_config_beats_default(corpus_dir, tmp_path, fixtures):
     assert read_manifest(tmp_path / "f" / "manifest.json").params["cap"] == 9
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [(["sentiment", "--entity", "mask"], {"min-tokens": 2.9}), (["report"], {"truncate": "false"}),
+     (["report"], {"mentions": ["a", "b"]}), (["report"], {"entities": [1]})],
+    ids=["int-from-float", "flag-from-string", "list-for-str", "list-of-non-strings"],
+)
+def test_config_value_a_flag_would_reject_exits_1(corpus_dir, tmp_path, capsys, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    docs = str(corpus_dir / "documents.jsonl")
+    assert run([*argv, "--docs", docs, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"threadscope {argv[0]}: error: config value for '{next(iter(config))}'")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_null_means_the_default(corpus_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"min-tokens": None, "lexicon": None}))
+    argv = ["sentiment", "--docs", str(corpus_dir / "documents.jsonl"), "--entity", "mask"]
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "s.tsv")]) == 0
+    params = read_manifest(tmp_path / "s.tsv.manifest.json").params
+    assert params["min-tokens"] == 3 and params["lexicon"] is None
+
+
+def test_every_param_kind_parses_through_one_table():
+    for command in cli.COMMANDS.values():
+        for param in command.params:
+            if param.kind == "flag":
+                assert param.default is False, (command.name, param.flag)
+            else:
+                assert param.kind in cli._PARSE, (command.name, param.flag)
+        (out,) = [param for param in command.params if param.flag == command.out_flag]
+        assert not out.recorded, command.name
+
+
+# the first param of each kind, with the command that takes it
+PARAM_OF_KIND = {}
+for _command in cli.COMMANDS.values():
+    for _param in _command.params:
+        PARAM_OF_KIND.setdefault(_param.kind, (_command, _param))
+PARSER = cli._build_parser()
+
+
+def _merged_or_exit(command, param, argv, config):
+    with redirect_stderr(io.StringIO()):
+        try:
+            args = vars(PARSER.parse_args([command.name, *argv]))
+            return cli._merge((param,), args, config)[param.dest]
+        except SystemExit as exc:
+            return f"exit {exc.code}"
+        except cli._UsageError:
+            return "exit 1"
+
+
+flag_texts = st.lists(st.sampled_from(list(" ,-:.e+_0123456789aTx") + [
+    "native", "prefix", "2020-03-01", "nan", "True"]), max_size=6).map("".join)
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(sorted(set(PARAM_OF_KIND) - {"flag"})),
+    value=flag_texts | st.integers(-999, 999) | st.floats(allow_nan=False) | st.booleans(),
+)
+def test_config_value_and_flag_text_give_the_same_merged_value(kind, value):
+    command, param = PARAM_OF_KIND[kind]
+    text = str(value)
+    from_flag = _merged_or_exit(command, param, [f"--{param.flag}={text}"], {})
+    from_config = _merged_or_exit(command, param, [], {param.flag: value})
+    if from_flag != from_flag:  # a float flag parsed to nan
+        assert from_config != from_config
+    else:
+        assert from_config == from_flag
+
+
+def test_flag_kind_takes_only_a_json_boolean():
+    command, param = PARAM_OF_KIND["flag"]
+    flag = f"--{param.flag}"
+    assert _merged_or_exit(command, param, [flag], {}) is True
+    assert _merged_or_exit(command, param, [], {param.flag: True}) is True
+    assert _merged_or_exit(command, param, [], {param.flag: False}) is False
+    assert _merged_or_exit(command, param, [], {param.flag: None}) is False
+    assert _merged_or_exit(command, param, [f"{flag}=true"], {}) == "exit 1"
+    for value in ("true", 1, [True]):
+        assert _merged_or_exit(command, param, [], {param.flag: value}) == "exit 1"
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -727,6 +814,8 @@ DOC_FIELDS = ("post_id", "subreddit", "created_utc", "title", "comment_bodies", 
 odd_text = st.lists(
     st.sampled_from(list("aZ9é_- .!?\t\n\x1c\x85\xa0²Ⅻ'\"") + ["Dr.", "mask", "masks"]), max_size=12
 ).map("".join)
+# a tab or line break in either id would split a row of the TSV outputs
+tsv_breaking_ids = st.sampled_from(["p\t1", "p\n1", "p\r1", "\t", "coronavirus\r\n"])
 odd_values = {
     "created_utc": st.sampled_from(
         [MIN_UTC, MAX_UTC, MIN_UTC - 1, MAX_UTC + 1, 0, -1, 2**63, 1583366400]
@@ -738,8 +827,13 @@ odd_values = {
 @st.composite
 def mutated_documents(draw, good_lines: list[str]) -> str:
     """A documents-file line: a good one with one to three fields
-    dropped, retyped or given odd values, or not a document at all."""
-    kind = draw(st.sampled_from(["document", "document", "value", "truncated", "text"]))
+    dropped, retyped or given odd values, or with an id that would break
+    a TSV row, or not a document at all."""
+    kind = draw(st.sampled_from(["document", "document", "id", "value", "truncated", "text"]))
+    if kind == "id":
+        doc = json.loads(draw(st.sampled_from(good_lines)))
+        doc[draw(st.sampled_from(["post_id", "subreddit"]))] = draw(tsv_breaking_ids)
+        return json.dumps(doc)
     if kind == "value":
         return json.dumps(draw(json_values))
     if kind == "truncated":
@@ -785,6 +879,10 @@ def test_fuzzed_documents_file_exits_0_or_2_with_one_error_line(trained_model, c
                 assert line.startswith(f"threadscope {command}: error: ")
             else:
                 assert all(line.startswith(f"threadscope {command}: note: ") for line in err)
+        mentions = Path(tmp) / "ner-tag"
+        if mentions.exists():
+            rows = mentions.read_text(encoding="utf-8").split("\n")[:-1]
+            assert all(len(row.split("\t")) == 5 for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -1191,6 +1289,100 @@ def test_replay_refuses_other_artifact_version(corpus_dir, tmp_path, capsys):
     assert err.startswith("threadscope replay: error: ")
     assert "artifact_version" in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["5", '{"artifact_version": 2, "command": "stats", "params": [1], "inputs": [], "seeds": {}}',
+     '{"artifact_version": 2, "command": "stats", "params": {}, "inputs": "ab", "seeds": {}}',
+     '{"artifact_version": 2, "command": "stats", "params": {}, "inputs": [{"param": 1}], "seeds": {}}',
+     '{"artifact_version": "2", "command": "stats", "params": {}, "inputs": [], "seeds": {}}'],
+    ids=["not-an-object", "params-list", "inputs-string", "input-mistyped", "version-string"],
+)
+def test_replay_rejects_mistyped_manifest_with_one_error_line(tmp_path, capsys, body):
+    path = tmp_path / "manifest.json"
+    path.write_text(body)
+    assert run(["replay", "--manifest", str(path), "--out", str(tmp_path / "r")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"threadscope replay: error: {path}: ")
+    assert not (tmp_path / "r").exists()
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _decorated(*words: str) -> st.SearchStrategy[str]:
+    """A word with a comma, surrounding whitespace or a leading `-`."""
+    return st.tuples(
+        st.sampled_from(["", " ", "-", "-,"]),
+        st.sampled_from(words),
+        st.sampled_from(["", " ", ",home", ", stay "]),
+    ).map("".join)
+
+
+replayed_configs = st.fixed_dictionaries({
+    "ingest": st.fixed_dictionaries({
+        "keywords": st.lists(_decorated("covid", "mask"), min_size=1, max_size=3) | _decorated("covid"),
+        "subreddits": st.none() | st.lists(_decorated("coronavirus", "nyc"), max_size=2),
+        "skip-bad-records": st.none() | st.booleans(),
+    }),
+    "sentiment": st.fixed_dictionaries({
+        "entity": _decorated("mask", "covid"),
+        "min-tokens": st.none() | st.integers(1, 5) | st.sampled_from(["2", " 4 "]),
+        "lexicon": st.none(),
+    }),
+})
+
+
+@settings(max_examples=25)
+@given(configs=replayed_configs)
+@example(configs={
+    "ingest": {"keywords": ["covid", "stay,home"], "subreddits": [" coronavirus"], "skip-bad-records": None},
+    "sentiment": {"entity": "-mask", "min-tokens": None, "lexicon": None},
+})
+def test_replay_reproduces_config_driven_runs(fixtures, configs):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        window = ["--schema", "native", "--from", "2020-03-01", "--to", "2020-08-31"]
+        argvs = {
+            "ingest": ["--dump", str(fixtures / "sample_dump.jsonl"), *window],
+            "sentiment": ["--docs", str(tmp / "ingest" / "run" / "documents.jsonl")],
+        }
+        for command, argv in argvs.items():
+            cfg = tmp / f"{command}.json"
+            cfg.write_text(json.dumps(configs[command]))
+            out = tmp / command / "run"
+            code, _ = _run_quietly([command, *argv, "--config", str(cfg), "--out", str(out)])
+            assert code == 0
+            record = out / "manifest.json" if out.is_dir() else out.with_name("run.manifest.json")
+            replayed = tmp / f"{command}-replayed"
+            code, _ = _run_quietly(["replay", "--manifest", str(record), "--out", str(replayed / "run")])
+            assert code == 0
+            assert _tree_bytes(replayed) == _tree_bytes(tmp / command)
+
+
+def test_topics_refuses_an_earlier_run_before_building_a_vocabulary(clean_docs, tmp_path, capsys, monkeypatch):
+    from threadscope import topics
+
+    out = tmp_path / "out"
+    argv = ["topics", "--docs", str(clean_docs), "--k", "2", "--min-df", "1", "--epochs", "1", "--out", str(out)]
+    assert run([*argv, "--corpus-id", "a"]) == 0
+    capsys.readouterr()
+    before = _tree_bytes(out)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("vocabulary built for a refused run")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(topics, "build_vocabulary", unreachable)
+        assert run([*argv, "--corpus-id", "b"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("threadscope topics: error: --out ") and "--force" in line
+    assert _tree_bytes(out) == before
+
+    assert run([*argv, "--corpus-id", "b", "--force"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["b", "manifest.json"]
 
 
 # ---------------------------------------------------------------- start-up
