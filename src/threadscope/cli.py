@@ -498,8 +498,10 @@ def _read_mentions(path: str) -> list[tuple[str, str, int, str, str]]:
             if line_no == 1 or not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) < 5:
-                raise FormatError(line_no, "expected 5 tab-separated columns")
+            if len(parts) != 5:
+                raise FormatError(
+                    line_no, f"expected 5 tab-separated columns, got {len(parts)}"
+                )
             try:
                 created = int(parts[2])
             except ValueError as exc:

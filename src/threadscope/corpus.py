@@ -206,18 +206,19 @@ def _record_from_pushshift(obj: dict) -> RedditRecord:
     raise ValueError("record is neither a post (title) nor a comment (link_id)")
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+# the C scanner behind raw_decode, called without raw_decode's Python frame
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _decode_line(line: str):
     """Decode one dump line as ``json.loads`` does.  The usual line, one
-    JSON value and then its newline, goes straight to ``raw_decode``,
+    JSON value and then its newline, goes straight to the scanner,
     skipping json.loads' type, BOM and whitespace checks; every other
     line, bad ones included, goes through ``json.loads``, so the value or
     the error is the one it gives."""
     try:
-        value, end = _raw_decode(line)
-    except (ValueError, RecursionError):
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
         return json.loads(line)
     if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
         return value

@@ -14,6 +14,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -136,25 +137,21 @@ def build_vocabulary(
     """Whitespace-tokenize cleaned documents and retain terms with
     df >= min_df and df/n_docs <= max_df; both exclusions are strict."""
     n_docs = len(cleaned_documents)
-    doc_tokens = [doc.split() for doc in cleaned_documents]
-    df: dict[str, int] = {}
-    for tokens in doc_tokens:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
-
-    retained = {term for term, n in df.items() if n >= min_df and n / n_docs <= max_df}
-    terms: dict[str, int] = {}
-    for tokens in doc_tokens:
-        for term in tokens:
-            if term in retained and term not in terms:
-                terms[term] = len(terms)
+    # one streaming pass: each document's distinct tokens in first-occurrence
+    # order, so df's keys are in the corpus' first-occurrence order and no
+    # document's token list outlives its own split
+    df = Counter(
+        chain.from_iterable(dict.fromkeys(doc.split()) for doc in cleaned_documents)
+    )
+    kept = (term for term, n in df.items() if n >= min_df and n / n_docs <= max_df)
+    terms = {term: index for index, term in enumerate(kept)}
     if not terms:
         raise EmptyVocabularyError(
             f"no term satisfies min_df={min_df}, max_df={max_df} "
             f"over {n_docs} documents"
         )
     vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
-    return vocab, _count_matrix(terms, doc_tokens)
+    return vocab, _count_matrix(terms, (doc.split() for doc in cleaned_documents))
 
 
 @dataclass(frozen=True)
@@ -245,8 +242,14 @@ def _phinorm(
     return weighted.sum(axis=1) + 1e-100
 
 
-# documents per batched E-step; bounds the per-token working arrays
+# documents per summed chunk: the sstats bincounts and the bound's float
+# sums pair values across a chunk's documents, so the chunk fixes the bits
 _ESTEP_CHUNK = 32
+# documents per batched E-step call; bounds the per-token working arrays.
+# Every per-document result depends on its own row alone, so a group cut
+# into chunks gives each chunk the bits a call on that chunk would; a
+# group must hold a whole number of chunks, or chunk bounds would move
+_ESTEP_GROUP = 4 * _ESTEP_CHUNK
 
 
 class _EStep(NamedTuple):
@@ -334,29 +337,40 @@ def _estep_chunks(
     config: LdaConfig,
 ):
     """Run the E-step over the non-empty documents at ``positions``, in
-    order, at most _ESTEP_CHUNK at a time; yields (their positions, the
-    chunk gathered from the matrix, result)."""
+    order, one call per _ESTEP_GROUP of them; yields (positions, the
+    sub-matrix, result) for each _ESTEP_CHUNK of a group in turn."""
     ptr = matrix.ptr
     positions = positions[ptr[positions + 1] > ptr[positions]]
-    for first in range(0, positions.size, _ESTEP_CHUNK):
-        chunk_positions = positions[first : first + _ESTEP_CHUNK]
-        starts = ptr[chunk_positions]
-        lengths = ptr[chunk_positions + 1] - starts
-        chunk_ptr = np.concatenate(([0], np.cumsum(lengths)))
-        take = np.repeat(starts - chunk_ptr[:-1], lengths) + np.arange(chunk_ptr[-1])
-        chunk = DocTermMatrix(
-            ids=matrix.ids[take],
-            cts=matrix.cts[take],
-            ptr=chunk_ptr,
-            n_terms=matrix.n_terms,
-        )
-        yield chunk_positions, chunk, _estep(
-            chunk,
+    for first in range(0, positions.size, _ESTEP_GROUP):
+        group_positions = positions[first : first + _ESTEP_GROUP]
+        starts = ptr[group_positions]
+        lengths = ptr[group_positions + 1] - starts
+        group_ptr = np.concatenate(([0], np.cumsum(lengths)))
+        take = np.repeat(starts - group_ptr[:-1], lengths) + np.arange(group_ptr[-1])
+        ids, cts = matrix.ids[take], matrix.cts[take]
+        step = _estep(
+            DocTermMatrix(ids=ids, cts=cts, ptr=group_ptr, n_terms=matrix.n_terms),
             exp_elog_beta,
             config.alpha_value,
             config.mean_change_tol,
             config.max_e_iters,
         )
+        for lo in range(0, group_positions.size, _ESTEP_CHUNK):
+            docs = slice(lo, lo + _ESTEP_CHUNK)
+            chunk_ptr = group_ptr[lo : lo + _ESTEP_CHUNK + 1]
+            tokens = slice(chunk_ptr[0], chunk_ptr[-1])
+            chunk = DocTermMatrix(
+                ids=ids[tokens],
+                cts=cts[tokens],
+                ptr=chunk_ptr - chunk_ptr[0],
+                n_terms=matrix.n_terms,
+            )
+            yield group_positions[docs], chunk, _EStep(
+                gamma=step.gamma[docs],
+                exp_elog_theta=step.exp_elog_theta[docs],
+                phinorm=step.phinorm[tokens],
+                capped=step.capped[docs],
+            )
 
 
 def _add_sstats(sstats: np.ndarray, chunk: DocTermMatrix, step: _EStep) -> None:

@@ -1049,6 +1049,29 @@ def test_report_with_malformed_mentions_writes_nothing(corpus_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [
+    "p01\tcoronavirus\t1583020800\tPPE",
+    "p01\tcoronavirus\t1583020800\tPPE\tmask\textra",
+])
+def test_report_rejects_mentions_rows_not_of_5_columns(
+    corpus_dir, tmp_path, capsys, row
+):
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text(
+        "post_id\tsubreddit\tcreated_utc\tcategory\tname\n"
+        "p01\tcoronavirus\t1583020800\tPPE\tmask\n" + row + "\n"
+    )
+    out = tmp_path / "r"
+    argv = ["report", "--docs", str(corpus_dir / "documents.jsonl")]
+    assert run(argv + ["--mentions", str(mentions), "--out", str(out)]) == 2
+    columns = len(row.split("\t"))
+    assert capsys.readouterr().err.splitlines() == [
+        f"threadscope report: error: line 3: expected 5 tab-separated columns, "
+        f"got {columns}"
+    ]
+    assert not out.exists()
+
+
 def test_failed_rewrite_leaves_no_stale_manifest(corpus_dir, tmp_path, capsys, monkeypatch):
     docs = str(corpus_dir / "documents.jsonl")
     out = tmp_path / "stats"

@@ -280,6 +280,43 @@ def test_parse_reports_json_errors_as_json_loads_does(tmp_path, line, reason):
     assert excinfo.value.reason.startswith(reason)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\ufeff", "\n"]),
+        JSON_VALUES.map(json.dumps),
+        st.sampled_from(["", "\n", " ", " \n", "\n\n", "x", "\n]", "\ufeff"]),
+    ).map("".join),
+    # fragments of JSON: truncated, unbalanced, or not JSON at all
+    st.text(alphabet='{}[]",:0123456789.eE+-truefalsnNIiy \n\t\\', max_size=20),
+)
+
+
+def _decode_outcome(decode, line):
+    try:
+        value = decode(line)
+    except Exception as exc:  # the type and the text are what is compared
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+@settings(max_examples=500)
+@given(JSON_LINES)
+@example("[" * 100_000 + "]" * 100_000 + "\n")
+@example("NaN\n")
+@example("-0.0\n")
+@example("")
+def test_decode_line_gives_the_value_or_error_of_json_loads(line):
+    assert _decode_outcome(corpus._decode_line, line) == _decode_outcome(
+        json.loads, line
+    )
+
+
 # ---------------------------------------------------------------- filtering
 
 

@@ -503,6 +503,20 @@ def corpora(draw):
     return draw(st.lists(st.one_of(st.just(()), row), min_size=1, max_size=90)), n_terms
 
 
+def check_bit_identical_to_the_row_path(corpus, k, batch_size, epochs, max_e_iters, seed):
+    rows, n_terms = corpus
+    config = LdaConfig(
+        k=k, batch_size=batch_size, epochs=epochs, max_e_iters=max_e_iters, seed=seed
+    )
+    model = fit_lda(csr(rows, n_terms), config)
+    lam, perplexities, cap_hits = reference_fit(rows, n_terms, config)
+    assert np.array_equal(model.lam, lam)
+    assert model.epoch_cap_hits == cap_hits
+    assert np.array_equal(model.epoch_perplexities, perplexities, equal_nan=True)
+    gammas = np.array([doc.gamma for doc in _infer(model, csr(rows, n_terms))])
+    assert np.array_equal(gammas, reference_gammas(model, rows))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     corpus=corpora(),
@@ -515,17 +529,55 @@ def corpora(draw):
 def test_csr_chunks_are_bit_identical_to_the_row_path(
     corpus, k, batch_size, epochs, max_e_iters, seed
 ):
-    rows, n_terms = corpus
-    config = LdaConfig(
-        k=k, batch_size=batch_size, epochs=epochs, max_e_iters=max_e_iters, seed=seed
-    )
-    model = fit_lda(csr(rows, n_terms), config)
-    lam, perplexities, cap_hits = reference_fit(rows, n_terms, config)
-    assert np.array_equal(model.lam, lam)
-    assert model.epoch_cap_hits == cap_hits
-    assert np.array_equal(model.epoch_perplexities, perplexities, equal_nan=True)
-    gammas = np.array([doc.gamma for doc in _infer(model, csr(rows, n_terms))])
-    assert np.array_equal(gammas, reference_gammas(model, rows))
+    check_bit_identical_to_the_row_path(corpus, k, batch_size, epochs, max_e_iters, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpus=corpora(),
+    k=st.integers(2, 4),
+    # multiples of neither the chunk nor the group below
+    batch_size=st.sampled_from([b for b in range(1, 91) if b % 2 and b % 3]),
+    epochs=st.integers(1, 2),
+    max_e_iters=st.sampled_from([3, 100]),
+    seed=st.integers(0, 2**16),
+)
+def test_e_step_groups_cut_into_chunks_are_bit_identical_to_the_row_path(
+    corpus, k, batch_size, epochs, max_e_iters, seed
+):
+    # the hypothesis corpora never fill a second group of the real size; a
+    # group of 3 chunks of 2 puts many group bounds inside every corpus,
+    # while reference_chunks calls _estep once per chunk of 2
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(topics, "_ESTEP_CHUNK", 2)
+        patched.setattr(topics, "_ESTEP_GROUP", 6)
+        check_bit_identical_to_the_row_path(
+            corpus, k, batch_size, epochs, max_e_iters, seed
+        )
+
+
+def test_e_step_group_holds_whole_chunks():
+    assert topics._ESTEP_GROUP % topics._ESTEP_CHUNK == 0
+
+
+def test_fit_and_perplexity_call_the_e_step_once_per_group(monkeypatch):
+    rows = [((i % 5, 1 + i % 3), (5 + i % 4, 2)) for i in range(300)]
+    rows[7] = rows[150] = ()
+    calls = []
+    real_estep = topics._estep
+
+    def counting_estep(batch, *args):
+        calls.append(batch.n_docs)
+        return real_estep(batch, *args)
+
+    monkeypatch.setattr(topics, "_estep", counting_estep)
+    config = LdaConfig(k=3, batch_size=128, epochs=1, seed=3)
+    model = fit_lda(csr(rows, 9), config, record_perplexity=False)
+    # three training batches of 128, 128 and 44 documents, empty ones skipped
+    assert sum(calls) == 298 and len(calls) == 3
+    calls.clear()
+    perplexity(model.lam, csr(rows, 9), config)
+    assert calls == [128, 128, 42]
 
 
 @given(
@@ -544,6 +596,57 @@ def test_build_vocabulary_counts_match_the_row_path(docs, min_df):
     expected = reference_from_rows(
         [reference_counts(vocab.terms, doc) for doc in docs], vocab.size
     )
+    for ours, ref in zip(matrix, expected):
+        assert np.array_equal(ours, ref)
+        assert np.asarray(ours).dtype == np.asarray(ref).dtype
+
+
+def reference_build_vocabulary(cleaned_documents, max_df, min_df):
+    """build_vocabulary as it was with two passes over kept token lists: df
+    from each document's token set, then the retained terms indexed in
+    order of first occurrence."""
+    n_docs = len(cleaned_documents)
+    doc_tokens = [doc.split() for doc in cleaned_documents]
+    df = {}
+    for tokens in doc_tokens:
+        for term in set(tokens):
+            df[term] = df.get(term, 0) + 1
+    retained = {term for term, n in df.items() if n >= min_df and n / n_docs <= max_df}
+    terms = {}
+    for tokens in doc_tokens:
+        for term in tokens:
+            if term in retained and term not in terms:
+                terms[term] = len(terms)
+    if not terms:
+        raise EmptyVocabularyError("empty")
+    vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
+    rows = [reference_counts(terms, doc) for doc in cleaned_documents]
+    return vocab, reference_from_rows(rows, len(terms))
+
+
+@settings(max_examples=200)
+@given(
+    # few terms over up to 12 tokens a document: repeats within a document
+    # are common, and so are empty documents
+    st.lists(
+        st.lists(st.sampled_from("abcdefghij"), max_size=12).map(" ".join),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([0.2, 0.5, 0.75, 0.9, 1.0]),
+    st.integers(1, 3),
+)
+def test_build_vocabulary_matches_the_two_pass_reference(docs, max_df, min_df):
+    try:
+        expected_vocab, expected = reference_build_vocabulary(docs, max_df, min_df)
+    except EmptyVocabularyError:
+        with pytest.raises(EmptyVocabularyError):
+            build_vocabulary(docs, max_df=max_df, min_df=min_df)
+        return
+    vocab, matrix = build_vocabulary(docs, max_df=max_df, min_df=min_df)
+    assert list(vocab.terms.items()) == list(expected_vocab.terms.items())
+    assert vocab.df == expected_vocab.df
+    assert vocab.n_docs == expected_vocab.n_docs
     for ours, ref in zip(matrix, expected):
         assert np.array_equal(ours, ref)
         assert np.asarray(ours).dtype == np.asarray(ref).dtype
