@@ -28,6 +28,7 @@ import json
 import os
 import shutil
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -267,8 +268,14 @@ def _write_outputs(out: Path, outputs: Outputs, mani: manifest.RunManifest) -> N
 
 
 def _resolve_corpus_id(merged: dict) -> None:
-    if not merged.get("corpus_id"):
-        merged["corpus_id"] = Path(merged["docs"]).stem
+    """Default the corpus id to the documents file's stem, and refuse one
+    that would place artifacts outside the output directory."""
+    corpus_id = merged["corpus_id"] or Path(merged["docs"]).stem
+    if Path(corpus_id).is_absolute() or ".." in Path(corpus_id).parts:
+        raise OutputLocationError(
+            f"--corpus-id {corpus_id} must be a relative path without '..'"
+        )
+    merged["corpus_id"] = corpus_id
 
 
 # ---------------------------------------------------------------- handlers
@@ -312,12 +319,11 @@ def _cmd_stats(p: dict) -> Outputs:
 
 def _cmd_preprocess(p: dict) -> Outputs:
     documents = corpus.read_documents(p["in"])
-    config = None
-    if p["stages"]:
-        config = textprep.PipelineConfig(stages=tuple(p["stages"]))
     stoplist = textprep.load_stopwords(p["stoplist"]) if p["stoplist"] else None
     # one memo of token surfaces for this run, freed when the handler returns
-    pipeline = textprep.CompiledPipeline(config, stoplist)
+    pipeline = textprep.CompiledPipeline(
+        tuple(p["stages"] or textprep.DEFAULT_STAGES), stoplist
+    )
     for doc in documents:
         textprep.preprocess_document(doc, pipeline)
     return lambda path: corpus.write_documents(documents, path)
@@ -476,6 +482,8 @@ def _cmd_topics_monthly(p: dict) -> Outputs:
 
 
 def _cmd_sentiment(p: dict) -> Outputs:
+    # the entity is a column of the report
+    textprep.check_field("--entity", p["entity"])
     documents = corpus.read_documents(p["docs"])
     lexicon = sentiment.load_lexicon(p["lexicon"])
     result = sentiment.analyze_entity_sentences(
@@ -511,22 +519,23 @@ def _read_mentions(path: str) -> list[tuple[str, str, int, str, str]]:
 
 
 def _top_entity_per_category(
-    counts: Mapping[str, Sequence[tagger.EntityCount]],
+    mention_rows: Sequence[tuple[str, str, int, str, str]],
 ) -> list[str]:
-    totals: dict[str, dict[str, int]] = {}
-    for rows in counts.values():
-        for row in rows:
-            per = totals.setdefault(row.category, {})
-            per[row.name] = per.get(row.name, 0) + row.count
-    picks: list[str] = []
-    for category in sorted(totals):
-        names = totals[category]
-        best = sorted(names.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-        picks.append(best)
-    return picks
+    """The most mentioned name of each category, categories in order; a
+    tie goes to the first name in sort order."""
+    counts = Counter((category, name) for *_, category, name in mention_rows)
+    picks: dict[str, str] = {}
+    for (category, name), _ in sorted(
+        counts.items(), key=lambda kv: (kv[0][0], -kv[1], kv[0][1])
+    ):
+        picks.setdefault(category, name)
+    return list(picks.values())
 
 
 def _cmd_report(p: dict) -> Outputs:
+    # each entity is a column of the trends table
+    for name in p["entities"] or ():
+        textprep.check_field("--entities", name)
     documents = corpus.read_documents(p["docs"])
     base = p["corpus_id"]
     buckets = report.weekly_post_counts(documents, p["from"], p["to"])
@@ -543,7 +552,7 @@ def _cmd_report(p: dict) -> Outputs:
         tables = report.entity_report(counts, truncate=p["truncate"])
         outputs[f"{base}/entities/entity_counts.tsv"] = report.entity_table(tables)
         outputs[f"{base}/entities/entity_totals.tsv"] = report.entity_totals_table(tables)
-        entities = p["entities"] or _top_entity_per_category(counts)
+        entities = p["entities"] or _top_entity_per_category(mention_rows)
         doc_mentions: dict[str, list[tuple[str, str]]] = {}
         for post_id, _, _, category, name in mention_rows:
             doc_mentions.setdefault(post_id, []).append((category, name))

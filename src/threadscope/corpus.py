@@ -54,12 +54,12 @@ class Document:
     created_utc: int
     title: str
     comment_bodies: list[str] = field(default_factory=list)
-    raw_text: str = ""
     cleaned_text: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.raw_text:
-            self.raw_text = "\n".join([self.title, *self.comment_bodies])
+    @property
+    def raw_text(self) -> str:
+        """The title and comment bodies, one per line."""
+        return "\n".join([self.title, *self.comment_bodies])
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -157,6 +157,14 @@ def _coerce_utc(value) -> int:
 _new_record = tuple.__new__
 
 
+def _check_post(record: RedditRecord) -> RedditRecord:
+    """A post's id and subreddit become columns of the tables written
+    from documents; comments' never do."""
+    textprep.check_field("id", record.id)
+    textprep.check_field("subreddit", record.subreddit)
+    return record
+
+
 def _record_from_native(obj: dict) -> RedditRecord:
     kind = obj["kind"]
     if kind not in (POST, COMMENT):
@@ -172,14 +180,16 @@ def _record_from_native(obj: dict) -> RedditRecord:
         str(obj.get("parent_post_id", "")).removeprefix("t3_"),
         int(obj.get("num_comments", 0)),
     ))
-    if kind == COMMENT and not record.parent_post_id:
+    if kind == POST:
+        _check_post(record)
+    elif not record.parent_post_id:
         raise ValueError("comment without parent_post_id")
     return record
 
 
 def _record_from_pushshift(obj: dict) -> RedditRecord:
     if "title" in obj:
-        return _new_record(RedditRecord, (
+        return _check_post(_new_record(RedditRecord, (
             POST,
             str(obj["id"]),
             sys.intern(str(obj["subreddit"])),
@@ -188,7 +198,7 @@ def _record_from_pushshift(obj: dict) -> RedditRecord:
             str(obj.get("selftext", "")),
             "",
             int(obj.get("num_comments", 0)),
-        ))
+        )))
     if "link_id" in obj:
         parent = str(obj["link_id"]).removeprefix("t3_")
         if not parent:
@@ -400,7 +410,7 @@ def filter_records(
 def assemble_documents(
     all_records: Sequence[RedditRecord],
     matched_records: Sequence[RedditRecord],
-    spec: FilterSpec | None = None,
+    spec: FilterSpec,
 ) -> list[Document]:
     """Build one Document per post that matched or has a matching comment,
     pulling in the post's full comment thread from ``all_records``.
@@ -411,9 +421,8 @@ def assemble_documents(
     ``DumpScan.reread`` returns.  For a repeated post or comment id the
     first record in ``all_records`` wins, also when a later one sits in
     another thread.  Orphan comment matches (parent post missing from
-    the dump) are logged and dropped.
-    When ``spec`` is given, parent posts outside its date or subreddit
-    constraints are likewise skipped, so every returned Document
+    the dump) are logged and dropped, and so are parent posts outside
+    ``spec``'s date or subreddit constraints, so every returned Document
     satisfies the filter.
     """
     posts: dict[str, RedditRecord] = {}
@@ -421,7 +430,6 @@ def assemble_documents(
         if record.kind == POST and record.id not in posts:
             posts[record.id] = record
 
-    admits = spec.admits if spec is not None else None
     threads: dict[str, list[RedditRecord]] = {}
     for record in matched_records:
         parent = record.id if record.kind == POST else record.parent_post_id
@@ -430,7 +438,7 @@ def assemble_documents(
                 "orphan comment %s: parent post %s not in dump", record.id, parent
             )
             continue
-        if admits is not None and not admits(posts[parent]):
+        if not spec.admits(posts[parent]):
             logger.warning(
                 "skipping post %s: outside the filter's date/subreddit range", parent
             )
@@ -562,9 +570,8 @@ def _document_from_json(obj) -> Document:
     post_id = _typed(obj, "post_id", str, "a string")
     subreddit = _typed(obj, "subreddit", str, "a string")
     # both are columns of the TSV files written from documents
-    for name, value in (("post_id", post_id), ("subreddit", subreddit)):
-        if any(char in value for char in "\t\n\r"):
-            raise ValueError(f"{name} must not hold a tab or line break")
+    textprep.check_field("post_id", post_id)
+    textprep.check_field("subreddit", subreddit)
     created_utc = _check_utc_range(_typed(obj, "created_utc", int, "an integer"))
     title = _typed(obj, "title", str, "a string")
     bodies = _typed(obj, "comment_bodies", list, "a list of strings")

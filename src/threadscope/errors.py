@@ -13,15 +13,6 @@ class ThreadscopeError(Exception):
     """Base class for all data errors raised by threadscope."""
 
 
-class DumpParseError(ThreadscopeError):
-    """A dump line could not be parsed under the declared schema."""
-
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
-
-
 class UnknownSchemaError(ThreadscopeError):
     """The requested dump schema id is not registered."""
 
@@ -54,6 +45,10 @@ class FormatError(ThreadscopeError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
+
+
+class DumpParseError(FormatError):
+    """A dump line could not be parsed under the declared schema."""
 
 
 class ModelFormatError(ThreadscopeError):

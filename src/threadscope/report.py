@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .corpus import _month_of, _utc_date
 from .nerdata import DEFAULT_CATEGORIES
-from .tagger import EntityCount
 
 if TYPE_CHECKING:  # topics imports numpy, which only the topic commands need
     from .topics import TopicAssignment, TopicModel
@@ -98,6 +97,13 @@ def weekly_table(buckets: Sequence[WeekBucket]) -> str:
     for bucket in buckets:
         lines.append(f"{bucket.week_start.isoformat()}\t{bucket.count}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class EntityCount:
+    category: str
+    name: str
+    count: int
 
 
 # Table-style truncation: top 3 rows for DIST, top 8 for everything else.
@@ -223,31 +229,12 @@ def trends_table(series: Sequence[MonthlySeries]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TopicFrequencyRow:
-    topic: int
-    count: int
-    percentage: int
-
-
-def topic_frequency_rows(
-    frequencies: Sequence[int],
-) -> list[TopicFrequencyRow]:
+def frequency_table(frequencies: Sequence[int]) -> str:
+    """Documents per topic and their rounded share of all documents."""
     total = sum(frequencies)
-    return [
-        TopicFrequencyRow(
-            topic=topic,
-            count=count,
-            percentage=percent_round_half_up(count, total),
-        )
-        for topic, count in enumerate(frequencies)
-    ]
-
-
-def frequency_table(rows: Sequence[TopicFrequencyRow]) -> str:
     lines = ["topic\tcount\tpercentage"]
-    for row in rows:
-        lines.append(f"{row.topic}\t{row.count}\t{row.percentage}")
+    for topic, count in enumerate(frequencies):
+        lines.append(f"{topic}\t{count}\t{percent_round_half_up(count, total)}")
     return "\n".join(lines) + "\n"
 
 
@@ -280,5 +267,5 @@ def export_topic_artifacts(
             f"{assignment.post_id}\t{assignment.topic}\t{assignment.probability:.6f}"
         )
     files["assignments.tsv"] = "\n".join(table) + "\n"
-    files["topic_frequencies.tsv"] = frequency_table(topic_frequency_rows(frequencies))
+    files["topic_frequencies.tsv"] = frequency_table(frequencies)
     return files

@@ -522,6 +522,8 @@ def _model_from_json(payload) -> TaggerModel:
     for label in labels:
         if not isinstance(label, str):
             raise ValueError("labels must be a list of tags")
+        # a label's category is a column of the mentions table
+        textprep.check_field("label", label)
         parse_tag(label)
     weights = payload.get("weights")
     if not isinstance(weights, dict) or not all(
@@ -545,13 +547,6 @@ def load_model(path: str | Path) -> TaggerModel:
             return _model_from_json(json.load(handle))
         except (ValueError, OverflowError, RecursionError) as exc:
             raise ModelFormatError(f"{path}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class EntityCount:
-    category: str
-    name: str
-    count: int
 
 
 def normalize_entity(tokens: Sequence[str]) -> str:

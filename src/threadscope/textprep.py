@@ -71,6 +71,13 @@ def data_lines(
             yield line_no, line
 
 
+def check_field(name: str, value: str) -> None:
+    """Refuse a value that is written as one column of a tab-separated
+    file: ValueError if it holds a tab or a line break."""
+    if "\t" in value or "\n" in value or "\r" in value:
+        raise ValueError(f"{name} must not hold a tab or line break")
+
+
 @lru_cache(maxsize=None)
 def _default_stopwords() -> frozenset[str]:
     return load_stopwords(None)
@@ -293,37 +300,32 @@ DEFAULT_STAGES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Ordered cleaning stages; text-level stages must precede tokenize and
-    may not follow split_sentences, tokenize appears at most once, and
-    pos_tag must precede lemmatize."""
-
-    stages: tuple[str, ...] = DEFAULT_STAGES
-
-    def __post_init__(self) -> None:
-        seen_tokenize = False
-        seen_split = False
-        seen_pos = False
-        for stage in self.stages:
-            if stage not in ALL_STAGES:
-                raise ValueError(f"unknown stage: {stage!r}")
-            if stage == TOKENIZE:
-                if seen_tokenize:
-                    raise ValueError("tokenize may appear only once")
-                seen_tokenize = True
-            elif stage in _TEXT_ONLY and seen_tokenize:
-                raise ValueError(f"stage {stage!r} must precede tokenize")
-            elif stage in _TEXT_ONLY and seen_split:
-                raise ValueError(f"stage {stage!r} must precede split_sentences")
-            elif stage in _TOKEN_ONLY and not seen_tokenize:
-                raise ValueError(f"stage {stage!r} requires tokenize first")
-            if stage == SPLIT_SENTENCES:
-                seen_split = True
-            elif stage == POS_TAG:
-                seen_pos = True
-            elif stage == LEMMATIZE and not seen_pos:
-                raise ValueError("lemmatize requires pos_tag first")
+def _check_stages(stages: tuple[str, ...]) -> None:
+    """Text-level stages must precede tokenize and may not follow
+    split_sentences, tokenize appears at most once, and pos_tag must
+    precede lemmatize; ValueError otherwise."""
+    seen_tokenize = False
+    seen_split = False
+    seen_pos = False
+    for stage in stages:
+        if stage not in ALL_STAGES:
+            raise ValueError(f"unknown stage: {stage!r}")
+        if stage == TOKENIZE:
+            if seen_tokenize:
+                raise ValueError("tokenize may appear only once")
+            seen_tokenize = True
+        elif stage in _TEXT_ONLY and seen_tokenize:
+            raise ValueError(f"stage {stage!r} must precede tokenize")
+        elif stage in _TEXT_ONLY and seen_split:
+            raise ValueError(f"stage {stage!r} must precede split_sentences")
+        elif stage in _TOKEN_ONLY and not seen_tokenize:
+            raise ValueError(f"stage {stage!r} requires tokenize first")
+        if stage == SPLIT_SENTENCES:
+            seen_split = True
+        elif stage == POS_TAG:
+            seen_pos = True
+        elif stage == LEMMATIZE and not seen_pos:
+            raise ValueError("lemmatize requires pos_tag first")
 
 
 def _strip_non_ascii(s: str) -> str:
@@ -348,7 +350,8 @@ _STRIPPERS = {
 
 
 class CompiledPipeline:
-    """A PipelineConfig compiled once against its word lists.
+    """Ordered cleaning stages, checked and compiled once against their
+    word lists.
 
     The stages before tokenize run once per document, on the text or, after
     split_sentences, on each sentence.  Every stage after tokenize depends
@@ -357,9 +360,11 @@ class CompiledPipeline:
     for the life of this object."""
 
     def __init__(
-        self, config: PipelineConfig | None = None, stoplist: frozenset[str] | None = None
+        self,
+        stages: tuple[str, ...] = DEFAULT_STAGES,
+        stoplist: frozenset[str] | None = None,
     ) -> None:
-        stages = (config or PipelineConfig()).stages
+        _check_stages(stages)
         cut = stages.index(TOKENIZE) if TOKENIZE in stages else len(stages)
         self._text_stages = stages[:cut]
         self._tokenizes = cut < len(stages)
@@ -417,22 +422,16 @@ class CompiledPipeline:
         return " ".join(out)
 
 
-def preprocess_text(
-    text: str, config: PipelineConfig | CompiledPipeline | None = None
-) -> str:
-    """Run the configured stages over raw text and return the cleaned,
-    single-spaced string.  Pass a CompiledPipeline as ``config`` to clean
-    many texts with one memo of token surfaces."""
-    if not isinstance(config, CompiledPipeline):
-        config = CompiledPipeline(config)
-    return config.clean(text)
+def preprocess_text(text: str, pipeline: CompiledPipeline | None = None) -> str:
+    """Run the pipeline's stages (the default ones without a pipeline)
+    over raw text and return the cleaned, single-spaced string.  Pass one
+    CompiledPipeline to clean many texts with one memo of token surfaces."""
+    return (pipeline or CompiledPipeline()).clean(text)
 
 
-def preprocess_document(
-    document, config: PipelineConfig | CompiledPipeline | None = None
-) -> str:
+def preprocess_document(document, pipeline: CompiledPipeline | None = None) -> str:
     """Clean ``document.raw_text``, store the result on
     ``document.cleaned_text``, and return it."""
-    cleaned = preprocess_text(document.raw_text, config)
+    cleaned = preprocess_text(document.raw_text, pipeline)
     document.cleaned_text = cleaned
     return cleaned

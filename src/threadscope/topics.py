@@ -573,10 +573,15 @@ def assign_topics(
 
 @dataclass(frozen=True)
 class MonthlyTopics:
+    """One month's top word lists, or the reason it was skipped."""
+
     month: str
-    skipped: bool
-    reason: str
-    topics: tuple[tuple[tuple[str, float], ...], ...]
+    reason: str = ""
+    topics: tuple[tuple[tuple[str, float], ...], ...] = ()
+
+    @property
+    def skipped(self) -> bool:
+        return bool(self.reason)
 
 
 def monthly_side_topics(
@@ -597,12 +602,7 @@ def monthly_side_topics(
         docs = by_month[month]
         if len(docs) < min_docs:
             results.append(
-                MonthlyTopics(
-                    month=month,
-                    skipped=True,
-                    reason=f"{len(docs)} documents < min_docs {min_docs}",
-                    topics=(),
-                )
+                MonthlyTopics(month, f"{len(docs)} documents < min_docs {min_docs}")
             )
             continue
         try:
@@ -610,9 +610,7 @@ def monthly_side_topics(
                 [doc.cleaned_text for doc in docs], max_df=max_df, min_df=min_df
             )
         except EmptyVocabularyError as exc:
-            results.append(
-                MonthlyTopics(month=month, skipped=True, reason=str(exc), topics=())
-            )
+            results.append(MonthlyTopics(month, str(exc)))
             continue
         month_config = replace(config, k=2, alpha=None, eta=None)
         # no side model's perplexity is written anywhere
@@ -620,12 +618,7 @@ def monthly_side_topics(
         model.vocab = vocab
         lists = top_words(model)
         results.append(
-            MonthlyTopics(
-                month=month,
-                skipped=False,
-                reason="",
-                topics=tuple(tuple(pairs) for pairs in lists),
-            )
+            MonthlyTopics(month, topics=tuple(tuple(pairs) for pairs in lists))
         )
     return results
 

@@ -1072,6 +1072,152 @@ def test_report_rejects_mentions_rows_not_of_5_columns(
     assert not out.exists()
 
 
+# ------------------------------------------------------- table columns
+
+
+DUMP_FIXTURES = {"native": "sample_dump.jsonl", "pushshift": "pushshift_dump.jsonl"}
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["strict", "skip-bad-records"])
+@pytest.mark.parametrize("schema,field,value", [
+    ("native", "subreddit", "corona\tvirus"),
+    ("native", "id", "p\n99"),
+    ("pushshift", "subreddit", "corona\rvirus"),
+    ("pushshift", "id", "a\t99"),
+])
+def test_ingest_post_id_or_subreddit_with_a_tab_or_line_break_is_a_bad_record(
+    tmp_path, fixtures, capsys, schema, field, value, skip
+):
+    good = (fixtures / DUMP_FIXTURES[schema]).read_text().splitlines()[0]
+    bad = {**json.loads(good), field: value}
+    if field == "subreddit":
+        bad["id"] += "x"  # a post of its own, not a repeat of the good one
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(f"{good}\n{json.dumps(bad)}\n")
+    out = tmp_path / "out"
+    argv = [
+        "ingest", "--dump", str(dump), "--schema", schema, "--keywords", KEYWORDS,
+        "--from", "2020-03-01", "--to", "2020-08-31", "--out", str(out),
+    ]
+    if skip:
+        assert run(argv + ["--skip-bad-records"]) == 0
+        documents = (out / "documents.jsonl").read_text().splitlines()
+        assert [json.loads(doc)["post_id"] for doc in documents] == [json.loads(good)["id"]]
+        assert run(["stats", "--docs", str(out / "documents.jsonl")]) == 0
+    else:
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"threadscope ingest: error: line 2: {field} must not hold a tab or line break"
+        ]
+        assert not out.exists()
+
+
+def _mentions_file(tmp_path) -> Path:
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text(
+        "post_id\tsubreddit\tcreated_utc\tcategory\tname\n"
+        "p01\tcoronavirus\t1583366400\tPPE\tmask\n"
+    )
+    return mentions
+
+
+@pytest.mark.parametrize("flag", ["entity", "entities"])
+def test_entity_flags_with_a_tab_or_line_break_write_nothing(corpus_dir, tmp_path, capsys, flag):
+    docs = str(corpus_dir / "documents.jsonl")
+    out = tmp_path / "out"
+    if flag == "entity":
+        argv = ["sentiment", "--docs", docs, "--entity", "mask\tx", "--out", str(out)]
+    else:
+        argv = ["report", "--docs", docs, "--mentions", str(_mentions_file(tmp_path)),
+                "--entities", "mask\tx", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"threadscope {argv[0]}: error: --{flag} must not hold a tab or line break"
+    ]
+    assert not out.exists()
+
+
+def test_model_label_with_a_tab_is_refused_before_tagging(trained_model, corpus_dir, tmp_path, capsys):
+    # the label keeps its weights, so a model that loaded would tag with it
+    text = json.dumps(trained_model).replace('"U-PPE"', '"U-PP\\tE"')
+    assert "U-PP\\tE" in text
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    out = tmp_path / "mentions.tsv"
+    argv = ["ner-tag", "--model", str(model), "--docs", str(corpus_dir / "documents.jsonl")]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"threadscope ner-tag: error: {model}: label must not hold a tab or line break"
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json"]
+
+
+@pytest.mark.parametrize("command", ["topics", "topics-monthly", "report"])
+@pytest.mark.parametrize("escape", ["parent", "absolute"])
+def test_corpus_id_must_stay_inside_out(clean_docs, tmp_path, capsys, command, escape):
+    work = tmp_path / "work"
+    work.mkdir()
+    corpus_id = "../../escaped" if escape == "parent" else str(tmp_path / "escaped")
+    argv = [command, "--docs", str(clean_docs), "--corpus-id", corpus_id,
+            "--out", str(work / "runs" / "rep")]
+    if command == "topics":
+        argv += ["--k", "2"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"threadscope {command}: error: --corpus-id {corpus_id} must be a relative "
+        "path without '..'"
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["work"]
+    assert not any(work.iterdir())
+
+
+def test_every_table_of_the_chain_keeps_its_header_width(fixtures, tmp_path):
+    """Each line of every table the commands write splits into as many
+    fields as its header, so no value split a row."""
+    from threadscope import nerdata
+
+    keywords = Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv"
+    docs, clean = tmp_path / "corpus" / "documents.jsonl", tmp_path / "clean.jsonl"
+    model, mentions = tmp_path / "model.json", tmp_path / "mentions.tsv"
+    commands = [
+        ["ingest", "--dump", fixtures / "sample_dump.jsonl", "--schema", "native",
+         "--keywords", KEYWORDS, "--from", "2020-03-01", "--to", "2020-08-31",
+         "--out", tmp_path / "corpus"],
+        ["preprocess", "--in", docs, "--out", clean],
+        ["ner-build", "--sentences", tmp_path / "corpus" / "sentences.txt",
+         "--keywords", keywords, "--out", tmp_path / "nerdata"],
+        ["ner-train", "--train", fixtures / "annotated_train.tsv", "--iters", "3", "--model", model],
+        ["ner-eval", "--model", model, "--eval", fixtures / "annotated_eval.tsv",
+         "--out", tmp_path / "eval"],
+        ["ner-tag", "--model", model, "--docs", docs, "--out", mentions],
+        ["topics", "--docs", clean, "--k", "3", "--min-df", "1", "--epochs", "1",
+         "--out", tmp_path / "topics"],
+        ["topics-monthly", "--docs", clean, "--min-df", "1", "--min-docs", "2",
+         "--epochs", "1", "--out", tmp_path / "monthly"],
+        ["sentiment", "--docs", docs, "--entity", "mask", "--out", tmp_path / "sentiment.tsv"],
+        ["stats", "--docs", docs, "--out", tmp_path / "stats"],
+        ["report", "--docs", docs, "--mentions", mentions, "--out", tmp_path / "report"],
+    ]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for argv in commands:
+            assert run([str(arg) for arg in argv]) == 0, argv[0]
+    tables = sorted([*tmp_path.rglob("*.tsv"), *tmp_path.rglob("keywords.txt")])
+    assert len(tables) >= 20
+    for table in tables:
+        lines = table.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == "", table
+        if table.name == "keywords.txt":
+            # a vocabulary_size line, then the rows
+            assert lines.pop(0).startswith("vocabulary_size\t"), table
+        if table.parent.name == "nerdata" and table.name in ("train.tsv", "eval.tsv"):
+            # token<TAB>tag lines, a blank line after each sentence
+            lines = [line for line in lines if line]
+        width = len(lines[0].split("\t"))
+        assert width > 1, table
+        for line_no, line in enumerate(lines, start=1):
+            assert len(line.split("\t")) == width, (table, line_no, line)
+
+
 def test_failed_rewrite_leaves_no_stale_manifest(corpus_dir, tmp_path, capsys, monkeypatch):
     docs = str(corpus_dir / "documents.jsonl")
     out = tmp_path / "stats"

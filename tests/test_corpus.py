@@ -436,7 +436,7 @@ def test_assemble_includes_thread_for_comment_match():
         comment("c2", "p1", body="unrelated", created=utc("2020-03-15", 1)),
     ]
     matched = filter_records(records, SPEC)
-    (doc,) = assemble_documents(records, matched)
+    (doc,) = assemble_documents(records, matched, spec=SPEC)
     assert doc.post_id == "p1"
     # full thread, sorted by (created_utc, id), not just the matching comment
     assert doc.comment_bodies == ["unrelated", "covid positive"]
@@ -446,7 +446,7 @@ def test_assemble_drops_orphan_comments(caplog):
     records = [comment("c1", "p9", body="covid")]
     matched = filter_records(records, SPEC)
     with caplog.at_level("WARNING"):
-        docs = assemble_documents(records, matched)
+        docs = assemble_documents(records, matched, spec=SPEC)
     assert docs == []
     assert "orphan" in caplog.text
 
@@ -459,7 +459,7 @@ def test_assemble_removes_placeholder_bodies():
         comment("c3", "p1", body="real text"),
     ]
     matched = filter_records(records, SPEC)
-    (doc,) = assemble_documents(records, matched)
+    (doc,) = assemble_documents(records, matched, spec=SPEC)
     assert doc.comment_bodies == ["real text"]
 
 
@@ -470,9 +470,8 @@ def test_assemble_spec_rejects_out_of_range_parent():
     ]
     matched = filter_records(records, SPEC)
     assert [r.id for r in matched] == ["c1"]
-    # without the spec the in-range comment drags in its old parent
-    assert len(assemble_documents(records, matched)) == 1
-    # with the spec every document must satisfy the date constraint
+    # every document must satisfy the date constraint, so the in-range
+    # comment does not drag in its old parent
     assert assemble_documents(records, matched, spec=SPEC) == []
 
 
@@ -509,7 +508,7 @@ def test_assemble_sorts_documents_and_dedups_comment_lines():
         comment("c1", "p2", body="covid duplicate id"),
     ]
     matched = filter_records(records, SPEC)
-    docs = assemble_documents(records, matched)
+    docs = assemble_documents(records, matched, spec=SPEC)
     assert [d.post_id for d in docs] == ["p1", "p2"]
     assert docs[1].comment_bodies == ["covid a"]
 
@@ -967,7 +966,6 @@ def _ingest(parse, filter_, assemble, logger_name, path, schema, spec, on_error)
             "records": [tuple(getattr(r, f) for f in RedditRecord._fields) for r in records],
             "matched": [(r.kind, r.id, r.body, r.title) for r in matched],
             "documents": assemble(records, matched, spec=spec),
-            "documents_without_spec": assemble(records, matched),
         }
     return outcome, warnings
 
@@ -1118,7 +1116,6 @@ def _two_pass_ingest(path, schema, spec, on_error):
             "records": len(scan),
             "matched": [(r.kind, r.id, r.body, r.title) for r in matched],
             "documents": assemble_documents(subset, matched, spec=spec),
-            "documents_without_spec": assemble_documents(subset, matched),
         }
     return outcome, warnings
 

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from threadscope.tagger import EntityCount
 from threadscope.topics import LdaConfig, TopicAssignment, TopicModel, Vocabulary
 from threadscope.report import (
+    EntityCount,
     EntityReport,
     MonthlySeries,
-    TopicFrequencyRow,
     WeekBucket,
     counts_from_mentions,
     entity_report,
@@ -26,7 +25,6 @@ from threadscope.report import (
     frequency_table,
     monthly_entity_trends,
     percent_round_half_up,
-    topic_frequency_rows,
     trends_table,
     week_start_of,
     weekly_post_counts,
@@ -254,15 +252,9 @@ def test_trends_table():
 
 
 def test_topic_frequency_rows_and_table():
-    rows = topic_frequency_rows([3, 1, 4])
-    assert rows == [
-        TopicFrequencyRow(topic=0, count=3, percentage=38),
-        TopicFrequencyRow(topic=1, count=1, percentage=13),
-        TopicFrequencyRow(topic=2, count=4, percentage=50),
-    ]
-    table = frequency_table(rows)
-    assert table.splitlines()[0] == "topic\tcount\tpercentage"
-    assert table.splitlines()[3] == "2\t4\t50"
+    assert frequency_table([3, 1, 4]) == (
+        "topic\tcount\tpercentage\n0\t3\t38\n1\t1\t13\n2\t4\t50\n"
+    )
 
 
 def export_fixture_model():

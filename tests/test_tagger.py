@@ -16,9 +16,8 @@ from threadscope import tagger
 from threadscope.errors import EmptyTrainingSetError, ModelFormatError
 from threadscope import nerdata
 from threadscope.nerdata import AnnotatedSentence, Span, parse_tag, validate_bilou
-from threadscope.report import counts_from_mentions
+from threadscope.report import EntityCount, counts_from_mentions
 from threadscope.tagger import (
-    EntityCount,
     Scores,
     TaggerModel,
     TrainConfig,

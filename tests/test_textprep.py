@@ -15,7 +15,7 @@ from threadscope.textprep import (
     NUM,
     PUNCT,
     VERB,
-    PipelineConfig,
+    CompiledPipeline,
     Token,
     lemmatize,
     pos_tag,
@@ -200,17 +200,17 @@ def test_lemmatize_identity_fallback_is_lowercase():
 
 def test_pipeline_rejects_unknown_stage():
     with pytest.raises(ValueError):
-        PipelineConfig(stages=("tokenize", "no_such_stage"))
+        CompiledPipeline(stages=("tokenize", "no_such_stage"))
 
 
 def test_pipeline_rejects_token_stage_before_tokenize():
     with pytest.raises(ValueError):
-        PipelineConfig(stages=("remove_stopwords", "tokenize"))
+        CompiledPipeline(stages=("remove_stopwords", "tokenize"))
 
 
 def test_pipeline_rejects_text_stage_after_tokenize():
     with pytest.raises(ValueError):
-        PipelineConfig(stages=("tokenize", "split_sentences"))
+        CompiledPipeline(stages=("tokenize", "split_sentences"))
 
 
 @pytest.mark.parametrize(
@@ -223,12 +223,12 @@ def test_pipeline_rejects_text_stage_after_tokenize():
 )
 def test_pipeline_rejects_orders_the_stages_cannot_run(stages):
     with pytest.raises(ValueError):
-        PipelineConfig(stages=stages)
+        CompiledPipeline(stages=stages)
 
 
 def test_pipeline_lemmatize_requires_pos_tag():
     with pytest.raises(ValueError):
-        PipelineConfig(stages=("tokenize", "lemmatize"))
+        CompiledPipeline(stages=("tokenize", "lemmatize"))
 
 
 def test_preprocess_text_composed_default_stages():
@@ -450,7 +450,7 @@ TOKEN_STAGES = [
 
 @st.composite
 def stage_orders(draw) -> tuple[str, ...]:
-    """Any order PipelineConfig accepts: text stages, an optional split,
+    """Any order CompiledPipeline accepts: text stages, an optional split,
     sentence stages, an optional tokenize, then token stages with every
     lemmatize after some pos_tag."""
     stages = draw(st.lists(st.sampled_from(TEXT_STAGES), max_size=3))
@@ -486,12 +486,11 @@ stoplists = st.one_of(
 @given(text=texts, stages=stage_orders(), stoplist=stoplists)
 def test_compiled_pipeline_matches_reference(text, stages, stoplist):
     ref_rules = ref_load_lemma_rules()
-    config = PipelineConfig(stages=stages)
     expected = ref_preprocess_text(text, stages, stoplist, ref_rules)
     if stoplist is None:
-        assert preprocess_text(text, config) == expected
+        assert preprocess_text(text, CompiledPipeline(stages)) == expected
     # one memo over many texts gives each text's own result
-    pipeline = textprep.CompiledPipeline(config, stoplist)
+    pipeline = CompiledPipeline(stages, stoplist)
     assert pipeline.clean(text) == expected
     assert pipeline.clean(text + " " + text) == ref_preprocess_text(
         text + " " + text, stages, stoplist, ref_rules
