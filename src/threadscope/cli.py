@@ -439,7 +439,7 @@ def _cmd_topics(p: dict) -> Outputs:
             + ", ".join(str(hits) for hits in model.epoch_cap_hits),
             file=sys.stderr,
         )
-    assignments, frequencies = topics.assign_topics(model, documents)
+    assignments, frequencies = topics.assign_topics(model, documents, matrix)
     files = report.export_topic_artifacts(model, assignments, frequencies)
     base = f"{p['corpus_id']}/topics"
     outputs: dict[str, Artifact] = {f"{base}/{name}": text for name, text in files.items()}

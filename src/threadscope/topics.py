@@ -41,15 +41,14 @@ def digamma(x):
     if (arr <= 0).any():
         raise ValueError("digamma requires positive arguments")
     small = arr < _PSI_SHIFT
-    # every 1/(x+j) in one array, then summed one row at a time, smallest
+    # every 1/(x+j) in one array, then summed over its first axis, smallest
     # terms first: near the root at 1.4616 the sum cancels against
-    # log(x+10), and this order keeps it within rel 1e-12 of scipy.  A
-    # reduce over the rows may pair the terms differently.
+    # log(x+10), and this order keeps it within rel 1e-12 of scipy.  numpy
+    # reduces a leading axis one row after another, in order, like a loop
+    # over the rows; a test pins that bit for bit.
     terms = np.add.outer(_PSI_STEPS, arr)
     np.divide(1.0, terms, out=terms)
-    shift = terms[0]
-    for row in terms[1:]:
-        shift += row
+    shift = terms.sum(axis=0)
     acc = np.where(small, -shift, 0.0)
     arr = np.where(small, arr + _PSI_SHIFT, arr)
     inv = 1.0 / arr
@@ -205,6 +204,11 @@ class TopicModel:
     epoch_perplexities: list[float] = field(default_factory=list)
     # per epoch: training E-steps stopped by max_e_iters rather than tol
     epoch_cap_hits: list[int] = field(default_factory=list)
+    # one gamma row per document of the fitted matrix, from the final
+    # perplexity pass: the E-step _infer runs, at the final lambda, so the
+    # same bits; an empty document keeps the prior.  None when the fit
+    # recorded no perplexity
+    doc_gammas: np.ndarray | None = None
 
 
 @dataclass
@@ -229,6 +233,53 @@ def _exp_elog_theta(gamma: np.ndarray) -> np.ndarray:
     return np.exp(psi[:, :-1] - psi[:, -1:])
 
 
+# numpy sums a contiguous run of up to this many values with 8 accumulators,
+# and a longer one in halves
+_PAIRWISE_BLOCK = 128
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1), bit for bit, for a C-contiguous 2-D float array with
+    no negative zero, taken a column at a time.  numpy sums each row on its
+    own: fewer than 8 values in order; up to _PAIRWISE_BLOCK values with
+    accumulators r0..r7, where rj adds columns j, j+8, j+16, ... in order,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail columns
+    are added.  One strided pass a column costs far less than numpy's loop
+    call a row when the rows are short and many."""
+    n, k = a.shape
+    if k > _PAIRWISE_BLOCK:
+        return a.sum(axis=1)
+    if k < 8:
+        out = a[:, 0].copy()
+        for j in range(1, k):
+            out += a[:, j]
+        return out
+    blocks = k - k % 8
+    # partial sums go to out, y and z; w is needed only when an
+    # accumulator spans more than one column
+    out, y, z = np.empty(n), np.empty(n), np.empty(n)
+    w = np.empty(n) if blocks > 8 else None
+
+    def accumulator(j, buf):
+        if blocks == 8:
+            return a[:, j]
+        np.add(a[:, j], a[:, j + 8], out=buf)
+        for column in range(j + 16, blocks, 8):
+            buf += a[:, column]
+        return buf
+
+    np.add(accumulator(0, out), accumulator(1, y), out=out)
+    np.add(accumulator(2, y), accumulator(3, z), out=y)
+    out += y
+    np.add(accumulator(4, y), accumulator(5, z), out=y)
+    np.add(accumulator(6, z), accumulator(7, w), out=z)
+    y += z
+    out += y
+    for column in range(blocks, k):
+        out += a[:, column]
+    return out
+
+
 def _phinorm(
     theta: np.ndarray, beta: np.ndarray, owner: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
@@ -239,7 +290,9 @@ def _phinorm(
     # without an intermediate copy
     weighted = np.take(theta, owner, axis=0, out=scratch[: owner.size], mode="clip")
     weighted *= beta
-    return weighted.sum(axis=1) + 1e-100
+    phinorm = _row_sums(weighted)
+    phinorm += 1e-100
+    return phinorm
 
 
 # documents per summed chunk: the sstats bincounts and the bound's float
@@ -250,6 +303,10 @@ _ESTEP_CHUNK = 32
 # into chunks gives each chunk the bits a call on that chunk would; a
 # group must hold a whole number of chunks, or chunk bounds would move
 _ESTEP_GROUP = 4 * _ESTEP_CHUNK
+# an E-step's working set is compacted once its stopped documents hold this
+# share of its tokens: iterating a few dead rows costs less than copying
+# every working array at each stop
+_COMPACT_SHARE = 0.25
 
 
 class _EStep(NamedTuple):
@@ -271,8 +328,12 @@ def _estep(
 ) -> _EStep:
     """Iterate gamma for every document of a batch of non-empty rows at
     once.  Each document stops on its own rule, mean |delta gamma| < tol or
-    max_iters, and leaves the working set with the gamma, exp_elog_theta
-    and phinorm of its own last iteration."""
+    max_iters, and its gamma, exp_elog_theta and phinorm of that iteration
+    are stored then.  A stopped document stays in the working set, masked
+    so it is never stored again, until stopped documents hold
+    _COMPACT_SHARE of its tokens; then the set is compacted.  No other
+    row reads a stopped row's values, so when it is compacted changes no
+    bit, only how many copies are traded for arithmetic."""
     k = exp_elog_beta.shape[0]
     n_docs = batch.n_docs
     lengths = batch.lengths
@@ -292,8 +353,10 @@ def _estep(
     out_theta = np.empty_like(theta)
     out_phinorm = np.empty_like(phinorm)
     capped = np.zeros(n_docs, dtype=bool)
-    live = np.arange(n_docs)  # batch rows still iterating
+    rows = np.arange(n_docs)  # the working set's batch rows
     tokens = np.arange(cts.size)  # their tokens' positions in the batch
+    running = np.ones(n_docs, dtype=bool)  # working rows not yet stopped
+    stopped_tokens = 0  # tokens of the working rows that have stopped
     for it in range(1, max_iters + 1):
         last = gamma
         ratio = np.multiply(
@@ -305,25 +368,35 @@ def _estep(
         # the mean, as ndarray.mean computes it, without its Python wrapper
         stop = np.abs(gamma - last).sum(axis=1) / k < tol
         if it == max_iters:
-            capped[live[~stop]] = True
-            stop[:] = True
+            capped[rows[running & ~stop]] = True
+            stop = running.copy()
+        else:
+            stop &= running
         if not stop.any():
             continue
-        out_gamma[live[stop]] = gamma[stop]
-        out_theta[live[stop]] = theta[stop]
+        out_gamma[rows[stop]] = gamma[stop]
+        out_theta[rows[stop]] = theta[stop]
         stop_tokens = np.repeat(stop, lengths)
         out_phinorm[tokens[stop_tokens]] = phinorm[stop_tokens]
-        keep, keep_tokens = ~stop, ~stop_tokens
-        live, gamma, theta, lengths = live[keep], gamma[keep], theta[keep], lengths[keep]
+        running &= ~stop
+        if not running.any():
+            break
+        stopped_tokens += int(lengths[stop].sum())
+        if stopped_tokens < _COMPACT_SHARE * cts.size:
+            continue
+        keep_tokens = np.repeat(running, lengths)
+        rows, gamma, theta, lengths = (
+            rows[running], gamma[running], theta[running], lengths[running]
+        )
         tokens = tokens[keep_tokens]
         # compact beta into the scratch rows and reuse the old beta as
-        # scratch: both still hold at least the live tokens
+        # scratch: both still hold at least the running tokens
         np.compress(keep_tokens, beta, axis=0, out=scratch[: tokens.size])
         beta, scratch = scratch[: tokens.size], beta
         cts, phinorm = cts[keep_tokens], phinorm[keep_tokens]
-        if not live.size:
-            break
-        owner = np.repeat(np.arange(live.size), lengths)
+        running = np.ones(rows.size, dtype=bool)
+        stopped_tokens = 0
+        owner = np.repeat(np.arange(rows.size), lengths)
         starts = np.cumsum(lengths) - lengths
     return _EStep(
         gamma=out_gamma, exp_elog_theta=out_theta, phinorm=out_phinorm, capped=capped
@@ -391,7 +464,8 @@ def fit_lda(
     initialization and per-epoch document shuffling; records the number of
     training E-steps stopped by max_e_iters per epoch and, unless
     ``record_perplexity`` is off, per-epoch training perplexity from the
-    variational bound (a full E-step pass over the corpus each)."""
+    variational bound (a full E-step pass over the corpus each), whose
+    last pass leaves its gammas in ``doc_gammas``."""
     if matrix.n_docs == 0:
         raise EmptyCorpusError("cannot fit topics on an empty corpus")
     if matrix.n_terms == 0:
@@ -404,6 +478,8 @@ def fit_lda(
     rng = np.random.default_rng(config.seed)
     lam = rng.gamma(100.0, 1.0 / 100.0, (k, matrix.n_terms))
     model = TopicModel(lam=lam, config=config)
+    if record_perplexity:
+        model.doc_gammas = np.full((n_docs, k), config.alpha_value)
     t = 0
     for _ in range(config.epochs):
         order = rng.permutation(n_docs)
@@ -422,26 +498,32 @@ def fit_lda(
             t += 1
         model.lam = lam
         if record_perplexity:
-            model.epoch_perplexities.append(perplexity(lam, matrix, config))
+            model.epoch_perplexities.append(
+                perplexity(lam, matrix, config, model.doc_gammas)
+            )
         model.epoch_cap_hits.append(cap_hits)
     return model
 
 
-def _infer(model: TopicModel, matrix: DocTermMatrix) -> list[DocTopics]:
-    """E-step with lambda frozen over each document of the matrix; an empty
-    document sits at the prior's fixed point, so its probability is
-    exactly 1/k."""
+def _infer(
+    model: TopicModel, matrix: DocTermMatrix, gammas: np.ndarray | None = None
+) -> list[DocTopics]:
+    """E-step with lambda frozen over each document of the matrix, unless
+    ``gammas`` already holds its result; an empty document sits at the
+    prior's fixed point, so its probability is exactly 1/k."""
     k = model.config.k
-    gammas = np.full((matrix.n_docs, k), model.config.alpha_value)
-    filled = np.zeros(matrix.n_docs, dtype=bool)
-    exp_elog_beta = _exp_elog_beta(model.lam)
-    every = np.arange(matrix.n_docs)
-    for positions, _, step in _estep_chunks(matrix, every, exp_elog_beta, model.config):
-        gammas[positions] = step.gamma
-        filled[positions] = True
+    if gammas is None:
+        gammas = np.full((matrix.n_docs, k), model.config.alpha_value)
+        exp_elog_beta = _exp_elog_beta(model.lam)
+        every = np.arange(matrix.n_docs)
+        for positions, _, step in _estep_chunks(
+            matrix, every, exp_elog_beta, model.config
+        ):
+            gammas[positions] = step.gamma
     inferred = []
-    for has_terms, gamma in zip(filled, gammas):
-        if not has_terms:
+    # _estep_chunks skips exactly the empty documents
+    for length, gamma in zip(matrix.lengths, gammas):
+        if not length:
             inferred.append(DocTopics(gamma=gamma, assigned=0, probability=1.0 / k))
             continue
         assigned = int(np.argmax(gamma))
@@ -491,33 +573,45 @@ def _word_ll(elog_beta: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray) -> 
     peak = joint.max(axis=1)
     joint -= peak[:, np.newaxis]
     np.exp(joint, out=joint)
-    word_ll = np.log(joint.sum(axis=1))
+    word_ll = np.log(_row_sums(joint))
     word_ll += peak
     return float(chunk.cts @ word_ll)
 
 
 def variational_bound(
-    lam: np.ndarray, matrix: DocTermMatrix, config: LdaConfig
+    lam: np.ndarray,
+    matrix: DocTermMatrix,
+    config: LdaConfig,
+    gammas: np.ndarray | None = None,
 ) -> float:
     """Evidence lower bound on the corpus under lambda, with per-document
-    gammas re-inferred at the frozen lambda."""
+    gammas re-inferred at the frozen lambda; ``gammas``, when given, is
+    filled with each non-empty document's gamma at its matrix row."""
     # a topic row at a time: lgamma boxes every element as a Python float
     score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis]
     exp_elog_beta = np.exp(elog_beta)
     every = np.arange(matrix.n_docs)
-    for _, chunk, step in _estep_chunks(matrix, every, exp_elog_beta, config):
+    for positions, chunk, step in _estep_chunks(matrix, every, exp_elog_beta, config):
         score += _word_ll(elog_beta, chunk, step.gamma)
         score += _dirichlet_ll(step.gamma, config.alpha_value)
+        if gammas is not None:
+            gammas[positions] = step.gamma
     return score
 
 
-def perplexity(lam: np.ndarray, matrix: DocTermMatrix, config: LdaConfig) -> float:
-    """exp(-bound / token count); lower is better."""
+def perplexity(
+    lam: np.ndarray,
+    matrix: DocTermMatrix,
+    config: LdaConfig,
+    gammas: np.ndarray | None = None,
+) -> float:
+    """exp(-bound / token count); lower is better.  ``gammas`` is passed
+    on to variational_bound."""
     total = matrix.total_count()
     if total == 0:
         return float("nan")
-    return math.exp(-variational_bound(lam, matrix, config) / total)
+    return math.exp(-variational_bound(lam, matrix, config, gammas) / total)
 
 
 def topic_word_distribution(lam: np.ndarray) -> np.ndarray:
@@ -548,18 +642,25 @@ class TopicAssignment:
 
 
 def assign_topics(
-    model: TopicModel, documents: Sequence
+    model: TopicModel, documents: Sequence, fitted: DocTermMatrix | None = None
 ) -> tuple[list[TopicAssignment], list[int]]:
     """Assign each document its argmax topic and probability; also return
-    the per-topic assignment frequencies (zero-filled over all k topics)."""
+    the per-topic assignment frequencies (zero-filled over all k topics).
+    ``fitted`` is the matrix the model was fit on, when the documents are
+    its rows in order: they are then assigned from the fit's ``doc_gammas``
+    and neither counted nor inferred again."""
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
-    matrix = _count_matrix(
-        model.vocab.terms, (doc.cleaned_text.split() for doc in documents)
-    )
+    if fitted is None:
+        matrix = _count_matrix(
+            model.vocab.terms, (doc.cleaned_text.split() for doc in documents)
+        )
+        rows = _infer(model, matrix)
+    else:
+        rows = _infer(model, fitted, model.doc_gammas)
     assignments: list[TopicAssignment] = []
     frequencies = [0] * model.config.k
-    for doc, inferred in zip(documents, _infer(model, matrix)):
+    for doc, inferred in zip(documents, rows):
         assignments.append(
             TopicAssignment(
                 post_id=doc.post_id,

@@ -362,6 +362,50 @@ def test_topics_golden_bytes(tmp_path, fixtures, schema):
         assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the files `topics --k 10` (minibatches of 4) and `topics-monthly`
+# write from the native golden ingest at the default 10 epochs, recorded
+# before the E-step's row sums were taken a column at a time, assignment
+# reused the fit's final perplexity pass and stopped documents were
+# compacted in bulk.  k=10 sums each token's row with numpy's 8
+# accumulators, which k=3 and the monthly k=2 never reach.
+GOLDEN_TOPICS_K10 = {
+    "model.json": "dac065bc0278d24354465d5f6387e2e23477e5109b7d8cf6214a737ab49c2834",
+    "keywords.txt": "7f8254825bb57b82e8aefe4238d779d16589ee07cc0670d2a97287a79c75a8d9",
+    "assignments.tsv": "9d7132f08e52f89c11fd7541215be1c1355170c1791d49cc8ae50d6c245e6821",
+    "topic_frequencies.tsv": "e990485d0c0ff68b4a68ad25c0458a31d88ac9e2f44fb2a4d3152a31ffc35252",
+    "wordcloud_topic0.tsv": "20de241db03c9f942174d0eec136eef9df6b34be21f6420f9d1102ebdc7c2601",
+    "wordcloud_topic1.tsv": "d6fb9b4b777b5e92c0152161d4b1829a61c85497fd16558df8c99c56bd47e7c7",
+    "wordcloud_topic2.tsv": "41e382beed8830611a708e0633b1384b216ec3bcf1a08614adac30e346a76aa8",
+    "wordcloud_topic3.tsv": "532fde51d2fe565842497797bd769ceabe01b3a69f0d8609b60df9ad6cc254be",
+    "wordcloud_topic4.tsv": "65d0154190f9ed0b4d1357c8255f8b1f0e848d6b3d9c8e9384dd7c51cd8a0d1c",
+    "wordcloud_topic5.tsv": "287ef3ea044c2daf7b732e5d6cd0c6b5dc3552c4a5ad478ad23ef00e8648718e",
+    "wordcloud_topic6.tsv": "e8c13abe50542ea3296d008d0239a108bbb2a42a1be25d7bc28e63f373a6662a",
+    "wordcloud_topic7.tsv": "c0dc95ef4f0a793a326821abc19375db31013a88df35b7a7ffe4df55c47f8a40",
+    "wordcloud_topic8.tsv": "6ebbcfd9eff7dcb655958ae85c6aacee143aba63b8d2f311ea9103a48d1baff0",
+    "wordcloud_topic9.tsv": "c5f74c8e09f6db3de729180b775c0ba48da302aeca6149e34d5b06bead40871a",
+    "side_topics.tsv": "2d451db7e3f505164baec0be84bdf02b8274193595f6c1893497582e3d915eb5",
+    "skipped.tsv": "d947a90abc6d1eb6b97268917a3921a3d2ad876ede3f52ba58ac1802dff2cc62",
+}
+
+
+def test_topics_k10_and_monthly_golden_bytes(tmp_path, fixtures):
+    _golden_ingest("native", fixtures, tmp_path)
+    clean = tmp_path / "clean.jsonl"
+    assert run(["preprocess", "--in", str(tmp_path / "documents.jsonl"), "--out", str(clean)]) == 0
+    common = ["--docs", str(clean), "--min-df", "1", "--corpus-id", "fix"]
+    topics, monthly = tmp_path / "topics", tmp_path / "monthly"
+    assert run(["topics", *common, "--k", "10", "--batch-size", "4", "--top", "5",
+                "--out", str(topics)]) == 0
+    assert run(["topics-monthly", *common, "--min-docs", "2", "--out", str(monthly)]) == 0
+    written = {
+        path.name: path
+        for path in [*(topics / "fix" / "topics").iterdir(), *(monthly / "fix" / "monthly").iterdir()]
+    }
+    assert set(written) == set(GOLDEN_TOPICS_K10)
+    for name, digest in GOLDEN_TOPICS_K10.items():
+        assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest, name
+
+
 def test_ingest_pushshift_fixture_keeps_the_first_records(tmp_path, fixtures):
     _golden_ingest("pushshift", fixtures, tmp_path)
     docs = [json.loads(line) for line in (tmp_path / "documents.jsonl").read_text().splitlines()]

@@ -13,8 +13,9 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threadscope.corpus import Document, write_documents
 from threadscope.errors import EmptyCorpusError, EmptyVocabularyError
-from threadscope import topics
+from threadscope import cli, topics
 from threadscope.topics import (
     DocTermMatrix,
     LdaConfig,
@@ -121,6 +122,39 @@ def test_digamma_is_bit_identical_to_the_reference(data):
     ours, ref = np.asarray(ours), np.asarray(ref)
     assert ours.shape == ref.shape == shape
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
+def test_digamma_shift_sum_is_the_row_by_row_loop():
+    # digamma sums its shift terms with one reduce over their first axis;
+    # near digamma's root the order of that sum matters, and this pins it
+    # to adding the rows one after another, j = 9 down to 0.  Every size
+    # from 1 to 300, sizes around numpy's 8192-element buffer up to
+    # 20,000, and 2-D shapes as the E-step passes them
+    rng = np.random.default_rng(11)
+    sizes = [*range(1, 301), 1000, 4095, 4096, 4097, 8191, 8192, 8193, 16384, 20000]
+    for shape in [(n,) for n in sizes] + [(40, 3), (128, 10), (1, 139)]:
+        x = rng.uniform(1e-6, 12.0, shape)
+        terms = np.add.outer(topics._PSI_STEPS, x)
+        np.divide(1.0, terms, out=terms)
+        shift = terms[0].copy()
+        for row in terms[1:]:
+            shift += row
+        assert np.array_equal(terms.sum(axis=0).view(np.int64), shift.view(np.int64)), shape
+        assert np.array_equal(digamma(x).view(np.int64), _reference_digamma(x).view(np.int64))
+
+
+def test_row_sums_are_numpy_sums_bit_for_bit():
+    # the E-step's per-token sums follow numpy's own order; if a numpy
+    # release changes it, this fails before any golden digest does
+    rng = np.random.default_rng(5)
+    for n_rows in (1, 2, 7, 33, 500):
+        for k in range(1, 140):
+            a = np.exp(rng.uniform(math.log(1e-9), math.log(1e9), (n_rows, k)))
+            a[n_rows // 2] = 0.0
+            before = a.copy()
+            ours = topics._row_sums(a)
+            assert np.array_equal(ours.view(np.int64), a.sum(axis=1).view(np.int64)), (n_rows, k)
+            assert np.array_equal(a, before)
 
 
 def test_digamma_rejects_nonpositive():
@@ -503,18 +537,29 @@ def corpora(draw):
     return draw(st.lists(st.one_of(st.just(()), row), min_size=1, max_size=90)), n_terms
 
 
-def check_bit_identical_to_the_row_path(corpus, k, batch_size, epochs, max_e_iters, seed):
+def check_bit_identical_to_the_row_path(
+    corpus, k, batch_size, epochs, max_e_iters, seed, compact_share=None
+):
+    """fit_lda and _infer on the CSR matrix against the row path; a given
+    ``compact_share`` replaces _COMPACT_SHARE for them but not for the
+    reference."""
     rows, n_terms = corpus
     config = LdaConfig(
         k=k, batch_size=batch_size, epochs=epochs, max_e_iters=max_e_iters, seed=seed
     )
-    model = fit_lda(csr(rows, n_terms), config)
     lam, perplexities, cap_hits = reference_fit(rows, n_terms, config)
+    with pytest.MonkeyPatch.context() as patched:
+        if compact_share is not None:
+            patched.setattr(topics, "_COMPACT_SHARE", compact_share)
+        model = fit_lda(csr(rows, n_terms), config)
+        gammas = np.array([doc.gamma for doc in _infer(model, csr(rows, n_terms))])
     assert np.array_equal(model.lam, lam)
     assert model.epoch_cap_hits == cap_hits
     assert np.array_equal(model.epoch_perplexities, perplexities, equal_nan=True)
-    gammas = np.array([doc.gamma for doc in _infer(model, csr(rows, n_terms))])
-    assert np.array_equal(gammas, reference_gammas(model, rows))
+    expected = reference_gammas(model, rows)
+    assert np.array_equal(gammas, expected)
+    # the final perplexity pass is the E-step _infer runs
+    assert np.array_equal(model.doc_gammas, expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -554,6 +599,28 @@ def test_e_step_groups_cut_into_chunks_are_bit_identical_to_the_row_path(
         check_bit_identical_to_the_row_path(
             corpus, k, batch_size, epochs, max_e_iters, seed
         )
+
+
+@pytest.mark.parametrize(
+    # 0: compact at every stop, as one copy per stop did; inf: never before
+    # the last document stops
+    "compact_share", [0.0, math.inf]
+)
+@settings(max_examples=25, deadline=None)
+@given(
+    corpus=corpora(),
+    k=st.integers(2, 4),
+    batch_size=st.integers(1, 90),
+    epochs=st.integers(1, 2),
+    max_e_iters=st.sampled_from([3, 100]),
+    seed=st.integers(0, 2**16),
+)
+def test_when_stopped_documents_are_compacted_changes_no_bit(
+    compact_share, corpus, k, batch_size, epochs, max_e_iters, seed
+):
+    check_bit_identical_to_the_row_path(
+        corpus, k, batch_size, epochs, max_e_iters, seed, compact_share
+    )
 
 
 def test_e_step_group_holds_whole_chunks():
@@ -836,6 +903,50 @@ def test_assign_topics_skips_unknown_terms():
     assert (a.topic, a.probability) == (expected.assigned, expected.probability)
     # a document with no known term sits at the prior, as an empty one does
     assert (c.topic, c.probability) == (d.topic, d.probability) == (0, 0.5)
+
+
+def test_topics_assigns_from_the_fit_and_counts_once(tmp_path, monkeypatch):
+    # two planted clusters, with documents that are empty or hold only
+    # terms under min_df in between
+    texts = [("t0 t1 t2 t3 t1" if i % 2 else "t8 t9 t10 t9 t11") for i in range(24)]
+    texts[3], texts[10], texts[17] = "", "once only", ""
+    docs = [
+        Document(post_id=f"d{i}", subreddit="s", created_utc=1584230400, title="x",
+                 cleaned_text=text)
+        for i, text in enumerate(texts)
+    ]
+    write_documents(docs, tmp_path / "docs.jsonl")
+    counts, fits, assigned = [], [], []
+    real_count, real_fit, real_infer = topics._count_matrix, topics.fit_lda, topics._infer
+
+    def counting_count(*args):
+        counts.append(args)
+        return real_count(*args)
+
+    def recording_fit(matrix, config, **kwargs):
+        fits.append((matrix, real_fit(matrix, config, **kwargs)))
+        return fits[-1][1]
+
+    def recording_infer(model, matrix, gammas=None):
+        assigned.append(gammas)
+        return real_infer(model, matrix, gammas)
+
+    monkeypatch.setattr(topics, "_count_matrix", counting_count)
+    monkeypatch.setattr(topics, "fit_lda", recording_fit)
+    monkeypatch.setattr(topics, "_infer", recording_infer)
+    out = tmp_path / "out"
+    assert cli.run(["topics", "--docs", str(tmp_path / "docs.jsonl"), "--k", "2",
+                    "--min-df", "2", "--epochs", "2", "--batch-size", "5",
+                    "--corpus-id", "c", "--out", str(out)]) == 0
+    assert len(counts) == 1
+    ((matrix, model),) = fits
+    (gammas,) = assigned
+    assert gammas is model.doc_gammas
+    assert (matrix.lengths == 0).sum() == 3
+    expected = np.array([doc.gamma for doc in real_infer(model, matrix)])
+    assert np.array_equal(gammas, expected)
+    rows = (out / "c" / "topics" / "assignments.tsv").read_text().splitlines()[1:]
+    assert [rows[i].split("\t")[2] for i in (3, 10, 17)] == ["0.500000"] * 3
 
 
 # ---------------------------------------------------------------- monthly
