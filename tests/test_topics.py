@@ -125,11 +125,12 @@ def test_digamma_is_bit_identical_to_the_reference(data):
 
 
 def test_digamma_shift_sum_is_the_row_by_row_loop():
-    # digamma sums its shift terms with one reduce over their first axis;
-    # near digamma's root the order of that sum matters, and this pins it
-    # to adding the rows one after another, j = 9 down to 0.  Every size
-    # from 1 to 300, sizes around numpy's 8192-element buffer up to
-    # 20,000, and 2-D shapes as the E-step passes them
+    # digamma sums its shift terms with one reduce over their first axis,
+    # or, for a single argument, one accumulate; near digamma's root the
+    # order of that sum matters, and this pins it to adding the rows one
+    # after another, j = 9 down to 0.  Every size from 1 to 300, sizes
+    # around numpy's 8192-element buffer up to 20,000, and 2-D shapes as
+    # the E-step passes them
     rng = np.random.default_rng(11)
     sizes = [*range(1, 301), 1000, 4095, 4096, 4097, 8191, 8192, 8193, 16384, 20000]
     for shape in [(n,) for n in sizes] + [(40, 3), (128, 10), (1, 139)]:
@@ -139,8 +140,15 @@ def test_digamma_shift_sum_is_the_row_by_row_loop():
         shift = terms[0].copy()
         for row in terms[1:]:
             shift += row
-        assert np.array_equal(terms.sum(axis=0).view(np.int64), shift.view(np.int64)), shape
+        if x.size > 1:
+            assert np.array_equal(terms.sum(axis=0).view(np.int64), shift.view(np.int64)), shape
+        assert np.array_equal(np.add.accumulate(terms)[-1].view(np.int64), shift.view(np.int64))
         assert np.array_equal(digamma(x).view(np.int64), _reference_digamma(x).view(np.int64))
+    # one argument: numpy pairs the ten terms of a (10, 1) reduce, and at
+    # 1.5 that moves the last bit of the shift
+    for x in (1.5, np.array([1.5]), np.array([[1.5]])):
+        ours, ref = np.asarray(digamma(x)), np.asarray(_reference_digamma(x))
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64)), x
 
 
 def test_row_sums_are_numpy_sums_bit_for_bit():
