@@ -290,8 +290,9 @@ def _cmd_ingest(p: dict) -> Outputs:
         date_to=p["to"],
         subreddits=tuple(p["subreddits"] or ()),
     )
-    # Two passes: the scan feeds every record to the filter and keeps only
-    # a line index, then the threads the matches name are read again.
+    # Two passes: the filter runs inside the scan, which builds a record
+    # only for a kept line and keeps a line index; then the threads the
+    # matches name are read again.
     matched = corpus.filter_records(scan, spec)
     threads = {r.id if r.kind == corpus.POST else r.parent_post_id for r in matched}
     documents = corpus.assemble_documents(scan.reread(threads), matched, spec=spec)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DumpParseError, UnknownSchemaError
 from . import textprep
@@ -136,8 +137,6 @@ def _check_utc_range(value: int) -> int:
 
 
 def _coerce_utc(value) -> int:
-    if type(value) is int and MIN_UTC <= value <= MAX_UTC:
-        return value
     if isinstance(value, bool):
         raise ValueError("created_utc must be numeric")
     if isinstance(value, str) and value.strip():
@@ -149,72 +148,9 @@ def _coerce_utc(value) -> int:
     raise ValueError("created_utc must be numeric")
 
 
-# Records are built positionally, fields read in declaration order, so
-# the first bad field names the error.  Kinds are the module constants,
-# and subreddit names, few per dump, are interned.  ``tuple.__new__``
-# skips the named tuple's Python-level ``__new__``, so every field is
-# passed.
+# ``tuple.__new__`` skips the named tuple's Python-level ``__new__``, so
+# every field is passed.
 _new_record = tuple.__new__
-
-
-def _check_post(record: RedditRecord) -> RedditRecord:
-    """A post's id and subreddit become columns of the tables written
-    from documents; comments' never do."""
-    textprep.check_field("id", record.id)
-    textprep.check_field("subreddit", record.subreddit)
-    return record
-
-
-def _record_from_native(obj: dict) -> RedditRecord:
-    kind = obj["kind"]
-    if kind not in (POST, COMMENT):
-        raise ValueError(f"unknown kind {kind!r}")
-    kind = POST if kind == POST else COMMENT
-    record = _new_record(RedditRecord, (
-        kind,
-        str(obj["id"]),
-        sys.intern(str(obj["subreddit"])),
-        _coerce_utc(obj["created_utc"]),
-        str(obj.get("title", "")),
-        str(obj.get("body", "")),
-        str(obj.get("parent_post_id", "")).removeprefix("t3_"),
-        int(obj.get("num_comments", 0)),
-    ))
-    if kind == POST:
-        _check_post(record)
-    elif not record.parent_post_id:
-        raise ValueError("comment without parent_post_id")
-    return record
-
-
-def _record_from_pushshift(obj: dict) -> RedditRecord:
-    if "title" in obj:
-        return _check_post(_new_record(RedditRecord, (
-            POST,
-            str(obj["id"]),
-            sys.intern(str(obj["subreddit"])),
-            _coerce_utc(obj["created_utc"]),
-            str(obj["title"]),
-            str(obj.get("selftext", "")),
-            "",
-            int(obj.get("num_comments", 0)),
-        )))
-    if "link_id" in obj:
-        parent = str(obj["link_id"]).removeprefix("t3_")
-        if not parent:
-            raise ValueError("comment without link_id")
-        return _new_record(RedditRecord, (
-            COMMENT,
-            str(obj["id"]),
-            sys.intern(str(obj["subreddit"])),
-            _coerce_utc(obj["created_utc"]),
-            "",
-            str(obj.get("body", "")),
-            parent,
-            0,
-        ))
-    raise ValueError("record is neither a post (title) nor a comment (link_id)")
-
 
 # the C scanner behind raw_decode, called without raw_decode's Python frame
 _scan_once = json.JSONDecoder().scan_once
@@ -235,11 +171,8 @@ def _decode_line(line: str):
     return json.loads(line)
 
 
-_PARSERS: dict[str, Callable[[dict], RedditRecord]] = {
-    "native": _record_from_native,
-    "pushshift": _record_from_pushshift,
-}
-
+# what a byte that is not UTF-8 becomes, read with errors="surrogateescape"
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]").search
 
 # What a dump line can raise when it is not a record of its schema.
 _RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
@@ -253,10 +186,6 @@ def _reason(exc: Exception) -> str:
     return str(exc)
 
 
-def _thread_of(record: RedditRecord) -> str:
-    return record.id if record.kind == POST else record.parent_post_id
-
-
 class DumpScan:
     """One pass over a newline-delimited dump: iterating yields its
     records in file order and keeps none of them, only a line index.
@@ -266,16 +195,17 @@ class DumpScan:
     per thread, the line and id of each comment whose id occurs there
     first.  ``reread`` uses it to decode one thread subset again, so
     memory grows with the index and that subset, not with the dump.
-    ``len`` is the number of records the last pass read.
+    ``len`` is the number of records the last pass read.  Given a scan,
+    ``filter_records`` runs its filter inside the pass.
     """
 
     def __init__(self, path: str | Path, schema: str, on_error: str = "raise") -> None:
-        if schema not in _PARSERS:
+        if schema not in SCHEMAS:
             raise UnknownSchemaError(f"unknown dump schema {schema!r}")
         if on_error not in ("raise", "skip"):
             raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
         self.path = path
-        self._parser = _PARSERS[schema]
+        self._native = schema == "native"
         self._skip = on_error == "skip"
         self._records = 0
         self._post_lines: dict[str, int] = {}
@@ -286,42 +216,110 @@ class DumpScan:
         return self._records
 
     def __iter__(self) -> Iterator[RedditRecord]:
-        parser = self._parser
-        decode = _decode_line
-        post_lines: dict[str, int] = {}
-        comment_lines: dict[str, list] = {}
+        return self._pass(None)
+
+    def _pass(self, spec: FilterSpec | None) -> Iterator[RedditRecord]:
+        """Read the whole dump, renewing the index and count, and yield
+        the records ``spec`` keeps, or every record without a spec."""
+        self._post_lines, self._comment_lines = index = {}, {}
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as handle:
+            self._records = yield from self._records_of(enumerate(handle, 1), spec, self._skip, *index)
+
+    def _records_of(self, numbered, spec, skip, post_lines, comment_lines):
+        """The one loop that makes records of (line number, line) pairs for
+        the scan and ``reread``: it checks each line, adds it to the index
+        and builds a record only for a line ``spec`` keeps; returns the
+        number of records read."""
+        native = self._native
+        decode, intern, check = _decode_line, sys.intern, textprep.check_field
+        if spec is not None:
+            first, last, wanted = spec._window
+            keywords = spec.lowered_keywords
+            kept_ids: set[str] = set()
         comment_ids: set[str] = set()
-        self._post_lines, self._comment_lines = post_lines, comment_lines
         records = 0
-        with open(self.path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                # a blank line: one read from a file is never empty
-                if line.isspace():
+        for line_no, line in numbered:
+            # a blank line: one read from a file is never empty
+            if line.isspace():
+                continue
+            try:
+                if not line.isascii() and _ESCAPED_BYTE(line):
+                    raise ValueError("invalid UTF-8")
+                obj = decode(line)
+                if type(obj) is not dict:
+                    raise ValueError("record is not an object")
+                # Fields are read in this order, so the first bad field
+                # names the error.  Kinds are the module constants, and a
+                # record's subreddit name, one of few per dump, is interned.
+                if native:
+                    kind = obj["kind"]
+                    if kind not in (POST, COMMENT):
+                        raise ValueError(f"unknown kind {kind!r}")
+                    kind = POST if kind == POST else COMMENT
+                elif "title" in obj:
+                    kind = POST
+                elif "link_id" in obj:
+                    kind = COMMENT
+                    parent = str(obj["link_id"]).removeprefix("t3_")
+                    if not parent:
+                        raise ValueError("comment without link_id")
+                else:
+                    raise ValueError("record is neither a post (title) nor a comment (link_id)")
+                rid = str(obj["id"])
+                sub = str(obj["subreddit"])
+                created = obj["created_utc"]
+                if type(created) is not int or not MIN_UTC <= created <= MAX_UTC:
+                    created = _coerce_utc(created)
+                if native:
+                    title = str(obj.get("title", ""))
+                    body = str(obj.get("body", ""))
+                    parent = str(obj.get("parent_post_id", "")).removeprefix("t3_")
+                    num = int(obj.get("num_comments", 0))
+                    if kind == COMMENT and not parent:
+                        raise ValueError("comment without parent_post_id")
+                elif kind == POST:
+                    title = str(obj["title"])
+                    body = str(obj.get("selftext", ""))
+                    parent = ""
+                    num = int(obj.get("num_comments", 0))
+                else:
+                    title = ""
+                    body = str(obj.get("body", ""))
+                    num = 0
+                if kind == POST:
+                    # a post's id and subreddit become columns of the
+                    # tables written from documents; comments' never do
+                    check("id", rid)
+                    check("subreddit", sub)
+            except _RECORD_ERRORS as exc:
+                if not skip:
+                    raise DumpParseError(line_no, _reason(exc)) from exc
+                logger.warning("skipping line %d: %s", line_no, _reason(exc))
+                continue
+            records += 1
+            if kind == POST:
+                if rid not in post_lines:
+                    post_lines[rid] = line_no
+            elif rid not in comment_ids:
+                comment_ids.add(rid)
+                lines = comment_lines.get(parent)
+                if lines is None:
+                    comment_lines[parent] = [line_no, rid]
+                else:
+                    lines += (line_no, rid)
+            if spec is not None:
+                # filter_records' rule, on the fields before a record exists
+                if rid in kept_ids or not first <= created <= last or (wanted and sub.lower() not in wanted):
                     continue
-                try:
-                    obj = decode(line)
-                    if not isinstance(obj, dict):
-                        raise ValueError("record is not an object")
-                    record = parser(obj)
-                except _RECORD_ERRORS as exc:
-                    if not self._skip:
-                        raise DumpParseError(line_no, _reason(exc)) from exc
-                    logger.warning("skipping line %d: %s", line_no, _reason(exc))
+                lowered_title, lowered_body = title.lower(), body.lower()
+                for keyword in keywords:
+                    if keyword in lowered_title or keyword in lowered_body:
+                        break
+                else:
                     continue
-                records += 1
-                rid = record.id
-                if record.kind == POST:
-                    if rid not in post_lines:
-                        post_lines[rid] = line_no
-                elif rid not in comment_ids:
-                    comment_ids.add(rid)
-                    lines = comment_lines.get(record.parent_post_id)
-                    if lines is None:
-                        comment_lines[record.parent_post_id] = [line_no, rid]
-                    else:
-                        lines += (line_no, rid)
-                yield record
-        self._records = records
+                kept_ids.add(rid)
+            yield _new_record(RedditRecord, (kind, rid, intern(sub), created, title, body, parent, num))
+        return records
 
     def reread(self, thread_ids: Iterable[str]) -> list[RedditRecord]:
         """Decode again, in file order, the first-occurrence post line and
@@ -336,42 +334,41 @@ class DumpScan:
             lines = self._comment_lines.get(thread, ())
             for i in range(0, len(lines), 2):
                 expected[lines[i]] = (COMMENT, lines[i + 1], thread)
-        parser = self._parser
-        decode = _decode_line
-        subset: list[RedditRecord] = []
-        read = 0
-        with open(self.path, encoding="utf-8") as handle:
-            for line_no in sorted(expected):
+        order = sorted(expected)
+        # up to the end of the file or a blank line, so that each line
+        # read gives a record or an error
+        numbered: list[tuple[int, str]] = []
+        with open(self.path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line_no in order:
+                read = numbered[-1][0] if numbered else 0
                 line = next(islice(handle, line_no - read - 1, None), None)
-                read = line_no
-                kind, rid, thread = expected[line_no]
-                changed = f"the dump changed while it was read: no {kind} {rid} here"
-                if line is None:
-                    raise DumpParseError(line_no, changed)
-                try:
-                    obj = decode(line)
-                    if not isinstance(obj, dict):
-                        raise ValueError("record is not an object")
-                    record = parser(obj)
-                except _RECORD_ERRORS as exc:
-                    raise DumpParseError(line_no, f"{changed}: {_reason(exc)}") from exc
-                if (record.kind, record.id, _thread_of(record)) != expected[line_no]:
-                    raise DumpParseError(line_no, changed)
+                if line is None or line.isspace():
+                    break
+                numbered.append((line_no, line))
+        subset: list[RedditRecord] = []
+        error = None
+        try:
+            for (line_no, _), record in zip(numbered, self._records_of(numbered, None, False, {}, {})):
+                thread = record.id if record.kind == POST else record.parent_post_id
+                if (record.kind, record.id, thread) != expected[line_no]:
+                    break
                 subset.append(record)
+        except DumpParseError as exc:
+            error = exc
+        if len(subset) < len(order):
+            line_no = order[len(subset)]
+            kind, rid, _ = expected[line_no]
+            reason = f"the dump changed while it was read: no {kind} {rid} here"
+            raise DumpParseError(line_no, f"{reason}: {error.reason}" if error else reason) from error
         return subset
 
 
 def parse_dump(
     path: str | Path, schema: str, on_error: str = "raise"
 ) -> list[RedditRecord]:
-    """Parse a newline-delimited dump file into records, in file order.
-
+    """Parse a newline-delimited dump file into records, in file order;
     ``on_error`` is "raise" (fail fast) or "skip" (log and continue).
-    ``ingest`` no longer holds every record and reads the dump through
-    ``DumpScan``; this list form stays for callers that want all of
-    them, such as the unit tests, and because perfbench's tracer counts
-    records by wrapping it by name.
-    """
+    ``ingest`` keeps no such list: it filters inside a ``DumpScan``."""
     return list(DumpScan(path, schema, on_error))
 
 
@@ -389,9 +386,12 @@ def filter_records(
     """Keep the records inside the date range and subreddit set whose
     title or body contains a keyword.  Only kept ids are remembered: a
     record whose id an earlier kept record has is dropped, but a record
-    whose id only appeared on records that were not kept can be kept."""
-    admits = spec.admits
-    keywords = spec.lowered_keywords
+    whose id only appeared on records that were not kept can be kept.
+    A DumpScan runs the filter inside its pass, so a line that is not
+    kept never becomes a record."""
+    if isinstance(records, DumpScan):
+        return list(records._pass(spec))
+    admits, keywords = spec.admits, spec.lowered_keywords
     seen: set[str] = set()
     kept: list[RedditRecord] = []
     for record in records:

@@ -207,6 +207,32 @@ def test_ingest_overflowing_numbers_are_bad_records(tmp_path, fixtures, capsys, 
         assert err[0].startswith("threadscope ingest: error: line 2: ")
 
 
+# A byte that is never UTF-8 and an encoded surrogate, inside a string.
+@pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["0xff", "surrogate"])
+@pytest.mark.parametrize("skip", [False, True], ids=["strict", "skip-bad-records"])
+def test_ingest_invalid_utf8_line_is_a_bad_record(tmp_path, fixtures, capsys, caplog, bad, skip):
+    dump = tmp_path / "dump.jsonl"
+    good = (fixtures / "sample_dump.jsonl").read_text().splitlines()[0]
+    accented = good.replace('"p01"', '"p02"').replace("testing sites", "testing cafés")
+    bad_line = good.replace('"p01"', '"bad"').encode().replace(b"sites", bad)
+    dump.write_bytes(b"\n".join([good.encode(), bad_line, accented.encode("utf-8"), b""]))
+    argv = [
+        "ingest", "--dump", str(dump), "--schema", "native", "--keywords", KEYWORDS,
+        "--from", "2020-03-01", "--to", "2020-08-31", "--out", str(tmp_path / "out"),
+    ]
+    if skip:
+        assert run(argv + ["--skip-bad-records"]) == 0
+        assert caplog.messages == ["skipping line 2: invalid UTF-8"]
+        documents = (tmp_path / "out" / "documents.jsonl").read_text(encoding="utf-8")
+        assert [json.loads(doc)["post_id"] for doc in documents.splitlines()] == ["p01", "p02"]
+        assert "testing cafés" in documents
+    else:
+        assert run(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "threadscope ingest: error: line 2: invalid UTF-8"
+        assert not (tmp_path / "out").exists()
+
+
 def test_ingest_dump_changed_between_passes_exits_2_with_one_error_line(
     tmp_path, fixtures, capsys, monkeypatch
 ):

@@ -6,9 +6,11 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 import tempfile
 from contextlib import contextmanager
 from datetime import date, datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -1293,3 +1295,376 @@ def test_scan_length_counts_the_records_of_the_last_pass(tmp_path):
     assert len(list(scan)) == len(scan) == 9
     assert len(list(scan)) == len(scan) == 9
     assert parse_dump(path, "native", on_error="skip") == list(scan)
+
+
+def test_reread_names_invalid_utf8_in_the_changed_dump(tmp_path):
+    path = tmp_path / "dump.jsonl"
+    scan, threads = _scan_then_rewrite(path, list(PARTLY_MATCHING_DUMP), lambda lines: None)
+    path.write_bytes(path.read_bytes().replace(b"rain", b"r\xffin"))
+    with pytest.raises(DumpParseError) as info:
+        scan.reread(threads)
+    assert (info.value.line_no, info.value.reason) == (
+        5, "the dump changed while it was read: no comment c2 here: invalid UTF-8"
+    )
+
+
+# ------------------------------------------- the scan before the filter ran in it
+# DumpScan.__iter__, DumpScan.reread and filter_records as they were when
+# the scan yielded every record into the filter's own loop, with the
+# parsers and the decoder they called, kept verbatim apart from names and
+# the logger.  The scan with the filter inside must keep the same records
+# in the same order, count the same records, log the same warnings, raise
+# the same first error and reread the same subset.
+
+parent_logger = logging.getLogger("tests.parent_scan")
+
+
+def _parent_coerce_utc(value) -> int:
+    if type(value) is int and MIN_UTC <= value <= MAX_UTC:
+        return value
+    if isinstance(value, bool):
+        raise ValueError("created_utc must be numeric")
+    if isinstance(value, str) and value.strip():
+        value = float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("created_utc must be finite")
+    if isinstance(value, (int, float)):
+        if not MIN_UTC <= int(value) <= MAX_UTC:
+            raise ValueError("created_utc is outside years 1 to 9999")
+        return int(value)
+    raise ValueError("created_utc must be numeric")
+
+
+_parent_new_record = tuple.__new__
+
+
+def _parent_check_post(record: RedditRecord) -> RedditRecord:
+    textprep.check_field("id", record.id)
+    textprep.check_field("subreddit", record.subreddit)
+    return record
+
+
+def _parent_record_from_native(obj: dict) -> RedditRecord:
+    kind = obj["kind"]
+    if kind not in ("post", "comment"):
+        raise ValueError(f"unknown kind {kind!r}")
+    kind = "post" if kind == "post" else "comment"
+    record = _parent_new_record(RedditRecord, (
+        kind,
+        str(obj["id"]),
+        sys.intern(str(obj["subreddit"])),
+        _parent_coerce_utc(obj["created_utc"]),
+        str(obj.get("title", "")),
+        str(obj.get("body", "")),
+        str(obj.get("parent_post_id", "")).removeprefix("t3_"),
+        int(obj.get("num_comments", 0)),
+    ))
+    if kind == "post":
+        _parent_check_post(record)
+    elif not record.parent_post_id:
+        raise ValueError("comment without parent_post_id")
+    return record
+
+
+def _parent_record_from_pushshift(obj: dict) -> RedditRecord:
+    if "title" in obj:
+        return _parent_check_post(_parent_new_record(RedditRecord, (
+            "post",
+            str(obj["id"]),
+            sys.intern(str(obj["subreddit"])),
+            _parent_coerce_utc(obj["created_utc"]),
+            str(obj["title"]),
+            str(obj.get("selftext", "")),
+            "",
+            int(obj.get("num_comments", 0)),
+        )))
+    if "link_id" in obj:
+        parent = str(obj["link_id"]).removeprefix("t3_")
+        if not parent:
+            raise ValueError("comment without link_id")
+        return _parent_new_record(RedditRecord, (
+            "comment",
+            str(obj["id"]),
+            sys.intern(str(obj["subreddit"])),
+            _parent_coerce_utc(obj["created_utc"]),
+            "",
+            str(obj.get("body", "")),
+            parent,
+            0,
+        ))
+    raise ValueError("record is neither a post (title) nor a comment (link_id)")
+
+
+_parent_scan_once = json.JSONDecoder().scan_once
+
+
+def _parent_decode_line(line: str):
+    try:
+        value, end = _parent_scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return json.loads(line)
+    if end == len(line) or (end == len(line) - 1 and line[end] == "\n"):
+        return value
+    return json.loads(line)
+
+
+_PARENT_PARSERS = {"native": _parent_record_from_native, "pushshift": _parent_record_from_pushshift}
+_PARENT_RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
+
+
+def _parent_reason(exc: Exception) -> str:
+    if isinstance(exc, KeyError):
+        return f"missing field {exc.args[0]!r}"
+    return str(exc)
+
+
+def _parent_thread_of(record: RedditRecord) -> str:
+    return record.id if record.kind == "post" else record.parent_post_id
+
+
+class ParentScan:
+    def __init__(self, path, schema, on_error="raise"):
+        self.path = path
+        self._parser = _PARENT_PARSERS[schema]
+        self._skip = on_error == "skip"
+        self._records = 0
+        self._post_lines = {}
+        self._comment_lines = {}
+
+    def __len__(self):
+        return self._records
+
+    def __iter__(self):
+        parser = self._parser
+        decode = _parent_decode_line
+        post_lines = {}
+        comment_lines = {}
+        comment_ids = set()
+        self._post_lines, self._comment_lines = post_lines, comment_lines
+        records = 0
+        with open(self.path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    obj = decode(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("record is not an object")
+                    record = parser(obj)
+                except _PARENT_RECORD_ERRORS as exc:
+                    if not self._skip:
+                        raise DumpParseError(line_no, _parent_reason(exc)) from exc
+                    parent_logger.warning("skipping line %d: %s", line_no, _parent_reason(exc))
+                    continue
+                records += 1
+                rid = record.id
+                if record.kind == "post":
+                    if rid not in post_lines:
+                        post_lines[rid] = line_no
+                elif rid not in comment_ids:
+                    comment_ids.add(rid)
+                    lines = comment_lines.get(record.parent_post_id)
+                    if lines is None:
+                        comment_lines[record.parent_post_id] = [line_no, rid]
+                    else:
+                        lines += (line_no, rid)
+                yield record
+        self._records = records
+
+    def reread(self, thread_ids):
+        expected = {}
+        for thread in thread_ids:
+            line_no = self._post_lines.get(thread)
+            if line_no is not None:
+                expected[line_no] = ("post", thread, thread)
+            lines = self._comment_lines.get(thread, ())
+            for i in range(0, len(lines), 2):
+                expected[lines[i]] = ("comment", lines[i + 1], thread)
+        parser = self._parser
+        decode = _parent_decode_line
+        subset = []
+        read = 0
+        with open(self.path, encoding="utf-8") as handle:
+            for line_no in sorted(expected):
+                line = next(islice(handle, line_no - read - 1, None), None)
+                read = line_no
+                kind, rid, thread = expected[line_no]
+                changed = f"the dump changed while it was read: no {kind} {rid} here"
+                if line is None:
+                    raise DumpParseError(line_no, changed)
+                try:
+                    obj = decode(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("record is not an object")
+                    record = parser(obj)
+                except _PARENT_RECORD_ERRORS as exc:
+                    raise DumpParseError(line_no, f"{changed}: {_parent_reason(exc)}") from exc
+                if (record.kind, record.id, _parent_thread_of(record)) != expected[line_no]:
+                    raise DumpParseError(line_no, changed)
+                subset.append(record)
+        return subset
+
+
+def parent_filter_records(records, spec):
+    admits = spec.admits
+    keywords = spec.lowered_keywords
+    seen = set()
+    kept = []
+    for record in records:
+        if record.id in seen or not admits(record):
+            continue
+        title = record.title.lower()
+        body = record.body.lower()
+        for keyword in keywords:
+            if keyword in title or keyword in body:
+                seen.add(record.id)
+                kept.append(record)
+                break
+    return kept
+
+
+def _scan_filter_reread(scan_class, filter_, logger_name, path, schema, spec, on_error):
+    """Scan the dump through the filter, then reread every thread the
+    dump can name; return what came out and what was logged."""
+    with warnings_of(logger_name) as warnings:
+        scan = scan_class(path, schema, on_error=on_error)
+        try:
+            kept = filter_(scan, spec)
+        except DumpParseError as exc:
+            return {"error": (exc.line_no, exc.reason)}, warnings
+        outcome = {"kept": kept, "records": len(scan)}
+        try:
+            outcome["subset"] = scan.reread(_threads_named(kept) | {*POST_IDS, "gone", *ODD_IDS})
+        except DumpParseError as exc:
+            outcome["subset"] = (exc.line_no, exc.reason)
+    return outcome, warnings
+
+
+class Raw(str):
+    """A JSON text spliced into a line in place of a field's value."""
+
+
+def _line_of(fields: dict) -> str:
+    raws = {}
+    for name, value in fields.items():
+        if isinstance(value, Raw):
+            raws[f'"@raw:{name}@"'] = value
+            fields[name] = f"@raw:{name}@"
+    text = json.dumps(fields)
+    for marker, raw in raws.items():
+        text = text.replace(marker, raw)
+    return text
+
+
+ODD_IDS = ("p\t1", "1" * 4000)
+ODD_VALUES = [
+    True, False, None, 0, -1, 1583366400.5, "", " ", "soon", "t3_", "p\t1", "Covid",
+    ["list"], {"o": 1}, float("inf"), float("nan"), 1e20, MAX_UTC + 1, MIN_UTC - 1,
+    str(WINDOW_FIRST), f" {WINDOW_LAST}.0 ", Raw("1e20"), Raw("-Infinity"),
+    Raw("1" * 5000), Raw("1" * 4000), Raw("-0.0"),
+]
+SCAN_SPECS = EQUIVALENCE_SPECS + [
+    FilterSpec(("PANDEMIC", "Virus"), date(2020, 3, 1), date(2020, 3, 31), subreddits=("nyc", "Covid")),
+]
+scan_texts = st.sampled_from(
+    ["weather", "Covid update", "wear a MASK", "pandemic VIRUS", "nyc", "", "[removed]"]
+)
+
+
+@st.composite
+def scan_lines(draw, schema: str) -> str:
+    """A post or comment line, maybe with a field or two odd or missing."""
+    is_post = draw(st.booleans())
+    fields = {
+        "id": draw(st.sampled_from(POST_IDS if is_post else COMMENT_IDS + ("p1",))),
+        "subreddit": draw(subreddit_names),
+        "created_utc": draw(created_values),
+    }
+    parent = draw(st.sampled_from(POST_IDS + ("gone", "t3_p1", "t3_")))
+    if schema == "native":
+        fields["kind"] = "post" if is_post else "comment"
+        fields["title" if is_post else "body"] = draw(scan_texts)
+        if is_post:
+            fields["body"] = draw(scan_texts)
+        else:
+            fields["parent_post_id"] = parent
+    elif is_post:
+        fields.update(title=draw(scan_texts), selftext=draw(scan_texts))
+    else:
+        fields.update(body=draw(scan_texts), link_id=parent)
+    if is_post:
+        fields["num_comments"] = draw(st.integers(0, 3))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2]))):
+        name = draw(st.sampled_from(sorted(fields) + ["num_comments"]))
+        if draw(st.booleans()):
+            fields.pop(name, None)
+        else:
+            fields[name] = draw(st.sampled_from(ODD_VALUES))
+    return _line_of(fields)
+
+
+SCAN_NOISE = ("", "   ", "\t", "{oops", "[]", '"text"', "1", "null", "\ufeff{}")
+
+
+def scan_dumps(schema: str):
+    line = st.one_of(scan_lines(schema), st.sampled_from(SCAN_NOISE))
+    padded = line.flatmap(
+        lambda text: st.sampled_from([text, f" {text}", f"{text} ", f"{text} x", f"{text}]"])
+    )
+    return st.lists(st.one_of(line, line, padded), max_size=25)
+
+
+@settings(max_examples=300)
+@given(
+    schema_and_lines=st.sampled_from(["native", "pushshift"]).flatmap(
+        lambda schema: st.tuples(st.just(schema), scan_dumps(schema))
+    ),
+    spec=st.sampled_from(SCAN_SPECS),
+    on_error=st.sampled_from(["raise", "skip"]),
+)
+@example(
+    # p1 first fails the filter, then is kept; c1 is kept under p3 and
+    # its later copy under p1 is dropped; p2's id, first dropped, is
+    # kept on a comment line; then every odd value of created_utc, an id
+    # too long to decode, a list num_comments, a tab in a post id and in
+    # a subreddit, and two bad fields of which the first read is named
+    schema_and_lines=(
+        "pushshift",
+        [
+            _line_of({"id": "p1", "subreddit": "covid", "created_utc": WINDOW_FIRST - 1, "title": "Covid"}),
+            _line_of({"id": "p1", "subreddit": "NYC", "created_utc": WINDOW_FIRST, "title": "a COVID mask"}),
+            _line_of({"id": "c1", "subreddit": "covid", "created_utc": WINDOW_LAST, "link_id": "t3_p3", "body": "covid"}),
+            _line_of({"id": "c1", "subreddit": "covid", "created_utc": WINDOW_LAST, "link_id": "p1", "body": "covid"}),
+            _line_of({"id": "p2", "subreddit": "other", "created_utc": WINDOW_LAST, "title": "covid"}),
+            _line_of({"id": "p2", "subreddit": "Covid", "created_utc": WINDOW_LAST, "link_id": "p3", "body": "CoViD"}),
+            *(
+                _line_of({"id": "p3", "subreddit": "covid", "created_utc": created, "title": "covid"})
+                for created in (True, 1583366400.5, str(WINDOW_FIRST), Raw("Infinity"), Raw("1e20"))
+            ),
+            _line_of({"id": Raw("1" * 5000), "subreddit": "covid", "created_utc": WINDOW_LAST, "title": "covid"}),
+            _line_of({"id": "p3", "subreddit": "covid", "created_utc": WINDOW_LAST, "title": "covid", "num_comments": [1]}),
+            _line_of({"id": "p\t1", "subreddit": "covid", "created_utc": WINDOW_LAST, "title": "covid"}),
+            _line_of({"id": "p1", "subreddit": "co\tvid", "created_utc": WINDOW_LAST, "title": "covid"}),
+            _line_of({"id": "p1", "created_utc": "soon", "title": "covid"}),
+            _line_of({"id": "c\t2", "subreddit": "covid", "created_utc": WINDOW_LAST, "link_id": "p1", "body": "covid"}),
+            "",
+            " \t ",
+            '{"title": "covid"} trailing',
+            "[1, 2]",
+        ],
+    ),
+    spec=EQUIVALENCE_SPECS[1],
+    on_error="skip",
+)
+def test_scan_with_the_filter_inside_matches_the_parent_scan(schema_and_lines, spec, on_error):
+    schema, lines = schema_and_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _scan_filter_reread(
+            DumpScan, filter_records, "threadscope.corpus", path, schema, spec, on_error
+        )
+        want = _scan_filter_reread(
+            ParentScan, parent_filter_records, "tests.parent_scan", path, schema, spec, on_error
+        )
+    assert got == want
