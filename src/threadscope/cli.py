@@ -235,6 +235,8 @@ def _write_outputs(out: Path, outputs: Outputs, mani: manifest.RunManifest) -> N
     staging = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     if not isinstance(outputs, Mapping):
         record = out.with_name(out.name + ".manifest.json")
+        if out.exists() and not out.is_dir() and not record.exists():
+            raise OutputLocationError(f"--out {out} is a file without {record.name}")
         record.unlink(missing_ok=True)
         try:
             _write_artifact(staging, outputs)
@@ -483,8 +485,11 @@ def _cmd_topics_monthly(p: dict) -> Outputs:
 
 
 def _cmd_sentiment(p: dict) -> Outputs:
-    # the entity is a column of the report
+    # the entity is a column of the report, and one of no words would
+    # match every sentence
     textprep.check_field("--entity", p["entity"])
+    if not p["entity"].split():
+        raise ValueError("--entity must contain a word")
     documents = corpus.read_documents(p["docs"])
     lexicon = sentiment.load_lexicon(p["lexicon"])
     result = sentiment.analyze_entity_sentences(
@@ -578,7 +583,12 @@ def _cmd_replay(p: dict) -> tuple[Command, dict]:
     if recorded.command not in COMMANDS or recorded.command == "replay":
         raise ManifestError(f"manifest names unknown command {recorded.command!r}")
     command = COMMANDS[recorded.command]
-    return command, _merge(command.params, {command.out_flag: p["out"]}, recorded.params)
+    try:
+        merged = _merge(command.params, {command.out_flag: p["out"]}, recorded.params)
+    except _UsageError as exc:
+        # the recorded params are the manifest's, not the user's
+        raise ManifestError(f"{p['manifest']}: {exc}") from exc
+    return command, merged
 
 
 # ------------------------------------------------------------- commands

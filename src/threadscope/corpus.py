@@ -195,7 +195,7 @@ class DumpScan:
     per thread, the line and id of each comment whose id occurs there
     first.  ``reread`` uses it to decode one thread subset again, so
     memory grows with the index and that subset, not with the dump.
-    ``len`` is the number of records the last pass read.  Given a scan,
+    ``len`` is the number of records the last pass read.
     ``filter_records`` runs its filter inside the pass.
     """
 
@@ -380,31 +380,15 @@ def _month_of(created_utc: int) -> str:
     return datetime.fromtimestamp(created_utc, tz=timezone.utc).strftime("%Y-%m")
 
 
-def filter_records(
-    records: Iterable[RedditRecord], spec: FilterSpec
-) -> list[RedditRecord]:
-    """Keep the records inside the date range and subreddit set whose
-    title or body contains a keyword.  Only kept ids are remembered: a
-    record whose id an earlier kept record has is dropped, but a record
-    whose id only appeared on records that were not kept can be kept.
-    A DumpScan runs the filter inside its pass, so a line that is not
-    kept never becomes a record."""
-    if isinstance(records, DumpScan):
-        return list(records._pass(spec))
-    admits, keywords = spec.admits, spec.lowered_keywords
-    seen: set[str] = set()
-    kept: list[RedditRecord] = []
-    for record in records:
-        if record.id in seen or not admits(record):
-            continue
-        title = record.title.lower()
-        body = record.body.lower()
-        for keyword in keywords:
-            if keyword in title or keyword in body:
-                seen.add(record.id)
-                kept.append(record)
-                break
-    return kept
+def filter_records(scan: DumpScan, spec: FilterSpec) -> list[RedditRecord]:
+    """Read the whole dump and keep the records inside the date range and
+    subreddit set whose title or body contains a keyword.  Only kept ids
+    are remembered: a record whose id an earlier kept record has is
+    dropped, but a record whose id only appeared on records that were not
+    kept can be kept.  The filter runs inside the scan's pass, so a line
+    that is not kept never becomes a record, and ``len(scan)`` is then
+    the number of records read."""
+    return list(scan._pass(spec))
 
 
 def assemble_documents(

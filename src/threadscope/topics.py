@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,25 +114,6 @@ class DocTermMatrix(NamedTuple):
         return int(self.cts.sum())
 
 
-def _count_matrix(
-    terms: dict[str, int], token_lists: Iterable[Sequence[str]]
-) -> DocTermMatrix:
-    """Count each document's tokens that ``terms`` indexes into one CSR
-    matrix, term ids ascending; other tokens are skipped."""
-    # typed arrays hold 8 bytes an entry, where a list holds an int object
-    ids, cts, ptr = array("q"), array("d"), array("q", [0])
-    for tokens in token_lists:
-        counts = Counter(map(terms.get, tokens))
-        counts.pop(None, None)
-        known = sorted(counts)
-        ids.extend(known)
-        cts.extend(map(counts.__getitem__, known))
-        ptr.append(len(ids))
-    return DocTermMatrix(
-        ids=np.array(ids), cts=np.array(cts), ptr=np.array(ptr), n_terms=len(terms)
-    )
-
-
 def build_vocabulary(
     cleaned_documents: Sequence[str], max_df: float = 0.90, min_df: int = 3
 ) -> tuple[Vocabulary, DocTermMatrix]:
@@ -153,7 +134,19 @@ def build_vocabulary(
             f"over {n_docs} documents"
         )
     vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
-    return vocab, _count_matrix(terms, (doc.split() for doc in cleaned_documents))
+    # each document's retained terms, ascending, in CSR form; typed arrays
+    # hold 8 bytes an entry, where a list holds an int object
+    ids, cts, ptr = array("q"), array("d"), array("q", [0])
+    for doc in cleaned_documents:
+        counts = Counter(map(terms.get, doc.split()))
+        counts.pop(None, None)
+        known = sorted(counts)
+        ids.extend(known)
+        cts.extend(map(counts.__getitem__, known))
+        ptr.append(len(ids))
+    return vocab, DocTermMatrix(
+        ids=np.array(ids), cts=np.array(cts), ptr=np.array(ptr), n_terms=len(terms)
+    )
 
 
 @dataclass(frozen=True)
@@ -208,8 +201,8 @@ class TopicModel:
     # per epoch: training E-steps stopped by max_e_iters rather than tol
     epoch_cap_hits: list[int] = field(default_factory=list)
     # one gamma row per document of the fitted matrix, from the final
-    # perplexity pass: the E-step _infer runs, at the final lambda, so the
-    # same bits; an empty document keeps the prior.  None when the fit
+    # perplexity pass, at the final lambda: the bits infer_doc_topics gives
+    # the row; an empty document keeps the prior.  None when the fit
     # recorded no perplexity
     doc_gammas: np.ndarray | None = None
 
@@ -508,36 +501,15 @@ def fit_lda(
     return model
 
 
-def _infer(
-    model: TopicModel, matrix: DocTermMatrix, gammas: np.ndarray | None = None
-) -> list[DocTopics]:
-    """E-step with lambda frozen over each document of the matrix, unless
-    ``gammas`` already holds its result; an empty document sits at the
-    prior's fixed point, so its probability is exactly 1/k."""
-    k = model.config.k
-    if gammas is None:
-        gammas = np.full((matrix.n_docs, k), model.config.alpha_value)
-        exp_elog_beta = _exp_elog_beta(model.lam)
-        every = np.arange(matrix.n_docs)
-        for positions, _, step in _estep_chunks(
-            matrix, every, exp_elog_beta, model.config
-        ):
-            gammas[positions] = step.gamma
-    inferred = []
-    # _estep_chunks skips exactly the empty documents
-    for length, gamma in zip(matrix.lengths, gammas):
-        if not length:
-            inferred.append(DocTopics(gamma=gamma, assigned=0, probability=1.0 / k))
-            continue
-        assigned = int(np.argmax(gamma))
-        inferred.append(
-            DocTopics(
-                gamma=gamma,
-                assigned=assigned,
-                probability=float(gamma[assigned] / gamma.sum()),
-            )
-        )
-    return inferred
+def _doc_topics(gamma: np.ndarray, empty: bool, k: int) -> DocTopics:
+    """A document's argmax topic and its share of gamma; an empty document
+    sits at the prior's fixed point, so its probability is exactly 1/k."""
+    if empty:
+        return DocTopics(gamma=gamma, assigned=0, probability=1.0 / k)
+    assigned = int(np.argmax(gamma))
+    return DocTopics(
+        gamma=gamma, assigned=assigned, probability=float(gamma[assigned] / gamma.sum())
+    )
 
 
 def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTopics:
@@ -551,7 +523,12 @@ def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTo
         ptr=np.array([0, len(pairs)]),
         n_terms=model.lam.shape[1],
     )
-    return _infer(model, matrix)[0]
+    config = model.config
+    gamma = np.full(config.k, config.alpha_value)
+    # one chunk, or none for an empty document
+    for _, _, step in _estep_chunks(matrix, np.arange(1), _exp_elog_beta(model.lam), config):
+        gamma = step.gamma[0]
+    return _doc_topics(gamma, not len(pairs), config.k)
 
 
 def _dirichlet_ll(values: np.ndarray, prior: float) -> float:
@@ -581,15 +558,19 @@ def _word_ll(elog_beta: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray) -> 
     return float(chunk.cts @ word_ll)
 
 
-def variational_bound(
+def perplexity(
     lam: np.ndarray,
     matrix: DocTermMatrix,
     config: LdaConfig,
     gammas: np.ndarray | None = None,
 ) -> float:
-    """Evidence lower bound on the corpus under lambda, with per-document
+    """exp(-bound / token count), lower is better, where the bound is the
+    evidence lower bound on the corpus under lambda, with per-document
     gammas re-inferred at the frozen lambda; ``gammas``, when given, is
     filled with each non-empty document's gamma at its matrix row."""
+    total = matrix.total_count()
+    if total == 0:
+        return float("nan")
     # a topic row at a time: lgamma boxes every element as a Python float
     score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis]
@@ -600,21 +581,7 @@ def variational_bound(
         score += _dirichlet_ll(step.gamma, config.alpha_value)
         if gammas is not None:
             gammas[positions] = step.gamma
-    return score
-
-
-def perplexity(
-    lam: np.ndarray,
-    matrix: DocTermMatrix,
-    config: LdaConfig,
-    gammas: np.ndarray | None = None,
-) -> float:
-    """exp(-bound / token count); lower is better.  ``gammas`` is passed
-    on to variational_bound."""
-    total = matrix.total_count()
-    if total == 0:
-        return float("nan")
-    return math.exp(-variational_bound(lam, matrix, config, gammas) / total)
+    return math.exp(-score / total)
 
 
 def topic_word_distribution(lam: np.ndarray) -> np.ndarray:
@@ -645,25 +612,19 @@ class TopicAssignment:
 
 
 def assign_topics(
-    model: TopicModel, documents: Sequence, fitted: DocTermMatrix | None = None
+    model: TopicModel, documents: Sequence, fitted: DocTermMatrix
 ) -> tuple[list[TopicAssignment], list[int]]:
-    """Assign each document its argmax topic and probability; also return
-    the per-topic assignment frequencies (zero-filled over all k topics).
-    ``fitted`` is the matrix the model was fit on, when the documents are
-    its rows in order: they are then assigned from the fit's ``doc_gammas``
-    and neither counted nor inferred again."""
-    if model.vocab is None:
-        raise ValueError("model has no vocabulary attached")
-    if fitted is None:
-        matrix = _count_matrix(
-            model.vocab.terms, (doc.cleaned_text.split() for doc in documents)
-        )
-        rows = _infer(model, matrix)
-    else:
-        rows = _infer(model, fitted, model.doc_gammas)
+    """Assign each document its argmax topic and probability from the
+    fit's ``doc_gammas``; ``fitted`` is the matrix the model was fit on,
+    whose rows are the documents in order.  Also return the per-topic
+    assignment frequencies (zero-filled over all k topics)."""
+    if model.doc_gammas is None:
+        raise ValueError("the fit kept no document gammas to assign from")
+    k = model.config.k
     assignments: list[TopicAssignment] = []
-    frequencies = [0] * model.config.k
-    for doc, inferred in zip(documents, rows):
+    frequencies = [0] * k
+    for doc, length, gamma in zip(documents, fitted.lengths, model.doc_gammas, strict=True):
+        inferred = _doc_topics(gamma, not length, k)
         assignments.append(
             TopicAssignment(
                 post_id=doc.post_id,

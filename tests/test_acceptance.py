@@ -254,7 +254,7 @@ def test_criterion_05_lda_recovers_planted_topics():
 
         model.vocab = vocab
         docs = [CleanDoc(f"p{i}", texts[i]) for i in range(200)]
-        assignments, _ = assign_topics(model, docs)
+        assignments, _ = assign_topics(model, docs, matrix)
         clusters: dict[int, Counter] = {}
         for assignment, klass in zip(assignments, truth):
             clusters.setdefault(assignment.topic, Counter())[klass] += 1

@@ -1207,6 +1207,19 @@ def test_entity_flags_with_a_tab_or_line_break_write_nothing(corpus_dir, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entity", ["", " "], ids=["empty", "blank"])
+def test_sentiment_entity_of_no_word_writes_nothing(corpus_dir, tmp_path, capsys, entity):
+    # an entity of no words would match every sentence
+    out = tmp_path / "out.tsv"
+    argv = ["sentiment", "--docs", str(corpus_dir / "documents.jsonl"), "--entity", entity,
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "threadscope sentiment: error: --entity must contain a word"
+    ]
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_model_label_with_a_tab_is_refused_before_tagging(trained_model, corpus_dir, tmp_path, capsys):
     # the label keeps its weights, so a model that loaded would tag with it
     text = json.dumps(trained_model).replace('"U-PPE"', '"U-PP\\tE"')
@@ -1352,8 +1365,12 @@ def _one_error_line(capsys, command):
     return line
 
 
-def test_out_that_is_not_a_previous_run_is_refused(corpus_dir, tmp_path, capsys, monkeypatch):
+def test_out_that_is_not_a_previous_run_is_refused(
+    corpus_dir, trained_model, fixtures, tmp_path, capsys, monkeypatch
+):
     docs = str(corpus_dir / "documents.jsonl")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(trained_model))
     stats = ["stats", "--docs", docs, "--out"]
     mine = tmp_path / "mine"
     mine.mkdir()
@@ -1364,6 +1381,22 @@ def test_out_that_is_not_a_previous_run_is_refused(corpus_dir, tmp_path, capsys,
     assert run([*stats, str(mine / "notes.txt")]) == 2
     assert "is not a directory" in _one_error_line(capsys, "stats")
     assert (mine / "notes.txt").read_text() == "keep me"
+
+    # a file output never replaces a file that no run wrote
+    argvs = {
+        "preprocess": ["preprocess", "--in", docs, "--out"],
+        "ner-train": ["ner-train", "--train", str(fixtures / "annotated_train.tsv"),
+                      "--iters", "1", "--model"],
+        "ner-tag": ["ner-tag", "--model", str(model), "--docs", docs, "--out"],
+        "sentiment": ["sentiment", "--docs", docs, "--entity", "mask", "--out"],
+    }
+    for command, argv in argvs.items():
+        assert run([*argv, str(mine / "notes.txt")]) == 2
+        assert "notes.txt is a file without notes.txt.manifest.json" in _one_error_line(
+            capsys, command
+        )
+        assert sorted(path.name for path in mine.iterdir()) == ["notes.txt"]
+        assert (mine / "notes.txt").read_text() == "keep me"
 
     # the working directory, and any directory above it, is never replaced,
     # even when it holds an earlier run
@@ -1544,6 +1577,30 @@ def test_replay_rejects_mistyped_manifest_with_one_error_line(tmp_path, capsys, 
     assert run(["replay", "--manifest", str(path), "--out", str(tmp_path / "r")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"threadscope replay: error: {path}: ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "params, reason",
+    [({"bogus": 1}, "unknown config keys: bogus"),
+     ({"cap": "many"}, "config value for 'cap': invalid literal for int()")],
+    ids=["unknown-key", "unparsable-value"],
+)
+def test_replay_rejects_recorded_params_a_run_would_refuse(corpus_dir, tmp_path, capsys, params, reason):
+    # the params are the manifest's, so it is a data error, not a usage error
+    from threadscope import nerdata
+
+    keywords = Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv"
+    out = tmp_path / "out"
+    assert run(["ner-build", "--sentences", str(corpus_dir / "sentences.txt"),
+                "--keywords", str(keywords), "--out", str(out)]) == 0
+    path = out / "manifest.json"
+    payload = json.loads(path.read_text())
+    payload["params"].update(params)
+    path.write_text(json.dumps(payload))
+    assert run(["replay", "--manifest", str(path), "--out", str(tmp_path / "r")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"threadscope replay: error: {path}: {reason}")
     assert not (tmp_path / "r").exists()
 
 

@@ -74,6 +74,36 @@ SPEC = FilterSpec(
 )
 
 
+@contextmanager
+def scan_of(records):
+    """A DumpScan over a native dump that holds the records, one a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.jsonl"
+        path.write_text(
+            "".join(json.dumps(record._asdict()) + "\n" for record in records),
+            encoding="utf-8",
+        )
+        yield DumpScan(path, "native")
+
+
+def kept_by(records, spec):
+    """What the filter keeps from a dump of the records."""
+    with scan_of(records) as scan:
+        return filter_records(scan, spec)
+
+
+def ingested(records, spec):
+    """The filter's matches in a dump of the records, and the documents
+    assembled from them over the whole dump, which must be the ones
+    assembled over the threads ``reread`` decodes again."""
+    with scan_of(records) as scan:
+        matched = filter_records(scan, spec)
+        subset = scan.reread(_threads_named(matched))
+        documents = assemble_documents(list(scan), matched, spec=spec)
+    assert assemble_documents(subset, matched, spec=spec) == documents
+    return matched, documents
+
+
 # ---------------------------------------------------------------- parsing
 
 
@@ -338,7 +368,7 @@ def test_filter_matches_title_or_body_case_insensitive():
         comment("c1", "p2", body="get a Mask"),
         comment("c2", "p2", body="nothing relevant"),
     ]
-    kept = filter_records(records, SPEC)
+    kept = kept_by(records, SPEC)
     assert [r.id for r in kept] == ["p1", "c1"]
 
 
@@ -349,7 +379,7 @@ def test_filter_date_range_inclusive():
         post("p3", created=utc("2020-08-31", hour=23)),
         post("p4", created=utc("2020-09-01", hour=0)),
     ]
-    kept = filter_records(records, SPEC)
+    kept = kept_by(records, SPEC)
     assert [r.id for r in kept] == ["p2", "p3"]
 
 
@@ -361,13 +391,13 @@ def test_filter_subreddit_restriction():
         subreddits=("NYC",),
     )
     records = [post("p1", sub="nyc"), post("p2", sub="coronavirus")]
-    kept = filter_records(records, spec)
+    kept = kept_by(records, spec)
     assert [r.id for r in kept] == ["p1"]
 
 
 def test_filter_drops_duplicate_ids():
     records = [post("p1"), post("p1", title="covid again"), post("p1")]
-    kept = filter_records(records, SPEC)
+    kept = kept_by(records, SPEC)
     assert len(kept) == 1
     assert kept[0].title == "covid thread"
 
@@ -385,7 +415,7 @@ def test_filter_bounds_are_whole_utc_days():
         post("after", created=LAST_SECOND + 1),
     ]
     assert utc("2020-09-01", hour=0) == LAST_SECOND + 1
-    assert [r.id for r in filter_records(records, SPEC)] == ["first", "last"]
+    assert [r.id for r in kept_by(records, SPEC)] == ["first", "last"]
     assert [SPEC.admits(r) for r in records] == [False, True, True, False]
 
 
@@ -397,9 +427,8 @@ def test_assemble_applies_the_same_bounds_to_parent_posts():
         post("after", created=LAST_SECOND + 1, title="old"),
         *(comment(f"c-{p}", p, body="covid") for p in ("before", "first", "last", "after")),
     ]
-    matched = filter_records(records, SPEC)
+    matched, docs = ingested(records, SPEC)
     assert len(matched) == 4
-    docs = assemble_documents(records, matched, spec=SPEC)
     assert [d.post_id for d in docs] == ["first", "last"]
 
 
@@ -408,8 +437,9 @@ def test_widest_spec_keeps_the_whole_datetime_range():
         keywords=("covid",), date_from=date(1, 1, 1), date_to=date(9999, 12, 31)
     )
     records = [post("min", created=MIN_UTC), post("max", created=MAX_UTC)]
-    assert [r.id for r in filter_records(records, spec)] == ["min", "max"]
-    assert len(assemble_documents(records, records, spec=spec)) == 2
+    matched, docs = ingested(records, spec)
+    assert [r.id for r in matched] == ["min", "max"]
+    assert len(docs) == 2
 
 
 def test_filter_case_folds_keywords_and_subreddits():
@@ -425,7 +455,7 @@ def test_filter_case_folds_keywords_and_subreddits():
         post("p3", sub="nyc2", title="covid"),
         post("p4", sub="nyc", title="cov id"),
     ]
-    assert [r.id for r in filter_records(records, spec)] == ["p1", "p2"]
+    assert [r.id for r in kept_by(records, spec)] == ["p1", "p2"]
 
 
 # ---------------------------------------------------------------- assembly
@@ -437,8 +467,7 @@ def test_assemble_includes_thread_for_comment_match():
         comment("c1", "p1", body="covid positive", created=utc("2020-03-15", 2)),
         comment("c2", "p1", body="unrelated", created=utc("2020-03-15", 1)),
     ]
-    matched = filter_records(records, SPEC)
-    (doc,) = assemble_documents(records, matched, spec=SPEC)
+    _, (doc,) = ingested(records, SPEC)
     assert doc.post_id == "p1"
     # full thread, sorted by (created_utc, id), not just the matching comment
     assert doc.comment_bodies == ["unrelated", "covid positive"]
@@ -446,9 +475,8 @@ def test_assemble_includes_thread_for_comment_match():
 
 def test_assemble_drops_orphan_comments(caplog):
     records = [comment("c1", "p9", body="covid")]
-    matched = filter_records(records, SPEC)
     with caplog.at_level("WARNING"):
-        docs = assemble_documents(records, matched, spec=SPEC)
+        _, docs = ingested(records, SPEC)
     assert docs == []
     assert "orphan" in caplog.text
 
@@ -460,8 +488,7 @@ def test_assemble_removes_placeholder_bodies():
         comment("c2", "p1", body="[deleted]"),
         comment("c3", "p1", body="real text"),
     ]
-    matched = filter_records(records, SPEC)
-    (doc,) = assemble_documents(records, matched, spec=SPEC)
+    _, (doc,) = ingested(records, SPEC)
     assert doc.comment_bodies == ["real text"]
 
 
@@ -470,11 +497,11 @@ def test_assemble_spec_rejects_out_of_range_parent():
         post("p1", created=utc("2020-02-01"), title="old thread"),
         comment("c1", "p1", body="covid", created=utc("2020-03-15")),
     ]
-    matched = filter_records(records, SPEC)
+    matched, docs = ingested(records, SPEC)
     assert [r.id for r in matched] == ["c1"]
     # every document must satisfy the date constraint, so the in-range
     # comment does not drag in its old parent
-    assert assemble_documents(records, matched, spec=SPEC) == []
+    assert docs == []
 
 
 def test_assemble_first_comment_with_an_id_wins_across_threads():
@@ -485,10 +512,9 @@ def test_assemble_first_comment_with_an_id_wins_across_threads():
         comment("c1", "p1", body="covid under another thread"),
         comment("c2", "p1", body="stay safe"),
     ]
-    matched = filter_records(records, SPEC)
+    matched, (doc,) = ingested(records, SPEC)
     # the first c1 was not kept, so the later one is
     assert [r.body for r in matched] == ["covid under another thread"]
-    (doc,) = assemble_documents(records, matched, spec=SPEC)
     # p1 is included for that comment, but c1's first record is in p2
     assert doc.post_id == "p1"
     assert doc.comment_bodies == ["stay safe"]
@@ -496,9 +522,8 @@ def test_assemble_first_comment_with_an_id_wins_across_threads():
 
 def test_assemble_first_post_with_an_id_wins():
     records = [post("p1", title="weather"), post("p1", title="covid news")]
-    matched = filter_records(records, SPEC)
+    matched, (doc,) = ingested(records, SPEC)
     assert [r.title for r in matched] == ["covid news"]
-    (doc,) = assemble_documents(records, matched, spec=SPEC)
     assert doc.title == "weather"
 
 
@@ -509,8 +534,7 @@ def test_assemble_sorts_documents_and_dedups_comment_lines():
         comment("c1", "p2", body="covid a"),
         comment("c1", "p2", body="covid duplicate id"),
     ]
-    matched = filter_records(records, SPEC)
-    docs = assemble_documents(records, matched, spec=SPEC)
+    _, docs = ingested(records, SPEC)
     assert [d.post_id for d in docs] == ["p1", "p2"]
     assert docs[1].comment_bodies == ["covid a"]
 
@@ -550,7 +574,7 @@ def test_corpus_stats_pinned_example():
 
 
 def test_corpus_stats_fixture_golden(fixtures):
-    records = parse_dump(fixtures / "sample_dump.jsonl", schema="native")
+    scan = DumpScan(fixtures / "sample_dump.jsonl", "native")
     spec = FilterSpec(
         keywords=(
             "covid",
@@ -565,8 +589,8 @@ def test_corpus_stats_fixture_golden(fixtures):
         date_from=date(2020, 3, 1),
         date_to=date(2020, 8, 31),
     )
-    matched = filter_records(records, spec)
-    docs = assemble_documents(records, matched, spec=spec)
+    matched = filter_records(scan, spec)
+    docs = assemble_documents(scan.reread(_threads_named(matched)), matched, spec=spec)
     stats = corpus_stats(docs)
     by_name = {row.subreddit: row for row in stats.rows}
     assert set(by_name) == {"coronavirus", "nyc"}
@@ -724,7 +748,7 @@ record_strategy = st.builds(
 
 @given(st.lists(record_strategy, max_size=30))
 def test_filter_output_ids_unique_and_subset(records):
-    kept = filter_records(records, SPEC)
+    kept = kept_by(records, SPEC)
     ids = [r.id for r in kept]
     assert len(ids) == len(set(ids))
     assert set(ids) <= {r.id for r in records}
@@ -734,8 +758,7 @@ def test_filter_output_ids_unique_and_subset(records):
 
 @given(st.lists(record_strategy, max_size=30))
 def test_assemble_output_is_sorted(records):
-    matched = filter_records(records, SPEC)
-    docs = assemble_documents(records, matched, spec=SPEC)
+    _, docs = ingested(records, SPEC)
     keys = [(d.created_utc, d.post_id) for d in docs]
     assert keys == sorted(keys)
 
@@ -1051,52 +1074,6 @@ def _native(kind, rid, sub, created, text, parent=""):
     return json.dumps(fields)
 
 
-@settings(max_examples=300)
-@given(
-    schema_and_lines=st.sampled_from(["native", "pushshift"]).flatmap(
-        lambda schema: st.tuples(st.just(schema), dump_lines(schema))
-    ),
-    spec=st.sampled_from(EQUIVALENCE_SPECS),
-    on_error=st.sampled_from(["raise", "skip"]),
-)
-@example(
-    # p1: the first record wins over a later, matching one with another title
-    # p2: outside the subreddit set, with a matching comment
-    # c1: first seen in p3, which is not included; its later copy matches in p1
-    # c2: an orphan comment that matches
-    schema_and_lines=(
-        "native",
-        [
-            _native("post", "p1", "covid", WINDOW_FIRST, "weather"),
-            _native("post", "p1", "covid", WINDOW_FIRST, "Covid news"),
-            _native("post", "p2", "other", WINDOW_LAST, "weather"),
-            _native("comment", "c3", "Covid", WINDOW_LAST, "covid below p2", "p2"),
-            _native("post", "p3", "covid", WINDOW_LAST + 1, "weather"),
-            _native("comment", "c1", "covid", WINDOW_LAST, "no keyword", "p3"),
-            _native("comment", "c1", "covid", WINDOW_LAST, "COVID in p1", "t3_p1"),
-            _native("comment", "c2", "NYC", WINDOW_LAST, "covid", "gone"),
-            "{oops",
-        ],
-    ),
-    spec=EQUIVALENCE_SPECS[1],
-    on_error="skip",
-)
-def test_ingest_matches_the_reference_path(schema_and_lines, spec, on_error):
-    schema, lines = schema_and_lines
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "dump.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        got = _ingest(
-            parse_dump, filter_records, assemble_documents,
-            "threadscope.corpus", path, schema, spec, on_error,
-        )
-        want = _ingest(
-            ref_parse_dump, ref_filter_records, ref_assemble_documents,
-            "tests.reference_ingest", path, schema, spec, on_error,
-        )
-    assert got == want
-
-
 # ------------------------------------------------------- two-pass ingest
 
 
@@ -1149,6 +1126,28 @@ def _two_pass_ingest(path, schema, spec, on_error):
             _native("comment", "c3", "NYC", WINDOW_LAST, "covid below p2", "t3_p2"),
             _native("comment", "c1", "covid", WINDOW_LAST, "COVID in p1", "p1"),
             _native("post", "p3", "covid", WINDOW_LAST, "weather"),
+        ],
+    ),
+    spec=EQUIVALENCE_SPECS[1],
+    on_error="skip",
+)
+@example(
+    # p1: the first record wins over a later, matching one with another title
+    # p2: outside the subreddit set, with a matching comment
+    # c1: first seen in p3, which is not included; its later copy matches in p1
+    # c2: an orphan comment that matches
+    schema_and_lines=(
+        "native",
+        [
+            _native("post", "p1", "covid", WINDOW_FIRST, "weather"),
+            _native("post", "p1", "covid", WINDOW_FIRST, "Covid news"),
+            _native("post", "p2", "other", WINDOW_LAST, "weather"),
+            _native("comment", "c3", "Covid", WINDOW_LAST, "covid below p2", "p2"),
+            _native("post", "p3", "covid", WINDOW_LAST + 1, "weather"),
+            _native("comment", "c1", "covid", WINDOW_LAST, "no keyword", "p3"),
+            _native("comment", "c1", "covid", WINDOW_LAST, "COVID in p1", "t3_p1"),
+            _native("comment", "c2", "NYC", WINDOW_LAST, "covid", "gone"),
+            "{oops",
         ],
     ),
     spec=EQUIVALENCE_SPECS[1],

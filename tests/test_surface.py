@@ -5,14 +5,17 @@ commands that reached it."""
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "threadscope"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "threadscope"
 
+TRACED = "the benchmark tracer wraps it by name"
 # Public names kept although nothing in the package refers to them.
 ALLOWED = {
-    "parse_dump": "the benchmark tracer wraps it by name",
-    "infer_doc_topics": "the benchmark tracer wraps it by name",
+    "parse_dump": TRACED,
+    "infer_doc_topics": TRACED,
     "spans_to_bilou": "the acceptance suite encodes its gold tags with it",
 }
 
@@ -60,6 +63,15 @@ def test_every_public_name_is_referenced_in_the_package():
 def test_allowlisted_names_still_exist():
     defined = {_definition_name(stmt) for _, stmt in _statements()}
     assert set(ALLOWED) <= defined
+
+
+def test_names_kept_for_the_tracer_are_still_traced():
+    sys.path.append(str(ROOT))
+    from perfbench.tracer import COUNTS, SPANS
+
+    traced = {name for names in (*SPANS.values(), *COUNTS.values()) for name in names}
+    kept = {name for name, reason in ALLOWED.items() if reason == TRACED}
+    assert kept <= traced
 
 
 # Defaulted parameters kept although no call in the package passes them.

@@ -33,7 +33,6 @@ from threadscope.topics import (
     top_words,
     topic_word_distribution,
     _estep_chunks,
-    _infer,
 )
 
 # digamma's positive zero sits near 1.4616; relative error is meaningless
@@ -548,9 +547,9 @@ def corpora(draw):
 def check_bit_identical_to_the_row_path(
     corpus, k, batch_size, epochs, max_e_iters, seed, compact_share=None
 ):
-    """fit_lda and _infer on the CSR matrix against the row path; a given
-    ``compact_share`` replaces _COMPACT_SHARE for them but not for the
-    reference."""
+    """fit_lda and infer_doc_topics on each row against the row path; a
+    given ``compact_share`` replaces _COMPACT_SHARE for them but not for
+    the reference."""
     rows, n_terms = corpus
     config = LdaConfig(
         k=k, batch_size=batch_size, epochs=epochs, max_e_iters=max_e_iters, seed=seed
@@ -560,13 +559,13 @@ def check_bit_identical_to_the_row_path(
         if compact_share is not None:
             patched.setattr(topics, "_COMPACT_SHARE", compact_share)
         model = fit_lda(csr(rows, n_terms), config)
-        gammas = np.array([doc.gamma for doc in _infer(model, csr(rows, n_terms))])
+        gammas = [infer_doc_topics(model, row).gamma for row in rows]
     assert np.array_equal(model.lam, lam)
     assert model.epoch_cap_hits == cap_hits
     assert np.array_equal(model.epoch_perplexities, perplexities, equal_nan=True)
     expected = reference_gammas(model, rows)
     assert np.array_equal(gammas, expected)
-    # the final perplexity pass is the E-step _infer runs
+    # the final perplexity pass is the E-step infer_doc_topics runs on a row
     assert np.array_equal(model.doc_gammas, expected)
 
 
@@ -871,46 +870,51 @@ class FakeDoc:
         self.created_utc = created_utc
 
 
-def test_assign_topics_frequencies_cover_all_topics():
-    matrix = two_cluster_matrix()
-    model = fit_lda(matrix, LdaConfig(k=2, batch_size=8, epochs=6, seed=42))
-    terms = [f"t{i}" for i in range(16)]
-    model.vocab = Vocabulary(
-        terms={t: i for i, t in enumerate(terms)},
-        df={t: 5 for t in terms},
-        n_docs=40,
-    )
-    docs = [
-        FakeDoc("a", "t0 t1 t2 t3"),
-        FakeDoc("b", "t8 t9 t10"),
-        FakeDoc("c", ""),
+def cluster_texts():
+    """two_cluster_matrix's documents as texts of terms t0 to t15."""
+    return [
+        " ".join(f"t{term}" for term, count in row for _ in range(count))
+        for row in rows_of(two_cluster_matrix())
     ]
-    assignments, frequencies = assign_topics(model, docs)
-    assert [a.post_id for a in assignments] == ["a", "b", "c"]
-    assert len(frequencies) == 2
-    assert sum(frequencies) == 3
-    assert assignments[0].topic != assignments[1].topic
-    assert assignments[2].probability == 0.5
+
+
+def test_assign_topics_frequencies_cover_all_topics():
+    texts = [*cluster_texts(), "t0 t1 t2 t3", "t8 t9 t10", ""]
+    docs = [FakeDoc(f"d{i}", text) for i, text in enumerate(texts)]
+    _, matrix = build_vocabulary(texts)
+    model = fit_lda(matrix, LdaConfig(k=2, batch_size=8, epochs=6, seed=42))
+    assignments, frequencies = assign_topics(model, docs, matrix)
+    assert [a.post_id for a in assignments] == [doc.post_id for doc in docs]
+    assert frequencies == [sum(a.topic == topic for a in assignments) for topic in (0, 1)]
+    assert sum(frequencies) == len(docs)
+    a, b, c = assignments[-3:]
+    assert a.topic != b.topic
+    assert c.probability == 0.5
 
 
 def test_assign_topics_skips_unknown_terms():
-    model = fit_lda(two_cluster_matrix(), LdaConfig(k=2, batch_size=8, epochs=2, seed=42))
-    terms = [f"t{i}" for i in range(16)]
-    model.vocab = Vocabulary(
-        terms={t: i for i, t in enumerate(terms)}, df={t: 5 for t in terms}, n_docs=40
-    )
-    docs = [
-        FakeDoc("a", "t9 unknown t0 t9 mask"),
-        FakeDoc("b", "t9 t0 t9"),
-        FakeDoc("c", "unknown words only"),
-        FakeDoc("d", ""),
-    ]
-    a, b, c, d = assign_topics(model, docs)[0]
-    expected = infer_doc_topics(model, ((0, 1), (9, 2)))
+    # "unknown" is under min_df, "mask", "words" and "only" occur once
+    texts = [*cluster_texts(), "t9 unknown t0 t9 mask", "t9 t0 t9", "unknown words only", ""]
+    docs = [FakeDoc(f"d{i}", text) for i, text in enumerate(texts)]
+    vocab, matrix = build_vocabulary(texts)
+    model = fit_lda(matrix, LdaConfig(k=2, batch_size=8, epochs=2, seed=42))
+    a, b, c, d = assign_topics(model, docs, matrix)[0][-4:]
+    expected = infer_doc_topics(model, sorted(((vocab.terms["t0"], 1), (vocab.terms["t9"], 2))))
     assert (a.topic, a.probability) == (b.topic, b.probability)
     assert (a.topic, a.probability) == (expected.assigned, expected.probability)
     # a document with no known term sits at the prior, as an empty one does
     assert (c.topic, c.probability) == (d.topic, d.probability) == (0, 0.5)
+
+
+def test_assign_topics_refuses_a_fit_without_document_gammas():
+    texts = cluster_texts()
+    docs = [FakeDoc(f"d{i}", text) for i, text in enumerate(texts)]
+    _, matrix = build_vocabulary(texts)
+    config = LdaConfig(k=2, batch_size=8, epochs=1, seed=42)
+    model = fit_lda(matrix, config, record_perplexity=False)
+    assert model.doc_gammas is None
+    with pytest.raises(ValueError, match="no document gammas"):
+        assign_topics(model, docs, matrix)
 
 
 def test_topics_assigns_from_the_fit_and_counts_once(tmp_path, monkeypatch):
@@ -925,34 +929,39 @@ def test_topics_assigns_from_the_fit_and_counts_once(tmp_path, monkeypatch):
     ]
     write_documents(docs, tmp_path / "docs.jsonl")
     counts, fits, assigned = [], [], []
-    real_count, real_fit, real_infer = topics._count_matrix, topics.fit_lda, topics._infer
+    real_vocabulary, real_fit = topics.build_vocabulary, topics.fit_lda
+    real_assign = topics.assign_topics
 
-    def counting_count(*args):
+    def counting_vocabulary(*args, **kwargs):
         counts.append(args)
-        return real_count(*args)
+        return real_vocabulary(*args, **kwargs)
 
     def recording_fit(matrix, config, **kwargs):
         fits.append((matrix, real_fit(matrix, config, **kwargs)))
         return fits[-1][1]
 
-    def recording_infer(model, matrix, gammas=None):
-        assigned.append(gammas)
-        return real_infer(model, matrix, gammas)
+    def recording_assign(model, documents, fitted):
+        assigned.append((fitted, real_assign(model, documents, fitted)))
+        return assigned[-1][1]
 
-    monkeypatch.setattr(topics, "_count_matrix", counting_count)
+    monkeypatch.setattr(topics, "build_vocabulary", counting_vocabulary)
     monkeypatch.setattr(topics, "fit_lda", recording_fit)
-    monkeypatch.setattr(topics, "_infer", recording_infer)
+    monkeypatch.setattr(topics, "assign_topics", recording_assign)
     out = tmp_path / "out"
     assert cli.run(["topics", "--docs", str(tmp_path / "docs.jsonl"), "--k", "2",
                     "--min-df", "2", "--epochs", "2", "--batch-size", "5",
                     "--corpus-id", "c", "--out", str(out)]) == 0
     assert len(counts) == 1
     ((matrix, model),) = fits
-    (gammas,) = assigned
-    assert gammas is model.doc_gammas
+    ((fitted, (assignments, _)),) = assigned
+    assert fitted is matrix
     assert (matrix.lengths == 0).sum() == 3
-    expected = np.array([doc.gamma for doc in real_infer(model, matrix)])
-    assert np.array_equal(gammas, expected)
+    # each assignment is what a fresh inference of its row gives
+    for assignment, row in zip(assignments, rows_of(matrix), strict=True):
+        expected = infer_doc_topics(model, row)
+        assert (assignment.topic, assignment.probability) == (
+            expected.assigned, expected.probability
+        )
     rows = (out / "c" / "topics" / "assignments.tsv").read_text().splitlines()[1:]
     assert [rows[i].split("\t")[2] for i in (3, 10, 17)] == ["0.500000"] * 3
 

@@ -10,7 +10,7 @@ from datetime import date
 from pathlib import Path
 
 from threadscope.cli import run
-from threadscope.corpus import FilterSpec, filter_records, parse_dump
+from threadscope.corpus import DumpScan, FilterSpec, filter_records
 
 sys.path.append(str(Path(__file__).resolve().parents[1]))
 
@@ -21,10 +21,12 @@ def test_traced_filter_counts_the_records_read_and_kept(tmp_path, fixtures):
     dump = tmp_path / "dump.jsonl"
     lines = (fixtures / "sample_dump.jsonl").read_text(encoding="utf-8").splitlines()
     dump.write_text("\n".join([*lines, "", "{broken"]) + "\n", encoding="utf-8")
-    records = parse_dump(dump, "native", on_error="skip")
+    scan = DumpScan(dump, "native", on_error="skip")
     spec = FilterSpec(("testing", "mask"), date(2020, 3, 1), date(2020, 5, 31))
-    matched = filter_records(records, spec)
-    assert 0 < len(matched) < len(records) < len(lines) + 2
+    matched = filter_records(scan, spec)
+    records = len(scan)
+    assert records == len(list(scan))
+    assert 0 < len(matched) < records < len(lines) + 2
 
     tracer = Tracer()
     tracer.install()
@@ -39,5 +41,5 @@ def test_traced_filter_counts_the_records_read_and_kept(tmp_path, fixtures):
     assert code == 0
     stats = tracer.summary()["functions"]["corpus.filter_records"]
     assert stats["calls"] == 1
-    assert (stats["in"], stats["kept"]) == (len(records), len(matched))
-    assert stats["kept_ratio"] == len(matched) / len(records)
+    assert (stats["in"], stats["kept"]) == (records, len(matched))
+    assert stats["kept_ratio"] == len(matched) / records
