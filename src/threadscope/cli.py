@@ -181,6 +181,8 @@ class Command:
     params: tuple[Param, ...]
     handler: Callable[[dict], Outputs]
     out_flag: str = "out"
+    # the handler returns one artifact, written to a file, not a directory
+    file_output: bool = False
     finalize: Callable[[dict], None] | None = None
 
 
@@ -200,20 +202,29 @@ def _record_manifest(command: Command, merged: Mapping) -> manifest.RunManifest:
     return manifest.build_manifest(command.name, params, inputs, seeds)
 
 
-def _check_out(out: Path, inputs: Sequence[str]) -> None:
-    """Refuse an output location whose replacement could lose files that
-    no earlier run wrote: one that is or holds an input file or the
-    working directory, or a non-empty directory without a manifest."""
+def _check_out(command: Command, out: Path, inputs: Sequence[str]) -> None:
+    """Refuse, before the command runs, an output location whose
+    replacement could lose files that no earlier run wrote: one that is or
+    holds an input file or the working directory, a non-empty directory
+    without a manifest, and an existing file without its
+    `<file>.manifest.json`, or any file for a directory output."""
+    flag = f"--{command.out_flag}"
     where = out.resolve()
     held = {Path(path).resolve(): f"input {path}" for path in inputs}
     held[Path.cwd()] = "the working directory"
     for path, what in held.items():
         if path == where or where in path.parents:
-            raise OutputLocationError(f"--out {out} holds {what}")
+            raise OutputLocationError(f"{flag} {out} holds {what}")
     if out.is_dir() and any(out.iterdir()) and not (out / manifest.MANIFEST_NAME).exists():
         raise OutputLocationError(
-            f"--out {out} is a non-empty directory without {manifest.MANIFEST_NAME}"
+            f"{flag} {out} is a non-empty directory without {manifest.MANIFEST_NAME}"
         )
+    if out.exists() and not out.is_dir():
+        if not command.file_output:
+            raise OutputLocationError(f"{flag} {out} is not a directory")
+        record = out.with_name(out.name + ".manifest.json")
+        if not record.exists():
+            raise OutputLocationError(f"{flag} {out} is a file without {record.name}")
 
 
 def _write_artifact(path: Path, artifact: Artifact) -> None:
@@ -235,8 +246,6 @@ def _write_outputs(out: Path, outputs: Outputs, mani: manifest.RunManifest) -> N
     staging = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     if not isinstance(outputs, Mapping):
         record = out.with_name(out.name + ".manifest.json")
-        if out.exists() and not out.is_dir() and not record.exists():
-            raise OutputLocationError(f"--out {out} is a file without {record.name}")
         record.unlink(missing_ok=True)
         try:
             _write_artifact(staging, outputs)
@@ -245,8 +254,6 @@ def _write_outputs(out: Path, outputs: Outputs, mani: manifest.RunManifest) -> N
             staging.unlink(missing_ok=True)
         manifest.write_manifest(mani, record)
         return
-    if out.exists() and not out.is_dir():
-        raise OutputLocationError(f"--out {out} is not a directory")
     staging.mkdir()
     try:
         for name, artifact in outputs.items():
@@ -630,6 +637,7 @@ COMMANDS: dict[str, Command] = {
                 Param("out", required=True, recorded=False, help="output documents file"),
             ),
             handler=_cmd_preprocess,
+            file_output=True,
         ),
         Command(
             name="ner-build",
@@ -660,6 +668,7 @@ COMMANDS: dict[str, Command] = {
             ),
             handler=_cmd_ner_train,
             out_flag="model",
+            file_output=True,
         ),
         Command(
             name="ner-eval",
@@ -680,6 +689,7 @@ COMMANDS: dict[str, Command] = {
                 Param("out", required=True, recorded=False, help="output mentions file"),
             ),
             handler=_cmd_ner_tag,
+            file_output=True,
         ),
         Command(
             name="topics",
@@ -733,6 +743,7 @@ COMMANDS: dict[str, Command] = {
                 Param("out", required=True, recorded=False, help="output report file"),
             ),
             handler=_cmd_sentiment,
+            file_output=True,
         ),
         Command(
             name="report",
@@ -783,7 +794,7 @@ def _execute(command: Command, merged: dict) -> None:
     mani = None
     if out is not None:
         inputs = [merged[p.dest] for p in command.params if p.is_input]
-        _check_out(Path(out), [path for path in inputs if path is not None])
+        _check_out(command, Path(out), [path for path in inputs if path is not None])
         mani = _record_manifest(command, merged)
     outputs = command.handler(merged)
     if mani is not None:

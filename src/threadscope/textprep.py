@@ -17,6 +17,12 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, Sequence
 
+try:  # the regex parser's module, renamed in Python 3.11
+    from re import _constants as _re_constants, _parser as _re_parser
+except ImportError:  # pragma: no cover
+    import sre_constants as _re_constants
+    import sre_parse as _re_parser
+
 # Coarse POS tags.
 NOUN = "NOUN"
 VERB = "VERB"
@@ -47,13 +53,19 @@ class Token:
 
 @dataclass(frozen=True)
 class LemmaRules:
-    """Exception table plus suffix rules grouped by POS: each POS maps to
-    its (suffix, replacement, min_stem) rules in file order, and the first
-    matching rule wins."""
+    """Exception table plus one suffix index per POS: each suffix maps to
+    its rules in file order, and the suffix lengths that occur are kept by
+    the suffix's last character.  Of the rules that fire, the earliest in
+    the file wins."""
 
     # exceptions[pos][form] with "" as the any-POS key
     exceptions: dict[str, dict[str, str]]
-    rules: dict[str, tuple[tuple[str, str, int], ...]]
+    # suffixes[pos][suffix]: (file position, replacement, min_stem) rules
+    suffixes: dict[str, dict[str, tuple[tuple[int, str, int], ...]]]
+    # lengths[pos][last character]: suffix lengths, shortest first; the
+    # empty suffix ends every word, so its 0 is in each entry and alone
+    # makes up the "" entry, which serves every other last character
+    lengths: dict[str, dict[str, tuple[int, ...]]]
 
 
 def data_lines(
@@ -114,36 +126,73 @@ def load_verb_stems() -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def load_lemma_rules() -> LemmaRules:
-    by_pos: dict[str, list[tuple[str, str, int]]] = {}
-    for _, line in data_lines(None, "lemma_rules.txt"):
+    by_pos: dict[str, dict[str, list[tuple[int, str, int]]]] = {}
+    for position, (_, line) in enumerate(data_lines(None, "lemma_rules.txt")):
         parts = line.split("\t")
         # replacement may be the empty string
         pos, suffix = parts[0], parts[1]
         replacement = parts[2] if len(parts) > 2 else ""
         min_stem = int(parts[3]) if len(parts) > 3 else 0
-        by_pos.setdefault(pos, []).append((suffix, replacement, min_stem))
+        by_suffix = by_pos.setdefault(pos, {})
+        by_suffix.setdefault(suffix, []).append((position, replacement, min_stem))
     exceptions: dict[str, dict[str, str]] = {"": {}}
     for _, line in data_lines(None, "lemma_exceptions.txt"):
         parts = line.split("\t")
         form, lemma = parts[0].lower(), parts[1]
         pos = parts[2] if len(parts) > 2 else ""
         exceptions.setdefault(pos, {})[form] = lemma
-    rules = {pos: tuple(group) for pos, group in by_pos.items()}
-    return LemmaRules(exceptions=exceptions, rules=rules)
-
-
-@lru_cache(maxsize=None)
-def load_url_patterns() -> tuple[re.Pattern[str], ...]:
-    return tuple(
-        re.compile(line, re.IGNORECASE)
-        for _, line in data_lines(None, "url_patterns.txt")
+    return LemmaRules(
+        exceptions=exceptions,
+        suffixes={
+            pos: {suffix: tuple(rules) for suffix, rules in by_suffix.items()}
+            for pos, by_suffix in by_pos.items()
+        },
+        lengths={pos: _suffix_lengths(by_suffix) for pos, by_suffix in by_pos.items()},
     )
 
 
+def _suffix_lengths(suffixes: dict[str, object]) -> dict[str, tuple[int, ...]]:
+    everywhere = {0} if "" in suffixes else set()
+    ends: dict[str, set[int]] = {"": everywhere}
+    for suffix in suffixes:
+        if suffix:
+            ends.setdefault(suffix[-1], set(everywhere)).add(len(suffix))
+    return {last: tuple(sorted(lengths)) for last, lengths in ends.items()}
+
+
+def required_literal(pattern: re.Pattern[str]) -> str:
+    """The longest run of characters that every match of ``pattern`` holds
+    in a row, or "" when there is none.  Only consecutive literal items of
+    the pattern's top-level sequence count, and only characters without a
+    case, which every flag matches as themselves."""
+    best = run = ""
+    for op, arg in _re_parser.parse(pattern.pattern, pattern.flags):
+        ch = chr(arg) if op is _re_constants.LITERAL else ""
+        if ch and ch.lower() == ch == ch.upper():
+            run += ch
+            best = max(best, run, key=len)
+        else:
+            run = ""
+    return best
+
+
+@lru_cache(maxsize=None)
+def load_url_patterns() -> tuple[tuple[re.Pattern[str], str], ...]:
+    """Each shipped URL pattern with its ``required_literal``."""
+    patterns = (
+        re.compile(line, re.IGNORECASE)
+        for _, line in data_lines(None, "url_patterns.txt")
+    )
+    return tuple((pattern, required_literal(pattern)) for pattern in patterns)
+
+
 def strip_urls(text: str) -> str:
-    """Remove URL-shaped substrings and collapse runs of whitespace."""
-    for pattern in load_url_patterns():
-        text = pattern.sub("", text)
+    """Remove URL-shaped substrings and collapse runs of whitespace.  A
+    pattern runs only on a text that holds its required literal: without
+    it the pattern cannot match."""
+    for pattern, literal in load_url_patterns():
+        if literal in text:
+            text = pattern.sub("", text)
     return " ".join(text.split())
 
 
@@ -182,10 +231,6 @@ def url_free_sentences(text: str) -> list[str]:
     return split_sentences(strip_urls(text))
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 # A token is a whitespace-free run that starts and ends with a word
 # character, or one character that is neither.  For str patterns \w is
 # str.isalnum() plus "_" and \s is str.isspace(), the tests of the
@@ -205,12 +250,15 @@ def _pos_for(
     tag = closed_class.get(lower)
     if tag is not None:
         return tag
-    if any(ch.isdigit() for ch in lower) and all(
-        ch.isdigit() or ch in _NUM_EXTRA for ch in lower
-    ):
-        return NUM
-    if not any(ch.isalnum() for ch in lower):
-        return PUNCT
+    # no character is both alphabetic and a digit, so a word of letters is
+    # neither a number nor punctuation
+    if not lower.isalpha():
+        if any(ch.isdigit() for ch in lower) and all(
+            ch.isdigit() or ch in _NUM_EXTRA for ch in lower
+        ):
+            return NUM
+        if not any(ch.isalnum() for ch in lower):
+            return PUNCT
     if lower.endswith("ing") and len(lower) > 4:
         return VERB
     if lower.endswith("ed") and len(lower) > 3:
@@ -240,18 +288,32 @@ def pos_tag(tokens: Sequence[str]) -> list[Token]:
 
 
 def lemmatize(token: Token) -> str:
-    """Map a POS-tagged token to its lemma: exceptions first, then the first
-    matching suffix rule, else the lowercase surface unchanged."""
+    """Map a POS-tagged token to its lemma: exceptions first, then the
+    earliest suffix rule in the file that fires, else the lowercase surface
+    unchanged.  Only the rules of the word's own suffixes are looked at."""
     rules = load_lemma_rules()
     lower = token.surface.lower()
     for key in (token.pos, ""):
         hit = rules.exceptions.get(key, {}).get(lower)
         if hit is not None:
             return hit
-    for suffix, replacement, min_stem in rules.rules.get(token.pos, ()):
-        if lower.endswith(suffix) and len(lower) - len(suffix) >= min_stem:
-            return lower[: len(lower) - len(suffix)] + replacement
-    return lower
+    ends = rules.lengths.get(token.pos)
+    if ends is None:
+        return lower
+    by_suffix = rules.suffixes[token.pos]
+    n = len(lower)
+    best = None  # (file position, stem length, replacement)
+    for length in ends.get(lower[-1:], ends[""]):
+        if length > n:
+            break
+        for position, replacement, min_stem in by_suffix.get(lower[n - length :], ()):
+            if n - length >= min_stem:
+                if best is None or position < best[0]:
+                    best = (position, n - length, replacement)
+                break
+    if best is None:
+        return lower
+    return lower[: best[1]] + best[2]
 
 
 STRIP_URLS = "strip_urls"
@@ -329,15 +391,22 @@ def _check_stages(stages: tuple[str, ...]) -> None:
 
 
 def _strip_non_ascii(s: str) -> str:
-    return "".join(ch for ch in s if ord(ch) < 128)
+    return s.encode("ascii", "ignore").decode("ascii")
 
 
 def _strip_digits(s: str) -> str:
+    # the only ASCII digits are 0-9; a Unicode digit has no regex class
+    if s.isascii():
+        return s.encode("ascii").translate(None, b"0123456789").decode("ascii")
     return "".join(ch for ch in s if not ch.isdigit())
 
 
+# For str patterns \W is every character but str.isalnum() and "_".
+_NON_WORD = re.compile(r"\W")
+
+
 def _strip_punct(s: str) -> str:
-    return "".join(ch for ch in s if _is_word_char(ch))
+    return _NON_WORD.sub("", s)
 
 
 # Stages that rewrite a string; a token they empty is dropped.

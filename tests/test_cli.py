@@ -1359,9 +1359,9 @@ def test_topics_and_topics_monthly_into_one_out_replace_each_other(clean_docs, t
     assert [path.name for path in (out / "c").iterdir()] == ["monthly"]
 
 
-def _one_error_line(capsys, command):
+def _one_error_line(capsys, command, flag="--out"):
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"threadscope {command}: error: --out ")
+    assert line.startswith(f"threadscope {command}: error: {flag} ")
     return line
 
 
@@ -1393,7 +1393,7 @@ def test_out_that_is_not_a_previous_run_is_refused(
     for command, argv in argvs.items():
         assert run([*argv, str(mine / "notes.txt")]) == 2
         assert "notes.txt is a file without notes.txt.manifest.json" in _one_error_line(
-            capsys, command
+            capsys, command, argv[-1]
         )
         assert sorted(path.name for path in mine.iterdir()) == ["notes.txt"]
         assert (mine / "notes.txt").read_text() == "keep me"
@@ -1406,6 +1406,43 @@ def test_out_that_is_not_a_previous_run_is_refused(
         assert run([*stats, out]) == 2
         assert "holds the working directory" in _one_error_line(capsys, "stats")
     assert (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_ner_train_refuses_its_model_location_before_training(
+    fixtures, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("trained before the output location was checked")
+
+    monkeypatch.setattr(cli.tagger, "train_tagger", never)
+    user = tmp_path / "user.json"
+    user.write_text("keep me")
+    argv = ["ner-train", "--train", str(fixtures / "annotated_train.tsv"), "--model"]
+    assert run([*argv, str(user)]) == 2
+    line = _one_error_line(capsys, "ner-train", "--model")
+    assert line.endswith(f"--model {user} is a file without user.json.manifest.json")
+    assert user.read_text() == "keep me"
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "."]) == 2
+    assert _one_error_line(capsys, "ner-train", "--model").endswith(
+        "--model . holds the working directory"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["user.json"]
+
+
+def test_directory_output_refuses_a_file_before_the_handler_runs(
+    corpus_dir, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output location was checked")
+
+    monkeypatch.setattr(cli.report, "weekly_post_counts", never)
+    notes = tmp_path / "notes.txt"
+    notes.write_text("keep me")
+    docs = str(corpus_dir / "documents.jsonl")
+    assert run(["report", "--docs", docs, "--out", str(notes)]) == 2
+    assert _one_error_line(capsys, "report").endswith(f"--out {notes} is not a directory")
+    assert notes.read_text() == "keep me"
 
 
 def test_out_that_holds_an_input_is_refused(corpus_dir, tmp_path, capsys):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
+from unittest import mock
 
+import _sre
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threadscope import textprep
@@ -38,6 +41,92 @@ def test_strip_urls_removes_bare_www():
 def test_strip_urls_collapses_whitespace():
     assert strip_urls("a  https://x.io  b") == "a b"
     assert strip_urls("no urls  here") == "no urls here"
+
+
+# ---------------------------------------------------------------- URL gate
+# A URL pattern runs only on a text that holds its required literal.  These
+# patterns cover alternation, optional and {0,} groups, escapes,
+# lookarounds, verbose mode and IGNORECASE with cased literals, among them
+# the Kelvin sign and the long s, which IGNORECASE matches to ASCII letters,
+# and a circled letter, which has a case but is not alphabetic.
+GATED_PATTERNS = [
+    *(pattern for pattern, _ in textprep.load_url_patterns()),
+    re.compile(r"https?://\S+"),
+    re.compile(r"(?:ftp|https?)://\w+"),
+    re.compile(r"ftp://x|www\.y"),
+    re.compile(r"a(b:)?//c"),
+    re.compile(r"x(:/){0,}/y"),
+    re.compile(r"x(?::/)*?y"),
+    re.compile(r"\.\.\.+"),
+    re.compile(r"(?<=:)//[a-z]"),
+    re.compile(r"(?<![a-z])www\.(?=[a-z])"),
+    re.compile(r"WWW\.\S*", re.IGNORECASE),
+    re.compile(r"S://K", re.IGNORECASE),
+    re.compile("\u017f://\u212a", re.IGNORECASE),
+    re.compile("\u24d0://", re.IGNORECASE),
+    re.compile(r"(?i:k)://", re.ASCII),
+    re.compile(r": / / \#", re.VERBOSE),
+    re.compile(r"\b"),
+    re.compile(r"(?:)"),
+]
+URL_PIECES = list("://. \tKkSs\u212a\u017f\u24d0\u24b6xyzabcWw#_-") + [
+    "://", "www.", "WWW.", "http", "HTTPS", "ftp", "...", "s://k", "S://\u212a",
+    "\u24b6://",
+]
+url_texts = st.lists(st.sampled_from(URL_PIECES), max_size=24).map("".join)
+
+
+@pytest.mark.parametrize(
+    "source, flags, literal",
+    [
+        (r"\b[a-zA-Z][a-zA-Z0-9+.-]*://\S+", re.IGNORECASE, "://"),
+        (r"(?<!\S)www\.\S+", re.IGNORECASE, "."),
+        (r"(?<!\S)www\.\S+", 0, "."),
+        (r"http://|ftp://", 0, ""),
+        (r"(://)?x", 0, ""),
+        (r"a?://b*::", 0, "://"),
+        (r"12\.34 5 6", re.VERBOSE, "12.3456"),
+        (r"", 0, ""),
+    ],
+)
+def test_required_literal_is_the_longest_caseless_run(source, flags, literal):
+    assert textprep.required_literal(re.compile(source, flags)) == literal
+
+
+@settings(max_examples=500)
+@given(url_texts | st.text(max_size=30))
+@example("see https://x.io and www.y.org. now")
+@example("s://\u212a \u017f://k S://K")
+@example("\u24b6://")
+def test_a_pattern_gated_by_its_literal_removes_what_it_always_would(text):
+    for pattern in GATED_PATTERNS:
+        literal = textprep.required_literal(pattern)
+        gated = pattern.sub("", text) if literal in text else text
+        assert gated == pattern.sub("", text), pattern
+    ungated = text
+    for pattern, _ in textprep.load_url_patterns():
+        ungated = pattern.sub("", ungated)
+    assert strip_urls(text) == " ".join(ungated.split())
+
+
+def test_single_pass_strippers_agree_with_the_character_tests_everywhere():
+    every = "".join(map(chr, range(0x110000)))
+    # \w on str is isalnum() plus "_"
+    assert set(re.findall(r"\w", every)) == {
+        ch for ch in every if ch.isalnum() or ch == "_"
+    }
+    # no character is both a letter and a digit
+    assert not any(ch.isalpha() and ch.isdigit() for ch in every)
+    # encode-ignore keeps exactly the code points below 128
+    assert every.encode("ascii", "ignore").decode("ascii") == every[:128]
+    # a character without a case by str's own mappings is one the regex
+    # engine matches only as itself, also under IGNORECASE
+    assert not any(
+        _sre.unicode_iscased(ord(ch)) for ch in every if ch.lower() == ch == ch.upper()
+    )
+    assert textprep._strip_punct(every) == ref_strip_punct(every)
+    assert textprep._strip_digits(every) == ref_strip_digits(every)
+    assert textprep._strip_non_ascii(every) == ref_strip_non_ascii(every)
 
 
 def test_split_sentences_on_terminators():
@@ -311,9 +400,62 @@ def ref_load_lemma_rules() -> RefLemmaRules:
     return RefLemmaRules(exceptions=exceptions, rules=tuple(rules))
 
 
+# The character-loop forms of the POS heuristics and the three strippers,
+# copied verbatim before the production ones were rewritten as single
+# passes, so the reference checks the rewrite and not itself.
+_REF_NUM_EXTRA = frozenset(".,-%/")
+
+
+def ref_pos_for(
+    lower: str, closed_class: dict[str, str], verb_stems: frozenset[str]
+) -> str:
+    tag = closed_class.get(lower)
+    if tag is not None:
+        return tag
+    if any(ch.isdigit() for ch in lower) and all(
+        ch.isdigit() or ch in _REF_NUM_EXTRA for ch in lower
+    ):
+        return NUM
+    if not any(ch.isalnum() for ch in lower):
+        return PUNCT
+    if lower.endswith("ing") and len(lower) > 4:
+        return VERB
+    if lower.endswith("ed") and len(lower) > 3:
+        return VERB
+    if lower.endswith("ly") and len(lower) > 3:
+        return ADV
+    if len(lower) > 4 and lower[-3:] in ("ous", "ful", "ive"):
+        return ADJ
+    if lower.endswith("s"):
+        stems = [lower[:-1]]
+        if lower.endswith("es"):
+            stems.append(lower[:-2])
+        if lower.endswith("ies"):
+            stems.append(lower[:-3] + "y")
+        if any(stem in verb_stems for stem in stems):
+            return VERB
+    return NOUN
+
+
+def _ref_is_word_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def ref_strip_non_ascii(s: str) -> str:
+    return "".join(ch for ch in s if ord(ch) < 128)
+
+
+def ref_strip_digits(s: str) -> str:
+    return "".join(ch for ch in s if not ch.isdigit())
+
+
+def ref_strip_punct(s: str) -> str:
+    return "".join(ch for ch in s if _ref_is_word_char(ch))
+
+
 def ref_pos_tag(tokens, closed_class, verb_stems) -> list[RefToken]:
     return [
-        RefToken(surface=t, pos=textprep._pos_for(t.lower(), closed_class, verb_stems))
+        RefToken(surface=t, pos=ref_pos_for(t.lower(), closed_class, verb_stems))
         for t in tokens
     ]
 
@@ -383,12 +525,12 @@ def ref_preprocess_text(text, stages, stoplist, rules: RefLemmaRules) -> str:
                 state_text = state_text.lower()
         elif stage == textprep.REMOVE_NON_ASCII:
             if state_tokens is not None:
-                state_tokens = ref_map_tokens(state_tokens, textprep._strip_non_ascii)
+                state_tokens = ref_map_tokens(state_tokens, ref_strip_non_ascii)
             elif state_sentences is not None:
-                state_sentences = [textprep._strip_non_ascii(s) for s in state_sentences]
+                state_sentences = [ref_strip_non_ascii(s) for s in state_sentences]
             else:
                 assert state_text is not None
-                state_text = textprep._strip_non_ascii(state_text)
+                state_text = ref_strip_non_ascii(state_text)
         elif stage == textprep.REMOVE_STOPWORDS:
             assert state_tokens is not None
             state_tokens = [
@@ -397,10 +539,10 @@ def ref_preprocess_text(text, stages, stoplist, rules: RefLemmaRules) -> str:
             ]
         elif stage == textprep.REMOVE_DIGITS:
             assert state_tokens is not None
-            state_tokens = ref_map_tokens(state_tokens, textprep._strip_digits)
+            state_tokens = ref_map_tokens(state_tokens, ref_strip_digits)
         elif stage == textprep.REMOVE_PUNCT:
             assert state_tokens is not None
-            state_tokens = ref_map_tokens(state_tokens, textprep._strip_punct)
+            state_tokens = ref_map_tokens(state_tokens, ref_strip_punct)
         elif stage == textprep.POS_TAG:
             assert state_tokens is not None
             state_tokens = [
@@ -498,6 +640,17 @@ def test_compiled_pipeline_matches_reference(text, stages, stoplist):
     assert pipeline.clean(text) == expected
 
 
+@settings(max_examples=300)
+@given(st.text(max_size=80))
+def test_pos_heuristics_match_the_character_loop(text):
+    closed_class, verb_stems = textprep.load_closed_class(), textprep.load_verb_stems()
+    for word in text.split() + tokenize(text) + WORDS:
+        lower = word.lower()
+        assert textprep._pos_for(lower, closed_class, verb_stems) == ref_pos_for(
+            lower, closed_class, verb_stems
+        )
+
+
 @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=80))
 def test_lemma_rules_indexed_by_pos_match_the_linear_scan(text):
     ref_rules = ref_load_lemma_rules()
@@ -506,3 +659,37 @@ def test_lemma_rules_indexed_by_pos_match_the_linear_scan(text):
             assert lemmatize(Token(word, pos)) == ref_lemmatize(
                 RefToken(word, pos), ref_rules
             )
+
+
+rule_files = st.lists(
+    st.tuples(
+        st.sampled_from([NOUN, VERB]),
+        st.text("abs", max_size=3),
+        st.text("xy", max_size=2),
+        st.integers(0, 3),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(rules=rule_files, words=st.lists(st.text("abs", max_size=6), max_size=8))
+def test_suffix_index_matches_the_linear_scan_on_any_rule_file(rules, words):
+    """Empty suffixes, repeated suffixes, suffixes longer than the word and
+    rules that do not fire for a short stem, which the shipped file lacks
+    in some combinations."""
+    lines = [(i + 1, "\t".join(map(str, rule))) for i, rule in enumerate(rules)]
+    shipped = textprep.data_lines
+
+    def data_lines(path, name=""):
+        return iter(lines) if name == "lemma_rules.txt" else shipped(path, name)
+
+    with mock.patch.object(textprep, "data_lines", data_lines):
+        index = textprep.load_lemma_rules.__wrapped__()
+        ref_rules = ref_load_lemma_rules()
+    with mock.patch.object(textprep, "load_lemma_rules", lambda: index):
+        for word in words + ["", "s", "as", "bas"]:
+            for pos in (NOUN, VERB, ADJ):
+                assert lemmatize(Token(word, pos)) == ref_lemmatize(
+                    RefToken(word, pos), ref_rules
+                )
