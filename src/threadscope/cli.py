@@ -29,10 +29,9 @@ import os
 import shutil
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import corpus, manifest, nerdata, report, sentiment, tagger, textprep
 from .errors import FormatError, ManifestError, OutputLocationError, ThreadscopeError
@@ -62,8 +61,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One flag: how to parse it, whether it names an input file to
     digest, and whether it belongs in the manifest."""
 
@@ -174,8 +172,7 @@ Artifact = str | Callable[[Path], None]
 Outputs = Mapping[str, Artifact] | Artifact
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     name: str
     help: str
     params: tuple[Param, ...]
@@ -207,7 +204,9 @@ def _check_out(command: Command, out: Path, inputs: Sequence[str]) -> None:
     replacement could lose files that no earlier run wrote: one that is or
     holds an input file or the working directory, a non-empty directory
     without a manifest, and an existing file without its
-    `<file>.manifest.json`, or any file for a directory output."""
+    `<file>.manifest.json`, or any file for a directory output.  A
+    directory at a file output is refused too, as the rename that puts
+    the file in place would fail only after the command has run."""
     flag = f"--{command.out_flag}"
     where = out.resolve()
     held = {Path(path).resolve(): f"input {path}" for path in inputs}
@@ -215,11 +214,14 @@ def _check_out(command: Command, out: Path, inputs: Sequence[str]) -> None:
     for path, what in held.items():
         if path == where or where in path.parents:
             raise OutputLocationError(f"{flag} {out} holds {what}")
-    if out.is_dir() and any(out.iterdir()) and not (out / manifest.MANIFEST_NAME).exists():
-        raise OutputLocationError(
-            f"{flag} {out} is a non-empty directory without {manifest.MANIFEST_NAME}"
-        )
-    if out.exists() and not out.is_dir():
+    if out.is_dir():
+        if command.file_output:
+            raise OutputLocationError(f"{flag} {out} is a directory")
+        if any(out.iterdir()) and not (out / manifest.MANIFEST_NAME).exists():
+            raise OutputLocationError(
+                f"{flag} {out} is a non-empty directory without {manifest.MANIFEST_NAME}"
+            )
+    elif out.exists():
         if not command.file_output:
             raise OutputLocationError(f"{flag} {out} is not a directory")
         record = out.with_name(out.name + ".manifest.json")

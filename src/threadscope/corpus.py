@@ -12,14 +12,13 @@ import logging
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DumpParseError, UnknownSchemaError
+from .records import FrozenRecord, Record
 from . import textprep
 
 logger = logging.getLogger(__name__)
@@ -46,16 +45,28 @@ class RedditRecord(NamedTuple):
     num_comments: int = 0
 
 
-@dataclass
-class Document:
+class Document(Record):
     """A post and the bodies of its surviving comments."""
 
-    post_id: str
-    subreddit: str
-    created_utc: int
-    title: str
-    comment_bodies: list[str] = field(default_factory=list)
-    cleaned_text: str = ""
+    __slots__ = _fields = (
+        "post_id", "subreddit", "created_utc", "title", "comment_bodies", "cleaned_text"
+    )
+
+    def __init__(
+        self,
+        post_id: str,
+        subreddit: str,
+        created_utc: int,
+        title: str,
+        comment_bodies: list[str] | None = None,
+        cleaned_text: str = "",
+    ) -> None:
+        self.post_id = post_id
+        self.subreddit = subreddit
+        self.created_utc = created_utc
+        self.title = title
+        self.comment_bodies = [] if comment_bodies is None else comment_bodies
+        self.cleaned_text = cleaned_text
 
     @property
     def raw_text(self) -> str:
@@ -71,34 +82,36 @@ def _day_start_utc(day: date) -> int:
     return (day.toordinal() - _EPOCH_ORDINAL) * _DAY_S
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(FrozenRecord):
     """Keyword, date-range, and subreddit constraints; dates are inclusive
     UTC calendar dates; an empty subreddit list means no restriction.
     Keywords and subreddits match case-insensitively."""
 
-    keywords: tuple[str, ...]
-    date_from: date
-    date_to: date
-    subreddits: tuple[str, ...] = ()
+    _fields = ("keywords", "date_from", "date_to", "subreddits")
+    # ``_window``: the first and last UTC second of the range and the
+    # lowercased subreddit set, worked out once per spec
+    __slots__ = (*_fields, "lowered_keywords", "_window")
 
-    def __post_init__(self) -> None:
-        if not self.keywords:
+    def __init__(
+        self,
+        keywords: tuple[str, ...],
+        date_from: date,
+        date_to: date,
+        subreddits: tuple[str, ...] = (),
+    ) -> None:
+        if not keywords:
             raise ValueError("keywords must be nonempty")
-        if self.date_from > self.date_to:
+        if date_from > date_to:
             raise ValueError("date_from must not exceed date_to")
-
-    @cached_property
-    def lowered_keywords(self) -> tuple[str, ...]:
-        return tuple(keyword.lower() for keyword in self.keywords)
-
-    @cached_property
-    def _window(self) -> tuple[int, int, frozenset[str]]:
-        """The first and last UTC second of the range and the lowercased
-        subreddit set, worked out once per spec."""
-        first = _day_start_utc(self.date_from)
-        last = _day_start_utc(self.date_to) + _DAY_S - 1
-        return first, last, frozenset(name.lower() for name in self.subreddits)
+        assign = object.__setattr__
+        assign(self, "keywords", keywords)
+        assign(self, "date_from", date_from)
+        assign(self, "date_to", date_to)
+        assign(self, "subreddits", subreddits)
+        assign(self, "lowered_keywords", tuple(keyword.lower() for keyword in keywords))
+        first = _day_start_utc(date_from)
+        last = _day_start_utc(date_to) + _DAY_S - 1
+        assign(self, "_window", (first, last, frozenset(name.lower() for name in subreddits)))
 
     def admits(self, record: RedditRecord) -> bool:
         """Whether the record's created_utc lies from date_from 00:00:00
@@ -109,8 +122,7 @@ class FilterSpec:
         )
 
 
-@dataclass(frozen=True)
-class SubredditStats:
+class SubredditStats(NamedTuple):
     subreddit: str
     posts: int
     comments: int
@@ -118,8 +130,7 @@ class SubredditStats:
     wordcount: int
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     rows: tuple[SubredditStats, ...]
     total: SubredditStats
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ManifestError
+from .records import FrozenRecord
 
 ARTIFACT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
@@ -30,20 +30,30 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class ManifestInput:
+class ManifestInput(NamedTuple):
     param: str
     path: str
     sha256: str
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    params: dict
-    inputs: tuple[ManifestInput, ...] = ()
-    seeds: dict = field(default_factory=dict)
-    artifact_version: int = ARTIFACT_VERSION
+class RunManifest(FrozenRecord):
+    # not a NamedTuple, whose one default dict every record would share
+    __slots__ = _fields = ("command", "params", "inputs", "seeds", "artifact_version")
+
+    def __init__(
+        self,
+        command: str,
+        params: dict,
+        inputs: tuple[ManifestInput, ...] = (),
+        seeds: dict | None = None,
+        artifact_version: int = ARTIFACT_VERSION,
+    ) -> None:
+        assign = object.__setattr__
+        assign(self, "command", command)
+        assign(self, "params", params)
+        assign(self, "inputs", inputs)
+        assign(self, "seeds", {} if seeds is None else seeds)
+        assign(self, "artifact_version", artifact_version)
 
     def to_json(self) -> str:
         payload = {

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -20,6 +19,7 @@ from .errors import (
     SpanOutOfBoundsError,
 )
 from . import textprep
+from .records import FrozenRecord, Record
 
 DEFAULT_CATEGORIES = ("DIST", "DIT", "PPE", "SYM", "TEST")
 
@@ -30,50 +30,57 @@ PREFIX_MATCH = "prefix"
 SUBSTRING_MATCH = "substring"
 
 
-@dataclass(frozen=True)
-class Span:
-    start: int
-    end: int
-    category: str
+class Span(FrozenRecord):
+    __slots__ = _fields = ("start", "end", "category")
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"bad span bounds [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int, category: str) -> None:
+        if start < 0 or start >= end:
+            raise ValueError(f"bad span bounds [{start}, {end})")
+        assign = object.__setattr__
+        assign(self, "start", start)
+        assign(self, "end", end)
+        assign(self, "category", category)
 
 
-@dataclass
-class AnnotatedSentence:
-    tokens: list[str]
-    tags: list[str]
+class AnnotatedSentence(Record):
+    __slots__ = _fields = ("tokens", "tags")
 
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.tags):
+    def __init__(self, tokens: list[str], tags: list[str]) -> None:
+        if len(tokens) != len(tags):
             raise ValueError("tokens and tags must have equal length")
+        self.tokens = tokens
+        self.tags = tags
 
 
-@dataclass(frozen=True)
-class KeywordSpec:
+class KeywordSpec(FrozenRecord):
     """Per-category extraction keywords with a per-keyword sentence cap.
 
     ``match_mode`` is "prefix" (keyword word matches any token starting
     with it, so "mask" hits "masks" but not "unmask") or "substring".
     """
 
-    by_category: dict[str, tuple[str, ...]]
-    cap: int = 250
-    match_mode: str = PREFIX_MATCH
+    __slots__ = _fields = ("by_category", "cap", "match_mode")
 
-    def __post_init__(self) -> None:
-        if self.cap < 1:
+    def __init__(
+        self,
+        by_category: dict[str, tuple[str, ...]],
+        cap: int = 250,
+        match_mode: str = PREFIX_MATCH,
+    ) -> None:
+        if cap < 1:
             raise ValueError("cap must be >= 1")
-        if self.match_mode not in (PREFIX_MATCH, SUBSTRING_MATCH):
-            raise ValueError(f"unknown match_mode {self.match_mode!r}")
-        for category, keywords in self.by_category.items():
+        if match_mode not in (PREFIX_MATCH, SUBSTRING_MATCH):
+            raise ValueError(f"unknown match_mode {match_mode!r}")
+        for category, keywords in by_category.items():
             for kw in keywords:
                 if kw != kw.lower():
                     raise ValueError(f"keyword {kw!r} must be lowercase")
                 if not kw.split():
                     raise ValueError("keywords must contain a word")
+        assign = object.__setattr__
+        assign(self, "by_category", by_category)
+        assign(self, "cap", cap)
+        assign(self, "match_mode", match_mode)
 
     def all_keywords(self) -> list[str]:
         out: list[str] = []

@@ -8,9 +8,8 @@ emitted bytes are identical.  Writing them is the CLI's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .corpus import _month_of, _utc_date
 from .nerdata import DEFAULT_CATEGORIES
@@ -48,8 +47,7 @@ def percent_round_half_up(count: int, total: int) -> int:
     return (200 * count + total) // (2 * total)
 
 
-@dataclass(frozen=True)
-class WeekBucket:
+class WeekBucket(NamedTuple):
     week_start: date
     count: int
 
@@ -99,8 +97,7 @@ def weekly_table(buckets: Sequence[WeekBucket]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class EntityCount:
+class EntityCount(NamedTuple):
     category: str
     name: str
     count: int
@@ -111,8 +108,7 @@ TRUNCATE_DIST = 3
 TRUNCATE_OTHER = 8
 
 
-@dataclass(frozen=True)
-class EntityReport:
+class EntityReport(NamedTuple):
     """Per-subreddit category totals plus ranked (category, name, count)
     rows, optionally truncated."""
 
@@ -186,8 +182,7 @@ def counts_from_mentions(
     return out
 
 
-@dataclass(frozen=True)
-class MonthlySeries:
+class MonthlySeries(NamedTuple):
     entity: str
     months: tuple[str, ...]
     counts: tuple[int, ...]

@@ -6,9 +6,8 @@ analysis protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FormatError
 from .nerdata import PREFIX_MATCH, sentence_matches
@@ -45,8 +44,7 @@ def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
     return lexicon
 
 
-@dataclass(frozen=True)
-class SentimentScore:
+class SentimentScore(NamedTuple):
     compound: float
     label: str
 
@@ -89,8 +87,7 @@ def score_sentence(tokens: Sequence[str], lexicon: dict[str, float]) -> Sentimen
     return SentimentScore(compound=compound, label=label_for(compound))
 
 
-@dataclass(frozen=True)
-class EntitySentimentReport:
+class EntitySentimentReport(NamedTuple):
     entity: str
     n_pos: int
     n_neg: int

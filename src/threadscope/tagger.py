@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyTrainingSetError, ModelFormatError
 from .nerdata import (
     AnnotatedSentence, O_TAG, Span, _valid_bilou_spans, bilou_to_spans, parse_tag,
 )
 from . import textprep
+from .records import FrozenRecord, Record
 
 TEMPLATES_VERSION = "v1"
 MODEL_VERSION = 1
@@ -29,26 +29,39 @@ START_WORD = "<s>"
 END_WORD = "</s>"
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    iterations: int = 30
-    batch_min: int = 4
-    batch_max: int = 32
-    batch_growth: float = 1.001
-    dropout_start: float = 0.5
-    dropout_end: float = 0.5
-    seed: int = 0
+class TrainConfig(FrozenRecord):
+    __slots__ = _fields = (
+        "iterations", "batch_min", "batch_max", "batch_growth",
+        "dropout_start", "dropout_end", "seed",
+    )
 
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
+    def __init__(
+        self,
+        iterations: int = 30,
+        batch_min: int = 4,
+        batch_max: int = 32,
+        batch_growth: float = 1.001,
+        dropout_start: float = 0.5,
+        dropout_end: float = 0.5,
+        seed: int = 0,
+    ) -> None:
+        if iterations < 1:
             raise ValueError("iterations must be positive")
-        if self.batch_min < 1 or self.batch_max < self.batch_min:
+        if batch_min < 1 or batch_max < batch_min:
             raise ValueError("need 1 <= batch_min <= batch_max")
-        if self.batch_growth <= 1:
+        if batch_growth <= 1:
             raise ValueError("batch_growth must exceed 1")
-        for rate in (self.dropout_start, self.dropout_end):
+        for rate in (dropout_start, dropout_end):
             if not 0 <= rate < 1:
                 raise ValueError("dropout rates must lie in [0, 1)")
+        assign = object.__setattr__
+        assign(self, "iterations", iterations)
+        assign(self, "batch_min", batch_min)
+        assign(self, "batch_max", batch_max)
+        assign(self, "batch_growth", batch_growth)
+        assign(self, "dropout_start", dropout_start)
+        assign(self, "dropout_end", dropout_end)
+        assign(self, "seed", seed)
 
     def dropout_at(self, iteration: int) -> float:
         if self.iterations == 1:
@@ -69,17 +82,26 @@ class TrainConfig:
         return sizes
 
 
-@dataclass
-class TaggerModel:
+class TaggerModel(Record):
     """Labels in decode order and the averaged weights, feature -> label
     -> weight; that dict is the on-disk form.  Decoding reads a compiled
     copy of it, built on first use, so change ``weights`` only before the
-    model first tags."""
+    model first tags.  The copy, ``_rows``, is not a field: equality and
+    ``repr`` leave it out."""
 
-    labels: list[str]
-    templates: str = TEMPLATES_VERSION
-    weights: dict[str, dict[str, float]] = field(default_factory=dict)
-    _rows: _Rows | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("labels", "templates", "weights")
+    __slots__ = (*_fields, "_rows")
+
+    def __init__(
+        self,
+        labels: list[str],
+        templates: str = TEMPLATES_VERSION,
+        weights: dict[str, dict[str, float]] | None = None,
+    ) -> None:
+        self.labels = labels
+        self.templates = templates
+        self.weights = {} if weights is None else weights
+        self._rows: _Rows | None = None
 
 
 def word_shape(word: str) -> str:
@@ -150,8 +172,8 @@ class _Rows:
     """Weights as one list of floats per feature, aligned to ``columns``,
     plus the allowed (label, column) pairs per (prev_tag, is_last), built
     once each.  ``fixed_rows`` and ``fixed_tags`` memoize, so they serve
-    only weights that no longer change; training looks rows up afresh for
-    every decode."""
+    only weights that no longer change; training looks a word's rows up
+    again whenever a row has been added since it last did."""
 
     def __init__(
         self,
@@ -347,6 +369,10 @@ def train_tagger(
     # the tags of each sentence's last decode, and the weights version it read
     decoded: list[tuple[int, list[str]] | None] = [None] * len(train)
     version = 0
+    # each word's _word_rows and the number of weight rows when it was
+    # read: rows are only ever added, never replaced or removed, so the
+    # tuple holds until that number changes
+    word_rows: dict[_Word, tuple[int, tuple]] = {}
     # sparse: only the (feature, label) pairs ever updated
     totals: dict[str, dict[str, float]] = {}
     stamps: dict[str, dict[str, int]] = {}
@@ -381,9 +407,14 @@ def train_tagger(
                 if last is not None and last[0] == version:
                     predicted = last[1]
                 else:
-                    predicted = _decode(
-                        compiled, [_word_rows(weights, word) for word in words]
-                    )
+                    n_rows = len(weights)
+                    sentence_rows = []
+                    for word in words:
+                        read = word_rows.get(word)
+                        if read is None or read[0] != n_rows:
+                            read = word_rows[word] = (n_rows, _word_rows(weights, word))
+                        sentence_rows.append(read[1])
+                    predicted = _decode(compiled, sentence_rows)
                     decoded[index] = (version, predicted)
                 prev = O_TAG
                 for i, (gold, pred) in enumerate(zip(train[index].tags, predicted), 1):
@@ -418,8 +449,7 @@ def tag_tokens(model: TaggerModel, tokens: Sequence[str]) -> list[str]:
     return _compiled(model).fixed_tags(tokens)
 
 
-@dataclass(frozen=True)
-class Scores:
+class Scores(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -439,8 +469,7 @@ def scores_from_counts(tp: int, fp: int, fn: int) -> Scores:
     return Scores(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     per_category: dict[str, Scores]
     micro: Scores
 
@@ -532,6 +561,7 @@ def _model_from_json(payload) -> TaggerModel:
         raise ValueError("weights must map each feature to an object")
     return TaggerModel(
         labels=labels,
+        templates=payload["templates"],
         weights={
             feature: {label: _finite_weight(v) for label, v in row.items()}
             for feature, row in weights.items()

@@ -11,11 +11,12 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+from .records import Record
 
 try:  # the regex parser's module, renamed in Python 3.11
     from re import _constants as _re_constants, _parser as _re_parser
@@ -43,16 +44,17 @@ POS_TAGS = frozenset(
 _NUM_EXTRA = frozenset(".,-%/")
 
 
-@dataclass
-class Token:
+class Token(Record):
     """A single token: surface form and coarse POS tag."""
 
-    surface: str
-    pos: str = OTHER
+    __slots__ = _fields = ("surface", "pos")
+
+    def __init__(self, surface: str, pos: str = OTHER) -> None:
+        self.surface = surface
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class LemmaRules:
+class LemmaRules(NamedTuple):
     """Exception table plus one suffix index per POS: each suffix maps to
     its rules in file order, and the suffix lengths that occur are kept by
     the suffix's last character.  Of the rules that fire, the earliest in

@@ -1322,10 +1322,17 @@ def test_failed_rewrite_leaves_no_stale_manifest(corpus_dir, tmp_path, capsys, m
     argv = ["sentiment", "--docs", docs, "--entity", "mask", "--out", str(report)]
     assert run(argv) == 0
     assert sidecar.exists()
-    report.unlink()
-    report.mkdir()
-    assert run(argv) == 2
+    written = report.read_bytes()
+
+    def fail_replace(source, target):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli.os, "replace", fail_replace)  # the file rewrite fails
+        assert run(argv) == 2
+    # the old file stands, but without a manifest that would claim this run
     assert not sidecar.exists()
+    assert report.read_bytes() == written
     assert sorted(path.name for path in tmp_path.iterdir()) == ["mask.tsv", "stats"]
 
 
@@ -1443,6 +1450,28 @@ def test_directory_output_refuses_a_file_before_the_handler_runs(
     assert run(["report", "--docs", docs, "--out", str(notes)]) == 2
     assert _one_error_line(capsys, "report").endswith(f"--out {notes} is not a directory")
     assert notes.read_text() == "keep me"
+
+
+def test_file_output_refuses_a_directory_before_the_handler_runs(
+    fixtures, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("trained before the output location was checked")
+
+    monkeypatch.setattr(cli.tagger, "train_tagger", never)
+    empty, earlier = tmp_path / "empty", tmp_path / "earlier"
+    empty.mkdir()
+    earlier.mkdir()
+    (earlier / "manifest.json").write_text("{}")
+    argv = ["ner-train", "--train", str(fixtures / "annotated_train.tsv"), "--iters", "1"]
+    for model in (empty, earlier):
+        assert run([*argv, "--model", str(model)]) == 2
+        assert _one_error_line(capsys, "ner-train", "--model").endswith(
+            f"--model {model} is a directory"
+        )
+    assert list(empty.iterdir()) == []
+    assert [path.name for path in earlier.iterdir()] == ["manifest.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["earlier", "empty"]
 
 
 def test_out_that_holds_an_input_is_refused(corpus_dir, tmp_path, capsys):
@@ -1722,7 +1751,7 @@ def test_topics_refuses_an_earlier_run_before_building_a_vocabulary(clean_docs, 
 
 # Run in a fresh interpreter: argv[1] is the fixtures directory, argv[2] an
 # empty directory.  Every command but the two topic ones runs without
-# numpy; the topic model brings it in.
+# numpy and without dataclasses; the topic model brings them in.
 NUMPY_FREE_CHAIN = r"""
 import sys
 from pathlib import Path
@@ -1731,6 +1760,7 @@ from threadscope import nerdata
 from threadscope.cli import run
 
 assert "numpy" not in sys.modules, "import threadscope.cli loaded numpy"
+assert "dataclasses" not in sys.modules, "import threadscope.cli loaded dataclasses"
 fixtures, tmp = Path(sys.argv[1]), Path(sys.argv[2])
 keywords = Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv"
 docs, clean = tmp / "corpus" / "documents.jsonl", tmp / "clean.jsonl"
@@ -1752,6 +1782,7 @@ commands = [
 for argv in commands:
     assert run([str(arg) for arg in argv]) == 0, argv[0]
     assert "numpy" not in sys.modules, f"{argv[0]} loaded numpy"
+    assert "dataclasses" not in sys.modules, f"{argv[0]} loaded dataclasses"
 topics = ["topics", "--docs", clean, "--k", "2", "--min-df", "1", "--epochs", "1",
           "--out", tmp / "topics"]
 assert run([str(arg) for arg in topics]) == 0, "topics"
