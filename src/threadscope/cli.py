@@ -342,7 +342,7 @@ def _cmd_preprocess(p: dict) -> Outputs:
 
 
 def _cmd_ner_build(p: dict) -> Outputs:
-    text = Path(p["sentences"]).read_text(encoding="utf-8")
+    text = Path(p["sentences"]).read_text(encoding="utf-8-sig")  # may start with a BOM
     sentences = [line for line in text.splitlines() if line.strip()]
     spec = nerdata.load_keyword_spec(p["keywords"], cap=p["cap"], match_mode=p["match"])
     train, eval_set = nerdata.build_ner_dataset(
@@ -389,15 +389,14 @@ def _cmd_ner_train(p: dict) -> Outputs:
 
 
 def _eval_table(result: tagger.EvalReport) -> str:
-    lines = ["category\tprecision\trecall\tf1"]
-    for category in sorted(result.per_category):
-        scores = result.per_category[category]
-        lines.append(
-            f"{category}\t{scores.precision:.4f}\t{scores.recall:.4f}\t{scores.f1:.4f}"
-        )
-    micro = result.micro
-    lines.append(f"micro\t{micro.precision:.4f}\t{micro.recall:.4f}\t{micro.f1:.4f}")
-    return "\n".join(lines) + "\n"
+    rows = [*sorted(result.per_category.items()), ("micro", result.micro)]
+    return textprep.table(
+        ("category", "precision", "recall", "f1"),
+        (
+            (name, f"{scores.precision:.4f}", f"{scores.recall:.4f}", f"{scores.f1:.4f}")
+            for name, scores in rows
+        ),
+    )
 
 
 def _cmd_ner_eval(p: dict) -> Outputs:
@@ -408,16 +407,21 @@ def _cmd_ner_eval(p: dict) -> Outputs:
     return {"eval.tsv": table}
 
 
+# the columns of ner-tag's output, which report --mentions reads
+MENTIONS_HEADER = ("post_id", "subreddit", "created_utc", "category", "name")
+
+
 def _cmd_ner_tag(p: dict) -> Outputs:
     model = tagger.load_model(p["model"])
     documents = corpus.read_documents(p["docs"])
-    lines = ["post_id\tsubreddit\tcreated_utc\tcategory\tname"]
-    for doc in documents:
-        for category, name in tagger.detect_document_entities(model, doc):
-            lines.append(
-                f"{doc.post_id}\t{doc.subreddit}\t{doc.created_utc}\t{category}\t{name}"
-            )
-    return "\n".join(lines) + "\n"
+    return textprep.table(
+        MENTIONS_HEADER,
+        (
+            (doc.post_id, doc.subreddit, doc.created_utc, category, name)
+            for doc in documents
+            for category, name in tagger.detect_document_entities(model, doc)
+        ),
+    )
 
 
 def _cmd_topics(p: dict) -> Outputs:
@@ -477,20 +481,21 @@ def _cmd_topics_monthly(p: dict) -> Outputs:
         min_df=p["min_df"],
         min_docs=p["min_docs"],
     )
-    rows = ["month\ttopic\trank\tterm\tweight"]
-    skipped = ["month\treason"]
-    for month in results:
-        if month.skipped:
-            skipped.append(f"{month.month}\t{month.reason}")
-            continue
-        for topic_id, pairs in enumerate(month.topics):
-            for rank, (term, weight) in enumerate(pairs, start=1):
-                rows.append(f"{month.month}\t{topic_id}\t{rank}\t{term}\t{weight:.6f}")
+    side_topics = textprep.table(
+        ("month", "topic", "rank", "term", "weight"),
+        (
+            (month.month, topic_id, rank, term, f"{weight:.6f}")
+            for month in results
+            if not month.skipped
+            for topic_id, pairs in enumerate(month.topics)
+            for rank, (term, weight) in enumerate(pairs, start=1)
+        ),
+    )
+    skipped = textprep.table(
+        ("month", "reason"), ((month.month, month.reason) for month in results if month.skipped)
+    )
     base = f"{p['corpus_id']}/monthly"
-    return {
-        f"{base}/side_topics.tsv": "\n".join(rows) + "\n",
-        f"{base}/skipped.tsv": "\n".join(skipped) + "\n",
-    }
+    return {f"{base}/side_topics.tsv": side_topics, f"{base}/skipped.tsv": skipped}
 
 
 def _cmd_sentiment(p: dict) -> Outputs:
@@ -504,10 +509,9 @@ def _cmd_sentiment(p: dict) -> Outputs:
     result = sentiment.analyze_entity_sentences(
         documents, p["entity"], lexicon, min_tokens=p["min_tokens"]
     )
-    table = (
-        "entity\tn_pos\tn_neg\tn_neu\tmean_compound\n"
-        f"{result.entity}\t{result.n_pos}\t{result.n_neg}\t{result.n_neu}\t"
-        f"{result.mean_compound:.6f}\n"
+    table = textprep.table(
+        ("entity", "n_pos", "n_neg", "n_neu", "mean_compound"),
+        [(*result[:-1], f"{result.mean_compound:.6f}")],
     )
     print(table, end="")
     return table
@@ -515,10 +519,12 @@ def _cmd_sentiment(p: dict) -> Outputs:
 
 def _read_mentions(path: str) -> list[tuple[str, str, int, str, str]]:
     rows: list[tuple[str, str, int, str, str]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
+    with open(path, encoding="utf-8-sig") as handle:  # may start with a BOM
+        if tuple(handle.readline().rstrip("\n").split("\t")) != MENTIONS_HEADER:
+            raise FormatError(1, "expected the header " + "<TAB>".join(MENTIONS_HEADER))
+        for line_no, raw in enumerate(handle, start=2):
             line = raw.rstrip("\n")
-            if line_no == 1 or not line.strip():
+            if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 5:

@@ -8,7 +8,6 @@ decided by whether the post or any of its comments matched the filter.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 import sys
@@ -21,7 +20,13 @@ from .errors import DumpParseError, UnknownSchemaError
 from .records import FrozenRecord, Record
 from . import textprep
 
-logger = logging.getLogger(__name__)
+
+def _warn(message: str, *args: object) -> None:
+    """Log a warning on this module's logger; logging is imported at the
+    first warning, as most runs never give one."""
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 POST = "post"
 COMMENT = "comment"
@@ -305,7 +310,7 @@ class DumpScan:
             except _RECORD_ERRORS as exc:
                 if not skip:
                     raise DumpParseError(line_no, _reason(exc)) from exc
-                logger.warning("skipping line %d: %s", line_no, _reason(exc))
+                _warn("skipping line %d: %s", line_no, _reason(exc))
                 continue
             records += 1
             if kind == POST:
@@ -429,14 +434,10 @@ def assemble_documents(
     for record in matched_records:
         parent = record.id if record.kind == POST else record.parent_post_id
         if parent not in posts:
-            logger.warning(
-                "orphan comment %s: parent post %s not in dump", record.id, parent
-            )
+            _warn("orphan comment %s: parent post %s not in dump", record.id, parent)
             continue
         if not spec.admits(posts[parent]):
-            logger.warning(
-                "skipping post %s: outside the filter's date/subreddit range", parent
-            )
+            _warn("skipping post %s: outside the filter's date/subreddit range", parent)
             continue
         threads.setdefault(parent, [])
 
@@ -471,14 +472,7 @@ def assemble_documents(
 
 def dedup_sentences(sentences: Iterable[str]) -> list[str]:
     """Drop exact-string repeats, keeping first occurrences in order."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for sentence in sentences:
-        if sentence in seen:
-            continue
-        seen.add(sentence)
-        out.append(sentence)
-    return out
+    return list(dict.fromkeys(sentences))
 
 
 def corpus_stats(
@@ -521,15 +515,7 @@ STATS_HEADER = ("Subreddit", "#Posts", "#Comments", "#Sentences", "Wordcount")
 
 def stats_table(stats: CorpusStats) -> str:
     """Render stats as a tab-separated table with a trailing total row."""
-    lines = ["\t".join(STATS_HEADER)]
-    for row in (*stats.rows, stats.total):
-        lines.append(
-            "\t".join(
-                [row.subreddit]
-                + [str(v) for v in (row.posts, row.comments, row.sentences, row.wordcount)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return textprep.table(STATS_HEADER, (*stats.rows, stats.total))
 
 
 def write_documents(documents: Iterable[Document], path: str | Path) -> None:

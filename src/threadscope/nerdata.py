@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections import Counter
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyResultError,
@@ -243,21 +245,17 @@ def build_ner_dataset(
     index = _first_word_index(
         sentences, {kw.split()[0] for kw in keywords}, spec.match_mode
     )
-    extracted: list[str] = []
-    seen: set[str] = set()
-    for keyword in keywords:
+
+    def hits(keyword: str) -> Iterator[str]:
         kw_words = keyword.split()
-        hits = 0
         for pos in index[kw_words[0]]:
-            if hits >= spec.cap:
-                break
             sentence = sentences[pos]
-            if _find_keyword(sentence.lower().split(), kw_words, spec.match_mode) < 0:
-                continue
-            hits += 1
-            if sentence not in seen:
-                seen.add(sentence)
-                extracted.append(sentence)
+            if _find_keyword(sentence.lower().split(), kw_words, spec.match_mode) >= 0:
+                yield sentence
+
+    extracted = dict.fromkeys(
+        sentence for keyword in keywords for sentence in islice(hits(keyword), spec.cap)
+    )
     if not extracted:
         raise EmptyResultError("no sentence matched any keyword")
 
@@ -384,7 +382,7 @@ def read_annotations(path: str | Path) -> list[AnnotatedSentence]:
         tokens, tags = [], []
         start_line = line_no + 1
 
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # may start with a BOM
         line_no = 0
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -406,22 +404,15 @@ def read_annotations(path: str | Path) -> list[AnnotatedSentence]:
 
 def count_labels(sentences: Iterable[AnnotatedSentence]) -> dict[str, int]:
     """Token counts per category (B/I/L/U collapsed) plus O."""
-    counts: dict[str, int] = {}
-    o_count = 0
-    for sentence in sentences:
-        for tag in sentence.tags:
-            prefix, category = parse_tag(tag)
-            if prefix == O_TAG:
-                o_count += 1
-            else:
-                counts[category] = counts.get(category, 0) + 1
+    # O is the one tag whose category is empty
+    counts = Counter(
+        parse_tag(tag)[1] for sentence in sentences for tag in sentence.tags
+    )
+    o_count = counts.pop("", 0)
     out = {category: counts[category] for category in sorted(counts)}
     out[O_TAG] = o_count
     return out
 
 
 def label_counts_table(counts: dict[str, int]) -> str:
-    lines = ["label\tcount"]
-    for label, count in counts.items():
-        lines.append(f"{label}\t{count}")
-    return "\n".join(lines) + "\n"
+    return textprep.table(("label", "count"), counts.items())

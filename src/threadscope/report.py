@@ -8,11 +8,13 @@ emitted bytes are identical.  Writing them is the CLI's job.
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .corpus import _month_of, _utc_date
 from .nerdata import DEFAULT_CATEGORIES
+from .textprep import table
 
 if TYPE_CHECKING:  # topics imports numpy, which only the topic commands need
     from .topics import TopicAssignment, TopicModel
@@ -91,10 +93,7 @@ def weekly_post_counts(
 
 
 def weekly_table(buckets: Sequence[WeekBucket]) -> str:
-    lines = ["week_start\tposts"]
-    for bucket in buckets:
-        lines.append(f"{bucket.week_start.isoformat()}\t{bucket.count}")
-    return "\n".join(lines) + "\n"
+    return table(("week_start", "posts"), buckets)
 
 
 class EntityCount(NamedTuple):
@@ -143,23 +142,29 @@ def entity_report(
 
 
 def entity_table(reports: Sequence[EntityReport]) -> str:
-    lines = ["subreddit\tcategory\tname\tcount\tshare_pct"]
-    for report in reports:
-        for row in report.rows:
-            total = report.totals[row.category]
-            pct = percent_round_half_up(row.count, total)
-            lines.append(
-                f"{report.subreddit}\t{row.category}\t{row.name}\t{row.count}\t{pct}"
+    return table(
+        ("subreddit", "category", "name", "count", "share_pct"),
+        (
+            (
+                report.subreddit,
+                *row,
+                percent_round_half_up(row.count, report.totals[row.category]),
             )
-    return "\n".join(lines) + "\n"
+            for report in reports
+            for row in report.rows
+        ),
+    )
 
 
 def entity_totals_table(reports: Sequence[EntityReport]) -> str:
-    lines = ["subreddit\tcategory\ttotal"]
-    for report in reports:
-        for category, total in report.totals.items():
-            lines.append(f"{report.subreddit}\t{category}\t{total}")
-    return "\n".join(lines) + "\n"
+    return table(
+        ("subreddit", "category", "total"),
+        (
+            (report.subreddit, category, total)
+            for report in reports
+            for category, total in report.totals.items()
+        ),
+    )
 
 
 def counts_from_mentions(
@@ -167,18 +172,11 @@ def counts_from_mentions(
 ) -> dict[str, list[EntityCount]]:
     """Count (subreddit, category, name) mention rows: per subreddit,
     categories sorted, rows by count descending then name."""
-    nested: dict[str, dict[str, dict[str, int]]] = {}
-    for subreddit, category, name in mentions:
-        per_category = nested.setdefault(subreddit, {}).setdefault(category, {})
-        per_category[name] = per_category.get(name, 0) + 1
     out: dict[str, list[EntityCount]] = {}
-    for subreddit in sorted(nested):
-        rows: list[EntityCount] = []
-        for category in sorted(nested[subreddit]):
-            names = nested[subreddit][category]
-            for name, count in sorted(names.items(), key=lambda kv: (-kv[1], kv[0])):
-                rows.append(EntityCount(category=category, name=name, count=count))
-        out[subreddit] = rows
+    for (subreddit, category, name), count in sorted(
+        Counter(mentions).items(), key=lambda kv: (kv[0][:2], -kv[1], kv[0][2])
+    ):
+        out.setdefault(subreddit, []).append(EntityCount(category, name, count))
     return out
 
 
@@ -198,39 +196,40 @@ def monthly_entity_trends(
     if not documents:
         return [MonthlySeries(entity=e, months=(), counts=()) for e in entities]
     doc_months = {doc.post_id: _month_of(doc.created_utc) for doc in documents}
-    months = _month_range(min(doc_months.values()), max(doc_months.values()))
-    index = {month: i for i, month in enumerate(months)}
-    series: list[MonthlySeries] = []
-    for entity in entities:
-        counts = [0] * len(months)
-        for post_id, mentions in doc_mentions.items():
-            month = doc_months.get(post_id)
-            if month is None:
-                continue
-            for _, name in mentions:
-                if name == entity:
-                    counts[index[month]] += 1
-        series.append(
-            MonthlySeries(entity=entity, months=tuple(months), counts=tuple(counts))
-        )
-    return series
+    months = tuple(_month_range(min(doc_months.values()), max(doc_months.values())))
+    counts = Counter(
+        (name, doc_months[post_id])
+        for post_id, mentions in doc_mentions.items()
+        if post_id in doc_months
+        for _, name in mentions
+    )
+    return [
+        MonthlySeries(entity, months, tuple(counts[entity, month] for month in months))
+        for entity in entities
+    ]
 
 
 def trends_table(series: Sequence[MonthlySeries]) -> str:
-    lines = ["entity\tmonth\tcount"]
-    for one in series:
-        for month, count in zip(one.months, one.counts):
-            lines.append(f"{one.entity}\t{month}\t{count}")
-    return "\n".join(lines) + "\n"
+    return table(
+        ("entity", "month", "count"),
+        (
+            (one.entity, month, count)
+            for one in series
+            for month, count in zip(one.months, one.counts)
+        ),
+    )
 
 
 def frequency_table(frequencies: Sequence[int]) -> str:
     """Documents per topic and their rounded share of all documents."""
     total = sum(frequencies)
-    lines = ["topic\tcount\tpercentage"]
-    for topic, count in enumerate(frequencies):
-        lines.append(f"{topic}\t{count}\t{percent_round_half_up(count, total)}")
-    return "\n".join(lines) + "\n"
+    return table(
+        ("topic", "count", "percentage"),
+        (
+            (topic, count, percent_round_half_up(count, total))
+            for topic, count in enumerate(frequencies)
+        ),
+    )
 
 
 def export_topic_artifacts(
@@ -244,23 +243,23 @@ def export_topic_artifacts(
 
     lists = top_words(model)
     assert model.vocab is not None
-    lines = [f"vocabulary_size\t{model.vocab.size}"]
-    for topic, pairs in enumerate(lists):
-        for rank, (term, weight) in enumerate(pairs, start=1):
-            lines.append(f"topic{topic}\t{rank}\t{term}\t{weight:.6f}")
-    files = {"keywords.txt": "\n".join(lines) + "\n"}
-
-    for topic, pairs in enumerate(lists):
-        cloud = ["term\tweight"]
-        for term, weight in pairs:
-            cloud.append(f"{term}\t{weight:.6f}")
-        files[f"wordcloud_topic{topic}.tsv"] = "\n".join(cloud) + "\n"
-
-    table = ["post_id\ttopic\tprobability"]
-    for assignment in assignments:
-        table.append(
-            f"{assignment.post_id}\t{assignment.topic}\t{assignment.probability:.6f}"
+    files = {
+        "keywords.txt": table(
+            ("vocabulary_size", str(model.vocab.size)),
+            (
+                (f"topic{topic}", rank, term, f"{weight:.6f}")
+                for topic, pairs in enumerate(lists)
+                for rank, (term, weight) in enumerate(pairs, start=1)
+            ),
         )
-    files["assignments.tsv"] = "\n".join(table) + "\n"
+    }
+    for topic, pairs in enumerate(lists):
+        files[f"wordcloud_topic{topic}.tsv"] = table(
+            ("term", "weight"), ((term, f"{weight:.6f}") for term, weight in pairs)
+        )
+    files["assignments.tsv"] = table(
+        ("post_id", "topic", "probability"),
+        ((a.post_id, a.topic, f"{a.probability:.6f}") for a in assignments),
+    )
     files["topic_frequencies.tsv"] = frequency_table(frequencies)
     return files

@@ -104,16 +104,14 @@ def analyze_entity_sentences(
     """Score every deduplicated sentence mentioning the entity (token-prefix
     match) across document titles and comment bodies; sentences shorter than
     min_tokens count as incomplete and are dropped."""
-    sentences: list[str] = []
-    seen: set[str] = set()
-    for doc in documents:
-        for part in (doc.title, *doc.comment_bodies):
-            for sentence in textprep.url_free_sentences(part):
-                if sentence in seen:
-                    continue
-                seen.add(sentence)
-                if sentence_matches(sentence, entity.lower(), PREFIX_MATCH):
-                    sentences.append(sentence)
+    unique = dict.fromkeys(
+        sentence
+        for doc in documents
+        for part in (doc.title, *doc.comment_bodies)
+        for sentence in textprep.url_free_sentences(part)
+    )
+    needle = entity.lower()
+    sentences = [s for s in unique if sentence_matches(s, needle, PREFIX_MATCH)]
 
     counts = {POS: 0, NEG: 0, NEU: 0}
     total_compound = 0.0

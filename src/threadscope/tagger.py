@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -478,23 +479,16 @@ def compare_spans(
     gold: Sequence[Sequence[Span]], predicted: Sequence[Sequence[Span]]
 ) -> EvalReport:
     """Span-level exact-match counts per category plus micro totals."""
-    counts: dict[str, list[int]] = {}
+    tp, fp, fn = Counter(), Counter(), Counter()
     for gold_spans, pred_spans in zip(gold, predicted):
         gold_set = set(gold_spans)
         pred_set = set(pred_spans)
-        for span in gold_set | pred_set:
-            row = counts.setdefault(span.category, [0, 0, 0])
-            in_gold = span in gold_set
-            in_pred = span in pred_set
-            if in_gold and in_pred:
-                row[0] += 1
-            elif in_pred:
-                row[1] += 1
-            else:
-                row[2] += 1
+        tp.update(span.category for span in gold_set & pred_set)
+        fp.update(span.category for span in pred_set - gold_set)
+        fn.update(span.category for span in gold_set - pred_set)
     per_category = {
-        category: scores_from_counts(*counts[category])
-        for category in sorted(counts)
+        category: scores_from_counts(tp[category], fp[category], fn[category])
+        for category in sorted({*tp, *fp, *fn})
     }
     micro = scores_from_counts(
         sum(s.tp for s in per_category.values()),

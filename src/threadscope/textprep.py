@@ -14,7 +14,7 @@ import re
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .records import Record
 
@@ -79,7 +79,7 @@ def data_lines(
     if path is None:
         text = (resources.files("threadscope.data") / shipped).read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_text("utf-8-sig")  # a user file may start with a BOM
     for line_no, line in enumerate(text.split("\n"), start=1):
         if line.strip() and not line.lstrip().startswith("#"):
             yield line_no, line
@@ -90,6 +90,15 @@ def check_field(name: str, value: str) -> None:
     file: ValueError if it holds a tab or a line break."""
     if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError(f"{name} must not hold a tab or line break")
+
+
+def table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A tab-separated table: the header line, then one line per row
+    with each cell as ``str`` writes it; every line ends in a newline.
+    Callers format floats and check free-text cells themselves."""
+    return "".join(
+        ["\t".join(header) + "\n", *("\t".join(map(str, row)) + "\n" for row in rows)]
+    )
 
 
 @lru_cache(maxsize=None)

@@ -1142,6 +1142,65 @@ def test_report_rejects_mentions_rows_not_of_5_columns(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "p01\tcoronavirus\t1583366400\tPPE\tmask\n",
+    "post_id\tsubreddit\tcreated_utc\tname\tcategory\n"
+    "p01\tcoronavirus\t1583366400\tmask\tPPE\n",
+    "",
+], ids=["no-header", "reordered-header", "empty"])
+def test_report_refuses_mentions_without_the_header_line(corpus_dir, tmp_path, capsys, text):
+    # line 1 is the header; a file without one would lose its first mention
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text(text)
+    out = tmp_path / "r"
+    argv = ["report", "--docs", str(corpus_dir / "documents.jsonl")]
+    assert run(argv + ["--mentions", str(mentions), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "threadscope report: error: line 1: expected the header "
+        "post_id<TAB>subreddit<TAB>created_utc<TAB>category<TAB>name"
+    ]
+    assert not out.exists()
+
+
+def _outputs_of_plain_and_bom_input(tmp_path, text: str, argv) -> dict[str, dict]:
+    """The output trees, manifests aside, of one command run on the text
+    written without and with a UTF-8 byte-order mark; argv(path, out)."""
+    trees = {}
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        path, out = tmp_path / f"{name}.txt", tmp_path / f"{name}-out"
+        path.write_text(text, encoding=encoding)
+        assert run(argv(str(path), str(out))) == 0, name
+        trees[name] = {k: v for k, v in _tree_bytes(out).items() if k != "manifest.json"}
+    return trees
+
+
+def test_report_reads_mentions_with_a_bom_as_without(corpus_dir, tmp_path):
+    text = _mentions_file(tmp_path).read_text()
+    docs = str(corpus_dir / "documents.jsonl")
+    trees = _outputs_of_plain_and_bom_input(
+        tmp_path, text,
+        lambda path, out: ["report", "--docs", docs, "--mentions", path, "--out", out],
+    )
+    assert b"\tmask\t1\t" in trees["plain"]["documents/entities/entity_counts.tsv"]
+    assert trees["bom"] == trees["plain"]
+
+
+def test_ner_build_reads_sentences_with_a_bom_as_without(tmp_path):
+    from threadscope import nerdata
+
+    keywords = str(Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv")
+    # the first sentence is a keyword hit, so a BOM joined to it would lose it
+    text = "masks are required in stores\nI woke up with a fever\n"
+    trees = _outputs_of_plain_and_bom_input(
+        tmp_path, text,
+        lambda path, out: ["ner-build", "--sentences", path, "--keywords", keywords,
+                           "--out", out],
+    )
+    annotated = trees["plain"]["train.tsv"] + trees["plain"]["eval.tsv"]
+    assert b"masks\tO\n" in annotated and b"fever\tO\n" in annotated
+    assert trees["bom"] == trees["plain"]
+
+
 # ------------------------------------------------------- table columns
 
 
@@ -1761,6 +1820,7 @@ from threadscope.cli import run
 
 assert "numpy" not in sys.modules, "import threadscope.cli loaded numpy"
 assert "dataclasses" not in sys.modules, "import threadscope.cli loaded dataclasses"
+assert "logging" not in sys.modules, "import threadscope.cli loaded logging"
 fixtures, tmp = Path(sys.argv[1]), Path(sys.argv[2])
 keywords = Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv"
 docs, clean = tmp / "corpus" / "documents.jsonl", tmp / "clean.jsonl"

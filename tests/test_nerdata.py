@@ -173,6 +173,14 @@ def test_load_keyword_spec(tmp_path):
     assert spec.all_keywords() == ["face mask", "glove", "fever"]
 
 
+def test_load_keyword_spec_reads_a_file_with_a_bom_as_without(tmp_path):
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text("PPE\tmask\nSYM\tfever\n", encoding="utf-8")
+    bom.write_text("PPE\tmask\nSYM\tfever\n", encoding="utf-8-sig")
+    assert load_keyword_spec(bom) == load_keyword_spec(plain)
+    assert load_keyword_spec(bom).by_category == {"PPE": ("mask",), "SYM": ("fever",)}
+
+
 def test_load_keyword_spec_bad_line(tmp_path):
     path = tmp_path / "kw.tsv"
     path.write_text("PPE\tmask\njust one column\n")
@@ -481,6 +489,14 @@ def test_read_annotations_ignores_extra_columns(tmp_path):
     (sentence,) = read_annotations(path)
     assert sentence.tokens == ["mask"]
     assert sentence.tags == ["U-PPE"]
+
+
+def test_read_annotations_reads_a_file_with_a_bom_as_without(tmp_path):
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text("mask\tU-PPE\nworks\tO\n\n", encoding="utf-8")
+    bom.write_text("mask\tU-PPE\nworks\tO\n\n", encoding="utf-8-sig")
+    assert read_annotations(bom) == read_annotations(plain)
+    assert read_annotations(bom)[0].tokens == ["mask", "works"]
 
 
 def test_count_labels_and_table():

@@ -42,6 +42,13 @@ def test_load_lexicon_custom_file(tmp_path):
     assert lexicon == {"good": 1.5, "awful": -2.0}
 
 
+def test_load_lexicon_reads_a_file_with_a_bom_as_without(tmp_path):
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text("good\t1.5\nawful\t-2\n", encoding="utf-8")
+    bom.write_text("good\t1.5\nawful\t-2\n", encoding="utf-8-sig")
+    assert load_lexicon(bom) == load_lexicon(plain) == {"good": 1.5, "awful": -2.0}
+
+
 @pytest.mark.parametrize(
     "content,line_no",
     [

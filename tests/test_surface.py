@@ -1,6 +1,7 @@
 """Every public top-level function and class of the package is referred to
 by name somewhere else in the package, so no library code outlives the
-commands that reached it."""
+commands that reached it; and the tab-separated format is written in one
+place."""
 
 from __future__ import annotations
 
@@ -149,3 +150,53 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
 def test_allowlisted_parameters_still_exist():
     defined = {f"{label}({parameter})" for label, _, _, parameter in _defaulted_parameters()}
     assert set(ALLOWED_PARAMETERS) <= defined
+
+
+# The functions allowed to spell out a tab: the table writer, the check of
+# one column's value, and the annotation writer, whose blank line after
+# each sentence no table has.
+TAB_WRITERS = {
+    ("textprep", "check_field"),
+    ("textprep", "table"),
+    ("nerdata", "write_annotations"),
+}
+
+
+def _hand_rolled_tabs() -> list[str]:
+    """module:line of every string constant holding a tab, except the
+    arguments of `.split(...)` and constants inside TAB_WRITERS."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) in TAB_WRITERS:
+                exempt.update(map(id, ast.walk(node)))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "split"
+            ):
+                exempt.update(map(id, node.args))
+        found += [
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "\t" in node.value
+            and id(node) not in exempt
+        ]
+    return found
+
+
+def test_every_table_is_written_by_the_one_table_writer():
+    assert _hand_rolled_tabs() == []
+
+
+def test_tab_writers_still_exist():
+    defined = {
+        (module, name)
+        for module, stmt in _statements()
+        if (name := _definition_name(stmt))
+    }
+    assert TAB_WRITERS <= defined

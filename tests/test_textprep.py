@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from datetime import date
 from types import SimpleNamespace
 from unittest import mock
 
@@ -241,6 +242,33 @@ def test_data_lines_counts_physical_lines(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_bytes(b"# header\n\n  # indented comment\r\nfirst\t1\r\n   \nlast")
     assert list(textprep.data_lines(path)) == [(4, "first\t1"), (6, "last")]
+
+
+def test_load_stopwords_reads_a_file_with_a_bom_as_without(tmp_path):
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text("the\nand\n", encoding="utf-8")
+    bom.write_text("the\nand\n", encoding="utf-8-sig")
+    assert textprep.load_stopwords(bom) == textprep.load_stopwords(plain)
+    assert textprep.load_stopwords(bom) == {"the", "and"}
+
+
+def test_table_with_no_rows_writes_only_the_header_line():
+    assert textprep.table(("label", "count"), []) == "label\tcount\n"
+    assert textprep.table(("label", "count"), iter(())) == "label\tcount\n"
+
+
+def test_table_writes_cells_as_str_does():
+    rows = ((date(2020, 3, 1), 7, -2), ("micro", "0.5000", 0))
+    assert textprep.table(("a", "b", "c"), rows) == (
+        "a\tb\tc\n2020-03-01\t7\t-2\nmicro\t0.5000\t0\n"
+    )
+
+
+def test_table_ends_every_line_in_a_newline():
+    text = textprep.table(("term", "weight"), ((f"w{i}", i) for i in range(3)))
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == 4
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
 
 
 def test_pos_tag_heuristics():
