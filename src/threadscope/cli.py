@@ -305,7 +305,7 @@ def _cmd_ingest(p: dict) -> Outputs:
     # only for a kept line and keeps a line index; then the threads the
     # matches name are read again.
     matched = corpus.filter_records(scan, spec)
-    threads = {r.id if r.kind == corpus.POST else r.parent_post_id for r in matched}
+    threads = {record.thread for record in matched}
     documents = corpus.assemble_documents(scan.reread(threads), matched, spec=spec)
     body_sentences = [
         [textprep.url_free_sentences(body) for body in doc.comment_bodies]
@@ -830,10 +830,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"{PROG} {command.name}: error: {exc}", file=sys.stderr)
         return 1
-    except ThreadscopeError as exc:
-        print(f"{PROG} {command.name}: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    # a numeric flag too large for a float, or an allocation it asks for,
+    # is bad input as well
+    except (ThreadscopeError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"{PROG} {command.name}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,6 +49,11 @@ class RedditRecord(NamedTuple):
     parent_post_id: str = ""
     num_comments: int = 0
 
+    @property
+    def thread(self) -> str:
+        """The id of the post whose thread holds this record."""
+        return self.id if self.kind == POST else self.parent_post_id
+
 
 class Document(Record):
     """A post and the bodies of its surviving comments."""
@@ -83,8 +88,13 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _DAY_S = 86_400
 
 
-def _day_start_utc(day: date) -> int:
-    return (day.toordinal() - _EPOCH_ORDINAL) * _DAY_S
+def utc_day_bounds(date_from: date, date_to: date) -> tuple[int, int]:
+    """The first and last UTC second of the inclusive days from
+    ``date_from`` to ``date_to``."""
+    if date_from > date_to:
+        raise ValueError("date_from must not exceed date_to")
+    first = (date_from.toordinal() - _EPOCH_ORDINAL) * _DAY_S
+    return first, (date_to.toordinal() - _EPOCH_ORDINAL + 1) * _DAY_S - 1
 
 
 class FilterSpec(FrozenRecord):
@@ -106,16 +116,13 @@ class FilterSpec(FrozenRecord):
     ) -> None:
         if not keywords:
             raise ValueError("keywords must be nonempty")
-        if date_from > date_to:
-            raise ValueError("date_from must not exceed date_to")
+        first, last = utc_day_bounds(date_from, date_to)
         assign = object.__setattr__
         assign(self, "keywords", keywords)
         assign(self, "date_from", date_from)
         assign(self, "date_to", date_to)
         assign(self, "subreddits", subreddits)
         assign(self, "lowered_keywords", tuple(keyword.lower() for keyword in keywords))
-        first = _day_start_utc(date_from)
-        last = _day_start_utc(date_to) + _DAY_S - 1
         assign(self, "_window", (first, last, frozenset(name.lower() for name in subreddits)))
 
     def admits(self, record: RedditRecord) -> bool:
@@ -207,6 +214,7 @@ class DumpScan:
     records in file order and keeps none of them, only a line index.
 
     ``on_error`` is "raise" (fail fast) or "skip" (log and continue).
+    A UTF-8 byte-order mark at the start of the dump is read as no text.
     The index holds the line of each post id's first occurrence and,
     per thread, the line and id of each comment whose id occurs there
     first.  ``reread`` uses it to decode one thread subset again, so
@@ -238,7 +246,7 @@ class DumpScan:
         """Read the whole dump, renewing the index and count, and yield
         the records ``spec`` keeps, or every record without a spec."""
         self._post_lines, self._comment_lines = index = {}, {}
-        with open(self.path, encoding="utf-8", errors="surrogateescape") as handle:
+        with open(self.path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             self._records = yield from self._records_of(enumerate(handle, 1), spec, self._skip, *index)
 
     def _records_of(self, numbered, spec, skip, post_lines, comment_lines):
@@ -354,7 +362,7 @@ class DumpScan:
         # up to the end of the file or a blank line, so that each line
         # read gives a record or an error
         numbered: list[tuple[int, str]] = []
-        with open(self.path, encoding="utf-8", errors="surrogateescape") as handle:
+        with open(self.path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             for line_no in order:
                 read = numbered[-1][0] if numbered else 0
                 line = next(islice(handle, line_no - read - 1, None), None)
@@ -365,8 +373,7 @@ class DumpScan:
         error = None
         try:
             for (line_no, _), record in zip(numbered, self._records_of(numbered, None, False, {}, {})):
-                thread = record.id if record.kind == POST else record.parent_post_id
-                if (record.kind, record.id, thread) != expected[line_no]:
+                if (record.kind, record.id, record.thread) != expected[line_no]:
                     break
                 subset.append(record)
         except DumpParseError as exc:
@@ -408,31 +415,26 @@ def filter_records(scan: DumpScan, spec: FilterSpec) -> list[RedditRecord]:
 
 
 def assemble_documents(
-    all_records: Sequence[RedditRecord],
+    thread_records: Sequence[RedditRecord],
     matched_records: Sequence[RedditRecord],
     spec: FilterSpec,
 ) -> list[Document]:
     """Build one Document per post that matched or has a matching comment,
-    pulling in the post's full comment thread from ``all_records``.
+    pulling in the post's comment thread from ``thread_records``.
 
-    ``all_records`` is the whole dump in file order, or any file-ordered
-    subset of it that holds the first occurrence of every post and
-    comment of the threads ``matched_records`` name, as
-    ``DumpScan.reread`` returns.  For a repeated post or comment id the
-    first record in ``all_records`` wins, also when a later one sits in
-    another thread.  Orphan comment matches (parent post missing from
-    the dump) are logged and dropped, and so are parent posts outside
+    ``thread_records`` is what ``DumpScan.reread`` returns for the threads
+    ``matched_records`` name: in file order, each of their post and
+    comment ids once, at its first occurrence in the dump, which the scan's
+    line index alone decides.  Orphan comment matches (parent post missing
+    from the dump) are logged and dropped, and so are parent posts outside
     ``spec``'s date or subreddit constraints, so every returned Document
     satisfies the filter.
     """
-    posts: dict[str, RedditRecord] = {}
-    for record in all_records:
-        if record.kind == POST and record.id not in posts:
-            posts[record.id] = record
+    posts = {record.id: record for record in thread_records if record.kind == POST}
 
     threads: dict[str, list[RedditRecord]] = {}
     for record in matched_records:
-        parent = record.id if record.kind == POST else record.parent_post_id
+        parent = record.thread
         if parent not in posts:
             _warn("orphan comment %s: parent post %s not in dump", record.id, parent)
             continue
@@ -441,16 +443,9 @@ def assemble_documents(
             continue
         threads.setdefault(parent, [])
 
-    # Only included threads keep comments, but every comment id counts
-    # toward the first-occurrence rule.
-    seen_comments: set[str] = set()
-    for record in all_records:
-        if record.kind == POST or record.id in seen_comments:
-            continue
-        seen_comments.add(record.id)
-        thread = threads.get(record.parent_post_id)
-        if thread is not None:
-            thread.append(record)
+    for record in thread_records:
+        if record.kind == COMMENT and record.thread in threads:
+            threads[record.thread].append(record)
 
     documents: list[Document] = []
     for post_id, thread in threads.items():

@@ -12,7 +12,7 @@ from collections import Counter
 from datetime import date
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .corpus import _month_of, _utc_date
+from .corpus import _month_of, _utc_date, utc_day_bounds
 from .nerdata import DEFAULT_CATEGORIES
 from .textprep import table
 
@@ -57,10 +57,8 @@ class WeekBucket(NamedTuple):
 def in_window(documents: Sequence, date_from: date | None, date_to: date | None) -> list:
     """The documents whose UTC date lies within the inclusive bounds; a
     missing bound leaves that side open."""
-    if date_from is not None and date_to is not None and date_from > date_to:
-        raise ValueError("date_from must not exceed date_to")
-    low, high = date_from or date.min, date_to or date.max
-    return [doc for doc in documents if low <= _utc_date(doc.created_utc) <= high]
+    first, last = utc_day_bounds(date_from or date.min, date_to or date.max)
+    return [doc for doc in documents if first <= doc.created_utc <= last]
 
 
 def weekly_post_counts(

@@ -105,10 +105,7 @@ def analyze_entity_sentences(
     match) across document titles and comment bodies; sentences shorter than
     min_tokens count as incomplete and are dropped."""
     unique = dict.fromkeys(
-        sentence
-        for doc in documents
-        for part in (doc.title, *doc.comment_bodies)
-        for sentence in textprep.url_free_sentences(part)
+        sentence for doc in documents for sentence in textprep.document_sentences(doc)
     )
     needle = entity.lower()
     sentences = [s for s in unique if sentence_matches(s, needle, PREFIX_MATCH)]

@@ -50,7 +50,7 @@ class TrainConfig(FrozenRecord):
             raise ValueError("iterations must be positive")
         if batch_min < 1 or batch_max < batch_min:
             raise ValueError("need 1 <= batch_min <= batch_max")
-        if batch_growth <= 1:
+        if not batch_growth > 1:  # NaN too
             raise ValueError("batch_growth must exceed 1")
         for rate in (dropout_start, dropout_end):
             if not 0 <= rate < 1:
@@ -71,15 +71,17 @@ class TrainConfig(FrozenRecord):
         return self.dropout_start - span * iteration / (self.iterations - 1)
 
     def batch_sizes(self, n: int) -> list[int]:
-        """Batch sizes covering n sentences, compounding from batch_min."""
+        """Batch sizes covering n sentences, compounding from batch_min;
+        once a size reaches batch_max, every later one is batch_max, so
+        the growth is no longer raised to a power."""
         sizes: list[int] = []
-        j = 0
+        size = j = 0
         while n > 0:
-            size = int(min(self.batch_min * self.batch_growth**j, self.batch_max))
-            size = max(1, min(size, n))
-            sizes.append(size)
-            n -= size
-            j += 1
+            if size < self.batch_max:
+                size = int(min(self.batch_min * self.batch_growth**j, self.batch_max))
+                j += 1
+            sizes.append(max(1, min(size, n)))
+            n -= sizes[-1]
         return sizes
 
 
@@ -585,15 +587,13 @@ def detect_document_entities(model: TaggerModel, document) -> list[tuple[str, st
     """Normalized (category, name) mentions from one Document's title and
     comment bodies, in reading order."""
     mentions: list[tuple[str, str]] = []
-    parts = [document.title, *document.comment_bodies]
-    for part in parts:
-        for sentence in textprep.url_free_sentences(part):
-            tokens = textprep.tokenize(sentence)
-            if not tokens:
-                continue
-            tags = tag_tokens(model, tokens)
-            for span in _valid_bilou_spans(tags):
-                name = normalize_entity(tokens[span.start : span.end])
-                if name:
-                    mentions.append((span.category, name))
+    for sentence in textprep.document_sentences(document):
+        tokens = textprep.tokenize(sentence)
+        if not tokens:
+            continue
+        tags = tag_tokens(model, tokens)
+        for span in _valid_bilou_spans(tags):
+            name = normalize_entity(tokens[span.start : span.end])
+            if name:
+                mentions.append((span.category, name))
     return mentions

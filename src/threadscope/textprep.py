@@ -242,6 +242,13 @@ def url_free_sentences(text: str) -> list[str]:
     return split_sentences(strip_urls(text))
 
 
+def document_sentences(document) -> Iterator[str]:
+    """The ``url_free_sentences`` of a document's title, then of each of
+    its comment bodies: the sentences ner-tag and sentiment read."""
+    for part in (document.title, *document.comment_bodies):
+        yield from url_free_sentences(part)
+
+
 # A token is a whitespace-free run that starts and ends with a word
 # character, or one character that is neither.  For str patterns \w is
 # str.isalnum() plus "_" and \s is str.isspace(), the tests of the

@@ -1102,6 +1102,51 @@ def test_topics_rejects_non_finite_priors_with_one_error_line(
     assert not out.exists()
 
 
+TEN_TO_400 = "1" + "0" * 400
+
+NUMERIC_OVERFLOWS = {
+    "ner-train-huge-batch-min": ("ner-train", ["--batch-min", TEN_TO_400, "--batch-max", TEN_TO_400 + "0"]),
+    "topics-tiny-offset": ("topics", ["--offset", "1e-320", "--kappa", "1"]),
+    "topics-tiny-eta": ("topics", ["--eta", "1e-300"]),
+    "topics-huge-alpha": ("topics", ["--alpha", "1e300"]),
+}
+
+
+@pytest.mark.parametrize("command,flags", NUMERIC_OVERFLOWS.values(), ids=list(NUMERIC_OVERFLOWS))
+def test_numeric_overflow_exits_2_with_one_error_line(
+    clean_docs, fixtures, tmp_path, capsys, command, flags
+):
+    out = tmp_path / "out"
+    if command == "ner-train":
+        argv = [command, "--train", str(fixtures / "annotated_train.tsv"), "--iters", "1"]
+        argv += [*flags, "--model", str(out)]
+    else:
+        argv = [command, "--docs", str(clean_docs), "--k", "2", "--min-df", "1"]
+        argv += ["--epochs", "1", *flags, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith(f"threadscope {command}: error: ")
+    assert not out.exists()
+
+
+def test_failed_allocation_exits_2_with_one_error_line(clean_docs, tmp_path, capsys, monkeypatch):
+    from threadscope import topics
+
+    def refuse(*args, **kwargs):
+        # what numpy raises for `--k 1000000000`, without asking for the memory
+        raise MemoryError("Unable to allocate 1.34 TiB for an array")
+
+    monkeypatch.setattr(topics, "fit_lda", refuse)
+    out = tmp_path / "t"
+    argv = ["topics", "--docs", str(clean_docs), "--k", "2", "--min-df", "1", "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["threadscope topics: error: Unable to allocate 1.34 TiB for an array"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- writer
 
 
@@ -1198,6 +1243,22 @@ def test_ner_build_reads_sentences_with_a_bom_as_without(tmp_path):
     )
     annotated = trees["plain"]["train.tsv"] + trees["plain"]["eval.tsv"]
     assert b"masks\tO\n" in annotated and b"fever\tO\n" in annotated
+    assert trees["bom"] == trees["plain"]
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["strict", "skip-bad-records"])
+def test_ingest_reads_a_dump_with_a_bom_as_without(fixtures, tmp_path, skip):
+    text = (fixtures / "sample_dump.jsonl").read_text(encoding="utf-8")
+    flags = ["--skip-bad-records"] if skip else []
+    trees = _outputs_of_plain_and_bom_input(
+        tmp_path, text,
+        lambda path, out: ["ingest", "--dump", path, "--schema", "native", "--keywords",
+                           KEYWORDS, "--from", "2020-03-01", "--to", "2020-08-31",
+                           *flags, "--out", out],
+    )
+    # line 1 is post p01, whose comments a lost first line would orphan
+    assert b'"post_id": "p01"' in trees["plain"]["documents.jsonl"]
+    assert set(trees["plain"]) == {"documents.jsonl", "sentences.txt", "stats.tsv"}
     assert trees["bom"] == trees["plain"]
 
 

@@ -94,13 +94,13 @@ def kept_by(records, spec):
 
 def ingested(records, spec):
     """The filter's matches in a dump of the records, and the documents
-    assembled from them over the whole dump, which must be the ones
-    assembled over the threads ``reread`` decodes again."""
+    assembled over the threads ``reread`` decodes again, which must be the
+    ones the reference assembles over the whole dump."""
     with scan_of(records) as scan:
         matched = filter_records(scan, spec)
         subset = scan.reread(_threads_named(matched))
-        documents = assemble_documents(list(scan), matched, spec=spec)
-    assert assemble_documents(subset, matched, spec=spec) == documents
+        documents = assemble_documents(subset, matched, spec=spec)
+        assert ref_assemble_documents(list(scan), matched, spec) == documents
     return matched, documents
 
 
@@ -303,9 +303,11 @@ def test_parse_blank_and_padded_lines(tmp_path):
 )
 def test_parse_reports_json_errors_as_json_loads_does(tmp_path, line, reason):
     dump = tmp_path / "d.jsonl"
-    dump.write_text(line + "\n", encoding="utf-8")
+    # line 2, as a byte-order mark that starts the file is no text
+    dump.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(DumpParseError) as excinfo:
         parse_dump(dump, schema="native")
+    assert excinfo.value.line_no == 2
     with pytest.raises(ValueError) as expected:
         json.loads(line + "\n")
     assert excinfo.value.reason == str(expected.value)
@@ -766,7 +768,8 @@ def test_assemble_output_is_sorted(records):
 # ------------------------------------------------- reference ingest path
 # parse_dump, filter_records and assemble_documents as they were when a
 # record was a frozen dataclass and the filter was re-derived per record,
-# with their helpers, kept verbatim apart from names, the logger and the
+# with their helpers, kept verbatim apart from names, the logger, the
+# encoding (utf-8-sig, as a dump may start with a byte-order mark) and the
 # wording of a missing field ("missing field 'x'", once the bare KeyError
 # text "'x'").  The current functions must give the same records,
 # documents and warnings.
@@ -859,7 +862,7 @@ _REF_PARSERS = {"native": _ref_record_from_native, "pushshift": _ref_record_from
 def ref_parse_dump(path, schema, on_error="raise"):
     parser = _REF_PARSERS[schema]
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -1078,7 +1081,7 @@ def _native(kind, rid, sub, created, text, parent=""):
 
 
 def _threads_named(matched) -> set[str]:
-    return {r.id if r.kind == "post" else r.parent_post_id for r in matched}
+    return {r.thread for r in matched}
 
 
 def _two_pass_ingest(path, schema, spec, on_error):
@@ -1310,8 +1313,9 @@ def test_reread_names_invalid_utf8_in_the_changed_dump(tmp_path):
 # ------------------------------------------- the scan before the filter ran in it
 # DumpScan.__iter__, DumpScan.reread and filter_records as they were when
 # the scan yielded every record into the filter's own loop, with the
-# parsers and the decoder they called, kept verbatim apart from names and
-# the logger.  The scan with the filter inside must keep the same records
+# parsers and the decoder they called, kept verbatim apart from names, the
+# logger and the encoding (utf-8-sig, as a dump may start with a
+# byte-order mark).  The scan with the filter inside must keep the same records
 # in the same order, count the same records, log the same warnings, raise
 # the same first error and reread the same subset.
 
@@ -1441,7 +1445,7 @@ class ParentScan:
         comment_ids = set()
         self._post_lines, self._comment_lines = post_lines, comment_lines
         records = 0
-        with open(self.path, encoding="utf-8") as handle:
+        with open(self.path, encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if line.isspace():
                     continue
@@ -1483,7 +1487,7 @@ class ParentScan:
         decode = _parent_decode_line
         subset = []
         read = 0
-        with open(self.path, encoding="utf-8") as handle:
+        with open(self.path, encoding="utf-8-sig") as handle:
             for line_no in sorted(expected):
                 line = next(islice(handle, line_no - read - 1, None), None)
                 read = line_no

@@ -200,3 +200,19 @@ def test_tab_writers_still_exist():
         if (name := _definition_name(stmt))
     }
     assert TAB_WRITERS <= defined
+
+
+def _thread_derivations() -> list[str]:
+    """module:line of every use of a record's ``parent_post_id`` outside
+    ``corpus``, which defines a record's thread as ``RedditRecord.thread``."""
+    return [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "corpus"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "parent_post_id"
+    ]
+
+
+def test_a_records_thread_is_derived_only_in_corpus():
+    assert _thread_derivations() == []

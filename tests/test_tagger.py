@@ -62,8 +62,9 @@ def test_train_config_validation():
         TrainConfig(batch_min=0)
     with pytest.raises(ValueError):
         TrainConfig(batch_min=8, batch_max=4)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_growth=1.0)
+    for growth in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="batch_growth must exceed 1"):
+            TrainConfig(batch_growth=growth)
     with pytest.raises(ValueError):
         TrainConfig(dropout_start=1.0)
     with pytest.raises(ValueError):
@@ -86,6 +87,40 @@ def test_batch_sizes_compound_and_cover():
         20
     ) == [1, 2, 4, 8, 5]
     assert TrainConfig().batch_sizes(0) == []
+
+
+def test_batch_sizes_stop_growing_once_capped():
+    # 1e308 squared is no float: the growth is raised no further once capped
+    assert TrainConfig(batch_min=1, batch_growth=1e308).batch_sizes(100) == [1, 32, 32, 32, 3]
+
+
+def _compounded_batch_sizes(config: TrainConfig, n: int) -> list[int]:
+    """batch_sizes as it was before it stopped at the cap: the growth
+    raised to every batch's index."""
+    sizes: list[int] = []
+    j = 0
+    while n > 0:
+        size = int(min(config.batch_min * config.batch_growth**j, config.batch_max))
+        size = max(1, min(size, n))
+        sizes.append(size)
+        n -= size
+        j += 1
+    return sizes
+
+
+@given(
+    batch_min=st.integers(min_value=1, max_value=64),
+    extra=st.integers(min_value=0, max_value=200),
+    growth=st.floats(min_value=1.0, max_value=1e6, exclude_min=True),
+    n=st.integers(min_value=0, max_value=3000),
+)
+def test_batch_sizes_equal_the_compounded_formula(batch_min, extra, growth, n):
+    config = TrainConfig(batch_min=batch_min, batch_max=batch_min + extra, batch_growth=growth)
+    try:
+        want = _compounded_batch_sizes(config, n)
+    except OverflowError:
+        return  # the old formula fails here; the new one is pinned above
+    assert config.batch_sizes(n) == want
 
 
 @given(st.integers(min_value=1, max_value=400))
