@@ -28,13 +28,12 @@ import json
 import os
 import shutil
 import sys
-from collections import Counter
 from datetime import date
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import corpus, manifest, nerdata, report, sentiment, tagger, textprep
-from .errors import FormatError, ManifestError, OutputLocationError, ThreadscopeError
+from .errors import ManifestError, OutputLocationError, ThreadscopeError
 
 PROG = "threadscope"
 
@@ -180,7 +179,6 @@ class Command(NamedTuple):
     out_flag: str = "out"
     # the handler returns one artifact, written to a file, not a directory
     file_output: bool = False
-    finalize: Callable[[dict], None] | None = None
 
 
 def _record_manifest(command: Command, merged: Mapping) -> manifest.RunManifest:
@@ -407,15 +405,11 @@ def _cmd_ner_eval(p: dict) -> Outputs:
     return {"eval.tsv": table}
 
 
-# the columns of ner-tag's output, which report --mentions reads
-MENTIONS_HEADER = ("post_id", "subreddit", "created_utc", "category", "name")
-
-
 def _cmd_ner_tag(p: dict) -> Outputs:
     model = tagger.load_model(p["model"])
     documents = corpus.read_documents(p["docs"])
     return textprep.table(
-        MENTIONS_HEADER,
+        report.Mention._fields,
         (
             (doc.post_id, doc.subreddit, doc.created_utc, category, name)
             for doc in documents
@@ -517,42 +511,6 @@ def _cmd_sentiment(p: dict) -> Outputs:
     return table
 
 
-def _read_mentions(path: str) -> list[tuple[str, str, int, str, str]]:
-    rows: list[tuple[str, str, int, str, str]] = []
-    with open(path, encoding="utf-8-sig") as handle:  # may start with a BOM
-        if tuple(handle.readline().rstrip("\n").split("\t")) != MENTIONS_HEADER:
-            raise FormatError(1, "expected the header " + "<TAB>".join(MENTIONS_HEADER))
-        for line_no, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise FormatError(
-                    line_no, f"expected 5 tab-separated columns, got {len(parts)}"
-                )
-            try:
-                created = int(parts[2])
-            except ValueError as exc:
-                raise FormatError(line_no, f"bad created_utc {parts[2]!r}") from exc
-            rows.append((parts[0], parts[1], created, parts[3], parts[4]))
-    return rows
-
-
-def _top_entity_per_category(
-    mention_rows: Sequence[tuple[str, str, int, str, str]],
-) -> list[str]:
-    """The most mentioned name of each category, categories in order; a
-    tie goes to the first name in sort order."""
-    counts = Counter((category, name) for *_, category, name in mention_rows)
-    picks: dict[str, str] = {}
-    for (category, name), _ in sorted(
-        counts.items(), key=lambda kv: (kv[0][0], -kv[1], kv[0][1])
-    ):
-        picks.setdefault(category, name)
-    return list(picks.values())
-
-
 def _cmd_report(p: dict) -> Outputs:
     # each entity is a column of the trends table
     for name in p["entities"] or ():
@@ -566,18 +524,13 @@ def _cmd_report(p: dict) -> Outputs:
         # every entity table counts the posts the weekly table counts
         documents = report.in_window(documents, p["from"], p["to"])
         kept = {doc.post_id for doc in documents}
-        mention_rows = [row for row in _read_mentions(p["mentions"]) if row[0] in kept]
-        counts = report.counts_from_mentions(
-            [(row[1], row[3], row[4]) for row in mention_rows]
-        )
+        mentions = [m for m in report.read_mentions(p["mentions"]) if m.post_id in kept]
+        counts = report.counts_from_mentions(mentions)
         tables = report.entity_report(counts, truncate=p["truncate"])
         outputs[f"{base}/entities/entity_counts.tsv"] = report.entity_table(tables)
         outputs[f"{base}/entities/entity_totals.tsv"] = report.entity_totals_table(tables)
-        entities = p["entities"] or _top_entity_per_category(mention_rows)
-        doc_mentions: dict[str, list[tuple[str, str]]] = {}
-        for post_id, _, _, category, name in mention_rows:
-            doc_mentions.setdefault(post_id, []).append((category, name))
-        series = report.monthly_entity_trends(documents, entities, doc_mentions)
+        entities = p["entities"] or report.top_entity_per_category(mentions)
+        series = report.monthly_entity_trends(documents, entities, mentions)
         outputs[f"{base}/monthly/entity_trends.tsv"] = report.trends_table(series)
     return outputs
 
@@ -720,7 +673,6 @@ COMMANDS: dict[str, Command] = {
                 Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_topics,
-            finalize=_resolve_corpus_id,
         ),
         Command(
             name="topics-monthly",
@@ -738,7 +690,6 @@ COMMANDS: dict[str, Command] = {
                 Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_topics_monthly,
-            finalize=_resolve_corpus_id,
         ),
         Command(
             name="sentiment",
@@ -767,7 +718,6 @@ COMMANDS: dict[str, Command] = {
                 Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_report,
-            finalize=_resolve_corpus_id,
         ),
         Command(
             name="replay",
@@ -795,8 +745,8 @@ def _build_parser() -> _Parser:
 
 def _execute(command: Command, merged: dict) -> None:
     """Run a command on its merged values and write what it returns."""
-    if command.finalize is not None:
-        command.finalize(merged)
+    if "corpus_id" in merged:
+        _resolve_corpus_id(merged)
     out = merged[command.out_flag]
     # a run that writes nothing needs no manifest
     mani = None

@@ -11,7 +11,7 @@ import json
 import math
 import re
 import sys
-from datetime import date, datetime, timezone
+from datetime import date
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -97,6 +97,18 @@ def utc_day_bounds(date_from: date, date_to: date) -> tuple[int, int]:
     return first, (date_to.toordinal() - _EPOCH_ORDINAL + 1) * _DAY_S - 1
 
 
+def utc_date(seconds: int) -> date:
+    """The UTC calendar date of a Unix timestamp in ``MIN_UTC..MAX_UTC``."""
+    return date.fromordinal(_EPOCH_ORDINAL + seconds // _DAY_S)
+
+
+def utc_month(seconds: int) -> str:
+    """The UTC calendar month of a Unix timestamp as ``YYYY-MM``, the year
+    zero-padded so that string order is time order."""
+    day = utc_date(seconds)
+    return f"{day.year:04d}-{day.month:02d}"
+
+
 class FilterSpec(FrozenRecord):
     """Keyword, date-range, and subreddit constraints; dates are inclusive
     UTC calendar dates; an empty subreddit list means no restriction.
@@ -147,8 +159,8 @@ class CorpusStats(NamedTuple):
     total: SubredditStats
 
 
-# The created_utc range datetime.fromtimestamp(..., tz=timezone.utc)
-# accepts: 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z.
+# The created_utc range whose UTC dates a ``date`` can hold:
+# 0001-01-01T00:00:00Z to 9999-12-31T23:59:59Z.
 MIN_UTC = -62_135_596_800
 MAX_UTC = 253_402_300_799
 
@@ -393,14 +405,6 @@ def parse_dump(
     ``on_error`` is "raise" (fail fast) or "skip" (log and continue).
     ``ingest`` keeps no such list: it filters inside a ``DumpScan``."""
     return list(DumpScan(path, schema, on_error))
-
-
-def _utc_date(created_utc: int) -> date:
-    return datetime.fromtimestamp(created_utc, tz=timezone.utc).date()
-
-
-def _month_of(created_utc: int) -> str:
-    return datetime.fromtimestamp(created_utc, tz=timezone.utc).strftime("%Y-%m")
 
 
 def filter_records(scan: DumpScan, spec: FilterSpec) -> list[RedditRecord]:

@@ -12,7 +12,8 @@ from collections import Counter
 from datetime import date
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .corpus import _month_of, _utc_date, utc_day_bounds
+from .corpus import utc_date, utc_day_bounds, utc_month
+from .errors import FormatError
 from .nerdata import DEFAULT_CATEGORIES
 from .textprep import table
 
@@ -30,16 +31,9 @@ def week_start_of(day: date) -> date:
 
 
 def _month_range(first: str, last: str) -> list[str]:
-    year, month = map(int, first.split("-"))
-    end_year, end_month = map(int, last.split("-"))
-    months: list[str] = []
-    while (year, month) <= (end_year, end_month):
-        months.append(f"{year:04d}-{month:02d}")
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    return months
+    (year, month), (end_year, end_month) = (map(int, m.split("-")) for m in (first, last))
+    indices = range(year * 12 + month - 1, end_year * 12 + end_month)
+    return [f"{index // 12:04d}-{index % 12 + 1:02d}" for index in indices]
 
 
 def percent_round_half_up(count: int, total: int) -> int:
@@ -70,7 +64,7 @@ def weekly_post_counts(
     across the report range.  Posts dated outside a given bound are not
     counted; a missing bound is the first or last counted post's date."""
     days = [
-        _utc_date(doc.created_utc) for doc in in_window(documents, date_from, date_to)
+        utc_date(doc.created_utc) for doc in in_window(documents, date_from, date_to)
     ]
     if date_from is None:
         if not days:
@@ -165,14 +159,62 @@ def entity_totals_table(reports: Sequence[EntityReport]) -> str:
     )
 
 
-def counts_from_mentions(
-    mentions: Sequence[tuple[str, str, str]],
-) -> dict[str, list[EntityCount]]:
-    """Count (subreddit, category, name) mention rows: per subreddit,
+class Mention(NamedTuple):
+    """One row of the mentions table ``ner-tag`` writes and ``report
+    --mentions`` reads; the field names are the table's header."""
+
+    post_id: str
+    subreddit: str
+    created_utc: int
+    category: str
+    name: str
+
+
+def read_mentions(path: str) -> list[Mention]:
+    """The rows of a mentions file; a first line other than the header, a
+    row of another width or a created_utc that is not an integer raises
+    FormatError."""
+    mentions: list[Mention] = []
+    with open(path, encoding="utf-8-sig") as handle:  # may start with a BOM
+        if tuple(handle.readline().rstrip("\n").split("\t")) != Mention._fields:
+            raise FormatError(1, "expected the header " + "<TAB>".join(Mention._fields))
+        for line_no, raw in enumerate(handle, start=2):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != len(Mention._fields):
+                raise FormatError(
+                    line_no,
+                    f"expected {len(Mention._fields)} tab-separated columns, got {len(parts)}",
+                )
+            try:
+                created = int(parts[2])
+            except ValueError as exc:
+                raise FormatError(line_no, f"bad created_utc {parts[2]!r}") from exc
+            mentions.append(Mention(parts[0], parts[1], created, parts[3], parts[4]))
+    return mentions
+
+
+def top_entity_per_category(mentions: Sequence[Mention]) -> list[str]:
+    """The most mentioned name of each category, categories in order; a
+    tie goes to the first name in sort order."""
+    counts = Counter((mention.category, mention.name) for mention in mentions)
+    picks: dict[str, str] = {}
+    for (category, name), _ in sorted(
+        counts.items(), key=lambda kv: (kv[0][0], -kv[1], kv[0][1])
+    ):
+        picks.setdefault(category, name)
+    return list(picks.values())
+
+
+def counts_from_mentions(mentions: Sequence[Mention]) -> dict[str, list[EntityCount]]:
+    """Count mentions by subreddit, category and name: per subreddit,
     categories sorted, rows by count descending then name."""
     out: dict[str, list[EntityCount]] = {}
     for (subreddit, category, name), count in sorted(
-        Counter(mentions).items(), key=lambda kv: (kv[0][:2], -kv[1], kv[0][2])
+        Counter((m.subreddit, m.category, m.name) for m in mentions).items(),
+        key=lambda kv: (kv[0][:2], -kv[1], kv[0][2]),
     ):
         out.setdefault(subreddit, []).append(EntityCount(category, name, count))
     return out
@@ -187,19 +229,19 @@ class MonthlySeries(NamedTuple):
 def monthly_entity_trends(
     documents: Sequence,
     entities: Sequence[str],
-    doc_mentions: Mapping[str, Sequence[tuple[str, str]]],
+    mentions: Sequence[Mention],
 ) -> list[MonthlySeries]:
-    """Mention counts per UTC calendar month for each selected normalized
-    entity name, zero-filled over the documents' month span."""
+    """Mention counts per UTC calendar month of their post for each
+    selected normalized entity name, zero-filled over the documents' month
+    span; a mention of a post not among the documents is not counted."""
     if not documents:
         return [MonthlySeries(entity=e, months=(), counts=()) for e in entities]
-    doc_months = {doc.post_id: _month_of(doc.created_utc) for doc in documents}
+    doc_months = {doc.post_id: utc_month(doc.created_utc) for doc in documents}
     months = tuple(_month_range(min(doc_months.values()), max(doc_months.values())))
     counts = Counter(
-        (name, doc_months[post_id])
-        for post_id, mentions in doc_mentions.items()
-        if post_id in doc_months
-        for _, name in mentions
+        (mention.name, doc_months[mention.post_id])
+        for mention in mentions
+        if mention.post_id in doc_months
     )
     return [
         MonthlySeries(entity, months, tuple(counts[entity, month] for month in months))

@@ -23,6 +23,8 @@ from .nerdata import (
 from . import textprep
 from .records import FrozenRecord, Record
 
+# the feature set a model's weights are keyed by: a model file names it,
+# and loading refuses a file that names another
 TEMPLATES_VERSION = "v1"
 MODEL_VERSION = 1
 
@@ -92,17 +94,15 @@ class TaggerModel(Record):
     model first tags.  The copy, ``_rows``, is not a field: equality and
     ``repr`` leave it out."""
 
-    _fields = ("labels", "templates", "weights")
+    _fields = ("labels", "weights")
     __slots__ = (*_fields, "_rows")
 
     def __init__(
         self,
         labels: list[str],
-        templates: str = TEMPLATES_VERSION,
         weights: dict[str, dict[str, float]] | None = None,
     ) -> None:
         self.labels = labels
-        self.templates = templates
         self.weights = {} if weights is None else weights
         self._rows: _Rows | None = None
 
@@ -516,7 +516,7 @@ def save_model(model: TaggerModel, path: str | Path) -> None:
     payload = {
         "version": MODEL_VERSION,
         "labels": model.labels,
-        "templates": model.templates,
+        "templates": TEMPLATES_VERSION,
         "weights": model.weights,
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -557,7 +557,6 @@ def _model_from_json(payload) -> TaggerModel:
         raise ValueError("weights must map each feature to an object")
     return TaggerModel(
         labels=labels,
-        templates=payload["templates"],
         weights={
             feature: {label: _finite_weight(v) for label, v in row.items()}
             for feature, row in weights.items()

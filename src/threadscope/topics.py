@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import _month_of
+from .corpus import utc_month
 from .errors import EmptyCorpusError, EmptyVocabularyError
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -661,7 +661,7 @@ def monthly_side_topics(
     word lists; thin or vocabulary-free months are reported as skipped."""
     by_month: dict[str, list] = {}
     for doc in documents:
-        by_month.setdefault(_month_of(doc.created_utc), []).append(doc)
+        by_month.setdefault(utc_month(doc.created_utc), []).append(doc)
     results: list[MonthlyTopics] = []
     for month in sorted(by_month):
         docs = by_month[month]

@@ -1078,6 +1078,28 @@ def test_report_window_bounds_every_table(fixtures, tmp_path):
     assert sum(int(row[2]) for row in trends) == 2
 
 
+def test_report_names_months_before_year_1000_in_time_order(tmp_path):
+    # 0999-12-05 and 1000-02-05 at 00:00 UTC: the year is zero-padded, so
+    # the trend spans the months between them in the order they fall
+    seconds = {"p1": -30_612_556_800, "p2": -30_607_200_000}
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("".join(
+        json.dumps({"post_id": post_id, "subreddit": "covid", "created_utc": created,
+                    "title": "mask", "comment_bodies": []}) + "\n"
+        for post_id, created in seconds.items()
+    ))
+    mentions = tmp_path / "mentions.tsv"
+    mentions.write_text("post_id\tsubreddit\tcreated_utc\tcategory\tname\n" + "".join(
+        f"{post_id}\tcovid\t{created}\tPPE\tmask\n" for post_id, created in seconds.items()
+    ))
+    out = tmp_path / "r"
+    argv = ["report", "--docs", str(docs), "--mentions", str(mentions), "--corpus-id", "w"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert (out / "w" / "monthly" / "entity_trends.tsv").read_text() == (
+        "entity\tmonth\tcount\nmask\t0999-12\t1\nmask\t1000-01\t0\nmask\t1000-02\t1\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flag,field",
     [

@@ -286,6 +286,17 @@ def test_created_utc_bounds_are_the_datetime_range(tmp_path):
     assert [r.created_utc for r in records] == [MIN_UTC, MAX_UTC, MAX_UTC]
 
 
+@given(st.integers(min_value=MIN_UTC, max_value=MAX_UTC))
+@example(MIN_UTC)
+@example(MAX_UTC)
+@example(-1)
+@example(0)
+def test_utc_date_and_month_follow_the_datetime_calendar(seconds):
+    day = datetime.fromtimestamp(seconds, tz=timezone.utc).date()
+    assert corpus.utc_date(seconds) == day
+    assert corpus.utc_month(seconds) == f"{day.year:04d}-{day.month:02d}"
+
+
 def test_parse_blank_and_padded_lines(tmp_path):
     dump = tmp_path / "d.jsonl"
     lines = ["", "   ", "\t", "\u3000", f"  {GOOD_LINE}", f"{GOOD_LINE}\t ", GOOD_LINE]

@@ -49,8 +49,8 @@ CASES = [
     }, PARAM_DEFAULTS, HASHABLE),
     Case(cli.Command, {
         "name": "stats", "help": "h", "params": (cli.Param("docs"),), "handler": _handler,
-        "out_flag": "model", "file_output": True, "finalize": _handler,
-    }, {"out_flag": "out", "file_output": False, "finalize": None}, HASHABLE),
+        "out_flag": "model", "file_output": True,
+    }, {"out_flag": "out", "file_output": False}, HASHABLE),
     Case(manifest.ManifestInput, {"param": "docs", "path": "d.jsonl", "sha256": "ab"}, {}, HASHABLE),
     Case(manifest.RunManifest, {
         "command": "stats", "params": {"docs": "d"},
@@ -93,8 +93,8 @@ CASES = [
         "dropout_start": 0.2, "dropout_end": 0.1, "seed": 7,
     }, TRAIN_DEFAULTS, HASHABLE),
     Case(tagger.TaggerModel, {
-        "labels": ["O", "U-PPE"], "templates": "v0", "weights": {"bias": {"O": 1.0}},
-    }, {"templates": tagger.TEMPLATES_VERSION, "weights": {}}, MUTABLE),
+        "labels": ["O", "U-PPE"], "weights": {"bias": {"O": 1.0}},
+    }, {"weights": {}}, MUTABLE),
     Case(tagger.Scores, {
         "tp": 1, "fp": 2, "fn": 3, "precision": 0.5, "recall": 0.25, "f1": 0.33,
     }, {}, HASHABLE),

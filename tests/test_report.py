@@ -15,6 +15,7 @@ from threadscope.topics import LdaConfig, TopicAssignment, TopicModel, Vocabular
 from threadscope.report import (
     EntityCount,
     EntityReport,
+    Mention,
     MonthlySeries,
     WeekBucket,
     counts_from_mentions,
@@ -197,11 +198,11 @@ def test_entity_totals_table():
 
 def test_counts_from_mentions_ordering_and_share():
     mentions = [
-        ("covid", "PPE", "mask"),
-        ("covid", "PPE", "glove"),
-        ("covid", "PPE", "mask"),
-        ("covid", "DIST", "lockdown"),
-        ("askreddit", "PPE", "mask"),
+        Mention("p1", "covid", 0, "PPE", "mask"),
+        Mention("p1", "covid", 0, "PPE", "glove"),
+        Mention("p2", "covid", 0, "PPE", "mask"),
+        Mention("p2", "covid", 0, "DIST", "lockdown"),
+        Mention("p3", "askreddit", 0, "PPE", "mask"),
     ]
     counts = counts_from_mentions(mentions)
     assert list(counts) == ["askreddit", "covid"]
@@ -213,7 +214,10 @@ def test_counts_from_mentions_ordering_and_share():
 
 
 def test_counts_from_mentions_name_tiebreak():
-    mentions = [("covid", "PPE", "visor"), ("covid", "PPE", "apron")]
+    mentions = [
+        Mention("p1", "covid", 0, "PPE", "visor"),
+        Mention("p1", "covid", 0, "PPE", "apron"),
+    ]
     counts = counts_from_mentions(mentions)
     assert [r.name for r in counts["covid"]] == ["apron", "visor"]
 
@@ -226,12 +230,14 @@ def test_monthly_trends_zero_fill_span():
         FakeDoc("p1", ts("2020-03-05")),
         FakeDoc("p2", ts("2020-06-20")),
     ]
-    doc_mentions = {
-        "p1": [("PPE", "mask"), ("PPE", "mask"), ("SYM", "fever")],
-        "p2": [("PPE", "mask")],
-        "ghost": [("PPE", "mask")],
-    }
-    series = monthly_entity_trends(docs, ["mask", "fever"], doc_mentions)
+    mentions = [
+        Mention("p1", "covid", 0, "PPE", "mask"),
+        Mention("p1", "covid", 0, "PPE", "mask"),
+        Mention("p1", "covid", 0, "SYM", "fever"),
+        Mention("p2", "covid", 0, "PPE", "mask"),
+        Mention("ghost", "covid", 0, "PPE", "mask"),
+    ]
+    series = monthly_entity_trends(docs, ["mask", "fever"], mentions)
     mask, fever = series
     assert mask.months == ("2020-03", "2020-04", "2020-05", "2020-06")
     assert mask.counts == (2, 0, 0, 1)
@@ -239,7 +245,7 @@ def test_monthly_trends_zero_fill_span():
 
 
 def test_monthly_trends_empty_documents():
-    series = monthly_entity_trends([], ["mask"], {})
+    series = monthly_entity_trends([], ["mask"], [])
     assert series == [MonthlySeries(entity="mask", months=(), counts=())]
 
 

@@ -202,17 +202,23 @@ def test_tab_writers_still_exist():
     assert TAB_WRITERS <= defined
 
 
-def _thread_derivations() -> list[str]:
-    """module:line of every use of a record's ``parent_post_id`` outside
-    ``corpus``, which defines a record's thread as ``RedditRecord.thread``."""
+def _attribute_uses(*names: str) -> list[str]:
+    """module:line of every attribute named one of ``names`` in the package."""
     return [
         f"{path.stem}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
-        if path.stem != "corpus"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr == "parent_post_id"
+        if isinstance(node, ast.Attribute) and node.attr in names
     ]
 
 
 def test_a_records_thread_is_derived_only_in_corpus():
-    assert _thread_derivations() == []
+    # corpus defines a record's thread as ``RedditRecord.thread``
+    uses = _attribute_uses("parent_post_id")
+    assert [use for use in uses if not use.startswith("corpus:")] == []
+
+
+def test_no_second_utc_calendar():
+    # ``corpus.utc_date`` and ``corpus.utc_month`` are the one UTC calendar;
+    # ``strftime`` does not zero-pad a year before 1000
+    assert _attribute_uses("fromtimestamp", "strftime") == []

@@ -16,7 +16,7 @@ from threadscope import tagger
 from threadscope.errors import EmptyTrainingSetError, ModelFormatError
 from threadscope import nerdata
 from threadscope.nerdata import AnnotatedSentence, Span, parse_tag, validate_bilou
-from threadscope.report import EntityCount, counts_from_mentions
+from threadscope.report import EntityCount, Mention, counts_from_mentions
 from threadscope.tagger import (
     Scores,
     TaggerModel,
@@ -829,7 +829,6 @@ def test_save_load_round_trip(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.labels == model.labels
-    assert loaded.templates == model.templates
     assert loaded.weights == model.weights
 
 
@@ -913,7 +912,7 @@ def test_counts_from_detected_mentions_orders_and_shares():
     ]
     counts = counts_from_mentions(
         [
-            (doc.subreddit, category, name)
+            Mention("p", doc.subreddit, 0, category, name)
             for doc in docs
             for category, name in detect_document_entities(MASK_MODEL, doc)
         ]

@@ -1007,6 +1007,18 @@ def test_monthly_side_topics_fits_and_skips():
     assert sparse.skipped and "min_df" in sparse.reason
 
 
+def test_monthly_side_topics_names_months_before_year_1000_in_time_order():
+    # 0999-12-05 and 1000-01-05 at 00:00 UTC: the year is zero-padded, so
+    # the months' names sort as the months fall
+    docs = [
+        FakeDoc("dec", "mask", created_utc=-30_612_556_800),
+        FakeDoc("jan", "mask", created_utc=-30_609_878_400),
+    ]
+    config = LdaConfig(k=2, batch_size=8, epochs=2, seed=42, top_n=3)
+    results = monthly_side_topics(docs, config, min_docs=5)
+    assert [(r.month, r.skipped) for r in results] == [("0999-12", True), ("1000-01", True)]
+
+
 def test_monthly_side_topics_computes_no_perplexity(monkeypatch):
     march = month_docs(0, ["mask test", "mask test fever", "mask fever zoom",
                            "mask test zoom", "mask fever", "test zoom"])
