@@ -418,8 +418,18 @@ def _cmd_ner_tag(p: dict) -> Outputs:
     )
 
 
-def _cmd_topics(p: dict) -> Outputs:
+def _lda_config(p: dict, **knobs: object):
+    """The fit flags both topic commands take, with a command's own knobs,
+    as a topics.LdaConfig."""
     from . import topics  # numpy loads only for the two topic commands
+
+    return topics.LdaConfig(
+        batch_size=p["batch_size"], epochs=p["epochs"], seed=p["seed"], top_n=p["top"], **knobs
+    )
+
+
+def _cmd_topics(p: dict) -> Outputs:
+    from . import topics
 
     if not p["force"] and (Path(p["out"]) / manifest.MANIFEST_NAME).exists():
         raise OutputLocationError(
@@ -429,19 +439,10 @@ def _cmd_topics(p: dict) -> Outputs:
     vocab, matrix = topics.build_vocabulary(
         [doc.cleaned_text for doc in documents], max_df=p["max_df"], min_df=p["min_df"]
     )
-    config = topics.LdaConfig(
-        k=p["k"],
-        alpha=p["alpha"],
-        eta=p["eta"],
-        tau0=p["offset"],
-        kappa=p["kappa"],
-        batch_size=p["batch_size"],
-        epochs=p["epochs"],
-        seed=p["seed"],
-        top_n=p["top"],
+    config = _lda_config(
+        p, k=p["k"], alpha=p["alpha"], eta=p["eta"], tau0=p["offset"], kappa=p["kappa"]
     )
     model = topics.fit_lda(matrix, config)
-    model.vocab = vocab
     if any(model.epoch_cap_hits):
         print(
             f"{PROG} topics: note: E-steps stopped at max_e_iters="
@@ -450,10 +451,10 @@ def _cmd_topics(p: dict) -> Outputs:
             file=sys.stderr,
         )
     assignments, frequencies = topics.assign_topics(model, documents, matrix)
-    files = report.export_topic_artifacts(model, assignments, frequencies)
+    files = report.export_topic_artifacts(model, vocab, assignments, frequencies)
     base = f"{p['corpus_id']}/topics"
     outputs: dict[str, Artifact] = {f"{base}/{name}": text for name, text in files.items()}
-    outputs[f"{base}/model.json"] = lambda path: topics.save_topic_model(model, path)
+    outputs[f"{base}/model.json"] = lambda path: topics.save_topic_model(model, vocab, path)
     return outputs
 
 
@@ -461,16 +462,9 @@ def _cmd_topics_monthly(p: dict) -> Outputs:
     from . import topics
 
     documents = corpus.read_documents(p["docs"])
-    config = topics.LdaConfig(
-        k=2,
-        batch_size=p["batch_size"],
-        epochs=p["epochs"],
-        seed=p["seed"],
-        top_n=p["top"],
-    )
     results = topics.monthly_side_topics(
         documents,
-        config,
+        _lda_config(p, k=2),
         max_df=p["max_df"],
         min_df=p["min_df"],
         min_docs=p["min_docs"],
@@ -560,6 +554,19 @@ def _cmd_replay(p: dict) -> tuple[Command, dict]:
 
 
 # ------------------------------------------------------------- commands
+
+# the flags of both topic commands; `_lda_config` reads the fit flags
+_TOPIC_PARAMS = (
+    Param("docs", required=True, is_input=True, help="preprocessed documents file"),
+    Param("max-df", kind="float", default=0.90, help="document-frequency ceiling"),
+    Param("min-df", kind="int", default=3, help="document-frequency floor"),
+    Param("batch-size", kind="int", default=128, help="minibatch size"),
+    Param("epochs", kind="int", default=10, help="passes over the documents of a fit"),
+    Param("seed", kind="int", default=42, help="initialization/shuffle seed"),
+    Param("top", kind="int", default=15, help="keywords per topic"),
+    Param("corpus-id", help="artifact directory name; default: docs stem"),
+    Param("out", required=True, recorded=False, help="output directory"),
+)
 
 COMMANDS: dict[str, Command] = {
     command.name: command
@@ -656,38 +663,22 @@ COMMANDS: dict[str, Command] = {
             name="topics",
             help="fit the online topic model and export its artifacts",
             params=(
-                Param("docs", required=True, is_input=True, help="preprocessed documents file"),
+                *_TOPIC_PARAMS,
                 Param("k", kind="int", required=True, help="number of topics"),
-                Param("max-df", kind="float", default=0.90, help="document-frequency ceiling"),
-                Param("min-df", kind="int", default=3, help="document-frequency floor"),
                 Param("offset", kind="float", default=15.0, help="learning-rate offset"),
                 Param("kappa", kind="float", default=0.7, help="learning-rate decay"),
                 Param("alpha", kind="float", help="doc-topic prior; default 1/k"),
                 Param("eta", kind="float", help="topic-word prior; default 1/k"),
-                Param("batch-size", kind="int", default=128, help="minibatch size"),
-                Param("epochs", kind="int", default=10, help="passes over the corpus"),
-                Param("seed", kind="int", default=42, help="initialization/shuffle seed"),
-                Param("top", kind="int", default=15, help="keywords per topic"),
-                Param("corpus-id", help="artifact directory name; default: docs stem"),
                 Param("force", kind="flag", default=False, recorded=False, help="replace an existing export"),
-                Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_topics,
         ),
         Command(
             name="topics-monthly",
-            help="fit a small side model per calendar month",
+            help="fit a k=2 side model per calendar month",
             params=(
-                Param("docs", required=True, is_input=True, help="preprocessed documents file"),
-                Param("max-df", kind="float", default=0.90, help="document-frequency ceiling"),
-                Param("min-df", kind="int", default=3, help="document-frequency floor"),
+                *_TOPIC_PARAMS,
                 Param("min-docs", kind="int", default=5, help="skip months with fewer documents"),
-                Param("batch-size", kind="int", default=128, help="minibatch size"),
-                Param("epochs", kind="int", default=10, help="passes per month"),
-                Param("seed", kind="int", default=42, help="initialization/shuffle seed"),
-                Param("top", kind="int", default=15, help="keywords per topic"),
-                Param("corpus-id", help="artifact directory name; default: docs stem"),
-                Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_topics_monthly,
         ),

@@ -18,7 +18,7 @@ from .nerdata import DEFAULT_CATEGORIES
 from .textprep import table
 
 if TYPE_CHECKING:  # topics imports numpy, which only the topic commands need
-    from .topics import TopicAssignment, TopicModel
+    from .topics import TopicAssignment, TopicModel, Vocabulary
 
 
 def week_start_of(day: date) -> date:
@@ -274,6 +274,7 @@ def frequency_table(frequencies: Sequence[int]) -> str:
 
 def export_topic_artifacts(
     model: TopicModel,
+    vocab: Vocabulary,
     assignments: Sequence[TopicAssignment],
     frequencies: Sequence[int],
 ) -> dict[str, str]:
@@ -281,11 +282,10 @@ def export_topic_artifacts(
     word-cloud data, the extended assignment table, and topic frequencies."""
     from .topics import top_words
 
-    lists = top_words(model)
-    assert model.vocab is not None
+    lists = top_words(model, vocab)
     files = {
         "keywords.txt": table(
-            ("vocabulary_size", str(model.vocab.size)),
+            ("vocabulary_size", str(vocab.size)),
             (
                 (f"topic{topic}", rank, term, f"{weight:.6f}")
                 for topic, pairs in enumerate(lists)

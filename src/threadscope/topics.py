@@ -1,6 +1,7 @@
 """Vocabulary building with document-frequency thresholds and online
 variational Bayes LDA, plus per-document topic assignment, top-word export,
-and per-month k=2 side topics.
+and per-month side topics.  A fitted model holds no terms: the vocabulary
+it was fit on is passed beside it.
 
 The E-step/M-step split follows the standard online VB recipe: per
 minibatch t the topic-word parameters blend as
@@ -11,9 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -72,21 +74,16 @@ def digamma(x):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Retained terms with dense first-occurrence indices."""
+    """Retained terms and their document frequencies, both in index order:
+    a term's index is the order of its first occurrence in the corpus."""
 
-    terms: dict[str, int]
-    df: dict[str, int]
+    terms: tuple[str, ...]
+    df: tuple[int, ...]
     n_docs: int
 
     @property
     def size(self) -> int:
         return len(self.terms)
-
-    def ordered_terms(self) -> list[str]:
-        out = [""] * len(self.terms)
-        for term, index in self.terms.items():
-            out[index] = term
-        return out
 
 
 # the corpus and E-step record types are NamedTuples rather than
@@ -126,19 +123,19 @@ def build_vocabulary(
     df = Counter(
         chain.from_iterable(dict.fromkeys(doc.split()) for doc in cleaned_documents)
     )
-    kept = (term for term, n in df.items() if n >= min_df and n / n_docs <= max_df)
-    terms = {term: index for index, term in enumerate(kept)}
+    terms = tuple(term for term, n in df.items() if n >= min_df and n / n_docs <= max_df)
     if not terms:
         raise EmptyVocabularyError(
             f"no term satisfies min_df={min_df}, max_df={max_df} "
             f"over {n_docs} documents"
         )
-    vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
+    vocab = Vocabulary(terms=terms, df=tuple(map(df.__getitem__, terms)), n_docs=n_docs)
+    index = {term: i for i, term in enumerate(terms)}
     # each document's retained terms, ascending, in CSR form; typed arrays
     # hold 8 bytes an entry, where a list holds an int object
     ids, cts, ptr = array("q"), array("d"), array("q", [0])
     for doc in cleaned_documents:
-        counts = Counter(map(terms.get, doc.split()))
+        counts = Counter(map(index.get, doc.split()))
         counts.pop(None, None)
         known = sorted(counts)
         ids.extend(known)
@@ -151,7 +148,9 @@ def build_vocabulary(
 
 @dataclass(frozen=True)
 class LdaConfig:
-    """Online VB knobs; alpha/eta default to the symmetric 1/k prior."""
+    """Online VB knobs; alpha/eta default to the symmetric 1/k prior.  A
+    prior below the smallest normal float is refused: digamma's 1/x
+    overflows there, and the fit's bound would be nan."""
 
     k: int
     alpha: float | None = None
@@ -170,8 +169,12 @@ class LdaConfig:
             raise ValueError("k must be at least 2")
         for name in ("alpha", "eta"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
+            if value is None:
+                continue
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+            if value < sys.float_info.min:
+                raise ValueError(f"{name} must be at least {sys.float_info.min!r}")
         if not 0 < self.tau0 < math.inf:
             raise ValueError("tau0 must be finite and positive")
         if not 0.5 < self.kappa <= 1:
@@ -196,7 +199,6 @@ class LdaConfig:
 class TopicModel:
     lam: np.ndarray
     config: LdaConfig
-    vocab: Vocabulary | None = None
     epoch_perplexities: list[float] = field(default_factory=list)
     # per epoch: training E-steps stopped by max_e_iters rather than tol
     epoch_cap_hits: list[int] = field(default_factory=list)
@@ -588,13 +590,11 @@ def topic_word_distribution(lam: np.ndarray) -> np.ndarray:
     return lam / lam.sum(axis=1, keepdims=True)
 
 
-def top_words(model: TopicModel) -> list[list[tuple[str, float]]]:
-    """Per topic: the config's top_n heaviest terms, descending weight with
-    lower-index tiebreak."""
-    if model.vocab is None:
-        raise ValueError("model has no vocabulary attached")
+def top_words(model: TopicModel, vocab: Vocabulary) -> list[list[tuple[str, float]]]:
+    """Per topic: the config's top_n heaviest terms of the vocabulary the
+    model was fit on, descending weight with lower-index tiebreak."""
     n = model.config.top_n
-    terms = model.vocab.ordered_terms()
+    terms = vocab.terms
     dist = topic_word_distribution(model.lam)
     out: list[list[tuple[str, float]]] = []
     for topic in range(model.config.k):
@@ -656,9 +656,10 @@ def monthly_side_topics(
     min_df: int = 3,
     min_docs: int = 5,
 ) -> list[MonthlyTopics]:
-    """Partition documents by UTC calendar month and fit a fresh k=2 model
-    per month with at least min_docs documents, emitting both topics' top
-    word lists; thin or vocabulary-free months are reported as skipped."""
+    """Partition documents by UTC calendar month and fit a fresh model of
+    ``config`` per month with at least min_docs documents, emitting every
+    topic's top word list; thin or vocabulary-free months are reported as
+    skipped."""
     by_month: dict[str, list] = {}
     for doc in documents:
         by_month.setdefault(utc_month(doc.created_utc), []).append(doc)
@@ -677,39 +678,22 @@ def monthly_side_topics(
         except EmptyVocabularyError as exc:
             results.append(MonthlyTopics(month, str(exc)))
             continue
-        month_config = replace(config, k=2, alpha=None, eta=None)
         # no side model's perplexity is written anywhere
-        model = fit_lda(matrix, month_config, record_perplexity=False)
-        model.vocab = vocab
-        lists = top_words(model)
+        model = fit_lda(matrix, config, record_perplexity=False)
+        lists = top_words(model, vocab)
         results.append(
             MonthlyTopics(month, topics=tuple(tuple(pairs) for pairs in lists))
         )
     return results
 
 
-def save_topic_model(model: TopicModel, path: str | Path) -> None:
-    if model.vocab is None:
-        raise ValueError("model has no vocabulary attached")
-    config = model.config
+def save_topic_model(model: TopicModel, vocab: Vocabulary, path: str | Path) -> None:
     payload = {
         "version": 1,
-        "config": {
-            "k": config.k,
-            "alpha": config.alpha,
-            "eta": config.eta,
-            "tau0": config.tau0,
-            "kappa": config.kappa,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-            "mean_change_tol": config.mean_change_tol,
-            "max_e_iters": config.max_e_iters,
-            "seed": config.seed,
-            "top_n": config.top_n,
-        },
-        "vocab": model.vocab.ordered_terms(),
-        "df": [model.vocab.df[t] for t in model.vocab.ordered_terms()],
-        "n_docs": model.vocab.n_docs,
+        "config": asdict(model.config),
+        "vocab": vocab.terms,
+        "df": vocab.df,
+        "n_docs": vocab.n_docs,
         "lambda": model.lam.tolist(),
         "epoch_perplexities": [float(p) for p in model.epoch_perplexities],
         "epoch_cap_hits": list(model.epoch_cap_hits),

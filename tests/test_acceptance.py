@@ -246,13 +246,12 @@ def test_criterion_05_lda_recovers_planted_topics():
             texts.append(" ".join(rng.choice(source) for _ in range(25)))
 
         start = time.perf_counter()
-        vocab, matrix = build_vocabulary(texts, max_df=0.90, min_df=3)
+        _, matrix = build_vocabulary(texts, max_df=0.90, min_df=3)
         config = LdaConfig(k=2, tau0=15.0, seed=42)
         model = fit_lda(matrix, config)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"fit took {elapsed:.1f}s"
 
-        model.vocab = vocab
         docs = [CleanDoc(f"p{i}", texts[i]) for i in range(200)]
         assignments, _ = assign_topics(model, docs, matrix)
         clusters: dict[int, Counter] = {}

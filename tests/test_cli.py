@@ -85,8 +85,18 @@ def test_missing_required_flag(capsys):
     assert "--docs" in capsys.readouterr().err
 
 
-def test_unknown_flag(capsys):
-    assert run(["stats", "--docs", "x.jsonl", "--bogus"]) == 1
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["stats", "--docs", "x.jsonl", "--bogus"], "--bogus"),
+        # a flag `topics` took once; the run stops before touching --out
+        (["topics", "--docs", "x.jsonl", "--k", "2", "--threads", "0", "--out", "t"], "--threads"),
+    ],
+    ids=["stats-bogus", "topics-threads"],
+)
+def test_unknown_flag(capsys, argv, flag):
+    assert run(argv) == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -97,24 +107,6 @@ def test_help_exits_zero(capsys):
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert run(["stats", "--docs", str(tmp_path / "nope.jsonl")]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_invalid_threads_rejected(tmp_path, capsys):
-    code = run(
-        [
-            "topics",
-            "--docs",
-            "x.jsonl",
-            "--k",
-            "2",
-            "--threads",
-            "0",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert code == 1
-    assert "--threads" in capsys.readouterr().err
 
 
 def test_bad_k_is_data_error(clean_docs, tmp_path, capsys):
@@ -691,6 +683,20 @@ def test_topics_force_contract(clean_docs, tmp_path, capsys):
     assert manifest.seeds == {"seed": 42}
 
 
+def test_topic_manifests_record_the_defaults_of_every_flag_but_the_output(clean_docs, tmp_path):
+    # the flags both topic commands share, at their defaults; --out and
+    # --force are not recorded
+    shared = {"docs": str(clean_docs), "max-df": 0.9, "min-df": 3, "batch-size": 128,
+              "epochs": 10, "seed": 42, "top": 15, "corpus-id": "clean"}
+    topics, monthly = tmp_path / "topics", tmp_path / "monthly"
+    assert run(["topics", "--docs", str(clean_docs), "--k", "2", "--out", str(topics)]) == 0
+    assert read_manifest(topics / "manifest.json").params == {
+        **shared, "k": 2, "offset": 15.0, "kappa": 0.7, "alpha": None, "eta": None
+    }
+    assert run(["topics-monthly", "--docs", str(clean_docs), "--out", str(monthly)]) == 0
+    assert read_manifest(monthly / "manifest.json").params == {**shared, "min-docs": 5}
+
+
 def test_topics_force_with_smaller_k_drops_stale_wordclouds(clean_docs, tmp_path):
     base = ["topics", "--docs", str(clean_docs), "--min-df", "1", "--epochs", "1"]
     base += ["--corpus-id", "fix", "--out", str(tmp_path)]
@@ -1131,6 +1137,7 @@ NUMERIC_OVERFLOWS = {
     "topics-tiny-offset": ("topics", ["--offset", "1e-320", "--kappa", "1"]),
     "topics-tiny-eta": ("topics", ["--eta", "1e-300"]),
     "topics-huge-alpha": ("topics", ["--alpha", "1e300"]),
+    "topics-tiny-alpha": ("topics", ["--alpha", "1e-310"]),
 }
 
 

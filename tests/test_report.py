@@ -263,23 +263,15 @@ def test_topic_frequency_rows_and_table():
     )
 
 
-def export_fixture_model():
-    vocab = Vocabulary(
-        terms={"mask": 0, "test": 1, "fever": 2},
-        df={"mask": 3, "test": 3, "fever": 3},
-        n_docs=4,
-    )
-    lam = np.array([[4.0, 2.0, 1.0], [1.0, 1.0, 5.0]])
-    return TopicModel(lam=lam, config=LdaConfig(k=2, top_n=2), vocab=vocab)
-
-
 def test_export_topic_artifacts():
-    model = export_fixture_model()
+    vocab = Vocabulary(terms=("mask", "test", "fever"), df=(3, 3, 3), n_docs=4)
+    lam = np.array([[4.0, 2.0, 1.0], [1.0, 1.0, 5.0]])
+    model = TopicModel(lam=lam, config=LdaConfig(k=2, top_n=2))
     assignments = [
         TopicAssignment(post_id="p1", topic=0, probability=0.875),
         TopicAssignment(post_id="p2", topic=1, probability=0.6),
     ]
-    files = export_topic_artifacts(model, assignments, [1, 1])
+    files = export_topic_artifacts(model, vocab, assignments, [1, 1])
     assert sorted(files) == [
         "assignments.tsv",
         "keywords.txt",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -212,8 +214,8 @@ def test_vocabulary_df_boundaries_exact():
     # 10 docs, min_df=3, max_df=0.90: df=2 out, df=3 in, df=9 in, df=10 out
     docs = docs_with_df({"rare": 2, "low": 3, "edge": 9, "everywhere": 10}, 10)
     vocab, matrix = build_vocabulary(docs, max_df=0.90, min_df=3)
-    assert set(vocab.terms) == {"low", "edge"}
-    assert vocab.df == {"low": 3, "edge": 9}
+    assert vocab.terms == ("low", "edge")
+    assert vocab.df == (3, 9)
     assert vocab.n_docs == 10
     assert matrix.n_terms == 2
 
@@ -221,8 +223,7 @@ def test_vocabulary_df_boundaries_exact():
 def test_vocabulary_first_occurrence_indexing():
     docs = ["b a c", "a b c", "c b a"]
     vocab, _ = build_vocabulary(docs, max_df=1.0, min_df=1)
-    assert vocab.terms == {"b": 0, "a": 1, "c": 2}
-    assert vocab.ordered_terms() == ["b", "a", "c"]
+    assert vocab.terms == ("b", "a", "c")
     assert vocab.size == 3
 
 
@@ -268,6 +269,20 @@ def test_lda_config_validation():
         for value in (math.nan, math.inf, -math.inf, 0.0):
             with pytest.raises(ValueError, match=f"^{field} must be finite and positive$"):
                 LdaConfig(k=2, **{field: value})
+    # a subnormal prior: digamma's 1/x overflows below the smallest normal float
+    for field in ("alpha", "eta"):
+        for value in (sys.float_info.min / 2, 5e-324):
+            with pytest.raises(ValueError, match=f"^{field} must be at least 2.2250738585072014e-308$"):
+                LdaConfig(k=2, **{field: value})
+        LdaConfig(k=2, **{field: sys.float_info.min})
+
+
+def test_fit_at_the_smallest_normal_alpha_is_finite_without_warnings():
+    config = LdaConfig(k=2, alpha=sys.float_info.min, batch_size=8, epochs=1, seed=42)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_lda(two_cluster_matrix(), config)
+    assert all(map(math.isfinite, model.epoch_perplexities))
 
 
 def test_lda_config_symmetric_defaults():
@@ -667,8 +682,9 @@ def test_build_vocabulary_counts_match_the_row_path(docs, min_df):
         vocab, matrix = build_vocabulary(docs, max_df=1.0, min_df=min_df)
     except EmptyVocabularyError:
         return
+    index = {term: i for i, term in enumerate(vocab.terms)}
     expected = reference_from_rows(
-        [reference_counts(vocab.terms, doc) for doc in docs], vocab.size
+        [reference_counts(index, doc) for doc in docs], vocab.size
     )
     for ours, ref in zip(matrix, expected):
         assert np.array_equal(ours, ref)
@@ -693,7 +709,7 @@ def reference_build_vocabulary(cleaned_documents, max_df, min_df):
                 terms[term] = len(terms)
     if not terms:
         raise EmptyVocabularyError("empty")
-    vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
+    vocab = Vocabulary(terms=tuple(terms), df=tuple(df[t] for t in terms), n_docs=n_docs)
     rows = [reference_counts(terms, doc) for doc in cleaned_documents]
     return vocab, reference_from_rows(rows, len(terms))
 
@@ -718,9 +734,7 @@ def test_build_vocabulary_matches_the_two_pass_reference(docs, max_df, min_df):
             build_vocabulary(docs, max_df=max_df, min_df=min_df)
         return
     vocab, matrix = build_vocabulary(docs, max_df=max_df, min_df=min_df)
-    assert list(vocab.terms.items()) == list(expected_vocab.terms.items())
-    assert vocab.df == expected_vocab.df
-    assert vocab.n_docs == expected_vocab.n_docs
+    assert vocab == expected_vocab
     for ours, ref in zip(matrix, expected):
         assert np.array_equal(ours, ref)
         assert np.asarray(ours).dtype == np.asarray(ref).dtype
@@ -830,37 +844,21 @@ def test_perplexity_nan_on_empty_matrix():
 # ---------------------------------------------------------------- outputs
 
 
-def toy_model():
-    vocab = Vocabulary(
-        terms={"mask": 0, "test": 1, "fever": 2, "zoom": 3},
-        df={"mask": 3, "test": 3, "fever": 3, "zoom": 3},
-        n_docs=4,
-    )
+def test_top_words_order_and_ties():
+    vocab = Vocabulary(terms=("mask", "test", "fever", "zoom"), df=(3, 3, 3, 3), n_docs=4)
     lam = np.array(
         [
             [4.0, 3.0, 2.0, 1.0],
             [1.0, 1.0, 4.0, 4.0],
         ]
     )
-    model = TopicModel(lam=lam, config=LdaConfig(k=2, top_n=2), vocab=vocab)
-    return model
-
-
-def test_top_words_order_and_ties():
-    model = toy_model()
-    lists = top_words(model)
+    model = TopicModel(lam=lam, config=LdaConfig(k=2, top_n=2))
+    lists = top_words(model, vocab)
     assert lists[0] == [("mask", 0.4), ("test", 0.3)]
     # tie between fever and zoom resolves to the lower index
     assert lists[1] == [("fever", 0.4), ("zoom", 0.4)]
     model.config = dataclasses.replace(model.config, top_n=4)
-    assert [len(l) for l in top_words(model)] == [4, 4]
-
-
-def test_top_words_requires_vocab():
-    model = toy_model()
-    model.vocab = None
-    with pytest.raises(ValueError):
-        top_words(model)
+    assert [len(l) for l in top_words(model, vocab)] == [4, 4]
 
 
 class FakeDoc:
@@ -899,7 +897,8 @@ def test_assign_topics_skips_unknown_terms():
     vocab, matrix = build_vocabulary(texts)
     model = fit_lda(matrix, LdaConfig(k=2, batch_size=8, epochs=2, seed=42))
     a, b, c, d = assign_topics(model, docs, matrix)[0][-4:]
-    expected = infer_doc_topics(model, sorted(((vocab.terms["t0"], 1), (vocab.terms["t9"], 2))))
+    t0, t9 = vocab.terms.index("t0"), vocab.terms.index("t9")
+    expected = infer_doc_topics(model, sorted(((t0, 1), (t9, 2))))
     assert (a.topic, a.probability) == (b.topic, b.probability)
     assert (a.topic, a.probability) == (expected.assigned, expected.probability)
     # a document with no known term sits at the prior, as an empty one does
@@ -1037,13 +1036,9 @@ def test_save_load_round_trip(tmp_path):
     matrix = two_cluster_matrix()
     model = fit_lda(matrix, LdaConfig(k=2, batch_size=8, epochs=2, seed=42))
     terms = [f"t{i}" for i in range(16)]
-    model.vocab = Vocabulary(
-        terms={t: i for i, t in enumerate(terms)},
-        df={t: 5 for t in terms},
-        n_docs=40,
-    )
+    vocab = Vocabulary(terms=tuple(terms), df=(5,) * 16, n_docs=40)
     path = tmp_path / "model.json"
-    save_topic_model(model, path)
+    save_topic_model(model, vocab, path)
     payload = json.loads(path.read_text())
     assert np.array_equal(np.array(payload["lambda"]), model.lam)
     assert payload["config"] == dataclasses.asdict(model.config)
@@ -1054,8 +1049,3 @@ def test_save_load_round_trip(tmp_path):
     assert len(payload["epoch_perplexities"]) == 2
     assert payload["epoch_cap_hits"] == model.epoch_cap_hits
 
-
-def test_save_requires_vocab(tmp_path):
-    model = TopicModel(lam=np.ones((2, 3)), config=LdaConfig(k=2))
-    with pytest.raises(ValueError):
-        save_topic_model(model, tmp_path / "m.json")
