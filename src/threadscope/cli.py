@@ -442,7 +442,11 @@ def _cmd_topics(p: dict) -> Outputs:
     config = _lda_config(
         p, k=p["k"], alpha=p["alpha"], eta=p["eta"], tau0=p["offset"], kappa=p["kappa"]
     )
-    model = topics.fit_lda(matrix, config)
+    try:
+        model = topics.fit_lda(matrix, config)
+    except OverflowError as exc:
+        # the priors set the range of the bound the perplexity is taken from
+        raise OverflowError(f"{exc}; the priors --eta and --alpha set its range") from exc
     if any(model.epoch_cap_hits):
         print(
             f"{PROG} topics: note: E-steps stopped at max_e_iters="

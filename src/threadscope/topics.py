@@ -296,8 +296,9 @@ def _phinorm(
 # documents per summed chunk: the sstats bincounts and the bound's float
 # sums pair values across a chunk's documents, so the chunk fixes the bits
 _ESTEP_CHUNK = 32
-# documents per batched E-step call; bounds the per-token working arrays.
-# Every per-document result depends on its own row alone, so a group cut
+# documents per batched E-step call, of each fit a lockstep call serves;
+# bounds the per-token working arrays.  Every per-document result depends
+# on its own row alone, so a group cut
 # into chunks gives each chunk the bits a call on that chunk would; a
 # group must hold a whole number of chunks, or chunk bounds would move
 _ESTEP_GROUP = 4 * _ESTEP_CHUNK
@@ -410,38 +411,76 @@ def _estep_chunks(
     """Run the E-step over the non-empty documents at ``positions``, in
     order, one call per _ESTEP_GROUP of them; yields (positions, the
     sub-matrix, result) for each _ESTEP_CHUNK of a group in turn."""
-    ptr = matrix.ptr
-    positions = positions[ptr[positions + 1] > ptr[positions]]
-    for first in range(0, positions.size, _ESTEP_GROUP):
-        group_positions = positions[first : first + _ESTEP_GROUP]
-        starts = ptr[group_positions]
-        lengths = ptr[group_positions + 1] - starts
-        group_ptr = np.concatenate(([0], np.cumsum(lengths)))
-        take = np.repeat(starts - group_ptr[:-1], lengths) + np.arange(group_ptr[-1])
-        ids, cts = matrix.ids[take], matrix.cts[take]
+    for _, chunk_positions, chunk, step in _lockstep_chunks(
+        [(matrix, positions, exp_elog_beta)], config
+    ):
+        yield chunk_positions, chunk, step
+
+
+def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
+    """``_estep_chunks`` for several fits of config.k topics at once, each
+    part a (matrix, positions, exp_elog_beta) of its own: call g takes the
+    g-th _ESTEP_GROUP of every part that has one.  The parts' tables sit
+    side by side in one table, and a part's term ids are offset by its
+    first column there, so each token reads its own part's exp_elog_beta.
+    Yields (part index, positions, sub-matrix, result) for each
+    _ESTEP_CHUNK of each part's group, part by part, call by call; every
+    document's result is the one a call of its part alone gives."""
+    kept = []
+    for matrix, positions, _ in parts:
+        ptr = matrix.ptr
+        kept.append(positions[ptr[positions + 1] > ptr[positions]])
+    tables = [exp_elog_beta for _, _, exp_elog_beta in parts]
+    table = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+    columns = np.cumsum([0, *(t.shape[1] for t in tables)])
+    for first in range(0, max(p.size for p in kept), _ESTEP_GROUP):
+        groups = []  # (part index, positions, ids, cts, ptr) of each part here
+        for index, ((matrix, _, _), positions) in enumerate(zip(parts, kept)):
+            group_positions = positions[first : first + _ESTEP_GROUP]
+            if not group_positions.size:
+                continue
+            starts = matrix.ptr[group_positions]
+            lengths = matrix.ptr[group_positions + 1] - starts
+            group_ptr = np.concatenate(([0], np.cumsum(lengths)))
+            take = np.repeat(starts - group_ptr[:-1], lengths) + np.arange(group_ptr[-1])
+            groups.append(
+                (index, group_positions, matrix.ids[take], matrix.cts[take], group_ptr)
+            )
+        # the groups one after another, their term ids into the joint table
+        token_base = np.cumsum([0, *(ptr[-1] for *_, ptr in groups)])
         step = _estep(
-            DocTermMatrix(ids=ids, cts=cts, ptr=group_ptr, n_terms=matrix.n_terms),
-            exp_elog_beta,
+            DocTermMatrix(
+                ids=np.concatenate([ids + columns[index] for index, _, ids, _, _ in groups]),
+                cts=np.concatenate([cts for _, _, _, cts, _ in groups]),
+                ptr=np.concatenate(
+                    [[0], *(ptr[1:] + base for (*_, ptr), base in zip(groups, token_base))]
+                ),
+                n_terms=table.shape[1],
+            ),
+            table,
             config.alpha_value,
             config.mean_change_tol,
             config.max_e_iters,
         )
-        for lo in range(0, group_positions.size, _ESTEP_CHUNK):
-            docs = slice(lo, lo + _ESTEP_CHUNK)
-            chunk_ptr = group_ptr[lo : lo + _ESTEP_CHUNK + 1]
-            tokens = slice(chunk_ptr[0], chunk_ptr[-1])
-            chunk = DocTermMatrix(
-                ids=ids[tokens],
-                cts=cts[tokens],
-                ptr=chunk_ptr - chunk_ptr[0],
-                n_terms=matrix.n_terms,
-            )
-            yield group_positions[docs], chunk, _EStep(
-                gamma=step.gamma[docs],
-                exp_elog_theta=step.exp_elog_theta[docs],
-                phinorm=step.phinorm[tokens],
-                capped=step.capped[docs],
-            )
+        doc_base = 0
+        for (index, group_positions, ids, cts, group_ptr), base in zip(groups, token_base):
+            for lo in range(0, group_positions.size, _ESTEP_CHUNK):
+                chunk_ptr = group_ptr[lo : lo + _ESTEP_CHUNK + 1]
+                tokens = slice(chunk_ptr[0], chunk_ptr[-1])
+                docs = slice(doc_base + lo, doc_base + lo + chunk_ptr.size - 1)
+                chunk = DocTermMatrix(
+                    ids=ids[tokens],
+                    cts=cts[tokens],
+                    ptr=chunk_ptr - chunk_ptr[0],
+                    n_terms=parts[index][0].n_terms,
+                )
+                yield index, group_positions[lo : lo + _ESTEP_CHUNK], chunk, _EStep(
+                    gamma=step.gamma[docs],
+                    exp_elog_theta=step.exp_elog_theta[docs],
+                    phinorm=step.phinorm[base + chunk_ptr[0] : base + chunk_ptr[-1]],
+                    capped=step.capped[docs],
+                )
+            doc_base += group_positions.size
 
 
 def _add_sstats(sstats: np.ndarray, chunk: DocTermMatrix, step: _EStep) -> None:
@@ -455,52 +494,70 @@ def _add_sstats(sstats: np.ndarray, chunk: DocTermMatrix, step: _EStep) -> None:
         )
 
 
-def fit_lda(
-    matrix: DocTermMatrix, config: LdaConfig, *, record_perplexity: bool = True
-) -> TopicModel:
+def fit_lda(matrix: DocTermMatrix, config: LdaConfig) -> TopicModel:
     """Online variational Bayes with a seeded gamma-distributed lambda
     initialization and per-epoch document shuffling; records the number of
-    training E-steps stopped by max_e_iters per epoch and, unless
-    ``record_perplexity`` is off, per-epoch training perplexity from the
-    variational bound (a full E-step pass over the corpus each), whose
-    last pass leaves its gammas in ``doc_gammas``."""
-    if matrix.n_docs == 0:
-        raise EmptyCorpusError("cannot fit topics on an empty corpus")
-    if matrix.n_terms == 0:
-        raise EmptyVocabularyError("matrix has no terms")
-    k = config.k
-    n_docs = matrix.n_docs
-    eta = config.eta_value
-    batch_size = min(config.batch_size, n_docs)
-
-    rng = np.random.default_rng(config.seed)
-    lam = rng.gamma(100.0, 1.0 / 100.0, (k, matrix.n_terms))
-    model = TopicModel(lam=lam, config=config)
-    if record_perplexity:
-        model.doc_gammas = np.full((n_docs, k), config.alpha_value)
-    t = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(n_docs)
-        cap_hits = 0
-        for start in range(0, n_docs, batch_size):
-            batch = order[start : start + batch_size]
-            exp_elog_beta = _exp_elog_beta(lam)
-            sstats = np.zeros_like(lam)
-            for _, chunk, step in _estep_chunks(matrix, batch, exp_elog_beta, config):
-                _add_sstats(sstats, chunk, step)
-                cap_hits += int(step.capped.sum())
-            sstats *= exp_elog_beta
-            lam_hat = eta + (n_docs / len(batch)) * sstats
-            rho = learning_rate(config.tau0, config.kappa, t)
-            lam = (1 - rho) * lam + rho * lam_hat
-            t += 1
-        model.lam = lam
-        if record_perplexity:
-            model.epoch_perplexities.append(
-                perplexity(lam, matrix, config, model.doc_gammas)
-            )
-        model.epoch_cap_hits.append(cap_hits)
+    training E-steps stopped by max_e_iters and the training perplexity
+    from the variational bound (a full E-step pass over the corpus) per
+    epoch, whose last pass leaves its gammas in ``doc_gammas``."""
+    (model,) = _fit_lockstep([matrix], config, record_perplexity=True)
     return model
+
+
+def _fit_lockstep(
+    matrices: Sequence[DocTermMatrix], config: LdaConfig, record_perplexity: bool
+) -> list[TopicModel]:
+    """``fit_lda`` on each matrix, the fits stepped together: minibatch
+    round r of an epoch runs one E-step call over the r-th minibatch of
+    every fit that has one.  Each fit keeps its own rng, lambda, learning
+    rate counter, 32-document sstats chunks and cap-hit count, so it ends
+    with the bits it would end with alone.  Without ``record_perplexity``
+    no perplexity pass runs and no gammas are kept."""
+    for matrix in matrices:
+        if matrix.n_docs == 0:
+            raise EmptyCorpusError("cannot fit topics on an empty corpus")
+        if matrix.n_terms == 0:
+            raise EmptyVocabularyError("matrix has no terms")
+    k = config.k
+    eta = config.eta_value
+    rngs = [np.random.default_rng(config.seed) for _ in matrices]
+    models = [
+        TopicModel(lam=rng.gamma(100.0, 1.0 / 100.0, (k, matrix.n_terms)), config=config)
+        for rng, matrix in zip(rngs, matrices)
+    ]
+    if record_perplexity:
+        for model, matrix in zip(models, matrices):
+            model.doc_gammas = np.full((matrix.n_docs, k), config.alpha_value)
+    for epoch in range(config.epochs):
+        batches = []
+        for rng, matrix in zip(rngs, matrices):
+            order = rng.permutation(matrix.n_docs)
+            size = min(config.batch_size, matrix.n_docs)
+            batches.append([order[start : start + size] for start in range(0, order.size, size)])
+        cap_hits = [0] * len(matrices)
+        for r in range(max(map(len, batches), default=0)):
+            fits = [i for i, fit_batches in enumerate(batches) if r < len(fit_batches)]
+            tables = [_exp_elog_beta(models[i].lam) for i in fits]
+            sstats = [np.zeros_like(table) for table in tables]
+            parts = [(matrices[i], batches[i][r], table) for i, table in zip(fits, tables)]
+            for part, _, chunk, step in _lockstep_chunks(parts, config):
+                _add_sstats(sstats[part], chunk, step)
+                cap_hits[fits[part]] += int(step.capped.sum())
+            for i, table, stats in zip(fits, tables, sstats):
+                stats *= table
+                batch = batches[i][r]
+                lam_hat = eta + (matrices[i].n_docs / len(batch)) * stats
+                # the fit's minibatches before this one, every epoch alike
+                t = epoch * len(batches[i]) + r
+                rho = learning_rate(config.tau0, config.kappa, t)
+                models[i].lam = (1 - rho) * models[i].lam + rho * lam_hat
+        for model, matrix, hits in zip(models, matrices, cap_hits):
+            if record_perplexity:
+                model.epoch_perplexities.append(
+                    perplexity(model.lam, matrix, config, model.doc_gammas)
+                )
+            model.epoch_cap_hits.append(hits)
+    return models
 
 
 def _doc_topics(gamma: np.ndarray, empty: bool, k: int) -> DocTopics:
@@ -583,7 +640,13 @@ def perplexity(
         score += _dirichlet_ll(step.gamma, config.alpha_value)
         if gammas is not None:
             gammas[positions] = step.gamma
-    return math.exp(-score / total)
+    exponent = -score / total
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise OverflowError(
+            f"the training perplexity exp({exponent:.6g}) overflows a float"
+        ) from None
 
 
 def topic_word_distribution(lam: np.ndarray) -> np.ndarray:
@@ -657,13 +720,14 @@ def monthly_side_topics(
     min_docs: int = 5,
 ) -> list[MonthlyTopics]:
     """Partition documents by UTC calendar month and fit a fresh model of
-    ``config`` per month with at least min_docs documents, emitting every
-    topic's top word list; thin or vocabulary-free months are reported as
-    skipped."""
+    ``config`` per month with at least min_docs documents, all months in
+    lockstep, emitting every topic's top word list; thin or
+    vocabulary-free months are reported as skipped."""
     by_month: dict[str, list] = {}
     for doc in documents:
         by_month.setdefault(utc_month(doc.created_utc), []).append(doc)
     results: list[MonthlyTopics] = []
+    fitted: list[tuple[int, Vocabulary, DocTermMatrix]] = []  # result slot, fit inputs
     for month in sorted(by_month):
         docs = by_month[month]
         if len(docs) < min_docs:
@@ -678,11 +742,16 @@ def monthly_side_topics(
         except EmptyVocabularyError as exc:
             results.append(MonthlyTopics(month, str(exc)))
             continue
-        # no side model's perplexity is written anywhere
-        model = fit_lda(matrix, config, record_perplexity=False)
+        fitted.append((len(results), vocab, matrix))
+        results.append(MonthlyTopics(month))
+    # no side model's perplexity is written anywhere
+    models = _fit_lockstep(
+        [matrix for _, _, matrix in fitted], config, record_perplexity=False
+    )
+    for (slot, vocab, _), model in zip(fitted, models):
         lists = top_words(model, vocab)
-        results.append(
-            MonthlyTopics(month, topics=tuple(tuple(pairs) for pairs in lists))
+        results[slot] = MonthlyTopics(
+            results[slot].month, topics=tuple(tuple(pairs) for pairs in lists)
         )
     return results
 

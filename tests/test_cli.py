@@ -697,6 +697,22 @@ def test_topic_manifests_record_the_defaults_of_every_flag_but_the_output(clean_
     assert read_manifest(monthly / "manifest.json").params == {**shared, "min-docs": 5}
 
 
+@pytest.mark.parametrize("eta", ["1e-200", "1e-300", "2.2250738585072014e-308"])
+def test_a_perplexity_overflow_names_the_priors_and_writes_nothing(
+    clean_docs, tmp_path, capsys, eta
+):
+    # the smallest priors LdaConfig accepts put the bound's exponent past
+    # what a float holds
+    out = tmp_path / "t"
+    argv = ["topics", "--docs", str(clean_docs), "--min-df", "1", "--epochs", "3",
+            "--k", "3", "--batch-size", "4", "--eta", eta, "--out", str(out)]
+    assert run(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "perplexity" in line and "overflows" in line
+    assert "--eta" in line and "--alpha" in line
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_topics_force_with_smaller_k_drops_stale_wordclouds(clean_docs, tmp_path):
     base = ["topics", "--docs", str(clean_docs), "--min-df", "1", "--epochs", "1"]
     base += ["--corpus-id", "fix", "--out", str(tmp_path)]

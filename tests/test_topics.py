@@ -15,7 +15,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadscope.corpus import Document, write_documents
+from threadscope.corpus import Document, utc_month, write_documents
 from threadscope.errors import EmptyCorpusError, EmptyVocabularyError
 from threadscope import cli, topics
 from threadscope.topics import (
@@ -661,7 +661,7 @@ def test_fit_and_perplexity_call_the_e_step_once_per_group(monkeypatch):
 
     monkeypatch.setattr(topics, "_estep", counting_estep)
     config = LdaConfig(k=3, batch_size=128, epochs=1, seed=3)
-    model = fit_lda(csr(rows, 9), config, record_perplexity=False)
+    (model,) = topics._fit_lockstep([csr(rows, 9)], config, record_perplexity=False)
     # three training batches of 128, 128 and 44 documents, empty ones skipped
     assert sum(calls) == 298 and len(calls) == 3
     calls.clear()
@@ -810,7 +810,7 @@ def test_fit_lda_without_perplexity_fits_the_same_model(monkeypatch):
     recorded = fit_lda(matrix, config)
     calls = []
     monkeypatch.setattr(topics, "perplexity", lambda *args: calls.append(args))
-    skipped = fit_lda(matrix, config, record_perplexity=False)
+    (skipped,) = topics._fit_lockstep([matrix], config, record_perplexity=False)
     assert calls == []
     assert skipped.epoch_perplexities == []
     assert skipped.lam.tobytes() == recorded.lam.tobytes()
@@ -910,7 +910,7 @@ def test_assign_topics_refuses_a_fit_without_document_gammas():
     docs = [FakeDoc(f"d{i}", text) for i, text in enumerate(texts)]
     _, matrix = build_vocabulary(texts)
     config = LdaConfig(k=2, batch_size=8, epochs=1, seed=42)
-    model = fit_lda(matrix, config, record_perplexity=False)
+    (model,) = topics._fit_lockstep([matrix], config, record_perplexity=False)
     assert model.doc_gammas is None
     with pytest.raises(ValueError, match="no document gammas"):
         assign_topics(model, docs, matrix)
@@ -1016,6 +1016,57 @@ def test_monthly_side_topics_names_months_before_year_1000_in_time_order():
     config = LdaConfig(k=2, batch_size=8, epochs=2, seed=42, top_n=3)
     results = monthly_side_topics(docs, config, min_docs=5)
     assert [(r.month, r.skipped) for r in results] == [("0999-12", True), ("1000-01", True)]
+
+
+def test_lockstep_month_fits_equal_solo_fits(monkeypatch):
+    words = "mask test fever zoom vaccine lockdown".split()
+    rng = np.random.default_rng(3)
+
+    def texts(n):
+        return [" ".join(rng.choice(words, size=rng.integers(2, 7))) for _ in range(n)]
+
+    # 2020-03 fits in one minibatch, 2020-04 is too thin, 2020-05 takes
+    # three minibatches of 8 and holds a document whose one term falls
+    # under min_df, and 2020-06 takes two
+    may = texts(19)
+    may[4] = "once"
+    docs = (month_docs(0, texts(6)) + month_docs(1, texts(3))
+            + month_docs(2, may) + month_docs(3, texts(11)))
+    config = LdaConfig(k=2, batch_size=8, epochs=3, max_e_iters=4, seed=5, top_n=4)
+    fits, estep_docs = [], []
+    real_fit, real_estep = topics._fit_lockstep, topics._estep
+
+    def spy_fit(matrices, *args, **kwargs):
+        models = real_fit(matrices, *args, **kwargs)
+        fits.append((matrices, models))
+        return models
+
+    def spy_estep(batch, *args):
+        estep_docs.append(batch.n_docs)
+        return real_estep(batch, *args)
+
+    monkeypatch.setattr(topics, "_fit_lockstep", spy_fit)
+    monkeypatch.setattr(topics, "_estep", spy_estep)
+    results = monthly_side_topics(docs, config, min_df=2, min_docs=5)
+    ((matrices, models),) = fits
+    assert [r.month for r in results if r.skipped] == ["2020-04"]
+    assert [m.n_docs for m in matrices] == [6, 19, 11]
+    assert (matrices[1].lengths == 0).sum() == 1
+    # one E-step call per round, three rounds an epoch: every month's
+    # first minibatch, then May's and June's second, then May's third;
+    # the empty document never enters one
+    assert len(estep_docs) == 3 * 3
+    assert sum(estep_docs) == 3 * (6 + 18 + 11)
+    monkeypatch.setattr(topics, "_estep", real_estep)
+    fitted = [r for r in results if not r.skipped]
+    for matrix, model, result in zip(matrices, models, fitted, strict=True):
+        alone = fit_lda(matrix, config)
+        assert np.array_equal(model.lam, alone.lam)
+        assert model.epoch_cap_hits == alone.epoch_cap_hits
+        month = [doc for doc in docs if utc_month(doc.created_utc) == result.month]
+        vocab, _ = build_vocabulary([doc.cleaned_text for doc in month], min_df=2)
+        assert result.topics == tuple(map(tuple, top_words(alone, vocab)))
+    assert any(hits for model in models for hits in model.epoch_cap_hits)
 
 
 def test_monthly_side_topics_computes_no_perplexity(monkeypatch):
