@@ -102,11 +102,26 @@ def utc_date(seconds: int) -> date:
     return date.fromordinal(_EPOCH_ORDINAL + seconds // _DAY_S)
 
 
-def utc_month(seconds: int) -> str:
-    """The UTC calendar month of a Unix timestamp as ``YYYY-MM``, the year
-    zero-padded so that string order is time order."""
+def _month_name(index: int) -> str:
+    # ``YYYY-MM`` of the month ``year * 12 + month - 1``, the year
+    # zero-padded so that string order is time order
+    return f"{index // 12:04d}-{index % 12 + 1:02d}"
+
+
+def _month_index(seconds: int) -> int:
     day = utc_date(seconds)
-    return f"{day.year:04d}-{day.month:02d}"
+    return day.year * 12 + day.month - 1
+
+
+def utc_month(seconds: int) -> str:
+    """The UTC calendar month of a Unix timestamp as ``YYYY-MM``."""
+    return _month_name(_month_index(seconds))
+
+
+def utc_month_range(first: int, last: int) -> list[str]:
+    """Every UTC calendar month, as ``utc_month`` names it, from that of
+    timestamp ``first`` to that of ``last``, in order."""
+    return [_month_name(index) for index in range(_month_index(first), _month_index(last) + 1)]
 
 
 class FilterSpec(FrozenRecord):
@@ -129,13 +144,9 @@ class FilterSpec(FrozenRecord):
         if not keywords:
             raise ValueError("keywords must be nonempty")
         first, last = utc_day_bounds(date_from, date_to)
-        assign = object.__setattr__
-        assign(self, "keywords", keywords)
-        assign(self, "date_from", date_from)
-        assign(self, "date_to", date_to)
-        assign(self, "subreddits", subreddits)
-        assign(self, "lowered_keywords", tuple(keyword.lower() for keyword in keywords))
-        assign(self, "_window", (first, last, frozenset(name.lower() for name in subreddits)))
+        lowered = tuple(keyword.lower() for keyword in keywords)
+        window = (first, last, frozenset(name.lower() for name in subreddits))
+        self._freeze(keywords, date_from, date_to, subreddits, lowered, window)
 
     def admits(self, record: RedditRecord) -> bool:
         """Whether the record's created_utc lies from date_from 00:00:00
@@ -520,21 +531,7 @@ def stats_table(stats: CorpusStats) -> str:
 def write_documents(documents: Iterable[Document], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for doc in documents:
-            handle.write(
-                json.dumps(
-                    {
-                        "post_id": doc.post_id,
-                        "subreddit": doc.subreddit,
-                        "created_utc": doc.created_utc,
-                        "title": doc.title,
-                        "comment_bodies": doc.comment_bodies,
-                        "cleaned_text": doc.cleaned_text,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            handle.write(json.dumps(doc._asdict(), sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _typed(obj: dict, name: str, kind: type, what: str):

@@ -48,24 +48,10 @@ class RunManifest(FrozenRecord):
         seeds: dict | None = None,
         artifact_version: int = ARTIFACT_VERSION,
     ) -> None:
-        assign = object.__setattr__
-        assign(self, "command", command)
-        assign(self, "params", params)
-        assign(self, "inputs", inputs)
-        assign(self, "seeds", {} if seeds is None else seeds)
-        assign(self, "artifact_version", artifact_version)
+        self._freeze(command, params, inputs, {} if seeds is None else seeds, artifact_version)
 
     def to_json(self) -> str:
-        payload = {
-            "artifact_version": self.artifact_version,
-            "command": self.command,
-            "params": self.params,
-            "inputs": [
-                {"param": i.param, "path": i.path, "sha256": i.sha256}
-                for i in self.inputs
-            ],
-            "seeds": self.seeds,
-        }
+        payload = {**self._asdict(), "inputs": [i._asdict() for i in self.inputs]}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

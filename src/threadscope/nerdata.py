@@ -38,10 +38,7 @@ class Span(FrozenRecord):
     def __init__(self, start: int, end: int, category: str) -> None:
         if start < 0 or start >= end:
             raise ValueError(f"bad span bounds [{start}, {end})")
-        assign = object.__setattr__
-        assign(self, "start", start)
-        assign(self, "end", end)
-        assign(self, "category", category)
+        self._freeze(start, end, category)
 
 
 class AnnotatedSentence(Record):
@@ -79,10 +76,7 @@ class KeywordSpec(FrozenRecord):
                     raise ValueError(f"keyword {kw!r} must be lowercase")
                 if not kw.split():
                     raise ValueError("keywords must contain a word")
-        assign = object.__setattr__
-        assign(self, "by_category", by_category)
-        assign(self, "cap", cap)
-        assign(self, "match_mode", match_mode)
+        self._freeze(by_category, cap, match_mode)
 
     def all_keywords(self) -> list[str]:
         out: list[str] = []

@@ -6,7 +6,10 @@ Each stage runs as its own process, so start-up is paid once per stage.
 So a record on the CLI import path is a ``typing.NamedTuple`` when it is
 immutable and built a few times per run, and otherwise a ``__slots__``
 class with a hand-written ``__init__`` on one of the bases below, which
-give it the field-wise methods a dataclass would.
+give it the field-wise methods a dataclass would.  A class's ``_fields``
+is the one list of what it holds: the bases compare, hash and print by
+it, ``FrozenRecord._freeze`` sets it, and ``Record._asdict`` hands it to
+a JSON writer as ``NamedTuple._asdict`` does.
 """
 
 from __future__ import annotations
@@ -40,13 +43,26 @@ class Record:
         key = self._key
         return key(self) == key(other)
 
+    def _asdict(self) -> dict:
+        """Field name -> value, in ``_fields`` order."""
+        return {name: getattr(self, name) for name in self._fields}
+
 
 class FrozenRecord(Record):
-    """A record whose ``__init__`` sets each attribute once through
-    ``object.__setattr__``.  Later assignment or deletion raises
-    AttributeError, and the record hashes by its fields."""
+    """A record whose ``__init__`` sets each slot once, through
+    ``_freeze``.  Later assignment or deletion raises AttributeError, and
+    the record hashes by its fields."""
 
     __slots__ = ()
+
+    def _freeze(self, *values: object) -> None:
+        """Set the class's slots, its ``_fields`` and then any value
+        derived from them, to ``values`` in order."""
+        names = type(self).__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} slot values")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -12,7 +12,7 @@ from collections import Counter
 from datetime import date
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .corpus import utc_date, utc_day_bounds, utc_month
+from .corpus import utc_date, utc_day_bounds, utc_month, utc_month_range
 from .errors import FormatError
 from .nerdata import DEFAULT_CATEGORIES
 from .textprep import table
@@ -28,12 +28,6 @@ def week_start_of(day: date) -> date:
     if ordinal < 1:
         raise ValueError(f"{day} has no Sunday on or before it in year 1 or later")
     return date.fromordinal(ordinal)
-
-
-def _month_range(first: str, last: str) -> list[str]:
-    (year, month), (end_year, end_month) = (map(int, m.split("-")) for m in (first, last))
-    indices = range(year * 12 + month - 1, end_year * 12 + end_month)
-    return [f"{index // 12:04d}-{index % 12 + 1:02d}" for index in indices]
 
 
 def percent_round_half_up(count: int, total: int) -> int:
@@ -237,7 +231,8 @@ def monthly_entity_trends(
     if not documents:
         return [MonthlySeries(entity=e, months=(), counts=()) for e in entities]
     doc_months = {doc.post_id: utc_month(doc.created_utc) for doc in documents}
-    months = tuple(_month_range(min(doc_months.values()), max(doc_months.values())))
+    created = [doc.created_utc for doc in documents]
+    months = tuple(utc_month_range(min(created), max(created)))
     counts = Counter(
         (mention.name, doc_months[mention.post_id])
         for mention in mentions

@@ -57,14 +57,9 @@ class TrainConfig(FrozenRecord):
         for rate in (dropout_start, dropout_end):
             if not 0 <= rate < 1:
                 raise ValueError("dropout rates must lie in [0, 1)")
-        assign = object.__setattr__
-        assign(self, "iterations", iterations)
-        assign(self, "batch_min", batch_min)
-        assign(self, "batch_max", batch_max)
-        assign(self, "batch_growth", batch_growth)
-        assign(self, "dropout_start", dropout_start)
-        assign(self, "dropout_end", dropout_end)
-        assign(self, "seed", seed)
+        self._freeze(
+            iterations, batch_min, batch_max, batch_growth, dropout_start, dropout_end, seed
+        )
 
     def dropout_at(self, iteration: int) -> float:
         if self.iterations == 1:
@@ -513,12 +508,7 @@ def evaluate_tagger(
 
 
 def save_model(model: TaggerModel, path: str | Path) -> None:
-    payload = {
-        "version": MODEL_VERSION,
-        "labels": model.labels,
-        "templates": TEMPLATES_VERSION,
-        "weights": model.weights,
-    }
+    payload = {**model._asdict(), "version": MODEL_VERSION, "templates": TEMPLATES_VERSION}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.write("\n")

@@ -345,21 +345,6 @@ LEMMATIZE = "lemmatize"
 REMOVE_NON_ASCII = "remove_non_ascii"
 REMOVE_PUNCT = "remove_punct"
 
-ALL_STAGES = frozenset(
-    {
-        STRIP_URLS,
-        LOWERCASE,
-        SPLIT_SENTENCES,
-        TOKENIZE,
-        REMOVE_STOPWORDS,
-        REMOVE_DIGITS,
-        POS_TAG,
-        LEMMATIZE,
-        REMOVE_NON_ASCII,
-        REMOVE_PUNCT,
-    }
-)
-
 # Stages that only make sense on raw text / only on tokens.
 _TEXT_ONLY = frozenset({STRIP_URLS, SPLIT_SENTENCES})
 _TOKEN_ONLY = frozenset(
@@ -378,6 +363,8 @@ DEFAULT_STAGES: tuple[str, ...] = (
     LOWERCASE,
     REMOVE_PUNCT,
 )
+# the default pipeline runs every stage
+ALL_STAGES = frozenset(DEFAULT_STAGES)
 
 
 def _check_stages(stages: tuple[str, ...]) -> None:

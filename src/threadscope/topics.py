@@ -499,8 +499,15 @@ def fit_lda(matrix: DocTermMatrix, config: LdaConfig) -> TopicModel:
     initialization and per-epoch document shuffling; records the number of
     training E-steps stopped by max_e_iters and the training perplexity
     from the variational bound (a full E-step pass over the corpus) per
-    epoch, whose last pass leaves its gammas in ``doc_gammas``."""
-    (model,) = _fit_lockstep([matrix], config, record_perplexity=True)
+    epoch, whose last pass leaves its gammas in ``doc_gammas``.  A prior
+    so large that a sum of the fit overflows a float raises OverflowError,
+    where numpy would only warn and go on with infinities."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            (model,) = _fit_lockstep([matrix], config, record_perplexity=True)
+    except FloatingPointError as exc:
+        message = f"the fit or its training perplexity overflows a float ({exc})"
+        raise OverflowError(message) from None
     return model
 
 

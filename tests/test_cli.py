@@ -697,15 +697,21 @@ def test_topic_manifests_record_the_defaults_of_every_flag_but_the_output(clean_
     assert read_manifest(monthly / "manifest.json").params == {**shared, "min-docs": 5}
 
 
-@pytest.mark.parametrize("eta", ["1e-200", "1e-300", "2.2250738585072014e-308"])
+@pytest.mark.parametrize(
+    "flag, prior",
+    [("--eta", "1e-200"), ("--eta", "1e-300"), ("--eta", "2.2250738585072014e-308"),
+     ("--eta", "1e308"), ("--alpha", "1e308")],
+    ids=["1e-200", "1e-300", "2.2250738585072014e-308", "eta-1e308", "alpha-1e308"],
+)
 def test_a_perplexity_overflow_names_the_priors_and_writes_nothing(
-    clean_docs, tmp_path, capsys, eta
+    clean_docs, tmp_path, capsys, flag, prior
 ):
     # the smallest priors LdaConfig accepts put the bound's exponent past
-    # what a float holds
+    # what a float holds; the largest overflow the fit's sums, where numpy
+    # would print warnings before the error
     out = tmp_path / "t"
     argv = ["topics", "--docs", str(clean_docs), "--min-df", "1", "--epochs", "3",
-            "--k", "3", "--batch-size", "4", "--eta", eta, "--out", str(out)]
+            "--k", "3", "--batch-size", "4", flag, prior, "--out", str(out)]
     assert run(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert "perplexity" in line and "overflows" in line

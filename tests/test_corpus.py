@@ -297,6 +297,27 @@ def test_utc_date_and_month_follow_the_datetime_calendar(seconds):
     assert corpus.utc_month(seconds) == f"{day.year:04d}-{day.month:02d}"
 
 
+# a span of up to ten years keeps each drawn range short; the examples
+# take the whole calendar
+@given(
+    st.integers(min_value=MIN_UTC, max_value=MAX_UTC),
+    st.integers(min_value=0, max_value=10 * 366 * 86_400),
+)
+@example(MIN_UTC, MAX_UTC - MIN_UTC)
+@example(MAX_UTC, 0)
+@example(-1, 1)
+def test_utc_month_range_steps_one_month_from_first_to_last(first, span):
+    last = min(first + span, MAX_UTC)
+    months = corpus.utc_month_range(first, last)
+    assert months[0] == corpus.utc_month(first)
+    assert months[-1] == corpus.utc_month(last)
+    for earlier, later in zip(months, months[1:]):
+        year, month = map(int, earlier.split("-"))
+        assert later == (f"{year:04d}-{month + 1:02d}" if month < 12 else f"{year + 1:04d}-01")
+    if (first, last) == (MIN_UTC, MAX_UTC):
+        assert (months[0], months[-1], len(months)) == ("0001-01", "9999-12", 9999 * 12)
+
+
 def test_parse_blank_and_padded_lines(tmp_path):
     dump = tmp_path / "d.jsonl"
     lines = ["", "   ", "\t", "\u3000", f"  {GOOD_LINE}", f"{GOOD_LINE}\t ", GOOD_LINE]

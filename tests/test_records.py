@@ -108,6 +108,7 @@ def test_record_keeps_its_dataclass_semantics(case):
     assert cls._fields == tuple(values)
     record = cls(**values)
     assert {name: getattr(record, name) for name in values} == values
+    assert record._asdict() == values
     assert cls(*values.values()) == record
     assert repr(record).startswith(f"{cls.__name__}({next(iter(values))}=")
 

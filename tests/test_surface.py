@@ -222,3 +222,10 @@ def test_no_second_utc_calendar():
     # ``corpus.utc_date`` and ``corpus.utc_month`` are the one UTC calendar;
     # ``strftime`` does not zero-pad a year before 1000
     assert _attribute_uses("fromtimestamp", "strftime") == []
+
+
+def test_frozen_slots_are_set_only_in_records():
+    # ``FrozenRecord._freeze`` sets a frozen record's slots from its one
+    # slot list
+    uses = _attribute_uses("__setattr__")
+    assert uses and [use for use in uses if not use.startswith("records:")] == []
