@@ -12,7 +12,7 @@ import math
 import re
 import sys
 from datetime import date
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -224,6 +224,10 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]").search
 _RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
+# turns a mask of 0 and 1 bytes into its complement
+_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def _reason(exc: Exception) -> str:
     """Why a line is not a record; a KeyError's own text is only the
     quoted name of the field that is missing."""
@@ -238,10 +242,10 @@ class DumpScan:
 
     ``on_error`` is "raise" (fail fast) or "skip" (log and continue).
     A UTF-8 byte-order mark at the start of the dump is read as no text.
-    The index holds the line of each post id's first occurrence and,
-    per thread, the line and id of each comment whose id occurs there
-    first.  ``reread`` uses it to decode one thread subset again, so
-    memory grows with the index and that subset, not with the dump.
+    The index holds the line of each post id's first occurrence and one
+    flat list of every comment's thread, line and id, in file order.
+    ``reread`` uses it to decode one thread subset again, so memory
+    grows with the index and that subset, not with the dump.
     ``len`` is the number of records the last pass read.
     ``filter_records`` runs its filter inside the pass.
     """
@@ -256,8 +260,8 @@ class DumpScan:
         self._skip = on_error == "skip"
         self._records = 0
         self._post_lines: dict[str, int] = {}
-        # thread id -> [line, comment id, line, comment id, ...]
-        self._comment_lines: dict[str, list] = {}
+        # [thread, line, comment id, thread, line, comment id, ...]
+        self._comments: list = []
 
     def __len__(self) -> int:
         return self._records
@@ -268,22 +272,25 @@ class DumpScan:
     def _pass(self, spec: FilterSpec | None) -> Iterator[RedditRecord]:
         """Read the whole dump, renewing the index and count, and yield
         the records ``spec`` keeps, or every record without a spec."""
-        self._post_lines, self._comment_lines = index = {}, {}
+        self._post_lines, self._comments = index = {}, []
         with open(self.path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             self._records = yield from self._records_of(enumerate(handle, 1), spec, self._skip, *index)
 
-    def _records_of(self, numbered, spec, skip, post_lines, comment_lines):
+    def _records_of(self, numbered, spec, skip, post_lines, comments):
         """The one loop that makes records of (line number, line) pairs for
         the scan and ``reread``: it checks each line, adds it to the index
         and builds a record only for a line ``spec`` keeps; returns the
         number of records read."""
         native = self._native
         decode, intern, check = _decode_line, sys.intern, textprep.check_field
+        # the index keeps one string per thread id, the first seen; a map
+        # of this pass, as sys.intern's table would keep its growth for
+        # the rest of the process
+        thread_of = {}.setdefault
         if spec is not None:
             first, last, wanted = spec._window
             keywords = spec.lowered_keywords
             kept_ids: set[str] = set()
-        comment_ids: set[str] = set()
         records = 0
         for line_no, line in numbered:
             # a blank line: one read from a file is never empty
@@ -347,20 +354,17 @@ class DumpScan:
             if kind == POST:
                 if rid not in post_lines:
                     post_lines[rid] = line_no
-            elif rid not in comment_ids:
-                comment_ids.add(rid)
-                lines = comment_lines.get(parent)
-                if lines is None:
-                    comment_lines[parent] = [line_no, rid]
-                else:
-                    lines += (line_no, rid)
+            else:
+                comments += (thread_of(parent, parent), line_no, rid)
             if spec is not None:
                 # filter_records' rule, on the fields before a record exists
-                if rid in kept_ids or not first <= created <= last or (wanted and sub.lower() not in wanted):
+                if not first <= created <= last or rid in kept_ids or (wanted and sub.lower() not in wanted):
                     continue
-                lowered_title, lowered_body = title.lower(), body.lower()
+                # an empty title, as every pushshift comment has, holds
+                # only the empty keyword, and so does every body
+                lowered_body, lowered_title = body.lower(), title and title.lower()
                 for keyword in keywords:
-                    if keyword in lowered_title or keyword in lowered_body:
+                    if keyword in lowered_body or lowered_title and keyword in lowered_title:
                         break
                 else:
                     continue
@@ -373,14 +377,13 @@ class DumpScan:
         comment lines of each named thread, reading the file no further
         than the last of them.  A line that no longer holds the record
         the scan saw there raises DumpParseError: the dump changed."""
-        expected: dict[int, tuple[str, str, str]] = {}
-        for thread in thread_ids:
-            line_no = self._post_lines.get(thread)
-            if line_no is not None:
-                expected[line_no] = (POST, thread, thread)
-            lines = self._comment_lines.get(thread, ())
-            for i in range(0, len(lines), 2):
-                expected[lines[i]] = (COMMENT, lines[i + 1], thread)
+        named = set(thread_ids)
+        post_lines = self._post_lines
+        expected: dict[int, tuple[str, str, str]] = {
+            post_lines[thread]: (POST, thread, thread) for thread in named if thread in post_lines
+        }
+        for thread, line_no, rid in self._first_comments(named):
+            expected[line_no] = (COMMENT, rid, thread)
         order = sorted(expected)
         # up to the end of the file or a blank line, so that each line
         # read gives a record or an error
@@ -395,7 +398,7 @@ class DumpScan:
         subset: list[RedditRecord] = []
         error = None
         try:
-            for (line_no, _), record in zip(numbered, self._records_of(numbered, None, False, {}, {})):
+            for (line_no, _), record in zip(numbered, self._records_of(numbered, None, False, {}, [])):
                 if (record.kind, record.id, record.thread) != expected[line_no]:
                     break
                 subset.append(record)
@@ -407,6 +410,29 @@ class DumpScan:
             reason = f"the dump changed while it was read: no {kind} {rid} here"
             raise DumpParseError(line_no, f"{reason}: {error.reason}" if error else reason) from error
         return subset
+
+    def _first_comments(self, named: set[str]) -> list[list]:
+        """The [thread, line, id] entries of the comments whose id occurs
+        first in one of the ``named`` threads, in file order."""
+        comments = self._comments
+        starts = range(0, len(comments), 3)
+
+        def column(offset: int) -> Iterator:
+            return islice(comments, offset, None, 3)
+
+        in_named = bytes(map(named.__contains__, column(0)))
+        entries = [comments[i:i + 3] for i in compress(starts, in_named)]
+        named_ids = {rid for _, _, rid in entries}
+        if len(named_ids) == len(entries) and named_ids.isdisjoint(
+            compress(column(2), in_named.translate(_COMPLEMENT))
+        ):
+            # no id of theirs occurs twice in the dump: each is a first occurrence
+            return entries
+        # some id does: scan the entries that hold one for each id's first
+        first: dict[str, int] = {}
+        for i in compress(starts, bytes(map(named_ids.__contains__, column(2)))):
+            first.setdefault(comments[i + 2], i)
+        return [comments[i:i + 3] for i in first.values() if comments[i] in named]
 
 
 def parse_dump(

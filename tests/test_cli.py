@@ -700,8 +700,9 @@ def test_topic_manifests_record_the_defaults_of_every_flag_but_the_output(clean_
 @pytest.mark.parametrize(
     "flag, prior",
     [("--eta", "1e-200"), ("--eta", "1e-300"), ("--eta", "2.2250738585072014e-308"),
-     ("--eta", "1e308"), ("--alpha", "1e308")],
-    ids=["1e-200", "1e-300", "2.2250738585072014e-308", "eta-1e308", "alpha-1e308"],
+     ("--eta", "1e308"), ("--alpha", "1e308"), ("--alpha", "1e306"), ("--alpha", "1e307")],
+    ids=["1e-200", "1e-300", "2.2250738585072014e-308", "eta-1e308", "alpha-1e308",
+         "alpha-1e306", "alpha-1e307"],
 )
 def test_a_perplexity_overflow_names_the_priors_and_writes_nothing(
     clean_docs, tmp_path, capsys, flag, prior

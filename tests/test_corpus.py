@@ -1321,6 +1321,57 @@ def test_reread_returns_the_first_occurrences_of_the_named_threads(tmp_path):
     ]
 
 
+def _scanned(path, lines):
+    """A DumpScan and the parent's scan of the dump, each read once."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scans = DumpScan(path, "native"), ParentScan(path, "native")
+    for scan in scans:
+        list(scan)
+    return scans
+
+
+def test_reread_leaves_out_a_comment_first_seen_in_an_unnamed_thread(tmp_path):
+    # c1 occurs first under p3, which is not named, then under p1, which is
+    scan, parent = _scanned(tmp_path / "dump.jsonl", [
+        _native("post", "p1", "covid", WINDOW_FIRST, "covid"),
+        _native("comment", "c1", "covid", WINDOW_FIRST, "sunny", "p3"),
+        _native("comment", "c2", "covid", WINDOW_FIRST, "rain", "p1"),
+        _native("comment", "c1", "covid", WINDOW_FIRST, "covid", "t3_p1"),
+        _native("post", "p3", "covid", WINDOW_FIRST, "sports"),
+    ])
+    subset = scan.reread({"p1"})
+    assert [(r.kind, r.id, r.body) for r in subset] == [("post", "p1", ""), ("comment", "c2", "rain")]
+    assert subset == parent.reread({"p1"})
+
+
+def test_reread_of_a_named_comment_id_that_repeats_keeps_its_first_occurrence(tmp_path):
+    # c1 repeats in another named thread, c3 in a thread not named and c2
+    # in its own thread; each is kept where it occurs first
+    scan, parent = _scanned(tmp_path / "dump.jsonl", [
+        _native("post", "p1", "covid", WINDOW_FIRST, "covid"),
+        _native("comment", "c1", "covid", WINDOW_FIRST, "first c1", "p1"),
+        _native("comment", "c2", "covid", WINDOW_FIRST, "first c2", "p2"),
+        _native("post", "p2", "covid", WINDOW_FIRST, "covid"),
+        _native("comment", "c1", "covid", WINDOW_FIRST, "second c1", "p2"),
+        _native("comment", "c3", "covid", WINDOW_FIRST, "first c3", "p1"),
+        _native("comment", "c3", "covid", WINDOW_FIRST, "second c3", "p4"),
+        _native("comment", "c2", "covid", WINDOW_FIRST, "second c2", "p2"),
+        _native("comment", "c4", "covid", WINDOW_FIRST, "only c4", "p4"),
+    ])
+    subset = scan.reread(["p2", "p1", "p2"])
+    assert [(r.kind, r.id, r.thread, r.body) for r in subset] == [
+        ("post", "p1", "p1", ""),
+        ("comment", "c1", "p1", "first c1"),
+        ("comment", "c2", "p2", "first c2"),
+        ("post", "p2", "p2", ""),
+        ("comment", "c3", "p1", "first c3"),
+    ]
+    assert subset == parent.reread(["p2", "p1", "p2"])
+    assert scan.reread({"p4"}) == parent.reread({"p4"}) == [
+        ("comment", "c4", "covid", WINDOW_FIRST, "", "only c4", "p4", 0)
+    ]
+
+
 def test_scan_length_counts_the_records_of_the_last_pass(tmp_path):
     path = tmp_path / "dump.jsonl"
     path.write_text("\n".join(PARTLY_MATCHING_DUMP) + "\n", encoding="utf-8")
@@ -1600,6 +1651,9 @@ ODD_VALUES = [
 ]
 SCAN_SPECS = EQUIVALENCE_SPECS + [
     FilterSpec(("PANDEMIC", "Virus"), date(2020, 3, 1), date(2020, 3, 31), subreddits=("nyc", "Covid")),
+    # an empty keyword, as a --config list can give, is in every text
+    FilterSpec(("",), date(2020, 3, 1), date(2020, 3, 31)),
+    FilterSpec(("covid", ""), date(2020, 3, 1), date(2020, 3, 31), subreddits=("nyc",)),
 ]
 scan_texts = st.sampled_from(
     ["weather", "Covid update", "wear a MASK", "pandemic VIRUS", "nyc", "", "[removed]"]
@@ -1623,6 +1677,9 @@ def scan_lines(draw, schema: str) -> str:
             fields["body"] = draw(scan_texts)
         else:
             fields["parent_post_id"] = parent
+            # a native comment can carry a title, and be kept through it
+            if draw(st.booleans()):
+                fields["title"] = draw(scan_texts)
     elif is_post:
         fields.update(title=draw(scan_texts), selftext=draw(scan_texts))
     else:
@@ -1690,6 +1747,34 @@ def scan_dumps(schema: str):
     ),
     spec=EQUIVALENCE_SPECS[1],
     on_error="skip",
+)
+@example(
+    # the empty keyword keeps a comment, whose title is empty, and a post
+    # with an empty title
+    schema_and_lines=(
+        "pushshift",
+        [
+            _line_of({"id": "c1", "subreddit": "other", "created_utc": WINDOW_FIRST, "link_id": "p1", "body": "weather"}),
+            _line_of({"id": "p1", "subreddit": "other", "created_utc": WINDOW_LAST, "title": "", "selftext": ""}),
+        ],
+    ),
+    spec=SCAN_SPECS[-2],
+    on_error="raise",
+)
+@example(
+    # a native comment kept through its title alone, and one whose title
+    # and body both miss
+    schema_and_lines=(
+        "native",
+        [
+            _line_of({"kind": "comment", "id": "c1", "subreddit": "nyc", "created_utc": WINDOW_FIRST,
+                      "title": "Covid update", "body": "weather", "parent_post_id": "p1"}),
+            _line_of({"kind": "comment", "id": "c2", "subreddit": "nyc", "created_utc": WINDOW_FIRST,
+                      "title": "wear a MASK", "body": "weather", "parent_post_id": "p1"}),
+        ],
+    ),
+    spec=EQUIVALENCE_SPECS[1],
+    on_error="raise",
 )
 def test_scan_with_the_filter_inside_matches_the_parent_scan(schema_and_lines, spec, on_error):
     schema, lines = schema_and_lines
