@@ -224,10 +224,6 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]").search
 _RECORD_ERRORS = (ValueError, KeyError, TypeError, OverflowError, RecursionError)
 
 
-# turns a mask of 0 and 1 bytes into its complement
-_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
-
-
 def _reason(exc: Exception) -> str:
     """Why a line is not a record; a KeyError's own text is only the
     quoted name of the field that is missing."""
@@ -421,14 +417,8 @@ class DumpScan:
             return islice(comments, offset, None, 3)
 
         in_named = bytes(map(named.__contains__, column(0)))
-        entries = [comments[i:i + 3] for i in compress(starts, in_named)]
-        named_ids = {rid for _, _, rid in entries}
-        if len(named_ids) == len(entries) and named_ids.isdisjoint(
-            compress(column(2), in_named.translate(_COMPLEMENT))
-        ):
-            # no id of theirs occurs twice in the dump: each is a first occurrence
-            return entries
-        # some id does: scan the entries that hold one for each id's first
+        named_ids = set(compress(column(2), in_named))
+        # an id's first entry may lie in a thread that is not named
         first: dict[str, int] = {}
         for i in compress(starts, bytes(map(named_ids.__contains__, column(2)))):
             first.setdefault(comments[i + 2], i)

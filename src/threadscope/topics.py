@@ -599,19 +599,18 @@ def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTo
 
 def _dirichlet_ll(values: np.ndarray, prior: float) -> float:
     """Sum over the rows of E[log p(x|prior)] - E[log q(x|values)], one
-    Dirichlet per row.  ``math.lgamma`` past a float's range raises
-    FloatingPointError, as numpy's own overflow does under ``fit_lda``."""
+    Dirichlet per row.  ``math.lgamma``, alone or through ``_lgamma``,
+    raises OverflowError past a float's range; it is raised here as the
+    FloatingPointError that numpy's own overflow raises under ``fit_lda``."""
     totals = values.sum(axis=1)
+    spread = ((prior - values) * (digamma(values) - digamma(totals)[:, np.newaxis])).sum()
+    n_rows, n = values.shape
     try:
-        score = float(
-            ((prior - values) * (digamma(values) - digamma(totals)[:, np.newaxis])).sum()
-            + _lgamma(values).sum()
-            - _lgamma(totals).sum()
-        )
-        n_rows, n = values.shape
-        return score + n_rows * (math.lgamma(n * prior) - n * math.lgamma(prior))
+        of_values, of_totals = _lgamma(values).sum(), _lgamma(totals).sum()
+        log_norm = math.lgamma(n * prior) - n * math.lgamma(prior)
     except OverflowError:
         raise FloatingPointError("overflow encountered in lgamma") from None
+    return float(spread + of_values - of_totals) + n_rows * log_norm
 
 
 def _word_ll(elog_beta: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray) -> float:
