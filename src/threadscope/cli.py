@@ -139,7 +139,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"config file {path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise _UsageError(f"config file {path}: expected a JSON object")
@@ -445,8 +445,11 @@ def _cmd_topics(p: dict) -> Outputs:
     try:
         model = topics.fit_lda(matrix, config)
     except OverflowError as exc:
-        # the priors set the range of the bound the perplexity is taken from
-        raise OverflowError(f"{exc}; the priors --eta and --alpha set its range") from exc
+        # the priors set the range of the bound the perplexity is taken from,
+        # and --k sets their default
+        raise OverflowError(
+            f"{exc}; the priors --eta and --alpha set its range, and --k their default 1/k"
+        ) from exc
     if any(model.epoch_cap_hits):
         print(
             f"{PROG} topics: note: E-steps stopped at max_e_iters="

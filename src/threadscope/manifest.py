@@ -93,7 +93,7 @@ _FIELDS = (
 def read_manifest(path: str | Path) -> RunManifest:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ManifestError(f"{path}: not a manifest object")

@@ -7,6 +7,7 @@ Spans use half-open token index ranges [start, end).
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left
 from collections import Counter
 from itertools import islice
@@ -68,6 +69,8 @@ class KeywordSpec(FrozenRecord):
     ) -> None:
         if cap < 1:
             raise ValueError("cap must be >= 1")
+        if cap > sys.maxsize:
+            raise ValueError(f"cap must be at most {sys.maxsize}")
         if match_mode not in (PREFIX_MATCH, SUBSTRING_MATCH):
             raise ValueError(f"unknown match_mode {match_mode!r}")
         for category, keywords in by_category.items():

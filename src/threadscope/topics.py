@@ -185,6 +185,8 @@ class LdaConfig:
             raise ValueError("mean_change_tol must be finite and positive")
         if self.top_n < 1:
             raise ValueError("top_n must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def alpha_value(self) -> float:
@@ -220,15 +222,15 @@ def learning_rate(tau0: float, kappa: float, t: int) -> float:
     return (tau0 + t) ** (-kappa)
 
 
+def _elog(values: np.ndarray) -> np.ndarray:
+    """E[log x] under the Dirichlet of each row, psi(x) - psi(row sum),
+    from one digamma call over the rows and their sums."""
+    psi = digamma(np.concatenate((values, values.sum(axis=1, keepdims=True)), axis=1))
+    return psi[:, :-1] - psi[:, -1:]
+
+
 def _exp_elog_beta(lam: np.ndarray) -> np.ndarray:
-    return np.exp(digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis])
-
-
-def _exp_elog_theta(gamma: np.ndarray) -> np.ndarray:
-    """exp(E[log theta]) per row, from one digamma call over the rows and
-    their sums."""
-    psi = digamma(np.concatenate((gamma, gamma.sum(axis=1, keepdims=True)), axis=1))
-    return np.exp(psi[:, :-1] - psi[:, -1:])
+    return np.exp(_elog(lam))
 
 
 # numpy sums a contiguous run of up to this many values with 8 accumulators,
@@ -339,7 +341,7 @@ def _estep(
     # deterministic start: prior plus an even share of each doc's mass
     mass = np.add.reduceat(batch.cts, batch.ptr[:-1])
     gamma = np.repeat(alpha + mass / k, k).reshape(n_docs, k)
-    theta = _exp_elog_theta(gamma)
+    theta = np.exp(_elog(gamma))
     beta = exp_elog_beta.T[batch.ids]  # (tokens, k)
     # reused by every iteration, so the loop allocates nothing tokens x k
     scratch = np.empty_like(beta)
@@ -362,7 +364,7 @@ def _estep(
             beta, (cts / phinorm)[:, np.newaxis], out=scratch[: cts.size]
         )
         gamma = alpha + theta * np.add.reduceat(ratio, starts, axis=0)
-        theta = _exp_elog_theta(gamma)
+        theta = np.exp(_elog(gamma))
         phinorm = _phinorm(theta, beta, owner, scratch)
         # the mean, as ndarray.mean computes it, without its Python wrapper
         stop = np.abs(gamma - last).sum(axis=1) / k < tol
@@ -431,7 +433,7 @@ def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
         ptr = matrix.ptr
         kept.append(positions[ptr[positions + 1] > ptr[positions]])
     tables = [exp_elog_beta for _, _, exp_elog_beta in parts]
-    table = tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
+    table = np.concatenate(tables, axis=1)
     columns = np.cumsum([0, *(t.shape[1] for t in tables)])
     for first in range(0, max(p.size for p in kept), _ESTEP_GROUP):
         groups = []  # (part index, positions, ids, cts, ptr) of each part here
@@ -499,13 +501,14 @@ def fit_lda(matrix: DocTermMatrix, config: LdaConfig) -> TopicModel:
     initialization and per-epoch document shuffling; records the number of
     training E-steps stopped by max_e_iters and the training perplexity
     from the variational bound (a full E-step pass over the corpus) per
-    epoch, whose last pass leaves its gammas in ``doc_gammas``.  A prior
-    so large that a sum of the fit overflows a float raises OverflowError,
-    where numpy would only warn and go on with infinities."""
+    epoch, whose last pass leaves its gammas in ``doc_gammas``.  Every
+    float overflow of the fit raises OverflowError with one message: numpy's
+    in a sum, where numpy would only warn and go on with infinities, and
+    ``math``'s in the bound's log-gamma terms or the perplexity's exp."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             (model,) = _fit_lockstep([matrix], config, record_perplexity=True)
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         message = f"the fit or its training perplexity overflows a float ({exc})"
         raise OverflowError(message) from None
     return model
@@ -599,24 +602,19 @@ def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTo
 
 def _dirichlet_ll(values: np.ndarray, prior: float) -> float:
     """Sum over the rows of E[log p(x|prior)] - E[log q(x|values)], one
-    Dirichlet per row.  ``math.lgamma``, alone or through ``_lgamma``,
-    raises OverflowError past a float's range; it is raised here as the
-    FloatingPointError that numpy's own overflow raises under ``fit_lda``."""
+    Dirichlet per row."""
     totals = values.sum(axis=1)
-    spread = ((prior - values) * (digamma(values) - digamma(totals)[:, np.newaxis])).sum()
+    spread = ((prior - values) * _elog(values)).sum()
     n_rows, n = values.shape
-    try:
-        of_values, of_totals = _lgamma(values).sum(), _lgamma(totals).sum()
-        log_norm = math.lgamma(n * prior) - n * math.lgamma(prior)
-    except OverflowError:
-        raise FloatingPointError("overflow encountered in lgamma") from None
+    of_values, of_totals = _lgamma(values).sum(), _lgamma(totals).sum()
+    log_norm = math.lgamma(n * prior) - n * math.lgamma(prior)
     return float(spread + of_values - of_totals) + n_rows * log_norm
 
 
 def _word_ll(elog_beta: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray) -> float:
     """Sum over a chunk's tokens of count x log sum over topics of
     exp(E[log theta] + E[log beta]), the log-sum-exp taken in place."""
-    elog_theta = digamma(gamma) - digamma(gamma.sum(axis=1))[:, np.newaxis]
+    elog_theta = _elog(gamma)
     joint = elog_beta.T[chunk.ids]
     joint += np.repeat(elog_theta, chunk.lengths, axis=0)
     peak = joint.max(axis=1)
@@ -642,7 +640,7 @@ def perplexity(
         return float("nan")
     # a topic row at a time: lgamma boxes every element as a Python float
     score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
-    elog_beta = digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis]
+    elog_beta = _elog(lam)
     exp_elog_beta = np.exp(elog_beta)
     every = np.arange(matrix.n_docs)
     for positions, chunk, step in _estep_chunks(matrix, every, exp_elog_beta, config):
@@ -650,13 +648,7 @@ def perplexity(
         score += _dirichlet_ll(step.gamma, config.alpha_value)
         if gammas is not None:
             gammas[positions] = step.gamma
-    exponent = -score / total
-    try:
-        return math.exp(exponent)
-    except OverflowError:
-        raise OverflowError(
-            f"the training perplexity exp({exponent:.6g}) overflows a float"
-        ) from None
+    return math.exp(-score / total)
 
 
 def topic_word_distribution(lam: np.ndarray) -> np.ndarray:

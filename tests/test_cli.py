@@ -536,6 +536,21 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_a_too_deeply_nested_config_or_manifest_is_one_error_line(tmp_path, capsys):
+    # nesting past the JSON decoder's recursion limit: a config file is a
+    # usage error, a manifest a data error
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "]" * 100000)
+    assert run(["stats", "--config", str(nested)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"config file {nested}: not valid JSON (" in line
+    argv = ["replay", "--manifest", str(nested), "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"{nested}: not valid JSON (" in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_flag_beats_config_beats_default(corpus_dir, tmp_path, fixtures):
     from threadscope import nerdata
     from pathlib import Path
@@ -717,6 +732,19 @@ def test_a_perplexity_overflow_names_the_priors_and_writes_nothing(
     (line,) = capsys.readouterr().err.splitlines()
     assert "perplexity" in line and "overflows" in line
     assert "--eta" in line and "--alpha" in line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_perplexity_overflow_from_k_names_k(clean_docs, tmp_path, capsys):
+    # no prior is given: --k sets both to 1/k, and a large k puts the
+    # training perplexity past what a float holds
+    out = tmp_path / "t"
+    argv = ["topics", "--docs", str(clean_docs), "--min-df", "1", "--epochs", "1",
+            "--k", "500", "--out", str(out)]
+    assert run(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "perplexity" in line and "overflows" in line
+    assert "--eta" in line and "--alpha" in line and "--k" in line
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1150,6 +1178,32 @@ def test_topics_rejects_non_finite_priors_with_one_error_line(
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"threadscope topics: error: {field} must be finite and positive"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags,message",
+    [
+        ("ner-build", ["--cap", "100000000000000000000000"], "cap must be at most 9223372036854775807"),
+        ("topics", ["--seed", "-1"], "seed must be non-negative"),
+    ],
+    ids=["ner-build-huge-cap", "topics-negative-seed"],
+)
+def test_an_out_of_range_count_names_its_flag(
+    clean_docs, corpus_dir, tmp_path, capsys, command, flags, message
+):
+    from threadscope import nerdata
+
+    out = tmp_path / "out"
+    if command == "ner-build":
+        keywords = Path(nerdata.__file__).parent / "data" / "ner_keywords.tsv"
+        argv = [command, "--sentences", str(corpus_dir / "sentences.txt")]
+        argv += ["--keywords", str(keywords)]
+    else:
+        argv = [command, "--docs", str(clean_docs), "--k", "2", "--min-df", "1"]
+    argv += [*flags, "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"threadscope {command}: error: {message}"]
     assert not out.exists()
 
 

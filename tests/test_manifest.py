@@ -77,6 +77,10 @@ def test_read_manifest_rejects_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ManifestError):
         read_manifest(path)
+    # nesting past the decoder's recursion limit
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ManifestError, match="not valid JSON"):
+        read_manifest(path)
 
 
 def test_read_manifest_rejects_missing_fields(tmp_path):

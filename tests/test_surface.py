@@ -229,3 +229,14 @@ def test_frozen_slots_are_set_only_in_records():
     # slot list
     uses = _attribute_uses("__setattr__")
     assert uses and [use for use in uses if not use.startswith("records:")] == []
+
+
+def test_the_dirichlet_expectation_is_taken_only_in_elog():
+    # ``topics._elog`` is the one E[log x] = psi(x) - psi(row sum) of the
+    # topic fit: every other use of digamma goes through it
+    users = [
+        _definition_name(stmt)
+        for module, stmt in _statements()
+        if module == "topics" and "digamma" in _names_used(stmt)
+    ]
+    assert users == ["_elog"]
