@@ -107,9 +107,6 @@ class DocTermMatrix(NamedTuple):
     def lengths(self) -> np.ndarray:
         return np.diff(self.ptr)
 
-    def total_count(self) -> int:
-        return int(self.cts.sum())
-
 
 def build_vocabulary(
     cleaned_documents: Sequence[str], max_df: float = 0.90, min_df: int = 3
@@ -150,7 +147,9 @@ def build_vocabulary(
 class LdaConfig:
     """Online VB knobs; alpha/eta default to the symmetric 1/k prior.  A
     prior below the smallest normal float is refused: digamma's 1/x
-    overflows there, and the fit's bound would be nan."""
+    overflows there, and the fit's bound would be nan.  So is a tau0 below
+    1: the first step rho = tau0^-kappa would exceed 1 and weigh the old
+    lambda negatively."""
 
     k: int
     alpha: float | None = None
@@ -177,6 +176,8 @@ class LdaConfig:
                 raise ValueError(f"{name} must be at least {sys.float_info.min!r}")
         if not 0 < self.tau0 < math.inf:
             raise ValueError("tau0 must be finite and positive")
+        if self.tau0 < 1:
+            raise ValueError("tau0 must be at least 1")
         if not 0.5 < self.kappa <= 1:
             raise ValueError("kappa must lie in (0.5, 1]")
         if self.batch_size < 1 or self.epochs < 1 or self.max_e_iters < 1:
@@ -227,10 +228,6 @@ def _elog(values: np.ndarray) -> np.ndarray:
     from one digamma call over the rows and their sums."""
     psi = digamma(np.concatenate((values, values.sum(axis=1, keepdims=True)), axis=1))
     return psi[:, :-1] - psi[:, -1:]
-
-
-def _exp_elog_beta(lam: np.ndarray) -> np.ndarray:
-    return np.exp(_elog(lam))
 
 
 # numpy sums a contiguous run of up to this many values with 8 accumulators,
@@ -404,30 +401,17 @@ def _estep(
     )
 
 
-def _estep_chunks(
-    matrix: DocTermMatrix,
-    positions: np.ndarray,
-    exp_elog_beta: np.ndarray,
-    config: LdaConfig,
-):
-    """Run the E-step over the non-empty documents at ``positions``, in
-    order, one call per _ESTEP_GROUP of them; yields (positions, the
-    sub-matrix, result) for each _ESTEP_CHUNK of a group in turn."""
-    for _, chunk_positions, chunk, step in _lockstep_chunks(
-        [(matrix, positions, exp_elog_beta)], config
-    ):
-        yield chunk_positions, chunk, step
-
-
 def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
-    """``_estep_chunks`` for several fits of config.k topics at once, each
-    part a (matrix, positions, exp_elog_beta) of its own: call g takes the
-    g-th _ESTEP_GROUP of every part that has one.  The parts' tables sit
-    side by side in one table, and a part's term ids are offset by its
-    first column there, so each token reads its own part's exp_elog_beta.
-    Yields (part index, positions, sub-matrix, result) for each
-    _ESTEP_CHUNK of each part's group, part by part, call by call; every
-    document's result is the one a call of its part alone gives."""
+    """Every E-step of the package: run it over the non-empty documents
+    at each part's ``positions``, in order, for one or more fits of
+    config.k topics at once, each part a (matrix, positions,
+    exp_elog_beta) of its own.  Call g takes the g-th _ESTEP_GROUP of
+    every part that has one.  The parts' tables sit side by side in one
+    table, and a part's term ids are offset by its first column there, so
+    each token reads its own part's exp_elog_beta.  Yields (part index,
+    positions, sub-matrix, result) for each _ESTEP_CHUNK of each part's
+    group, part by part, call by call; every document's result is the one
+    a call of its part alone gives."""
     kept = []
     for matrix, positions, _ in parts:
         ptr = matrix.ptr
@@ -547,7 +531,7 @@ def _fit_lockstep(
         cap_hits = [0] * len(matrices)
         for r in range(max(map(len, batches), default=0)):
             fits = [i for i, fit_batches in enumerate(batches) if r < len(fit_batches)]
-            tables = [_exp_elog_beta(models[i].lam) for i in fits]
+            tables = [np.exp(_elog(models[i].lam)) for i in fits]
             sstats = [np.zeros_like(table) for table in tables]
             parts = [(matrices[i], batches[i][r], table) for i, table in zip(fits, tables)]
             for part, _, chunk, step in _lockstep_chunks(parts, config):
@@ -595,7 +579,8 @@ def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTo
     config = model.config
     gamma = np.full(config.k, config.alpha_value)
     # one chunk, or none for an empty document
-    for _, _, step in _estep_chunks(matrix, np.arange(1), _exp_elog_beta(model.lam), config):
+    parts = [(matrix, np.arange(1), np.exp(_elog(model.lam)))]
+    for _, _, _, step in _lockstep_chunks(parts, config):
         gamma = step.gamma[0]
     return _doc_topics(gamma, not len(pairs), config.k)
 
@@ -626,28 +611,23 @@ def _word_ll(elog_beta: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray) -> 
 
 
 def perplexity(
-    lam: np.ndarray,
-    matrix: DocTermMatrix,
-    config: LdaConfig,
-    gammas: np.ndarray | None = None,
+    lam: np.ndarray, matrix: DocTermMatrix, config: LdaConfig, gammas: np.ndarray
 ) -> float:
     """exp(-bound / token count), lower is better, where the bound is the
     evidence lower bound on the corpus under lambda, with per-document
-    gammas re-inferred at the frozen lambda; ``gammas``, when given, is
-    filled with each non-empty document's gamma at its matrix row."""
-    total = matrix.total_count()
+    gammas re-inferred at the frozen lambda; ``gammas`` is filled with
+    each non-empty document's gamma at its matrix row."""
+    total = int(matrix.cts.sum())
     if total == 0:
         return float("nan")
     # a topic row at a time: lgamma boxes every element as a Python float
     score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = _elog(lam)
-    exp_elog_beta = np.exp(elog_beta)
-    every = np.arange(matrix.n_docs)
-    for positions, chunk, step in _estep_chunks(matrix, every, exp_elog_beta, config):
+    parts = [(matrix, np.arange(matrix.n_docs), np.exp(elog_beta))]
+    for _, positions, chunk, step in _lockstep_chunks(parts, config):
         score += _word_ll(elog_beta, chunk, step.gamma)
         score += _dirichlet_ll(step.gamma, config.alpha_value)
-        if gammas is not None:
-            gammas[positions] = step.gamma
+        gammas[positions] = step.gamma
     return math.exp(-score / total)
 
 

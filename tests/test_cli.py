@@ -1186,8 +1186,11 @@ def test_topics_rejects_non_finite_priors_with_one_error_line(
     [
         ("ner-build", ["--cap", "100000000000000000000000"], "cap must be at most 9223372036854775807"),
         ("topics", ["--seed", "-1"], "seed must be non-negative"),
+        # the first step rho = offset^-kappa would exceed 1 and weigh the
+        # old lambda negatively
+        ("topics", ["--offset", "0.5"], "tau0 must be at least 1"),
     ],
-    ids=["ner-build-huge-cap", "topics-negative-seed"],
+    ids=["ner-build-huge-cap", "topics-negative-seed", "topics-offset-below-1"],
 )
 def test_an_out_of_range_count_names_its_flag(
     clean_docs, corpus_dir, tmp_path, capsys, command, flags, message

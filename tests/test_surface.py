@@ -240,3 +240,14 @@ def test_the_dirichlet_expectation_is_taken_only_in_elog():
         if module == "topics" and "digamma" in _names_used(stmt)
     ]
     assert users == ["_elog"]
+
+
+def test_the_e_step_is_called_only_from_lockstep_chunks():
+    # ``topics._lockstep_chunks`` is the one entry to the E-step: a training
+    # round, a perplexity pass and a one-document inference all go through it
+    callers = [
+        _definition_name(stmt)
+        for module, stmt in _statements()
+        if module == "topics" and "_estep" in _names_used(stmt)
+    ]
+    assert callers == ["_lockstep_chunks"]

@@ -34,7 +34,6 @@ from threadscope.topics import (
     save_topic_model,
     top_words,
     topic_word_distribution,
-    _estep_chunks,
 )
 
 # digamma's positive zero sits near 1.4616; relative error is meaningless
@@ -243,7 +242,7 @@ def test_doc_term_matrix_rows():
     assert matrix.ids.dtype == np.int64 and matrix.cts.dtype == np.float64
     assert matrix.n_docs == 3
     assert matrix.lengths.tolist() == [2, 1, 0]
-    assert matrix.total_count() == 4
+    assert matrix.cts.sum() == 4
 
 
 # ---------------------------------------------------------------- config
@@ -254,6 +253,11 @@ def test_lda_config_validation():
         LdaConfig(k=1)
     with pytest.raises(ValueError):
         LdaConfig(k=2, tau0=0.0)
+    # an offset below 1 makes the first step rho = tau0^-kappa exceed 1
+    for tau0 in (0.5, 0.999):
+        with pytest.raises(ValueError, match="^tau0 must be at least 1$"):
+            LdaConfig(k=2, tau0=tau0)
+    LdaConfig(k=2, tau0=1.0)
     with pytest.raises(ValueError):
         LdaConfig(k=2, kappa=0.5)
     with pytest.raises(ValueError):
@@ -393,7 +397,8 @@ def test_batched_estep_matches_naive_per_document(max_iters):
     beta = exp_elog_beta_scipy(lam)
     seen, iterations, capped = [], set(), []
     matrix = csr(rows, v)
-    for docs, batch, step in _estep_chunks(matrix, np.arange(len(rows)), beta, config):
+    parts = [(matrix, np.arange(len(rows)), beta)]
+    for _, docs, batch, step in topics._lockstep_chunks(parts, config):
         for j, doc in enumerate(docs):
             ids = np.array([i for i, _ in rows[doc]])
             cts = np.array([c for _, c in rows[doc]], dtype=float)
@@ -525,7 +530,7 @@ def reference_fit(rows, n_terms, config):
         hits = 0
         for start in range(0, n_docs, batch_size):
             batch = order[start : start + batch_size]
-            exp_elog_beta = topics._exp_elog_beta(lam)
+            exp_elog_beta = np.exp(topics._elog(lam))
             sstats = np.zeros_like(lam)
             batch_rows = [rows[index] for index in batch]
             for _, chunk, step in reference_chunks(batch_rows, exp_elog_beta, config):
@@ -543,7 +548,7 @@ def reference_fit(rows, n_terms, config):
 
 def reference_gammas(model, rows):
     gammas = np.full((len(rows), model.config.k), model.config.alpha_value)
-    exp_elog_beta = topics._exp_elog_beta(model.lam)
+    exp_elog_beta = np.exp(topics._elog(model.lam))
     for positions, _, step in reference_chunks(rows, exp_elog_beta, model.config):
         gammas[positions] = step.gamma
     return gammas
@@ -665,7 +670,7 @@ def test_fit_and_perplexity_call_the_e_step_once_per_group(monkeypatch):
     # three training batches of 128, 128 and 44 documents, empty ones skipped
     assert sum(calls) == 298 and len(calls) == 3
     calls.clear()
-    perplexity(model.lam, csr(rows, 9), config)
+    perplexity(model.lam, csr(rows, 9), config, np.empty((300, 3)))
     assert calls == [128, 128, 42]
 
 
@@ -838,7 +843,7 @@ def test_fit_lda_rejects_degenerate_input():
 
 def test_perplexity_nan_on_empty_matrix():
     matrix = csr(((), ()), 3)
-    assert math.isnan(perplexity(np.ones((2, 3)), matrix, LdaConfig(k=2)))
+    assert math.isnan(perplexity(np.ones((2, 3)), matrix, LdaConfig(k=2), np.empty((2, 2))))
 
 
 # ---------------------------------------------------------------- outputs
