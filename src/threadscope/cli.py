@@ -328,6 +328,10 @@ def _cmd_stats(p: dict) -> Outputs:
 
 
 def _cmd_preprocess(p: dict) -> Outputs:
+    # an empty list would run the default stages too, yet record [] in the
+    # manifest
+    if p["stages"] == []:
+        raise ValueError("--stages must name a stage")
     documents = corpus.read_documents(p["in"])
     stoplist = textprep.load_stopwords(p["stoplist"]) if p["stoplist"] else None
     # one memo of token surfaces for this run, freed when the handler returns
@@ -513,6 +517,10 @@ def _cmd_sentiment(p: dict) -> Outputs:
 
 
 def _cmd_report(p: dict) -> Outputs:
+    # an empty list would trend the top entity per category too, yet record
+    # [] in the manifest
+    if p["entities"] == []:
+        raise ValueError("--entities must name an entity")
     # each entity is a column of the trends table
     for name in p["entities"] or ():
         textprep.check_field("--entities", name)

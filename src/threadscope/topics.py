@@ -86,9 +86,9 @@ class Vocabulary:
         return len(self.terms)
 
 
-# the corpus and E-step record types are NamedTuples rather than
-# dataclasses: two more dataclasses, whose methods are generated when the
-# module loads, raised the peak RSS of every CLI run by about 0.6 MB
+# the corpus record type is a NamedTuple rather than a dataclass, whose
+# methods are generated when the module loads: two such dataclasses raised
+# the peak RSS of every CLI run by about 0.6 MB
 class DocTermMatrix(NamedTuple):
     """Document-term counts over an n_terms space in CSR form: document d
     holds term ids ids[ptr[d]:ptr[d+1]], ascending, with counts
@@ -307,28 +307,19 @@ _ESTEP_GROUP = 4 * _ESTEP_CHUNK
 _COMPACT_SHARE = 0.25
 
 
-class _EStep(NamedTuple):
-    """Per-document results of one batched E-step, each document's taken
-    at its own last iteration."""
-
-    gamma: np.ndarray  # (docs, k)
-    exp_elog_theta: np.ndarray  # (docs, k)
-    phinorm: np.ndarray  # (tokens,)
-    capped: np.ndarray  # (docs,) stopped by max_iters rather than tol
-
-
 def _estep(
     batch: DocTermMatrix,
     exp_elog_beta: np.ndarray,
     alpha: float,
     tol: float,
     max_iters: int,
-) -> _EStep:
+) -> tuple[np.ndarray, np.ndarray]:
     """Iterate gamma for every document of a batch of non-empty rows at
-    once.  Each document stops on its own rule, mean |delta gamma| < tol or
-    max_iters, and its gamma, exp_elog_theta and phinorm of that iteration
-    are stored then.  A stopped document stays in the working set, masked
-    so it is never stored again, until stopped documents hold
+    once; returns each document's gamma, (docs, k), and whether max_iters
+    rather than tol stopped it, (docs,).  Each document stops on its own
+    rule, mean |delta gamma| < tol or max_iters, and its gamma of that
+    iteration is stored then.  A stopped document stays in the working
+    set, masked so it is never stored again, until stopped documents hold
     _COMPACT_SHARE of its tokens; then the set is compacted.  No other
     row reads a stopped row's values, so when it is compacted changes no
     bit, only how many copies are traded for arithmetic."""
@@ -348,11 +339,8 @@ def _estep(
     phinorm = _phinorm(theta, beta, owner, scratch)
 
     out_gamma = np.empty_like(gamma)
-    out_theta = np.empty_like(theta)
-    out_phinorm = np.empty_like(phinorm)
     capped = np.zeros(n_docs, dtype=bool)
     rows = np.arange(n_docs)  # the working set's batch rows
-    tokens = np.arange(cts.size)  # their tokens' positions in the batch
     running = np.ones(n_docs, dtype=bool)  # working rows not yet stopped
     stopped_tokens = 0  # tokens of the working rows that have stopped
     for it in range(1, max_iters + 1):
@@ -373,9 +361,6 @@ def _estep(
         if not stop.any():
             continue
         out_gamma[rows[stop]] = gamma[stop]
-        out_theta[rows[stop]] = theta[stop]
-        stop_tokens = np.repeat(stop, lengths)
-        out_phinorm[tokens[stop_tokens]] = phinorm[stop_tokens]
         running &= ~stop
         if not running.any():
             break
@@ -386,19 +371,16 @@ def _estep(
         rows, gamma, theta, lengths = (
             rows[running], gamma[running], theta[running], lengths[running]
         )
-        tokens = tokens[keep_tokens]
+        cts, phinorm = cts[keep_tokens], phinorm[keep_tokens]
         # compact beta into the scratch rows and reuse the old beta as
         # scratch: both still hold at least the running tokens
-        np.compress(keep_tokens, beta, axis=0, out=scratch[: tokens.size])
-        beta, scratch = scratch[: tokens.size], beta
-        cts, phinorm = cts[keep_tokens], phinorm[keep_tokens]
+        np.compress(keep_tokens, beta, axis=0, out=scratch[: cts.size])
+        beta, scratch = scratch[: cts.size], beta
         running = np.ones(rows.size, dtype=bool)
         stopped_tokens = 0
         owner = np.repeat(np.arange(rows.size), lengths)
         starts = np.cumsum(lengths) - lengths
-    return _EStep(
-        gamma=out_gamma, exp_elog_theta=out_theta, phinorm=out_phinorm, capped=capped
-    )
+    return out_gamma, capped
 
 
 def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
@@ -409,9 +391,9 @@ def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
     every part that has one.  The parts' tables sit side by side in one
     table, and a part's term ids are offset by its first column there, so
     each token reads its own part's exp_elog_beta.  Yields (part index,
-    positions, sub-matrix, result) for each _ESTEP_CHUNK of each part's
-    group, part by part, call by call; every document's result is the one
-    a call of its part alone gives."""
+    positions, sub-matrix, gammas, capped) for each _ESTEP_CHUNK of each
+    part's group, part by part, call by call; every document's gamma and
+    cap flag are the ones a call of its part alone gives."""
     kept = []
     for matrix, positions, _ in parts:
         ptr = matrix.ptr
@@ -434,7 +416,7 @@ def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
             )
         # the groups one after another, their term ids into the joint table
         token_base = np.cumsum([0, *(ptr[-1] for *_, ptr in groups)])
-        step = _estep(
+        gammas, capped = _estep(
             DocTermMatrix(
                 ids=np.concatenate([ids + columns[index] for index, _, ids, _, _ in groups]),
                 cts=np.concatenate([cts for _, _, _, cts, _ in groups]),
@@ -449,7 +431,7 @@ def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
             config.max_e_iters,
         )
         doc_base = 0
-        for (index, group_positions, ids, cts, group_ptr), base in zip(groups, token_base):
+        for index, group_positions, ids, cts, group_ptr in groups:
             for lo in range(0, group_positions.size, _ESTEP_CHUNK):
                 chunk_ptr = group_ptr[lo : lo + _ESTEP_CHUNK + 1]
                 tokens = slice(chunk_ptr[0], chunk_ptr[-1])
@@ -460,20 +442,25 @@ def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
                     ptr=chunk_ptr - chunk_ptr[0],
                     n_terms=parts[index][0].n_terms,
                 )
-                yield index, group_positions[lo : lo + _ESTEP_CHUNK], chunk, _EStep(
-                    gamma=step.gamma[docs],
-                    exp_elog_theta=step.exp_elog_theta[docs],
-                    phinorm=step.phinorm[base + chunk_ptr[0] : base + chunk_ptr[-1]],
-                    capped=step.capped[docs],
-                )
+                positions = group_positions[lo : lo + _ESTEP_CHUNK]
+                yield index, positions, chunk, gammas[docs], capped[docs]
             doc_base += group_positions.size
 
 
-def _add_sstats(sstats: np.ndarray, chunk: DocTermMatrix, step: _EStep) -> None:
+def _add_sstats(
+    sstats: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray, exp_elog_beta: np.ndarray
+) -> None:
     """Add a chunk's exp_elog_theta x cts/phinorm to the sufficient
-    statistics, one bincount per topic; exp_elog_beta is applied later."""
-    weights = np.repeat(step.exp_elog_theta, chunk.lengths, axis=0)
-    weights *= (chunk.cts / step.phinorm)[:, np.newaxis]
+    statistics, one bincount per topic; exp_elog_beta is applied later.
+    Both factors come from the chunk's gammas: a document's values depend
+    on its own row alone, so they are the bits of its last E-step
+    iteration."""
+    theta = np.exp(_elog(gamma))
+    beta = exp_elog_beta.T[chunk.ids]
+    owner = np.repeat(np.arange(chunk.n_docs), chunk.lengths)
+    phinorm = _phinorm(theta, beta, owner, np.empty_like(beta))
+    weights = theta[owner]
+    weights *= (chunk.cts / phinorm)[:, np.newaxis]
     for topic in range(sstats.shape[0]):
         sstats[topic] += np.bincount(
             chunk.ids, weights=weights[:, topic], minlength=sstats.shape[1]
@@ -534,9 +521,9 @@ def _fit_lockstep(
             tables = [np.exp(_elog(models[i].lam)) for i in fits]
             sstats = [np.zeros_like(table) for table in tables]
             parts = [(matrices[i], batches[i][r], table) for i, table in zip(fits, tables)]
-            for part, _, chunk, step in _lockstep_chunks(parts, config):
-                _add_sstats(sstats[part], chunk, step)
-                cap_hits[fits[part]] += int(step.capped.sum())
+            for part, _, chunk, gammas, capped in _lockstep_chunks(parts, config):
+                _add_sstats(sstats[part], chunk, gammas, tables[part])
+                cap_hits[fits[part]] += int(capped.sum())
             for i, table, stats in zip(fits, tables, sstats):
                 stats *= table
                 batch = batches[i][r]
@@ -580,8 +567,8 @@ def infer_doc_topics(model: TopicModel, row: Sequence[tuple[int, int]]) -> DocTo
     gamma = np.full(config.k, config.alpha_value)
     # one chunk, or none for an empty document
     parts = [(matrix, np.arange(1), np.exp(_elog(model.lam)))]
-    for _, _, _, step in _lockstep_chunks(parts, config):
-        gamma = step.gamma[0]
+    for _, _, _, gammas, _ in _lockstep_chunks(parts, config):
+        gamma = gammas[0]
     return _doc_topics(gamma, not len(pairs), config.k)
 
 
@@ -624,10 +611,10 @@ def perplexity(
     score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = _elog(lam)
     parts = [(matrix, np.arange(matrix.n_docs), np.exp(elog_beta))]
-    for _, positions, chunk, step in _lockstep_chunks(parts, config):
-        score += _word_ll(elog_beta, chunk, step.gamma)
-        score += _dirichlet_ll(step.gamma, config.alpha_value)
-        gammas[positions] = step.gamma
+    for _, positions, chunk, chunk_gammas, _ in _lockstep_chunks(parts, config):
+        score += _word_ll(elog_beta, chunk, chunk_gammas)
+        score += _dirichlet_ll(chunk_gammas, config.alpha_value)
+        gammas[positions] = chunk_gammas
     return math.exp(-score / total)
 
 

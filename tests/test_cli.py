@@ -1449,6 +1449,30 @@ def test_sentiment_entity_of_no_word_writes_nothing(corpus_dir, tmp_path, capsys
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command,flag,message",
+    [
+        ("preprocess", "--stages", "--stages must name a stage"),
+        ("report", "--entities", "--entities must name an entity"),
+    ],
+    ids=["stages", "entities"],
+)
+def test_an_empty_list_flag_is_refused_and_writes_nothing(
+    corpus_dir, tmp_path, capsys, command, flag, message
+):
+    # an omitted flag means the default; an empty list names nothing, so it
+    # may not run the default and record [] in the manifest
+    docs = str(corpus_dir / "documents.jsonl")
+    out = tmp_path / "out"
+    if command == "preprocess":
+        argv = [command, "--in", docs]
+    else:
+        argv = [command, "--docs", docs, "--mentions", str(_mentions_file(tmp_path))]
+    assert run(argv + [flag, ",", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"threadscope {command}: error: {message}"]
+    assert not out.exists()
+
+
 def test_model_label_with_a_tab_is_refused_before_tagging(trained_model, corpus_dir, tmp_path, capsys):
     # the label keeps its weights, so a model that loaded would tag with it
     text = json.dumps(trained_model).replace('"U-PPE"', '"U-PP\\tE"')

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import ast
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "threadscope"
@@ -251,3 +253,18 @@ def test_the_e_step_is_called_only_from_lockstep_chunks():
         if module == "topics" and "_estep" in _names_used(stmt)
     ]
     assert callers == ["_lockstep_chunks"]
+
+
+def test_every_shipped_data_file_is_packaged():
+    # tests run from src/, so a data file that no package-data glob names
+    # passes them and is missing from every install
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        globs = tomllib.load(handle)["tool"]["setuptools"]["package-data"]["threadscope"]
+    shipped = [
+        PurePosixPath(path.relative_to(SRC).as_posix())
+        for path in sorted((SRC / "data").rglob("*"))
+        if path.is_file()
+    ]
+    assert shipped
+    assert [str(path) for path in shipped if not any(map(path.match, globs))] == []

@@ -398,7 +398,8 @@ def test_batched_estep_matches_naive_per_document(max_iters):
     seen, iterations, capped = [], set(), []
     matrix = csr(rows, v)
     parts = [(matrix, np.arange(len(rows)), beta)]
-    for _, docs, batch, step in topics._lockstep_chunks(parts, config):
+    for _, docs, batch, gammas, caps in topics._lockstep_chunks(parts, config):
+        naive_sstats = np.zeros_like(beta)
         for j, doc in enumerate(docs):
             ids = np.array([i for i, _ in rows[doc]])
             cts = np.array([c for _, c in rows[doc]], dtype=float)
@@ -408,15 +409,18 @@ def test_batched_estep_matches_naive_per_document(max_iters):
                 - scipy.special.digamma(expected.sum())
             )
             phinorm = theta @ beta[:, ids] + 1e-100
+            naive_sstats[:, ids] += np.outer(theta, cts / phinorm)
             tokens = slice(batch.ptr[j], batch.ptr[j + 1])
-            assert step.gamma[j] == pytest.approx(expected, rel=1e-9)
-            assert step.exp_elog_theta[j] == pytest.approx(theta, rel=1e-9)
-            assert step.phinorm[tokens] == pytest.approx(phinorm, rel=1e-9)
+            assert gammas[j] == pytest.approx(expected, rel=1e-9)
             assert np.array_equal(batch.ids[tokens], ids)
             n, hit = naive_iterations(cts, beta[:, ids], alpha, k, tol, max_iters)
-            assert bool(step.capped[j]) == hit
+            assert bool(caps[j]) == hit
             iterations.add(n)
             capped.append(hit)
+        # the sufficient statistics, taken from the chunk's gammas alone
+        sstats = np.zeros_like(beta)
+        topics._add_sstats(sstats, batch, gammas, beta)
+        assert sstats == pytest.approx(naive_sstats, rel=1e-9)
         seen.extend(int(d) for d in docs)
     # every non-empty row once, in order, across more than one chunk
     assert seen == [i for i, row in enumerate(rows) if row]
@@ -487,7 +491,7 @@ def reference_chunks(rows, exp_elog_beta, config):
     while chunk := list(islice(filled, topics._ESTEP_CHUNK)):
         positions, chunk_rows = zip(*chunk)
         batch = reference_from_rows(chunk_rows, exp_elog_beta.shape[1])
-        yield list(positions), batch, topics._estep(
+        yield list(positions), batch, *topics._estep(
             batch,
             exp_elog_beta,
             config.alpha_value,
@@ -511,9 +515,9 @@ def reference_perplexity(lam, rows, config):
         return float("nan")
     score = sum(topics._dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = digamma(lam) - digamma(lam.sum(axis=1))[:, np.newaxis]
-    for _, chunk, step in reference_chunks(rows, np.exp(elog_beta), config):
-        score += topics._word_ll(elog_beta, chunk, step.gamma)
-        score += topics._dirichlet_ll(step.gamma, config.alpha_value)
+    for _, chunk, gammas, _ in reference_chunks(rows, np.exp(elog_beta), config):
+        score += topics._word_ll(elog_beta, chunk, gammas)
+        score += topics._dirichlet_ll(gammas, config.alpha_value)
     return math.exp(-score / total)
 
 
@@ -533,9 +537,9 @@ def reference_fit(rows, n_terms, config):
             exp_elog_beta = np.exp(topics._elog(lam))
             sstats = np.zeros_like(lam)
             batch_rows = [rows[index] for index in batch]
-            for _, chunk, step in reference_chunks(batch_rows, exp_elog_beta, config):
-                topics._add_sstats(sstats, chunk, step)
-                hits += int(step.capped.sum())
+            for _, chunk, gammas, capped in reference_chunks(batch_rows, exp_elog_beta, config):
+                topics._add_sstats(sstats, chunk, gammas, exp_elog_beta)
+                hits += int(capped.sum())
             sstats *= exp_elog_beta
             lam_hat = config.eta_value + (n_docs / len(batch)) * sstats
             rho = learning_rate(config.tau0, config.kappa, t)
@@ -549,8 +553,8 @@ def reference_fit(rows, n_terms, config):
 def reference_gammas(model, rows):
     gammas = np.full((len(rows), model.config.k), model.config.alpha_value)
     exp_elog_beta = np.exp(topics._elog(model.lam))
-    for positions, _, step in reference_chunks(rows, exp_elog_beta, model.config):
-        gammas[positions] = step.gamma
+    for positions, _, chunk_gammas, _ in reference_chunks(rows, exp_elog_beta, model.config):
+        gammas[positions] = chunk_gammas
     return gammas
 
 
