@@ -65,7 +65,7 @@ class Param(NamedTuple):
     digest, and whether it belongs in the manifest."""
 
     flag: str
-    kind: str = "str"  # str | int | float | date | csv | flag | choice
+    kind: str = "str"  # str | int | float | date | csv | flag
     default: object = None
     required: bool = False
     choices: tuple[str, ...] = ()
@@ -90,7 +90,6 @@ _PARSE: dict[str, Callable[[str], object]] = {
     "float": float,
     "date": date.fromisoformat,
     "csv": _csv,
-    "choice": str,
 }
 
 
@@ -332,12 +331,12 @@ def _cmd_preprocess(p: dict) -> Outputs:
     # manifest
     if p["stages"] == []:
         raise ValueError("--stages must name a stage")
-    documents = corpus.read_documents(p["in"])
     stoplist = textprep.load_stopwords(p["stoplist"]) if p["stoplist"] else None
     # one memo of token surfaces for this run, freed when the handler returns
     pipeline = textprep.CompiledPipeline(
         tuple(p["stages"] or textprep.DEFAULT_STAGES), stoplist
     )
+    documents = corpus.read_documents(p["in"])
     for doc in documents:
         textprep.preprocess_document(doc, pipeline)
     return lambda path: corpus.write_documents(documents, path)
@@ -439,12 +438,12 @@ def _cmd_topics(p: dict) -> Outputs:
         raise OutputLocationError(
             f"--out {p['out']} holds an earlier run; pass --force to replace it"
         )
+    config = _lda_config(
+        p, k=p["k"], alpha=p["alpha"], eta=p["eta"], tau0=p["offset"], kappa=p["kappa"]
+    )
     documents = corpus.read_documents(p["docs"])
     vocab, matrix = topics.build_vocabulary(
         [doc.cleaned_text for doc in documents], max_df=p["max_df"], min_df=p["min_df"]
-    )
-    config = _lda_config(
-        p, k=p["k"], alpha=p["alpha"], eta=p["eta"], tau0=p["offset"], kappa=p["kappa"]
     )
     try:
         model = topics.fit_lda(matrix, config)
@@ -472,10 +471,11 @@ def _cmd_topics(p: dict) -> Outputs:
 def _cmd_topics_monthly(p: dict) -> Outputs:
     from . import topics
 
+    config = _lda_config(p, k=2)
     documents = corpus.read_documents(p["docs"])
     results = topics.monthly_side_topics(
         documents,
-        _lda_config(p, k=2),
+        config,
         max_df=p["max_df"],
         min_df=p["min_df"],
         min_docs=p["min_docs"],
@@ -591,7 +591,7 @@ COMMANDS: dict[str, Command] = {
             help="parse a dump, filter threads, and write the document corpus",
             params=(
                 Param("dump", required=True, is_input=True, help="newline-delimited dump file"),
-                Param("schema", kind="choice", choices=corpus.SCHEMAS, required=True, help="dump record layout"),
+                Param("schema", choices=corpus.SCHEMAS, required=True, help="dump record layout"),
                 Param("keywords", kind="csv", required=True, help="comma-separated filter keywords"),
                 Param("from", kind="date", required=True, help="start date, YYYY-MM-DD"),
                 Param("to", kind="date", required=True, help="end date, YYYY-MM-DD"),
@@ -631,7 +631,7 @@ COMMANDS: dict[str, Command] = {
                 Param("cap", kind="int", default=250, help="max sentences per keyword"),
                 Param("split", kind="float", default=0.65, help="train fraction"),
                 Param("seed", kind="int", default=0, help="shuffle seed"),
-                Param("match", kind="choice", choices=(nerdata.PREFIX_MATCH, nerdata.SUBSTRING_MATCH), default=nerdata.PREFIX_MATCH, help="keyword match mode"),
+                Param("match", choices=(nerdata.PREFIX_MATCH, nerdata.SUBSTRING_MATCH), default=nerdata.PREFIX_MATCH, help="keyword match mode"),
                 Param("out", required=True, recorded=False, help="output directory"),
             ),
             handler=_cmd_ner_build,
@@ -754,15 +754,15 @@ def _execute(command: Command, merged: dict) -> None:
     if "corpus_id" in merged:
         _resolve_corpus_id(merged)
     out = merged[command.out_flag]
-    # a run that writes nothing needs no manifest
-    mani = None
     if out is not None:
         inputs = [merged[p.dest] for p in command.params if p.is_input]
         _check_out(command, Path(out), [path for path in inputs if path is not None])
-        mani = _record_manifest(command, merged)
+    # the handler checks its flags before it reads an input, and the inputs
+    # are digested only after it returns; no output is or holds an input
     outputs = command.handler(merged)
-    if mani is not None:
-        _write_outputs(Path(out), outputs, mani)
+    # a run that writes nothing needs no manifest
+    if out is not None:
+        _write_outputs(Path(out), outputs, _record_manifest(command, merged))
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyTrainingSetError, ModelFormatError
 from .nerdata import (
-    AnnotatedSentence, O_TAG, Span, _valid_bilou_spans, bilou_to_spans, parse_tag,
+    AnnotatedSentence, O_TAG, PREFIXES, Span, _valid_bilou_spans, bilou_to_spans, parse_tag,
 )
 from . import textprep
 from .records import FrozenRecord, Record
@@ -167,22 +167,22 @@ def _word_rows(rows: dict[str, list[float]], word: _Word) -> tuple:
 
 
 class _Rows:
-    """Weights as one list of floats per feature, aligned to ``columns``,
-    plus the allowed (label, column) pairs per (prev_tag, is_last), built
-    once each.  ``fixed_rows`` and ``fixed_tags`` memoize, so they serve
-    only weights that no longer change; training looks a word's rows up
-    again whenever a row has been added since it last did."""
+    """Weights as one list of floats per feature, aligned to the columns
+    in ``column``, plus the allowed (label, column) pairs per (prev_tag,
+    is_last), built once each.  The columns are the labels, then the I-/L-
+    continuation of each B- label that the labels lack, which decoding may
+    pick all the same; a weight for any other label can never be scored
+    and is dropped.  ``fixed_rows`` and ``fixed_tags`` memoize, so they
+    serve only weights that no longer change; training looks a word's rows
+    up again whenever a row has been added since it last did."""
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        columns: Sequence[str],
-        weights: dict[str, dict[str, float]],
-    ) -> None:
+    def __init__(self, labels: Sequence[str], weights: dict[str, dict[str, float]]) -> None:
         self.labels = labels
-        self.column: dict[str, int] = {}
-        for j, label in enumerate(columns):
-            self.column.setdefault(label, j)
+        columns = dict.fromkeys(labels)
+        for label in labels:
+            if label.startswith("B-"):
+                columns.update(dict.fromkeys((f"I-{label[2:]}", f"L-{label[2:]}")))
+        self.column = {label: j for j, label in enumerate(columns)}
         self.ptag = {label: f"ptag={label}" for label in (O_TAG, *columns)}
         self.zeros = [0.0] * len(columns)
         self.rows: dict[str, list[float]] = {}
@@ -202,7 +202,7 @@ class _Rows:
         self._tags: dict[int, str] = {}
         # where a key's word, left row and right row indices start: below
         # them, the previous tag's column and is_last
-        column_bits = len(columns).bit_length() + 1
+        column_bits = len(self.column).bit_length() + 1
         row_bits = (len(self.rows) + 1).bit_length()
         self._shifts = (column_bits + 2 * row_bits, column_bits + row_bits, column_bits)
 
@@ -269,16 +269,9 @@ class _Rows:
 
 
 def _compiled(model: TaggerModel) -> _Rows:
-    """The model's weights as label-aligned rows.  The columns are the
-    labels plus the I-/L- continuations of each B- label, which decoding
-    may pick even when ``labels`` omits them; a weight for any other
-    label can never be scored and is dropped."""
+    """The model's weights as label-aligned rows, built on first use."""
     if model._rows is None:
-        columns = list(model.labels)
-        for label in model.labels:
-            if label.startswith("B-"):
-                columns += [f"I-{label[2:]}", f"L-{label[2:]}"]
-        model._rows = _Rows(model.labels, columns, model.weights)
+        model._rows = _Rows(model.labels, model.weights)
     return model._rows
 
 
@@ -358,9 +351,9 @@ def train_tagger(
             if tag != O_TAG
         }
     )
-    labels = [O_TAG] + [f"{p}-{c}" for c in categories for p in ("B", "I", "L", "U")]
+    labels = [O_TAG] + [f"{p}-{c}" for c in categories for p in PREFIXES]
 
-    compiled = _Rows(labels, labels, {})
+    compiled = _Rows(labels, {})
     weights = compiled.rows
     column = compiled.column
     sentences = _sentence_words(sentence.tokens for sentence in train)

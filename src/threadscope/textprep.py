@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .errors import FormatError
 from .records import Record
 
 try:  # the regex parser's module, renamed in Python 3.11
@@ -122,9 +123,12 @@ def load_abbreviations() -> frozenset[str]:
 @lru_cache(maxsize=None)
 def load_closed_class() -> dict[str, str]:
     table: dict[str, str] = {}
-    for _, line in data_lines(None, "pos_closed_class.txt"):
+    for line_no, line in data_lines(None, "pos_closed_class.txt"):
         word, tag = line.split("\t")
-        table[word.strip().lower()] = tag.strip()
+        tag = tag.strip()
+        if tag not in POS_TAGS:
+            raise FormatError(line_no, f"pos_closed_class.txt: unknown POS tag {tag!r}")
+        table[word.strip().lower()] = tag
     return table
 
 
@@ -482,7 +486,7 @@ class CompiledPipeline:
         """The cleaned text, tokens joined by single spaces."""
         pieces = self._pieces(text)
         if not self._tokenizes:
-            return " ".join(" ".join(piece.split()) for piece in pieces)
+            return " ".join(" ".join(pieces).split())
         memo = self._memo
         out: list[str] = []
         for piece in pieces:

@@ -33,29 +33,24 @@ _PSI_SHIFT = 10
 _PSI_STEPS = np.arange(_PSI_SHIFT - 1, -1, -1, dtype=float)  # j = 9..0
 
 
-def digamma(x):
-    """Digamma for positive arguments, scalar or array: arguments below 10
-    are shifted up by exactly 10 through psi(x) = psi(x+10) - sum 1/(x+j),
-    j = 0..9, then the Bernoulli asymptotic series is applied."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if (arr <= 0).any():
+def digamma(x: np.ndarray) -> np.ndarray:
+    """Digamma of a float array of positive arguments, as ``_elog`` passes
+    them: arguments below 10 are shifted up by exactly 10 through
+    psi(x) = psi(x+10) - sum 1/(x+j), j = 0..9, then the Bernoulli
+    asymptotic series is applied."""
+    if (x <= 0).any():
         raise ValueError("digamma requires positive arguments")
-    small = arr < _PSI_SHIFT
+    small = x < _PSI_SHIFT
     # every 1/(x+j) in one array, then summed over its first axis, smallest
     # terms first: near the root at 1.4616 the sum cancels against
     # log(x+10), and this order keeps it within rel 1e-12 of scipy.  numpy
     # reduces a leading axis one row after another, in order, like a loop
-    # over the rows, but a single argument makes the ten terms one
-    # contiguous run, which it sums with 8 accumulators; accumulate adds in
-    # order at any shape, yet is slower on wide arrays.  A test pins both
-    # bit for bit against the loop.
-    terms = np.add.outer(_PSI_STEPS, arr)
+    # over the rows, when each row holds more than one value; a test pins
+    # it bit for bit against the loop.
+    terms = np.add.outer(_PSI_STEPS, x)
     np.divide(1.0, terms, out=terms)
-    shift = terms.sum(axis=0) if arr.size > 1 else np.add.accumulate(terms)[-1]
-    acc = np.where(small, -shift, 0.0)
-    arr = np.where(small, arr + _PSI_SHIFT, arr)
+    acc = np.where(small, -terms.sum(axis=0), 0.0)
+    arr = np.where(small, x + _PSI_SHIFT, x)
     inv = 1.0 / arr
     y = inv * inv
     # the Bernoulli series by Horner's rule, in place, innermost term first
@@ -69,7 +64,7 @@ def digamma(x):
     inv *= 0.5
     acc -= inv
     acc -= tail
-    return float(acc[0]) if scalar else acc
+    return acc
 
 
 @dataclass(frozen=True)
@@ -506,9 +501,6 @@ def _fit_lockstep(
         TopicModel(lam=rng.gamma(100.0, 1.0 / 100.0, (k, matrix.n_terms)), config=config)
         for rng, matrix in zip(rngs, matrices)
     ]
-    if record_perplexity:
-        for model, matrix in zip(models, matrices):
-            model.doc_gammas = np.full((matrix.n_docs, k), config.alpha_value)
     for epoch in range(config.epochs):
         batches = []
         for rng, matrix in zip(rngs, matrices):
@@ -534,9 +526,8 @@ def _fit_lockstep(
                 models[i].lam = (1 - rho) * models[i].lam + rho * lam_hat
         for model, matrix, hits in zip(models, matrices, cap_hits):
             if record_perplexity:
-                model.epoch_perplexities.append(
-                    perplexity(model.lam, matrix, config, model.doc_gammas)
-                )
+                value, model.doc_gammas = perplexity(model.lam, matrix, config)
+                model.epoch_perplexities.append(value)
             model.epoch_cap_hits.append(hits)
     return models
 
@@ -598,15 +589,17 @@ def _word_ll(elog_beta: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray) -> 
 
 
 def perplexity(
-    lam: np.ndarray, matrix: DocTermMatrix, config: LdaConfig, gammas: np.ndarray
-) -> float:
+    lam: np.ndarray, matrix: DocTermMatrix, config: LdaConfig
+) -> tuple[float, np.ndarray]:
     """exp(-bound / token count), lower is better, where the bound is the
     evidence lower bound on the corpus under lambda, with per-document
-    gammas re-inferred at the frozen lambda; ``gammas`` is filled with
-    each non-empty document's gamma at its matrix row."""
+    gammas re-inferred at the frozen lambda; returned with those gammas,
+    one row per matrix row, an empty document's at the prior.  An empty
+    matrix gives nan."""
+    gammas = np.full((matrix.n_docs, config.k), config.alpha_value)
     total = int(matrix.cts.sum())
     if total == 0:
-        return float("nan")
+        return float("nan"), gammas
     # a topic row at a time: lgamma boxes every element as a Python float
     score = sum(_dirichlet_ll(row[np.newaxis], config.eta_value) for row in lam)
     elog_beta = _elog(lam)
@@ -615,7 +608,7 @@ def perplexity(
         score += _word_ll(elog_beta, chunk, chunk_gammas)
         score += _dirichlet_ll(chunk_gammas, config.alpha_value)
         gammas[positions] = chunk_gammas
-    return math.exp(-score / total)
+    return math.exp(-score / total), gammas
 
 
 def topic_word_distribution(lam: np.ndarray) -> np.ndarray:

@@ -1778,20 +1778,58 @@ def test_runs_without_out_digest_nothing(corpus_dir, fixtures, tmp_path, digest_
     assert digest_calls == []
 
 
-def test_runs_with_out_digest_inputs_before_reading_them(corpus_dir, tmp_path, digest_calls, monkeypatch):
+def test_runs_with_out_digest_inputs_after_reading_them(corpus_dir, tmp_path, digest_calls, monkeypatch):
+    # the handler's flag checks come before any digest; no output may hold
+    # an input, and nothing is written before the manifest is built
     from threadscope import corpus
 
-    real_read = corpus.read_documents
+    real_read, real_write = corpus.read_documents, manifest.write_manifest
 
     def read(path):
         digest_calls.append("read")
         return real_read(path)
 
+    def write(*args):
+        digest_calls.append("manifest")
+        return real_write(*args)
+
     monkeypatch.setattr(corpus, "read_documents", read)
+    monkeypatch.setattr(manifest, "write_manifest", write)
     out = tmp_path / "stats"
     assert run(["stats", "--docs", str(corpus_dir / "documents.jsonl"), "--out", str(out)]) == 0
-    assert digest_calls == ["digest", "read"]
+    assert digest_calls == ["read", "digest", "manifest"]
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["preprocess", "--in", "{missing}", "--stages", ","], "--stages must name a stage"),
+        (["preprocess", "--in", "{missing}", "--stages", "bogus"], "unknown stage: 'bogus'"),
+        (["topics", "--docs", "{missing}", "--k", "3", "--offset", "0.5"], "tau0 must be at least 1"),
+        (
+            ["topics-monthly", "--docs", "{missing}", "--epochs", "0"],
+            "batch_size, epochs, and max_e_iters must be positive",
+        ),
+        (["sentiment", "--docs", "{missing}", "--entity="], "--entity must contain a word"),
+        (["report", "--docs", "{missing}", "--entities", ","], "--entities must name an entity"),
+        (
+            [
+                "ingest", "--dump", "{missing}", "--schema", "native", "--keywords", ",",
+                "--from", "2020-01-01", "--to", "2020-12-31",
+            ],
+            "keywords must be nonempty",
+        ),
+    ],
+    ids=["stages-empty", "stages-unknown", "offset", "epochs", "entity", "entities", "keywords"],
+)
+def test_a_bad_flag_is_reported_before_a_missing_input(tmp_path, capsys, argv, message):
+    missing = str(tmp_path / "missing.jsonl")
+    argv = [arg.replace("{missing}", missing) for arg in argv]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+    command = argv[0]
+    assert capsys.readouterr().err.splitlines() == [f"threadscope {command}: error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- replay

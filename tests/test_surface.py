@@ -1,7 +1,7 @@
-"""Every public top-level function and class of the package is referred to
-by name somewhere else in the package, so no library code outlives the
-commands that reached it; and the tab-separated format is written in one
-place."""
+"""Every public top-level function, class and assigned name of the package
+is referred to by name somewhere else in the package, so no library code
+outlives the commands that reached it; and the tab-separated format is
+written in one place."""
 
 from __future__ import annotations
 
@@ -34,7 +34,13 @@ def _statements() -> list[tuple[str, ast.stmt]]:
 def _definition_name(stmt: ast.stmt) -> str | None:
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         return stmt.name
-    return None
+    if isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        (target,) = stmt.targets
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
 
 
 def _names_used(stmt: ast.stmt) -> set[str]:

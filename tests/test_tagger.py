@@ -679,6 +679,14 @@ def test_position_keys_keep_their_fields_apart():
     assert tag_tokens(model, ["b", "a", "x"])[1] == "O"
 
 
+def test_a_trained_model_compiles_to_one_column_per_label():
+    # every I-/L- continuation is already a label of a trained model
+    model = train_tagger(TRAIN_SET, TrainConfig(iterations=1, seed=1))
+    compiled = tagger._compiled(model)
+    assert len(compiled.zeros) == len(compiled.column) == len(model.labels)
+    assert list(compiled.column) == model.labels
+
+
 def test_training_leaves_the_fixed_weight_memos_empty(monkeypatch):
     built = []
     real_init = tagger._Rows.__init__

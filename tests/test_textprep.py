@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threadscope import textprep
+from threadscope.errors import FormatError
 from threadscope.textprep import (
     ADJ,
     ADV,
@@ -363,6 +364,19 @@ def test_preprocess_text_empty():
     assert preprocess_text("") == ""
 
 
+def test_closed_class_refuses_a_tag_outside_pos_tags(monkeypatch):
+    lines = list(textprep.data_lines(None, "pos_closed_class.txt"))
+    line_no, line = lines[0]
+    lines[0] = (line_no, line.replace("\tDET", "\tDETERMINER"))
+    monkeypatch.setattr(textprep, "data_lines", lambda path, shipped: iter(lines))
+    textprep.load_closed_class.cache_clear()
+    try:
+        with pytest.raises(FormatError, match=f"^line {line_no}: .*'DETERMINER'"):
+            textprep.load_closed_class()
+    finally:
+        textprep.load_closed_class.cache_clear()
+
+
 @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
 def test_preprocess_output_is_clean(text):
     out = preprocess_text(text)
@@ -587,7 +601,7 @@ def ref_preprocess_text(text, stages, stoplist, rules: RefLemmaRules) -> str:
     if state_tokens is not None:
         return " ".join(t.surface for sent in state_tokens for t in sent)
     if state_sentences is not None:
-        return " ".join(" ".join(s.split()) for s in state_sentences)
+        return " ".join(" ".join(state_sentences).split())
     assert state_text is not None
     return " ".join(state_text.split())
 
@@ -654,6 +668,8 @@ stoplists = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(text=texts, stages=stage_orders(), stoplist=stoplists)
+# a sentence stage that empties the last sentence leaves no trailing space
+@example(text="a. 日本", stages=("split_sentences", "remove_non_ascii"), stoplist=None)
 def test_compiled_pipeline_matches_reference(text, stages, stoplist):
     ref_rules = ref_load_lemma_rules()
     expected = ref_preprocess_text(text, stages, stoplist, ref_rules)
