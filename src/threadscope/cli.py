@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import corpus, manifest, nerdata, report, sentiment, tagger, textprep
-from .errors import ManifestError, OutputLocationError, ThreadscopeError
 
 PROG = "threadscope"
 
@@ -210,20 +209,20 @@ def _check_out(command: Command, out: Path, inputs: Sequence[str]) -> None:
     held[Path.cwd()] = "the working directory"
     for path, what in held.items():
         if path == where or where in path.parents:
-            raise OutputLocationError(f"{flag} {out} holds {what}")
+            raise ValueError(f"{flag} {out} holds {what}")
     if out.is_dir():
         if command.file_output:
-            raise OutputLocationError(f"{flag} {out} is a directory")
+            raise ValueError(f"{flag} {out} is a directory")
         if any(out.iterdir()) and not (out / manifest.MANIFEST_NAME).exists():
-            raise OutputLocationError(
+            raise ValueError(
                 f"{flag} {out} is a non-empty directory without {manifest.MANIFEST_NAME}"
             )
     elif out.exists():
         if not command.file_output:
-            raise OutputLocationError(f"{flag} {out} is not a directory")
+            raise ValueError(f"{flag} {out} is not a directory")
         record = out.with_name(out.name + ".manifest.json")
         if not record.exists():
-            raise OutputLocationError(f"{flag} {out} is a file without {record.name}")
+            raise ValueError(f"{flag} {out} is a file without {record.name}")
 
 
 def _write_artifact(path: Path, artifact: Artifact) -> None:
@@ -280,7 +279,7 @@ def _resolve_corpus_id(merged: dict) -> None:
     that would place artifacts outside the output directory."""
     corpus_id = merged["corpus_id"] or Path(merged["docs"]).stem
     if Path(corpus_id).is_absolute() or ".." in Path(corpus_id).parts:
-        raise OutputLocationError(
+        raise ValueError(
             f"--corpus-id {corpus_id} must be a relative path without '..'"
         )
     merged["corpus_id"] = corpus_id
@@ -331,10 +330,10 @@ def _cmd_preprocess(p: dict) -> Outputs:
     # manifest
     if p["stages"] == []:
         raise ValueError("--stages must name a stage")
-    stoplist = textprep.load_stopwords(p["stoplist"]) if p["stoplist"] else None
-    # one memo of token surfaces for this run, freed when the handler returns
+    # one memo of token surfaces for this run, freed when the handler
+    # returns; the stages are checked before the stoplist is read
     pipeline = textprep.CompiledPipeline(
-        tuple(p["stages"] or textprep.DEFAULT_STAGES), stoplist
+        tuple(p["stages"] or textprep.DEFAULT_STAGES), p["stoplist"]
     )
     documents = corpus.read_documents(p["in"])
     for doc in documents:
@@ -343,6 +342,10 @@ def _cmd_preprocess(p: dict) -> Outputs:
 
 
 def _cmd_ner_build(p: dict) -> Outputs:
+    # before either input is read, a spec of no keywords checks --cap and
+    # a split of no sentences --split
+    nerdata.KeywordSpec({}, cap=p["cap"])
+    nerdata.split_dataset([], p["split"], p["seed"])
     text = Path(p["sentences"]).read_text(encoding="utf-8-sig")  # may start with a BOM
     sentences = [line for line in text.splitlines() if line.strip()]
     spec = nerdata.load_keyword_spec(p["keywords"], cap=p["cap"], match_mode=p["match"])
@@ -435,7 +438,7 @@ def _cmd_topics(p: dict) -> Outputs:
     from . import topics
 
     if not p["force"] and (Path(p["out"]) / manifest.MANIFEST_NAME).exists():
-        raise OutputLocationError(
+        raise ValueError(
             f"--out {p['out']} holds an earlier run; pass --force to replace it"
         )
     config = _lda_config(
@@ -524,6 +527,8 @@ def _cmd_report(p: dict) -> Outputs:
     # each entity is a column of the trends table
     for name in p["entities"] or ():
         textprep.check_field("--entities", name)
+    # a --from later than --to is refused before --docs is read
+    corpus.utc_day_bounds(p["from"] or date.min, p["to"] or date.max)
     documents = corpus.read_documents(p["docs"])
     base = p["corpus_id"]
     buckets = report.weekly_post_counts(documents, p["from"], p["to"])
@@ -550,21 +555,21 @@ def _cmd_replay(p: dict) -> tuple[Command, dict]:
     new output location as the only flag."""
     recorded = manifest.read_manifest(p["manifest"])
     if recorded.artifact_version != manifest.ARTIFACT_VERSION:
-        raise ManifestError(
+        raise ValueError(
             f"manifest has artifact_version {recorded.artifact_version!r}; "
             f"this threadscope writes {manifest.ARTIFACT_VERSION}"
         )
     problems = manifest.verify_inputs(recorded)
     if problems:
-        raise ManifestError("; ".join(problems))
+        raise ValueError("; ".join(problems))
     if recorded.command not in COMMANDS or recorded.command == "replay":
-        raise ManifestError(f"manifest names unknown command {recorded.command!r}")
+        raise ValueError(f"manifest names unknown command {recorded.command!r}")
     command = COMMANDS[recorded.command]
     try:
         merged = _merge(command.params, {command.out_flag: p["out"]}, recorded.params)
     except _UsageError as exc:
         # the recorded params are the manifest's, not the user's
-        raise ManifestError(f"{p['manifest']}: {exc}") from exc
+        raise ValueError(f"{p['manifest']}: {exc}") from exc
     return command, merged
 
 
@@ -788,7 +793,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     # a numeric flag too large for a float, or an allocation it asks for,
     # is bad input as well
-    except (ThreadscopeError, OSError, ValueError, OverflowError, MemoryError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"{PROG} {command.name}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DumpParseError, UnknownSchemaError
+from .errors import FormatError
 from .records import FrozenRecord, Record
 from . import textprep
 
@@ -248,7 +248,7 @@ class DumpScan:
 
     def __init__(self, path: str | Path, schema: str, on_error: str = "raise") -> None:
         if schema not in SCHEMAS:
-            raise UnknownSchemaError(f"unknown dump schema {schema!r}")
+            raise ValueError(f"unknown dump schema {schema!r}")
         if on_error not in ("raise", "skip"):
             raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
         self.path = path
@@ -343,7 +343,7 @@ class DumpScan:
                     check("subreddit", sub)
             except _RECORD_ERRORS as exc:
                 if not skip:
-                    raise DumpParseError(line_no, _reason(exc)) from exc
+                    raise FormatError(line_no, _reason(exc)) from exc
                 _warn("skipping line %d: %s", line_no, _reason(exc))
                 continue
             records += 1
@@ -372,7 +372,7 @@ class DumpScan:
         """Decode again, in file order, the first-occurrence post line and
         comment lines of each named thread, reading the file no further
         than the last of them.  A line that no longer holds the record
-        the scan saw there raises DumpParseError: the dump changed."""
+        the scan saw there raises FormatError: the dump changed."""
         named = set(thread_ids)
         post_lines = self._post_lines
         expected: dict[int, tuple[str, str, str]] = {
@@ -398,13 +398,13 @@ class DumpScan:
                 if (record.kind, record.id, record.thread) != expected[line_no]:
                     break
                 subset.append(record)
-        except DumpParseError as exc:
+        except FormatError as exc:
             error = exc
         if len(subset) < len(order):
             line_no = order[len(subset)]
             kind, rid, _ = expected[line_no]
             reason = f"the dump changed while it was read: no {kind} {rid} here"
-            raise DumpParseError(line_no, f"{reason}: {error.reason}" if error else reason) from error
+            raise FormatError(line_no, f"{reason}: {error.reason}" if error else reason) from error
         return subset
 
     def _first_comments(self, named: set[str]) -> list[list]:
@@ -580,7 +580,7 @@ def _document_from_json(obj) -> Document:
 
 def read_documents(path: str | Path) -> list[Document]:
     """Read a documents file; a line that is not a document object with
-    correctly typed fields raises DumpParseError with its line number."""
+    correctly typed fields raises FormatError with its line number."""
     documents: list[Document] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -589,5 +589,5 @@ def read_documents(path: str | Path) -> list[Document]:
             try:
                 documents.append(_document_from_json(json.loads(line)))
             except (ValueError, KeyError, RecursionError) as exc:
-                raise DumpParseError(line_no, _reason(exc)) from exc
+                raise FormatError(line_no, _reason(exc)) from exc
     return documents

@@ -15,7 +15,6 @@ import json
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
-from .errors import ManifestError
 from .records import FrozenRecord
 
 ARTIFACT_VERSION = 2
@@ -94,21 +93,21 @@ def read_manifest(path: str | Path) -> RunManifest:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ManifestError(f"{path}: not valid JSON ({exc})") from exc
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
-        raise ManifestError(f"{path}: not a manifest object")
+        raise ValueError(f"{path}: not a manifest object")
     for key, kind, what in _FIELDS:
         if key not in payload:
-            raise ManifestError(f"{path}: missing manifest field {key!r}")
+            raise ValueError(f"{path}: missing manifest field {key!r}")
         value = payload[key]
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ManifestError(f"{path}: manifest field {key!r} must be {what}")
+            raise ValueError(f"{path}: manifest field {key!r} must be {what}")
     inputs = []
     for entry in payload["inputs"]:
         if not isinstance(entry, dict) or not all(
             isinstance(entry.get(key), str) for key in ("param", "path", "sha256")
         ):
-            raise ManifestError(
+            raise ValueError(
                 f"{path}: each manifest input must hold string param, path and sha256"
             )
         inputs.append(ManifestInput(entry["param"], entry["path"], entry["sha256"]))

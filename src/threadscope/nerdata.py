@@ -14,13 +14,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    EmptyResultError,
-    FormatError,
-    InvalidBilouError,
-    OverlappingSpansError,
-    SpanOutOfBoundsError,
-)
+from .errors import FormatError, InvalidBilouError
 from . import textprep
 from .records import FrozenRecord, Record
 
@@ -236,8 +230,6 @@ def build_ner_dataset(
     Only the sentences the first-word index lists for a keyword are checked
     for its full word sequence; a repeated sentence keeps its own
     positions, so every copy counts toward ``cap``."""
-    if not 0 < split_ratio < 1:
-        raise ValueError("split_ratio must be in (0, 1)")
     keywords = spec.all_keywords()
     index = _first_word_index(
         sentences, {kw.split()[0] for kw in keywords}, spec.match_mode
@@ -254,17 +246,26 @@ def build_ner_dataset(
         sentence for keyword in keywords for sentence in islice(hits(keyword), spec.cap)
     )
     if not extracted:
-        raise EmptyResultError("no sentence matched any keyword")
+        raise ValueError("no sentence matched any keyword")
 
     join = _keyword_joiner(keywords, spec.match_mode)
     skeletons: list[AnnotatedSentence] = []
     for sentence in extracted:
         tokens = textprep.tokenize(join(sentence))
         skeletons.append(AnnotatedSentence(tokens=tokens, tags=[O_TAG] * len(tokens)))
+    return split_dataset(skeletons, split_ratio, seed)
 
-    random.Random(seed).shuffle(skeletons)
-    n_train = int(split_ratio * len(skeletons) + 0.5)
-    return skeletons[:n_train], skeletons[n_train:]
+
+def split_dataset(
+    sentences: list[AnnotatedSentence], split_ratio: float, seed: int
+) -> tuple[list[AnnotatedSentence], list[AnnotatedSentence]]:
+    """Shuffle the sentences in place by the seed and cut them into train
+    and eval, ``split_ratio`` of them, rounded, in train."""
+    if not 0 < split_ratio < 1:
+        raise ValueError("split_ratio must be in (0, 1)")
+    random.Random(seed).shuffle(sentences)
+    n_train = int(split_ratio * len(sentences) + 0.5)
+    return sentences[:n_train], sentences[n_train:]
 
 
 def parse_tag(tag: str) -> tuple[str, str]:
@@ -278,7 +279,7 @@ def parse_tag(tag: str) -> tuple[str, str]:
 
 
 def validate_bilou(tags: Sequence[str]) -> None:
-    """Raise InvalidBilou at the first position violating the scheme."""
+    """Raise InvalidBilouError at the first position violating the scheme."""
     open_cat: str | None = None
     for i, tag in enumerate(tags):
         try:
@@ -309,11 +310,11 @@ def spans_to_bilou(tokens: Sequence[str], spans: Iterable[Span]) -> list[str]:
     prev_end = 0
     for span in ordered:
         if span.end > n:
-            raise SpanOutOfBoundsError(
+            raise ValueError(
                 f"span [{span.start}, {span.end}) exceeds sentence length {n}"
             )
         if span.start < prev_end:
-            raise OverlappingSpansError(
+            raise ValueError(
                 f"span [{span.start}, {span.end}) overlaps a previous span"
             )
         prev_end = span.end
@@ -362,7 +363,8 @@ def write_annotations(
 
 def read_annotations(path: str | Path) -> list[AnnotatedSentence]:
     """Parse an annotation file; tag columns beyond the second are ignored.
-    Each sentence's tag sequence must pass strict BILOU validation."""
+    Each sentence's tag sequence must pass strict BILOU validation; a bad
+    line, or the tag where a sequence breaks it, raises FormatError."""
     sentences: list[AnnotatedSentence] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -374,7 +376,7 @@ def read_annotations(path: str | Path) -> list[AnnotatedSentence]:
             try:
                 validate_bilou(tags)
             except InvalidBilouError as exc:
-                raise InvalidBilouError(start_line + exc.position, str(exc)) from exc
+                raise FormatError(start_line + exc.position, exc.reason) from exc
             sentences.append(AnnotatedSentence(tokens=tokens, tags=tags))
         tokens, tags = [], []
         start_line = line_no + 1

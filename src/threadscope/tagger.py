@@ -16,7 +16,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptyTrainingSetError, ModelFormatError
 from .nerdata import (
     AnnotatedSentence, O_TAG, PREFIXES, Span, _valid_bilou_spans, bilou_to_spans, parse_tag,
 )
@@ -342,7 +341,7 @@ def train_tagger(
     word, and a decode is reused while no weight has changed since it ran:
     a decode reads nothing but the words and the weight rows."""
     if not train:
-        raise EmptyTrainingSetError("no training sentences")
+        raise ValueError("no training sentences")
     categories = sorted(
         {
             parse_tag(tag)[1]
@@ -549,12 +548,12 @@ def _model_from_json(payload) -> TaggerModel:
 
 def load_model(path: str | Path) -> TaggerModel:
     """Read a model written by ``save_model``; a file that is not one
-    raises ModelFormatError."""
+    raises ValueError naming the file."""
     with open(path, encoding="utf-8") as handle:
         try:
             return _model_from_json(json.load(handle))
         except (ValueError, OverflowError, RecursionError) as exc:
-            raise ModelFormatError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def normalize_entity(tokens: Sequence[str]) -> str:

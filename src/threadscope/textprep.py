@@ -429,7 +429,8 @@ _STRIPPERS = {
 
 class CompiledPipeline:
     """Ordered cleaning stages, checked and compiled once against their
-    word lists.
+    word lists: the shipped ones, and the stoplist file if one is named,
+    which is read only once the stages pass their check.
 
     The stages before tokenize run once per document, on the text or, after
     split_sentences, on each sentence.  Every stage after tokenize depends
@@ -440,14 +441,14 @@ class CompiledPipeline:
     def __init__(
         self,
         stages: tuple[str, ...] = DEFAULT_STAGES,
-        stoplist: frozenset[str] | None = None,
+        stoplist: str | Path | None = None,
     ) -> None:
         _check_stages(stages)
         cut = stages.index(TOKENIZE) if TOKENIZE in stages else len(stages)
         self._text_stages = stages[:cut]
         self._tokenizes = cut < len(stages)
         self._surface_stages = stages[cut + 1 :]
-        self._stoplist = _default_stopwords() if stoplist is None else stoplist
+        self._stoplist = load_stopwords(stoplist) if stoplist else _default_stopwords()
         self._closed_class = load_closed_class()
         self._verb_stems = load_verb_stems()
         self._memo: dict[str, str | None] = {}

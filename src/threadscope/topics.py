@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import utc_month
-from .errors import EmptyCorpusError, EmptyVocabularyError
+from .errors import EmptyVocabularyError
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
@@ -491,7 +491,7 @@ def _fit_lockstep(
     no perplexity pass runs and no gammas are kept."""
     for matrix in matrices:
         if matrix.n_docs == 0:
-            raise EmptyCorpusError("cannot fit topics on an empty corpus")
+            raise ValueError("cannot fit topics on an empty corpus")
         if matrix.n_terms == 0:
             raise EmptyVocabularyError("matrix has no terms")
     k = config.k

@@ -1028,6 +1028,17 @@ def test_ner_eval_rejects_malformed_model(fixtures, tmp_path, capsys, text):
     assert err[0].startswith("threadscope ner-eval: error: ")
 
 
+def test_ner_train_reports_an_invalid_bilou_sequence_by_file_line(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("a\tO\nb\tI-PPE\n\n")
+    model = tmp_path / "m.json"
+    assert run(["ner-train", "--train", str(bad), "--model", str(model)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "threadscope ner-train: error: line 2: I-PPE without an open entity"
+    ]
+    assert not model.exists()
+
+
 def test_ner_train_warns_without_entity_tags(fixtures, tmp_path, capsys):
     plain = tmp_path / "plain.tsv"
     plain.write_text("wear\tO\na\tO\nmask\tO\n\nstay\tO\nhome\tO\n\n")
@@ -1820,8 +1831,27 @@ def test_runs_with_out_digest_inputs_after_reading_them(corpus_dir, tmp_path, di
             ],
             "keywords must be nonempty",
         ),
+        (
+            ["preprocess", "--in", "{missing}", "--stoplist", "{missing}", "--stages", "bogus"],
+            "unknown stage: 'bogus'",
+        ),
+        (
+            ["ner-build", "--sentences", "{missing}", "--keywords", "{missing}", "--cap", "0"],
+            "cap must be >= 1",
+        ),
+        (
+            ["ner-build", "--sentences", "{missing}", "--keywords", "{missing}", "--split", "1.5"],
+            "split_ratio must be in (0, 1)",
+        ),
+        (
+            ["report", "--docs", "{missing}", "--from", "2020-02-01", "--to", "2020-01-01"],
+            "date_from must not exceed date_to",
+        ),
     ],
-    ids=["stages-empty", "stages-unknown", "offset", "epochs", "entity", "entities", "keywords"],
+    ids=[
+        "stages-empty", "stages-unknown", "offset", "epochs", "entity", "entities", "keywords",
+        "stoplist", "cap", "split", "window",
+    ],
 )
 def test_a_bad_flag_is_reported_before_a_missing_input(tmp_path, capsys, argv, message):
     missing = str(tmp_path / "missing.jsonl")

@@ -9,13 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from threadscope import nerdata, textprep
-from threadscope.errors import (
-    EmptyResultError,
-    FormatError,
-    InvalidBilouError,
-    OverlappingSpansError,
-    SpanOutOfBoundsError,
-)
+from threadscope.errors import FormatError, InvalidBilouError
 from threadscope.nerdata import (
     AnnotatedSentence,
     KeywordSpec,
@@ -93,12 +87,12 @@ def test_spans_to_bilou_examples():
 
 
 def test_spans_to_bilou_rejects_out_of_bounds():
-    with pytest.raises(SpanOutOfBoundsError):
+    with pytest.raises(ValueError, match=r"^span \[1, 3\) exceeds sentence length 2$"):
         spans_to_bilou(["a", "b"], [Span(1, 3, "PPE")])
 
 
 def test_spans_to_bilou_rejects_overlap():
-    with pytest.raises(OverlappingSpansError):
+    with pytest.raises(ValueError, match=r"^span \[1, 3\) overlaps a previous span$"):
         spans_to_bilou(["a", "b", "c"], [Span(0, 2, "PPE"), Span(1, 3, "DIT")])
 
 
@@ -279,7 +273,7 @@ def test_build_ner_dataset_split_and_determinism():
 def test_build_ner_dataset_rejects_bad_ratio_and_empty_result():
     with pytest.raises(ValueError):
         build_ner_dataset(CORPUS, spec_of(PPE=["mask"]), split_ratio=1.0)
-    with pytest.raises(EmptyResultError):
+    with pytest.raises(ValueError, match="^no sentence matched any keyword$"):
         build_ner_dataset(["nothing"], spec_of(PPE=["mask"]))
 
 
@@ -352,7 +346,7 @@ def reference_build(sentences, spec, split_ratio, seed):
                 seen.add(sentence)
                 extracted.append(sentence)
     if not extracted:
-        raise EmptyResultError("no sentence matched any keyword")
+        raise ValueError("no sentence matched any keyword")
     skeletons = []
     for sentence in extracted:
         tokens = textprep.tokenize(
@@ -405,8 +399,8 @@ def test_build_ner_dataset_matches_reference_scan(sentences, by_category, cap, m
     )
     try:
         expected = reference_build(sentences, spec, 0.65, seed)
-    except EmptyResultError:
-        with pytest.raises(EmptyResultError):
+    except ValueError:
+        with pytest.raises(ValueError, match="^no sentence matched any keyword$"):
             build_ner_dataset(sentences, spec, 0.65, seed)
         return
     assert build_ner_dataset(sentences, spec, 0.65, seed) == expected
@@ -478,9 +472,10 @@ def test_read_annotations_rejects_bad_tag(tmp_path):
 def test_read_annotations_rejects_invalid_bilou_with_file_line(tmp_path):
     path = tmp_path / "ann.tsv"
     path.write_text("wear\tO\nmask\tI-PPE\n\nok\tO\n")
-    with pytest.raises(InvalidBilouError) as excinfo:
+    with pytest.raises(FormatError) as excinfo:
         read_annotations(path)
-    assert excinfo.value.position == 2
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value) == "line 2: I-PPE without an open entity"
 
 
 def test_read_annotations_ignores_extra_columns(tmp_path):

@@ -274,3 +274,32 @@ def test_every_shipped_data_file_is_packaged():
     ]
     assert shipped
     assert [str(path) for path in shipped if not any(map(path.match, globs))] == []
+
+
+def _caught_names() -> set[str]:
+    """Every name that an ``except`` clause of the package catches."""
+    caught: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    if isinstance(name, ast.Name):
+                        caught.add(name.id)
+                    elif isinstance(name, ast.Attribute):
+                        caught.add(name.attr)
+    return caught
+
+
+def test_every_error_class_is_a_caught_value_error():
+    # the CLI sends every ValueError to exit 2 with one line; a class of
+    # its own earns its place only where some code catches it by name
+    from threadscope import errors
+
+    defined = [
+        stmt.name
+        for module, stmt in _statements()
+        if module == "errors" and isinstance(stmt, ast.ClassDef)
+    ]
+    assert defined
+    assert [name for name in defined if not issubclass(getattr(errors, name), ValueError)] == []
+    assert sorted(set(defined) - _caught_names()) == []

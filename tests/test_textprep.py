@@ -666,17 +666,26 @@ stoplists = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def stoplist_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("stoplist") / "stoplist.txt"
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=texts, stages=stage_orders(), stoplist=stoplists)
 # a sentence stage that empties the last sentence leaves no trailing space
 @example(text="a. 日本", stages=("split_sentences", "remove_non_ascii"), stoplist=None)
-def test_compiled_pipeline_matches_reference(text, stages, stoplist):
+def test_compiled_pipeline_matches_reference(stoplist_file, text, stages, stoplist):
+    if stoplist is not None:
+        stoplist_file.write_text("".join(f"{word}\n" for word in sorted(stoplist)), "utf-8")
+        # a stoplist file holds one word a line, and so no empty word
+        stoplist -= {""}
     ref_rules = ref_load_lemma_rules()
     expected = ref_preprocess_text(text, stages, stoplist, ref_rules)
     if stoplist is None:
         assert preprocess_text(text, CompiledPipeline(stages)) == expected
     # one memo over many texts gives each text's own result
-    pipeline = CompiledPipeline(stages, stoplist)
+    pipeline = CompiledPipeline(stages, None if stoplist is None else stoplist_file)
     assert pipeline.clean(text) == expected
     assert pipeline.clean(text + " " + text) == ref_preprocess_text(
         text + " " + text, stages, stoplist, ref_rules

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadscope.corpus import Document, utc_month, write_documents
-from threadscope.errors import EmptyCorpusError, EmptyVocabularyError
+from threadscope.errors import EmptyVocabularyError
 from threadscope import cli, topics
 from threadscope.topics import (
     DocTermMatrix,
@@ -824,7 +824,7 @@ def test_fit_lda_separates_planted_clusters():
 
 
 def test_fit_lda_rejects_degenerate_input():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(ValueError, match="^cannot fit topics on an empty corpus$"):
         fit_lda(csr((), 4), LdaConfig(k=2))
     with pytest.raises(EmptyVocabularyError):
         fit_lda(csr(((),), 0), LdaConfig(k=2))
