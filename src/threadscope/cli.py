@@ -158,6 +158,8 @@ def _merge(params: tuple[Param, ...], cli: Mapping, config: Mapping) -> dict:
             value = param.default
         if param.required and value is None:
             raise _UsageError(f"the following argument is required: --{param.flag}")
+        if param.is_input and value == "":
+            raise _UsageError(f"--{param.flag} must name a file")
         merged[param.dest] = value
     return merged
 

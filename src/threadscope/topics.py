@@ -303,34 +303,34 @@ _COMPACT_SHARE = 0.25
 
 
 def _estep(
-    batch: DocTermMatrix,
-    exp_elog_beta: np.ndarray,
+    beta: np.ndarray,
+    cts: np.ndarray,
+    lengths: np.ndarray,
     alpha: float,
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate gamma for every document of a batch of non-empty rows at
-    once; returns each document's gamma, (docs, k), and whether max_iters
-    rather than tol stopped it, (docs,).  Each document stops on its own
-    rule, mean |delta gamma| < tol or max_iters, and its gamma of that
-    iteration is stored then.  A stopped document stays in the working
-    set, masked so it is never stored again, until stopped documents hold
-    _COMPACT_SHARE of its tokens; then the set is compacted.  No other
-    row reads a stopped row's values, so when it is compacted changes no
-    bit, only how many copies are traded for arithmetic."""
-    k = exp_elog_beta.shape[0]
-    n_docs = batch.n_docs
-    lengths = batch.lengths
+    """Iterate gamma for every document of a batch at once, given each
+    token's exp_elog_beta row, (tokens, k), which the loop overwrites as
+    its scratch; each token's count; and each document's token count, none
+    zero, tokens in document order.  Returns each document's gamma,
+    (docs, k), and whether max_iters rather than tol stopped it, (docs,).
+    Each document stops on its own rule, mean |delta gamma| < tol or
+    max_iters, and its gamma of that iteration is stored then.  A stopped
+    document stays in the working set, masked so it is never stored again,
+    until stopped documents hold _COMPACT_SHARE of its tokens; then the
+    set is compacted.  No other row reads a stopped row's values, so when
+    it is compacted changes no bit, only how many copies are traded for
+    arithmetic."""
+    n_docs, k = lengths.size, beta.shape[1]
+    starts = np.cumsum(lengths) - lengths
     # deterministic start: prior plus an even share of each doc's mass
-    mass = np.add.reduceat(batch.cts, batch.ptr[:-1])
+    mass = np.add.reduceat(cts, starts)
     gamma = np.repeat(alpha + mass / k, k).reshape(n_docs, k)
     theta = np.exp(_elog(gamma))
-    beta = exp_elog_beta.T[batch.ids]  # (tokens, k)
     # reused by every iteration, so the loop allocates nothing tokens x k
     scratch = np.empty_like(beta)
-    cts = batch.cts
     owner = np.repeat(np.arange(n_docs), lengths)  # each token's gamma row
-    starts = batch.ptr[:-1]
     phinorm = _phinorm(theta, beta, owner, scratch)
 
     out_gamma = np.empty_like(gamma)
@@ -378,68 +378,49 @@ def _estep(
     return out_gamma, capped
 
 
+def _rows(matrix: DocTermMatrix, positions: np.ndarray) -> DocTermMatrix:
+    """The sub-matrix of matrix's rows at positions, in that order."""
+    starts = matrix.ptr[positions]
+    lengths = matrix.ptr[positions + 1] - starts
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    take = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+    return DocTermMatrix(
+        ids=matrix.ids[take], cts=matrix.cts[take], ptr=ptr, n_terms=matrix.n_terms
+    )
+
+
 def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
     """Every E-step of the package: run it over the non-empty documents
     at each part's ``positions``, in order, for one or more fits of
     config.k topics at once, each part a (matrix, positions,
     exp_elog_beta) of its own.  Call g takes the g-th _ESTEP_GROUP of
-    every part that has one.  The parts' tables sit side by side in one
-    table, and a part's term ids are offset by its first column there, so
-    each token reads its own part's exp_elog_beta.  Yields (part index,
-    positions, sub-matrix, gammas, capped) for each _ESTEP_CHUNK of each
-    part's group, part by part, call by call; every document's gamma and
-    cap flag are the ones a call of its part alone gives."""
+    every part that has one, each token with its beta row from its own
+    part's table.  Yields (part index, positions, sub-matrix, gammas,
+    capped) for each _ESTEP_CHUNK of each part's group, part by part,
+    call by call; every document's gamma and cap flag are the ones a call
+    of its part alone gives."""
     kept = []
     for matrix, positions, _ in parts:
         ptr = matrix.ptr
         kept.append(positions[ptr[positions + 1] > ptr[positions]])
-    tables = [exp_elog_beta for _, _, exp_elog_beta in parts]
-    table = np.concatenate(tables, axis=1)
-    columns = np.cumsum([0, *(t.shape[1] for t in tables)])
     for first in range(0, max(p.size for p in kept), _ESTEP_GROUP):
-        groups = []  # (part index, positions, ids, cts, ptr) of each part here
+        chunks = []  # (part index, positions, sub-matrix) of each chunk of this call
         for index, ((matrix, _, _), positions) in enumerate(zip(parts, kept)):
-            group_positions = positions[first : first + _ESTEP_GROUP]
-            if not group_positions.size:
-                continue
-            starts = matrix.ptr[group_positions]
-            lengths = matrix.ptr[group_positions + 1] - starts
-            group_ptr = np.concatenate(([0], np.cumsum(lengths)))
-            take = np.repeat(starts - group_ptr[:-1], lengths) + np.arange(group_ptr[-1])
-            groups.append(
-                (index, group_positions, matrix.ids[take], matrix.cts[take], group_ptr)
-            )
-        # the groups one after another, their term ids into the joint table
-        token_base = np.cumsum([0, *(ptr[-1] for *_, ptr in groups)])
+            group = positions[first : first + _ESTEP_GROUP]
+            for lo in range(0, group.size, _ESTEP_CHUNK):
+                chunk_positions = group[lo : lo + _ESTEP_CHUNK]
+                chunks.append((index, chunk_positions, _rows(matrix, chunk_positions)))
         gammas, capped = _estep(
-            DocTermMatrix(
-                ids=np.concatenate([ids + columns[index] for index, _, ids, _, _ in groups]),
-                cts=np.concatenate([cts for _, _, _, cts, _ in groups]),
-                ptr=np.concatenate(
-                    [[0], *(ptr[1:] + base for (*_, ptr), base in zip(groups, token_base))]
-                ),
-                n_terms=table.shape[1],
-            ),
-            table,
+            np.concatenate([parts[index][2].T[chunk.ids] for index, _, chunk in chunks]),
+            np.concatenate([chunk.cts for _, _, chunk in chunks]),
+            np.concatenate([chunk.lengths for _, _, chunk in chunks]),
             config.alpha_value,
             config.mean_change_tol,
             config.max_e_iters,
         )
-        doc_base = 0
-        for index, group_positions, ids, cts, group_ptr in groups:
-            for lo in range(0, group_positions.size, _ESTEP_CHUNK):
-                chunk_ptr = group_ptr[lo : lo + _ESTEP_CHUNK + 1]
-                tokens = slice(chunk_ptr[0], chunk_ptr[-1])
-                docs = slice(doc_base + lo, doc_base + lo + chunk_ptr.size - 1)
-                chunk = DocTermMatrix(
-                    ids=ids[tokens],
-                    cts=cts[tokens],
-                    ptr=chunk_ptr - chunk_ptr[0],
-                    n_terms=parts[index][0].n_terms,
-                )
-                positions = group_positions[lo : lo + _ESTEP_CHUNK]
-                yield index, positions, chunk, gammas[docs], capped[docs]
-            doc_base += group_positions.size
+        docs = np.cumsum([0, *(positions.size for _, positions, _ in chunks)])
+        for (index, positions, chunk), lo, hi in zip(chunks, docs, docs[1:]):
+            yield index, positions, chunk, gammas[lo:hi], capped[lo:hi]
 
 
 def _add_sstats(

@@ -1484,6 +1484,43 @@ def test_an_empty_list_flag_is_refused_and_writes_nothing(
     assert not out.exists()
 
 
+INPUT_PARAMS = [
+    (command, param)
+    for command in cli.COMMANDS.values()
+    for param in command.params
+    if param.is_input
+]
+# a value each required flag accepts; a path need not exist
+REQUIRED_VALUE = {"int": "2", "float": "0.5", "date": "2020-03-01", "csv": "mask"}
+
+
+@pytest.mark.parametrize(
+    "command,param",
+    INPUT_PARAMS,
+    ids=[f"{command.name}-{param.flag}" for command, param in INPUT_PARAMS],
+)
+def test_an_empty_input_path_is_refused_and_writes_nothing(tmp_path, capsys, command, param):
+    # "" names no file: opened late, it fails after a stage's work, or as
+    # the directory "." when it is joined to a path first
+    out = tmp_path / "out"
+    argv = [command.name]
+    for other in command.params:
+        if other is param:
+            argv += [f"--{other.flag}", ""]
+        elif other.flag == command.out_flag:
+            argv += [f"--{other.flag}", str(out)]
+        elif other.required:
+            value = other.choices[0] if other.choices else REQUIRED_VALUE.get(other.kind)
+            argv += [f"--{other.flag}", value or str(tmp_path / other.flag)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"threadscope {command.name}: error: --{param.flag} must name a file"
+    ]
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_model_label_with_a_tab_is_refused_before_tagging(trained_model, corpus_dir, tmp_path, capsys):
     # the label keeps its weights, so a model that loaded would tag with it
     text = json.dumps(trained_model).replace('"U-PPE"', '"U-PP\\tE"')

@@ -477,8 +477,9 @@ def reference_chunks(rows, exp_elog_beta, config):
         positions, chunk_rows = zip(*chunk)
         batch = reference_from_rows(chunk_rows, exp_elog_beta.shape[1])
         yield list(positions), batch, *topics._estep(
-            batch,
-            exp_elog_beta,
+            exp_elog_beta.T[batch.ids],
+            batch.cts,
+            batch.lengths,
             config.alpha_value,
             config.mean_change_tol,
             config.max_e_iters,
@@ -649,9 +650,9 @@ def test_fit_and_perplexity_call_the_e_step_once_per_group(monkeypatch):
     calls = []
     real_estep = topics._estep
 
-    def counting_estep(batch, *args):
-        calls.append(batch.n_docs)
-        return real_estep(batch, *args)
+    def counting_estep(beta, cts, lengths, *args):
+        calls.append(lengths.size)
+        return real_estep(beta, cts, lengths, *args)
 
     monkeypatch.setattr(topics, "_estep", counting_estep)
     config = LdaConfig(k=3, batch_size=128, epochs=1, seed=3)
@@ -661,6 +662,36 @@ def test_fit_and_perplexity_call_the_e_step_once_per_group(monkeypatch):
     calls.clear()
     perplexity(model.lam, csr(rows, 9), config)
     assert calls == [128, 128, 42]
+
+
+def test_lockstep_parts_across_groups_give_each_part_its_own_bits(monkeypatch):
+    # training batches fit in one group and perplexity has one part; groups
+    # of 3 chunks of 2 put three parts of different widths, with empty rows
+    # and shuffled positions, through four lockstep calls
+    monkeypatch.setattr(topics, "_ESTEP_CHUNK", 2)
+    monkeypatch.setattr(topics, "_ESTEP_GROUP", 6)
+    config = LdaConfig(k=3, max_e_iters=5)
+    rng = np.random.default_rng(11)
+    parts = []
+    for n_docs, n_terms in ((23, 30), (9, 7), (16, 12)):
+        matrix = csr(mixed_rows(n_docs, n_terms, seed=n_terms), n_terms)
+        table = exp_elog_beta_scipy(rng.gamma(2.0, 1.0, (config.k, n_terms)))
+        parts.append((matrix, rng.permutation(n_docs), table))
+    assert (parts[0][0].lengths > 0).sum() > 3 * 6
+    together = list(topics._lockstep_chunks(parts, config))
+    for index, part in enumerate(parts):
+        mine = [chunk[1:] for chunk in together if chunk[0] == index]
+        alone = [chunk[1:] for chunk in topics._lockstep_chunks([part], config)]
+        assert len(mine) == len(alone)
+        for (positions, chunk, gammas, capped), expected in zip(mine, alone):
+            positions_alone, chunk_alone, gammas_alone, capped_alone = expected
+            assert np.array_equal(positions, positions_alone)
+            assert np.array_equal(chunk.ids, chunk_alone.ids)
+            assert np.array_equal(chunk.cts, chunk_alone.cts)
+            assert np.array_equal(chunk.ptr, chunk_alone.ptr)
+            assert np.array_equal(gammas, gammas_alone)
+            assert np.array_equal(capped, capped_alone)
+    assert any(capped.any() for *_, capped in together)
 
 
 @given(
@@ -1037,9 +1068,9 @@ def test_lockstep_month_fits_equal_solo_fits(monkeypatch):
         fits.append((matrices, models))
         return models
 
-    def spy_estep(batch, *args):
-        estep_docs.append(batch.n_docs)
-        return real_estep(batch, *args)
+    def spy_estep(beta, cts, lengths, *args):
+        estep_docs.append(lengths.size)
+        return real_estep(beta, cts, lengths, *args)
 
     monkeypatch.setattr(topics, "_fit_lockstep", spy_fit)
     monkeypatch.setattr(topics, "_estep", spy_estep)
