@@ -133,8 +133,10 @@ def _coerce(param: Param, value: object) -> object:
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
+    if path is None:
         return {}
+    if not path:
+        raise _UsageError("--config must name a file")
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:

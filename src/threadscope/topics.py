@@ -272,19 +272,32 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phinorm(
-    theta: np.ndarray, beta: np.ndarray, owner: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Per token: sum over topics of its owner document's exp_elog_theta
+def _theta_and_ratios(
+    gamma: np.ndarray, beta: np.ndarray, cts: np.ndarray, owner: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp_elog_theta of each gamma row, and per token its count over its
+    normalizer: the sum over topics of its owner document's exp_elog_theta
     times its exp_elog_beta, floored away from zero; scratch holds the
     products."""
+    theta = np.exp(_elog(gamma))
     # owner indices are always in range; "clip" lets take write to out
     # without an intermediate copy
     weighted = np.take(theta, owner, axis=0, out=scratch[: owner.size], mode="clip")
     weighted *= beta
     phinorm = _row_sums(weighted)
     phinorm += 1e-100
-    return phinorm
+    return theta, cts / phinorm
+
+
+def _map(
+    gamma: np.ndarray, beta: np.ndarray, cts: np.ndarray, owner: np.ndarray,
+    starts: np.ndarray, alpha: float, scratch: np.ndarray,
+) -> np.ndarray:
+    """One fixed-point step of every gamma row: alpha + exp_elog_theta x the
+    sum over its document's tokens of exp_elog_beta x count/normalizer."""
+    theta, ratios = _theta_and_ratios(gamma, beta, cts, owner, scratch)
+    terms = np.multiply(beta, ratios[:, np.newaxis], out=scratch[: cts.size])
+    return alpha + theta * np.add.reduceat(terms, starts, axis=0)
 
 
 # documents per summed chunk: the sstats bincounts and the bound's float
@@ -310,28 +323,26 @@ def _estep(
     tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate gamma for every document of a batch at once, given each
-    token's exp_elog_beta row, (tokens, k), which the loop overwrites as
-    its scratch; each token's count; and each document's token count, none
-    zero, tokens in document order.  Returns each document's gamma,
-    (docs, k), and whether max_iters rather than tol stopped it, (docs,).
-    Each document stops on its own rule, mean |delta gamma| < tol or
-    max_iters, and its gamma of that iteration is stored then.  A stopped
-    document stays in the working set, masked so it is never stored again,
-    until stopped documents hold _COMPACT_SHARE of its tokens; then the
-    set is compacted.  No other row reads a stopped row's values, so when
-    it is compacted changes no bit, only how many copies are traded for
-    arithmetic."""
+    """The driver of _map: iterate it for every document of a batch at
+    once, carrying only gamma, given each token's exp_elog_beta row,
+    (tokens, k), which the loop overwrites as its scratch; each token's
+    count; and each document's token count, none zero, tokens in document
+    order.  Returns each document's gamma, (docs, k), and whether max_iters
+    rather than tol stopped it, (docs,).  Each document stops on its own
+    rule, mean |delta gamma| < tol or max_iters, and its gamma of that
+    iteration is stored then.  A stopped document stays in the working
+    set, masked so it is never stored again, until stopped documents hold
+    _COMPACT_SHARE of its tokens; then the set is compacted.  No other row
+    reads a stopped row's values, so when it is compacted changes no bit,
+    only how many copies are traded for arithmetic."""
     n_docs, k = lengths.size, beta.shape[1]
     starts = np.cumsum(lengths) - lengths
     # deterministic start: prior plus an even share of each doc's mass
     mass = np.add.reduceat(cts, starts)
     gamma = np.repeat(alpha + mass / k, k).reshape(n_docs, k)
-    theta = np.exp(_elog(gamma))
     # reused by every iteration, so the loop allocates nothing tokens x k
     scratch = np.empty_like(beta)
     owner = np.repeat(np.arange(n_docs), lengths)  # each token's gamma row
-    phinorm = _phinorm(theta, beta, owner, scratch)
 
     out_gamma = np.empty_like(gamma)
     capped = np.zeros(n_docs, dtype=bool)
@@ -340,19 +351,13 @@ def _estep(
     stopped_tokens = 0  # tokens of the working rows that have stopped
     for it in range(1, max_iters + 1):
         last = gamma
-        ratio = np.multiply(
-            beta, (cts / phinorm)[:, np.newaxis], out=scratch[: cts.size]
-        )
-        gamma = alpha + theta * np.add.reduceat(ratio, starts, axis=0)
-        theta = np.exp(_elog(gamma))
-        phinorm = _phinorm(theta, beta, owner, scratch)
+        gamma = _map(gamma, beta, cts, owner, starts, alpha, scratch)
         # the mean, as ndarray.mean computes it, without its Python wrapper
         stop = np.abs(gamma - last).sum(axis=1) / k < tol
+        stop &= running
         if it == max_iters:
             capped[rows[running & ~stop]] = True
             stop = running.copy()
-        else:
-            stop &= running
         if not stop.any():
             continue
         out_gamma[rows[stop]] = gamma[stop]
@@ -363,10 +368,7 @@ def _estep(
         if stopped_tokens < _COMPACT_SHARE * cts.size:
             continue
         keep_tokens = np.repeat(running, lengths)
-        rows, gamma, theta, lengths = (
-            rows[running], gamma[running], theta[running], lengths[running]
-        )
-        cts, phinorm = cts[keep_tokens], phinorm[keep_tokens]
+        rows, gamma, lengths, cts = rows[running], gamma[running], lengths[running], cts[keep_tokens]
         # compact beta into the scratch rows and reuse the old beta as
         # scratch: both still hold at least the running tokens
         np.compress(keep_tokens, beta, axis=0, out=scratch[: cts.size])
@@ -426,17 +428,15 @@ def _lockstep_chunks(parts: Sequence[tuple], config: LdaConfig):
 def _add_sstats(
     sstats: np.ndarray, chunk: DocTermMatrix, gamma: np.ndarray, exp_elog_beta: np.ndarray
 ) -> None:
-    """Add a chunk's exp_elog_theta x cts/phinorm to the sufficient
+    """Add a chunk's exp_elog_theta x count/normalizer to the sufficient
     statistics, one bincount per topic; exp_elog_beta is applied later.
-    Both factors come from the chunk's gammas: a document's values depend
-    on its own row alone, so they are the bits of its last E-step
-    iteration."""
-    theta = np.exp(_elog(gamma))
+    Both factors come from the chunk's gammas through _theta_and_ratios,
+    as _map's do: a document's values depend on its own row alone, so
+    they are the bits of its last E-step iteration."""
     beta = exp_elog_beta.T[chunk.ids]
     owner = np.repeat(np.arange(chunk.n_docs), chunk.lengths)
-    phinorm = _phinorm(theta, beta, owner, np.empty_like(beta))
-    weights = theta[owner]
-    weights *= (chunk.cts / phinorm)[:, np.newaxis]
+    theta, ratios = _theta_and_ratios(gamma, beta, chunk.cts, owner, np.empty_like(beta))
+    weights = theta[owner] * ratios[:, np.newaxis]
     for topic in range(sstats.shape[0]):
         sstats[topic] += np.bincount(
             chunk.ids, weights=weights[:, topic], minlength=sstats.shape[1]

@@ -8,7 +8,10 @@ so it shows up even under pytest capture.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -507,3 +510,40 @@ def test_criterion_10_end_to_end_determinism(tmp_path, monkeypatch, fixtures):
 
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"pipeline pair took {elapsed:.1f}s"
+
+
+# criterion 10's chain, run from the output directory given as the cwd
+ENVELOPE_CHAIN = """
+import sys
+from pathlib import Path
+from test_acceptance import run_pipeline
+run_pipeline(Path(sys.argv[1]))
+"""
+
+
+def test_the_fixture_chain_is_byte_identical_across_process_environments(tmp_path, fixtures):
+    # criterion 10 runs its chains in one interpreter; the same bytes must
+    # come from processes of another string hash seed, a UTC+14 time zone,
+    # the C locale and no UTF-8 mode
+    src = str(Path(nerdata.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+    envs = {
+        "a": {"PYTHONHASHSEED": "0"},
+        "b": {"PYTHONHASHSEED": "12345", "TZ": "Pacific/Kiritimati", "LC_ALL": "C", "PYTHONUTF8": "0"},
+    }
+    trees = []
+    for name, extra in envs.items():
+        base = tmp_path / name
+        base.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", ENVELOPE_CHAIN, str(fixtures)], cwd=base,
+            env={**os.environ, "PYTHONPATH": path, **extra},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        trees.append(tree_bytes(base / "run"))
+    tree_a, tree_b = trees
+    assert set(tree_a) == set(tree_b)
+    assert [name for name in tree_a if tree_a[name] != tree_b[name]] == []
+    assert sum(name.endswith("manifest.json") for name in tree_a) >= 5
+    assert len(tree_a) >= 20

@@ -1494,6 +1494,31 @@ INPUT_PARAMS = [
 REQUIRED_VALUE = {"int": "2", "float": "0.5", "date": "2020-03-01", "csv": "mask"}
 
 
+def _argv_with_empty(command, tmp_path, empty):
+    """command's argv with the flag named empty set to "", the output under
+    tmp_path and every other required flag given a value"""
+    argv = [command.name, f"--{empty}", ""]
+    for param in command.params:
+        if param.flag == empty:
+            continue
+        if param.flag == command.out_flag:
+            argv += [f"--{param.flag}", str(tmp_path / "out")]
+        elif param.required:
+            value = param.choices[0] if param.choices else REQUIRED_VALUE.get(param.kind)
+            argv += [f"--{param.flag}", value or str(tmp_path / param.flag)]
+    return argv
+
+
+def _assert_refused_with_nothing_written(command, flag, tmp_path, capsys):
+    assert run(_argv_with_empty(command, tmp_path, flag)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"threadscope {command.name}: error: --{flag} must name a file"
+    ]
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command,param",
     INPUT_PARAMS,
@@ -1502,23 +1527,14 @@ REQUIRED_VALUE = {"int": "2", "float": "0.5", "date": "2020-03-01", "csv": "mask
 def test_an_empty_input_path_is_refused_and_writes_nothing(tmp_path, capsys, command, param):
     # "" names no file: opened late, it fails after a stage's work, or as
     # the directory "." when it is joined to a path first
-    out = tmp_path / "out"
-    argv = [command.name]
-    for other in command.params:
-        if other is param:
-            argv += [f"--{other.flag}", ""]
-        elif other.flag == command.out_flag:
-            argv += [f"--{other.flag}", str(out)]
-        elif other.required:
-            value = other.choices[0] if other.choices else REQUIRED_VALUE.get(other.kind)
-            argv += [f"--{other.flag}", value or str(tmp_path / other.flag)]
-    assert run(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        f"threadscope {command.name}: error: --{param.flag} must name a file"
-    ]
-    assert captured.out == ""
-    assert sorted(tmp_path.iterdir()) == []
+    _assert_refused_with_nothing_written(command, param.flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS.values(), ids=list(cli.COMMANDS))
+def test_an_empty_config_path_is_refused_and_writes_nothing(tmp_path, capsys, command):
+    # every command takes --config; read as no config file, "" let the run
+    # go on without the defaults it was meant to name
+    _assert_refused_with_nothing_written(command, "config", tmp_path, capsys)
 
 
 def test_model_label_with_a_tab_is_refused_before_tagging(trained_model, corpus_dir, tmp_path, capsys):

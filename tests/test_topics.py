@@ -415,6 +415,47 @@ def test_batched_estep_matches_naive_per_document(max_iters):
         assert any(capped) and not all(capped)
 
 
+@pytest.mark.parametrize("compact_share", [0.0, math.inf])
+@pytest.mark.parametrize("max_iters", [100, 6])
+def test_e_step_driver_matches_the_map_iterated_on_each_document_alone(
+    monkeypatch, max_iters, compact_share
+):
+    # the driver masks and compacts a batch; iterating the same map on one
+    # document at a time, with the same start and stop rule, gives its bits
+    monkeypatch.setattr(topics, "_COMPACT_SHARE", compact_share)
+    rng = np.random.default_rng(9)
+    k, v = 4, 30
+    beta = exp_elog_beta_scipy(rng.gamma(2.0, 1.0, (k, v)))
+    alpha, tol = 1.0 / k, 1e-3
+    matrix = csr([row for row in mixed_rows(n_terms=v) if row], v)
+    gammas, capped = topics._estep(
+        beta.T[matrix.ids], matrix.cts, matrix.lengths, alpha, tol, max_iters
+    )
+    iterations = []
+    for d in range(matrix.n_docs):
+        tokens = slice(matrix.ptr[d], matrix.ptr[d + 1])
+        doc_beta, cts = beta.T[matrix.ids[tokens]], matrix.cts[tokens]
+        owner, starts = np.zeros(cts.size, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        gamma = np.repeat(alpha + np.add.reduceat(cts, starts) / k, k).reshape(1, k)
+        scratch = np.empty_like(doc_beta)
+        for it in range(1, max_iters + 1):
+            last = gamma
+            gamma = topics._map(gamma, doc_beta, cts, owner, starts, alpha, scratch)
+            if (np.abs(gamma - last).sum(axis=1) / k < tol)[0]:
+                hit = False
+                break
+        else:
+            hit = True
+        assert np.array_equal(gammas[d], gamma[0])
+        assert bool(capped[d]) == hit
+        iterations.append(it)
+    # documents stop at different iterations, so the driver masks and
+    # compacts; at 6 some stop by tol and some at the cap
+    assert len(set(iterations)) > 1
+    if max_iters == 6:
+        assert any(capped) and not all(capped)
+
+
 def naive_fit(matrix, config):
     """Per-document online VB reference for fit_lda: returns lambda and the
     per-epoch count of E-steps stopped by max_e_iters."""
